@@ -19,12 +19,6 @@ from .errors import ConfigurationError, DegenerateModelError
 from .flsim import AdamWParams, AdamWState, MlpShape, forward_backward, logits, _softmax
 from .rngutil import rng_from_key
 
-PRUNE_RATIOS = (0.3, 0.5, 0.7, 0.9)
-DATA_FRACTIONS = (0.01, 0.05, 0.10, 0.20)
-ADAPTIVE_ALPHAS = (0.1, 0.3, 0.5, 0.7)
-QUANT_SCHEMES = ("static8", "static4", "dynamic8")
-
-
 @dataclass
 class AttackConfig:
     kind: str = "finetune"

@@ -22,6 +22,15 @@ class EncodingOverflowError(ConfigurationError):
         )
 
 
+class NonFiniteValueError(ConfigurationError):
+    """A NaN or infinite value was given to the fixed-point codec."""
+
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
+        super().__init__(f"coordinate {index} is not finite ({value!r})")
+
+
 class ThresholdError(ValueError):
     """Fewer shares than the reconstruction threshold t were supplied."""
 

@@ -322,7 +322,8 @@ def make_coalition_verifier(cfg: ExperimentConfig, setup, calib: CalibrationTabl
     coalition = setup.shares[:setup.cfg.threshold]
 
     def verifier(theta: np.ndarray) -> VerificationReport:
-        partials = [partial_inner(s, theta, codecs.share) for s in coalition]
+        enc = codecs.share.encode(theta)
+        partials = [partial_inner(s, enc, codecs.share) for s in coalition]
         return coalition_statistic(
             partials, theta, setup.public_norm, calib, setup.cfg, codecs,
             z_star=cfg.z_star,
@@ -405,7 +406,8 @@ def cmd_verify(model_path, share_paths, calib_path,
     )
     scfg = ShamirConfig(n_clients=hdr["n_clients"], threshold=hdr["threshold"],
                         params=FieldParams(hdr["modulus"]))
-    partials = [partial_inner(s, theta, codecs.share) for s in shares]
+    enc = codecs.share.encode(theta)
+    partials = [partial_inner(s, enc, codecs.share) for s in shares]
     report = coalition_statistic(
         partials, theta, hdr["public_norm"], calib, scfg, codecs,
         z_star=z_star if z_star is not None else 4.0,

@@ -21,6 +21,7 @@ from .errors import (
     ConfigurationError,
     EncodingOverflowError,
     FieldMismatchError,
+    NonFiniteValueError,
 )
 
 M61 = (1 << 61) - 1  # default modulus, 2^61 - 1
@@ -133,18 +134,6 @@ class FieldParams:
             flat[filled:filled + take.size] = take
             filled += take.size
         return out
-
-
-def field_add(params: FieldParams, a: int, b: int) -> int:
-    return params.add(a, b)
-
-
-def field_mul(params: FieldParams, a: int, b: int) -> int:
-    return params.mul(a, b)
-
-
-def field_inv(params: FieldParams, a: int) -> int:
-    return params.inv(a)
 
 
 class FieldVector:
@@ -278,8 +267,12 @@ class FixedPointCodec:
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        bad = np.abs(x) >= self.limit
+        bad = ~(np.abs(x) < self.limit)  # also true for NaN
         if bad.any():
+            nonfinite = ~np.isfinite(x)
+            if nonfinite.any():
+                i = int(np.argmax(nonfinite))
+                raise NonFiniteValueError(i, float(x[i]))
             i = int(np.argmax(bad))
             raise EncodingOverflowError(i, float(x[i]), self.limit)
         mag = np.floor(np.abs(x) * 2.0 ** self.frac_bits + 0.5).astype(np.int64)

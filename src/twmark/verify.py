@@ -13,6 +13,8 @@ theta_s is encoded at f_share bits (not f_model) so the inner product
 stays within q/2 at larger d; the bound check is a hard precondition.
 """
 
+import ast
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,12 @@ Z_STAR_DEFAULT = 4.0
 
 SKEW_WARN = 0.3
 KURTOSIS_WARN = 0.5
+
+
+# the fields of a saved calibration table, in file order, with their types
+_CALIB_TYPES = {"mu": float, "sigma": float, "n_models": int, "n_keys_per_model": int,
+                "skewness": float, "excess_kurtosis": float, "dim": int,
+                "fingerprint": str}
 
 
 @dataclass(frozen=True)
@@ -57,20 +65,43 @@ class CalibrationTable:
 
     def save(self, path):
         with open(path, "w") as fh:
-            for k in ("mu", "sigma", "n_models", "n_keys_per_model",
-                      "skewness", "excess_kurtosis", "dim", "fingerprint"):
+            for k in _CALIB_TYPES:
                 fh.write(f"{k} = {getattr(self, k)!r}\n")
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":
+        """Parse a saved table; values are literals, never evaluated code."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}: calibration table is not text") from None
         fields = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                k, _, v = line.partition("=")
-                fields[k.strip()] = eval(v.strip(), {"__builtins__": {}})
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _CALIB_TYPES:
+                raise ConfigurationError(f"{path}:{lineno}: expected a calibration "
+                                         f"field = value, got {line[:60]!r}")
+            try:
+                value = ast.literal_eval(raw.strip())
+            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key} is not a literal") from None
+            want = _CALIB_TYPES[key]
+            if type(value) is int and want is float:
+                value = float(value)
+            if type(value) is not want or (want is float and not math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key} = {raw.strip()[:40]} is not a "
+                    f"{'finite float' if want is float else want.__name__}")
+            fields[key] = value
+        missing = sorted(set(_CALIB_TYPES) - set(fields))
+        if missing:
+            raise ConfigurationError(f"{path}: calibration table lacks {missing}")
         return cls(**fields)
 
 
@@ -81,7 +112,6 @@ class VerificationReport:
     z_star: float
     accepted: bool
     coalition_size: int
-    commitment_ok: bool = None
 
     def csv_row(self, model_id="", attack_id="") -> str:
         decision = "accept" if self.accepted else "reject"
@@ -105,14 +135,17 @@ def model_fingerprint(shape) -> str:
     return f"mlp-{shape.input_dim}x{shape.hidden}x{shape.n_classes}-d{shape.dim}"
 
 
-def partial_inner(share: ShamirShare, theta_s: np.ndarray,
-                  codec: FixedPointCodec) -> PartialVerification:
-    """Exact field inner product of the encoded suspect with one share."""
+def partial_inner(share: ShamirShare, theta_s, codec: FixedPointCodec) -> PartialVerification:
+    """Exact field inner product of the encoded suspect with one share.
+
+    ``theta_s`` is the real model, or its ``codec`` encoding when one model
+    is scored against several shares and should be encoded once.
+    """
     if len(theta_s) != len(share.values):
         raise ConfigurationError(
             f"length mismatch: model {len(theta_s)}, share {len(share.values)}"
         )
-    enc = codec.encode(theta_s)
+    enc = theta_s if isinstance(theta_s, FieldVector) else codec.encode(theta_s)
     return PartialVerification(point=share.point, value=enc.inner(share.values))
 
 

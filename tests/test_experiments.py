@@ -14,6 +14,7 @@ from twmark.experiments import (
     worker_count,
     write_csv,
 )
+from twmark.field import FixedPointCodec
 from twmark.flsim import MlpShape, init_model
 from twmark.protocol import GlobalModel
 from twmark.rngutil import rng_from_key
@@ -193,6 +194,34 @@ class TestCli:
                          "--calibration", str(out / "calibration.txt"),
                          "--z-star", "1e9"] + shares)
         assert code == 1
+
+    def test_verify_rejects_code_in_calibration(self, cli_workspace, tmp_path):
+        cfg, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        calib = tmp_path / "calibration.txt"
+        lines = (out / "calibration.txt").read_text().splitlines()
+        calib.write_text("\n".join(
+            "mu = ().__class__.__base__.__subclasses__()" if ln.startswith("mu ")
+            else ln for ln in lines) + "\n")
+        shares = [str(rundir / "shares" / f"client_{k}.share")
+                  for k in (1, 2, 3)]
+        code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
+                         "--calibration", str(calib)] + shares)
+        assert code == 2
+
+    def test_verify_encodes_model_once(self, cli_workspace, monkeypatch):
+        cfg, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        calls = []
+        encode = FixedPointCodec.encode
+        monkeypatch.setattr(FixedPointCodec, "encode",
+                            lambda self, x: calls.append(1) or encode(self, x))
+        shares = [str(rundir / "shares" / f"client_{k}.share")
+                  for k in (1, 2, 3)]
+        code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
+                         "--calibration", str(out / "calibration.txt")] + shares)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_attack_command(self, cli_workspace):
         cfg, cfg_path, out = cli_workspace

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from twmark.errors import (
     ConfigurationError,
     EncodingOverflowError,
+    NonFiniteValueError,
     FieldMismatchError,
 )
 from twmark.field import (
@@ -158,6 +159,17 @@ class TestFixedPointCodec:
         with pytest.raises(EncodingOverflowError) as exc:
             codec.encode(x)
         assert exc.value.index == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, fM61, bad):
+        codec = FixedPointCodec(20, fM61)
+        x = np.zeros(5)
+        x[2] = bad
+        with pytest.raises(NonFiniteValueError) as exc:
+            codec.encode(x)
+        assert exc.value.index == 2
+        with pytest.raises(ConfigurationError):
+            codec.encode_scalar(bad)
 
     def test_negative_frac_bits(self, fM61):
         with pytest.raises(ConfigurationError):

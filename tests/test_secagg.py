@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from twmark import secagg
 from twmark.errors import ConfigurationError, ProtocolAbortError
 from twmark.field import FieldVector
 from twmark.secagg import (
@@ -89,6 +90,117 @@ class TestSecAggSum:
         session = _session(fM61)
         with pytest.raises(ConfigurationError):
             session.pair_mask(2, 2)
+
+
+def _applied_masks(session, inputs):
+    """observation_k - input_k for every client k of a finished session."""
+    return {k: FieldVector(masked, session.params).sub(inputs[k])
+            for k, masked in session.observations}
+
+
+def _sum_of_pair_masks(session, k):
+    """Reference net mask of client k, built pair by pair from pair_mask."""
+    mask = FieldVector.zeros(session.d, session.params)
+    for other in session.participants:
+        if k < other:
+            mask = mask.add(session.pair_mask(k, other))
+        elif other < k:
+            mask = mask.sub(session.pair_mask(other, k))
+    return mask
+
+
+class _ForcedWord:
+    """A session stream whose raw word at offset ``at`` reads 2^64 - 1,
+    the top word, which both the M61 and the generic mapping reject."""
+
+    def __init__(self, stream, at):
+        self.stream, self.at, self.pos = stream, at, 0
+
+    def advance(self, delta):
+        self.stream.advance(delta)
+        self.pos += delta
+
+    def random_raw(self, size):
+        out = self.stream.random_raw(size)
+        if self.pos <= self.at < self.pos + size:
+            out[self.at - self.pos] = np.uint64(2**64 - 1)
+        self.pos += size
+        return out
+
+
+class TestMaskLayout:
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    def test_observation_minus_input_is_client_mask(self, field, rng, request):
+        params = request.getfixturevalue(field)
+        session = _session(params, participants=(1, 2, 3, 5, 9))
+        inputs = _inputs(params, session, rng)
+        secagg_sum(inputs, session)
+        applied = _applied_masks(session, inputs)
+        for k in session.participants:
+            assert applied[k] == session.client_mask(k)
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    def test_pair_masks_are_the_applied_rows(self, field, rng, request):
+        params = request.getfixturevalue(field)
+        session = _session(params, d=16, participants=(1, 2, 3, 5, 9))
+        inputs = _inputs(params, session, rng)
+        secagg_sum(inputs, session)
+        applied = _applied_masks(session, inputs)
+        for k in session.participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+    def test_pair_mask_requires_participants(self, fM61):
+        session = _session(fM61, participants=(1, 2, 3, 5, 9))
+        with pytest.raises(ConfigurationError):
+            session.pair_mask(3, 4)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_block_size_does_not_change_masks(self, fM61, monkeypatch, block_rows):
+        d = 16
+        want_session = _session(fM61, d=d, participants=tuple(range(1, 12)))
+        want = [want_session.client_mask(k) for k in want_session.participants]
+        monkeypatch.setattr(secagg, "_BLOCK_WORDS", block_rows * d)
+        session = _session(fM61, d=d, participants=tuple(range(1, 12)))
+        assert [session.client_mask(k) for k in session.participants] == want
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    def test_rejected_word_is_replaced(self, field, rng, request, monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = (1, 2, 3, 5, 9), 8
+        plain = _session(params, d=d, participants=participants)
+        before = plain.pair_mask(2, 5)
+        # pair (2, 5) sits at positions (1, 3): pair index 5, coordinate 4
+        at = secagg.pair_index(1, 3, len(participants)) * d + 4
+        stream = SecAggSession._stream
+        monkeypatch.setattr(SecAggSession, "_stream",
+                            lambda self: _ForcedWord(stream(self), at))
+        session = _session(params, d=d, participants=participants)
+        inputs = _inputs(params, session, rng)
+        out = secagg_sum(inputs, session)
+        want = FieldVector.zeros(d, params)
+        for v in inputs.values():
+            want = want.add(v)
+        assert out == want
+        for _, masked in session.observations:
+            assert int(masked.max()) < params.modulus
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+        # only the rejected word changes, to the pair's first fallback draw
+        fallback = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 1, 2, 5))))
+        after = session.pair_mask(2, 5)
+        assert int(after.values[4]) == int(params.uniform(fallback, 1)[0])
+        assert np.array_equal(np.delete(after.values, 4), np.delete(before.values, 4))
+        assert session.pair_mask(1, 2) == plain.pair_mask(1, 2)
+        assert session.pair_mask(5, 9) == plain.pair_mask(5, 9)
+
+    def test_masks_cancel_at_k128_d1(self, fM61, rng):
+        session = _session(fM61, d=1, participants=tuple(range(1, 129)))
+        inputs = {k: int(fM61.uniform(rng, 1)[0]) for k in session.participants}
+        assert secagg_scalar(inputs, session) == sum(inputs.values()) % fM61.modulus
+        total = sum(int(m[0]) for _, m in session.observations) % fM61.modulus
+        assert total == sum(inputs.values()) % fM61.modulus
+        assert all(int(m[0]) != inputs[k] for k, m in session.observations)
 
 
 class TestSecAggScalar:

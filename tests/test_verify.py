@@ -42,6 +42,34 @@ class TestCalibrationTable:
         t.save(path)
         assert CalibrationTable.load(path) == t
 
+    def test_load_does_not_evaluate_code(self, tmp_path):
+        path = tmp_path / "calibration.txt"
+        _table().save(path)
+        text = path.read_text().replace(
+            "mu = 0.0", "mu = ().__class__.__base__.__subclasses__()")
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            CalibrationTable.load(path)
+
+    def test_load_rejects_truncated_file(self, tmp_path):
+        path = tmp_path / "calibration.txt"
+        _table(fingerprint="mlp-32x128x10-d5514").save(path)
+        data = path.read_bytes()
+        # every prefix short of the final newline lacks a field or a value
+        for cut in range(len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ConfigurationError):
+                CalibrationTable.load(path)
+
+    @pytest.mark.parametrize("line", ["dim = 64.5", "sigma = 'x'", "mu = 1e999",
+                                      "colour = 1", "mu 0.0", "mu = [1]"])
+    def test_load_checks_fields(self, tmp_path, line):
+        path = tmp_path / "calibration.txt"
+        _table().save(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ConfigurationError):
+            CalibrationTable.load(path)
+
     def test_sigma_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             _table(sigma=0.0)
@@ -66,6 +94,14 @@ class TestPartialInner:
             int(a) * int(b) for a, b in zip(enc.values, share.values.values)
         ) % codecs.params.modulus
         assert got.point == 1 and got.value == want
+
+    def test_accepts_encoded_model(self, rng, codecs):
+        setup = _setup(rng, d=16)
+        theta = rng.standard_normal(16)
+        enc = codecs.share.encode(theta)
+        for share in setup.shares:
+            assert (partial_inner(share, enc, codecs.share)
+                    == partial_inner(share, theta, codecs.share))
 
     def test_length_mismatch(self, rng, codecs):
         setup = _setup(rng, d=16)
