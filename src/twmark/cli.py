@@ -3,8 +3,10 @@
 Subcommands: calibrate, train, attack, verify, scalability, fidelity,
 robustness, report. A config file holds key = value pairs (one per line,
 Python literals); any key can be overridden with --set key=value.
-The TWMARK_WORKERS environment variable requests parallelism; outputs
-never depend on it.
+The TWMARK_WORKERS environment variable is checked (a positive integer,
+else exit 2) but no command runs in parallel on it; the threads that draw
+the pair masks of a large SecAgg session ignore it. Outputs never depend
+on it or on the CPU count.
 
 verify exit codes: 0 accept, 1 reject, 2 error (including coalitions
 below the threshold).

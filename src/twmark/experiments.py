@@ -6,6 +6,7 @@ with the same config yields byte-identical CSV bodies.
 """
 
 import ast
+import glob
 import hashlib
 import os
 import struct
@@ -17,7 +18,13 @@ from . import attacks
 from .errors import ConfigurationError, FingerprintMismatchError
 from .field import FieldParams, ProtocolCodecs, check_aggregate_bound
 from .flsim import AdamWParams, MlpShape, evaluate, gen_dataset, init_model, local_train
-from .keysetup import load_share, save_share, setup_dkg, setup_trusted_dealer
+from .keysetup import (
+    SetupResult,
+    load_share,
+    save_share,
+    setup_dkg,
+    setup_trusted_dealer,
+)
 from .protocol import ProtocolParams, run_baseline, run_protocol
 from .rngutil import rng_from_key
 from .sharing import ShamirConfig
@@ -189,7 +196,8 @@ class ExperimentConfig:
 
 
 def worker_count() -> int:
-    """Requested parallelism; execution order (and output) never depends on it."""
+    """The checked TWMARK_WORKERS value; nothing runs in parallel on it yet,
+    and execution order (and output) never depends on it."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
@@ -548,6 +556,34 @@ def run_attack_job(kind: str, acfg: attacks.AttackConfig, theta, trajectory,
     raise ConfigurationError(f"unknown attack kind {kind!r}")
 
 
+def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
+                       trajectory, dataset, epoch_stride: int):
+    """One attack job on the final model of ``trajectory``; every
+    ``epoch_stride``-th checkpoint and the last go through ``verifier``.
+    Returns (records, CSV rows)."""
+    shape = cfg.shape()
+    acfg = attacks.AttackConfig(
+        kind=kind, epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
+        optimizer=cfg.optimizer(), **params,
+    )
+    checkpoints = run_attack_job(kind, acfg, trajectory[-1].theta, trajectory,
+                                 dataset, shape)
+    keep = [cp for i, cp in enumerate(checkpoints)
+            if i % epoch_stride == 0 or i == len(checkpoints) - 1]
+    param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
+    run_id = cfg.config_hash()
+    records, rows = [], []
+    for step, th in keep:
+        rep = verifier(th)
+        acc = evaluate(th, dataset.X_test, dataset.y_test, shape)
+        decision = "accept" if rep.accepted else "reject"
+        records.append({"kind": kind, **params, "step": step,
+                        "accuracy": acc, "z": rep.z})
+        rows.append(f"{run_id},{kind},{param_str},{step},"
+                    f"{acc:.6f},{rep.z:.6g},{decision}")
+    return records, rows
+
+
 def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
                    calib: CalibrationTable, outdir=None, epoch_stride: int = 10):
     """Run the attack grid on a completed watermarked run.
@@ -555,28 +591,13 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
     Every checkpoint is measured through the coalition verification path
     (never the debug path). Returns records plus per-budget Pareto fronts.
     """
-    shape = cfg.shape()
-    theta = trajectory[-1].theta
     verifier = make_coalition_verifier(cfg, setup, calib)
     rows, records = [], []
-    run_id = cfg.config_hash()
     for kind, params in _attack_jobs(cfg):
-        acfg = attacks.AttackConfig(
-            kind=kind, epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
-            optimizer=cfg.optimizer(), **params,
-        )
-        checkpoints = run_attack_job(kind, acfg, theta, trajectory, dataset, shape)
-        keep = [cp for i, cp in enumerate(checkpoints)
-                if i % epoch_stride == 0 or i == len(checkpoints) - 1]
-        param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
-        for step, th in keep:
-            rep = verifier(th)
-            acc = evaluate(th, dataset.X_test, dataset.y_test, shape)
-            decision = "accept" if rep.accepted else "reject"
-            records.append({"kind": kind, **params, "step": step,
-                            "accuracy": acc, "z": rep.z})
-            rows.append(f"{run_id},{kind},{param_str},{step},"
-                        f"{acc:.6f},{rep.z:.6g},{decision}")
+        job_records, job_rows = _attack_and_verify(
+            cfg, verifier, kind, params, trajectory, dataset, epoch_stride)
+        records += job_records
+        rows += job_rows
     fronts = {}
     for p in cfg.attack_fractions:
         pts = [(r["accuracy"], r["z"]) for r in records
@@ -595,19 +616,19 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
 
 
 def load_run(cfg: ExperimentConfig, rundir):
-    """Reload a persisted training run: (setup-like object, dataset, trajectory)."""
-    import glob as _glob
-    from types import SimpleNamespace
+    """Reload a persisted training run: (SetupResult, dataset, trajectory).
 
-    share_paths = sorted(_glob.glob(os.path.join(rundir, "shares", "*.share")))
+    The setup holds the saved shares and their public parameters; the
+    commitment and the DKG overhead record are not persisted."""
+    share_paths = sorted(glob.glob(os.path.join(rundir, "shares", "*.share")))
     shares, hdr = [], None
     for p in share_paths:
         share, hdr = load_share(p)
         shares.append(share)
     scfg = ShamirConfig(n_clients=hdr["n_clients"], threshold=hdr["threshold"],
                         params=FieldParams(hdr["modulus"]))
-    setup = SimpleNamespace(cfg=scfg, shares=shares,
-                            public_norm=hdr["public_norm"], codecs=cfg.codecs())
+    setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares,
+                        public_norm=hdr["public_norm"])
     seed = None
     with open(os.path.join(rundir, "manifest.txt")) as fh:
         for line in fh:
@@ -622,26 +643,9 @@ def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
                kind: str, outdir=None, epoch_stride: int = 10, **params):
     """One attack job against a persisted run, verified via the coalition path."""
     setup, dataset, trajectory = load_run(cfg, rundir)
-    shape = cfg.shape()
-    acfg = attacks.AttackConfig(
-        kind=kind, epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
-        optimizer=cfg.optimizer(), **params,
-    )
-    checkpoints = run_attack_job(kind, acfg, trajectory[-1].theta, trajectory,
-                                 dataset, shape)
     verifier = make_coalition_verifier(cfg, setup, calib)
-    rows, records = [], []
-    param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
-    keep = [cp for i, cp in enumerate(checkpoints)
-            if i % epoch_stride == 0 or i == len(checkpoints) - 1]
-    for step, th in keep:
-        rep = verifier(th)
-        acc = evaluate(th, dataset.X_test, dataset.y_test, shape)
-        decision = "accept" if rep.accepted else "reject"
-        records.append({"kind": kind, **params, "step": step,
-                        "accuracy": acc, "z": rep.z})
-        rows.append(f"{cfg.config_hash()},{kind},{param_str},{step},"
-                    f"{acc:.6f},{rep.z:.6g},{decision}")
+    records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory,
+                                       dataset, epoch_stride)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .field import FieldVector, ProtocolCodecs
+from .field import FieldParams, FieldVector, ProtocolCodecs
 from .sharing import Commitment, ShamirConfig, ShamirShare, commit, shamir_share
 
 
@@ -209,18 +209,27 @@ def save_share(share: ShamirShare, setup: SetupResult, path):
 
 
 def load_share(path):
-    """Returns (ShamirShare, header dict with q/f_share/K/t/public_norm)."""
+    """Returns (ShamirShare, header dict with q/f_share/K/t/public_norm).
+
+    The file must hold exactly the header, the length word and d words, and
+    its point must lie in [1, K] of its own header.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _SHARE_MAGIC:
         raise ConfigurationError(f"{path}: not a share file")
-    hdr_size = struct.calcsize(_SHARE_HDR)
-    q, f_share, K, t, point, public_norm = struct.unpack(
-        _SHARE_HDR, data[8:8 + hdr_size]
-    )
-    from .field import FieldParams
-
-    vec = FieldVector.from_bytes(data[8 + hdr_size:], FieldParams(q))
+    hdr_end = 8 + struct.calcsize(_SHARE_HDR)
+    if len(data) < hdr_end + 8:
+        raise ConfigurationError(f"{path}: share file is truncated")
+    q, f_share, K, t, point, public_norm = struct.unpack(_SHARE_HDR, data[8:hdr_end])
+    d = int.from_bytes(data[hdr_end:hdr_end + 8], "little")
+    if len(data) != hdr_end + 8 + 8 * d:
+        raise ConfigurationError(
+            f"{path}: {len(data)} bytes, but a share of length {d} takes "
+            f"{hdr_end + 8 + 8 * d}")
+    if not 1 <= point <= K:
+        raise ConfigurationError(f"{path}: point {point} lies outside [1, K={K}]")
+    vec = FieldVector.from_bytes(data[hdr_end:], FieldParams(q))
     header = {
         "modulus": int(q), "f_share": int(f_share), "n_clients": int(K),
         "threshold": int(t), "public_norm": float(public_norm),

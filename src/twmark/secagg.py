@@ -5,7 +5,7 @@ masked client submissions and the final sum. For every unordered pair of
 participant positions (a, b) with a < b a mask vector is drawn; the
 lower-positioned client adds it and the higher one subtracts it, so masks
 cancel and the sum of masked submissions equals the field sum of the raw
-inputs, bit-exactly.
+inputs, bit-exactly (Bonawitz et al., CCS 2017).
 
 All of a session's pair masks come from one PCG64 stream keyed by
 (session_seed, round_id); it stands in for the per-pair PRG seeds that a
@@ -13,14 +13,27 @@ key agreement would give each pair of clients. The stream is laid out
 pair-major: pair (a, b) owns the d raw words starting at offset
 pair_index(a, b, n) * d, so the (n-1-a, d) rows of one sender a are
 contiguous and are drawn together (in blocks of at most _BLOCK_WORDS
-words), and a single pair's row can be read with ``PCG64.advance``. Raw words map to field elements exactly: for M61
-by the top 61 bits, rejecting the one value equal to q; for any other q
-by ``% q`` below the largest multiple of q under 2^64. A rejected word is
-replaced by a draw from a fallback stream keyed by the session and the
-pair, which leaves every other pair's offset in place. Net masks are
-formed with numpy: each block's 32-bit halves are column-summed into the
-sender's row and subtracted from the rows of the later peers, and the
-split sums are reduced mod q once at the end.
+words), and a single pair's row can be read with ``PCG64.advance``. Raw
+words map to field elements exactly: for M61 by the top 61 bits,
+rejecting the one value equal to q; for any other q by ``% q`` below the
+largest multiple of q under 2^64. A rejected word is replaced by a draw
+from a fallback stream keyed by the session and the pair, which leaves
+every other pair's offset in place.
+
+Net masks are formed with numpy: each block's 32-bit halves are
+column-summed into the sender's row and subtracted from the rows of the
+later peers, and the split sums are reduced mod q once at the end. A
+session of at least 2 * _SPLIT_WORDS raw words is split into contiguous
+sender ranges with about equal pair counts, one per usable CPU; each
+range runs in its own thread (PCG64 output and numpy passes over whole
+blocks release the GIL) on a copy of the stream advanced to
+pair_index(a0, a0+1, n) * d, its first sender's offset, and keeps its
+own split sums over the rows from a0 on. Every pair therefore reads the
+same raw words and the same fallback stream whatever the split, and the
+partial sums are added with wrapping uint64 arithmetic, which is exact
+mod 2^64, before the one reduction. Masks, masked submissions and sums
+are thus bit-identical for every CPU count. The threads are started and
+joined inside each call; no pool outlives a session.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
@@ -28,6 +41,9 @@ deliberately not modeled.
 
 import hashlib
 import json
+import os
+from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -38,6 +54,10 @@ from .field import M61, FieldParams, FieldVector
 # Most raw words drawn at once (512 KB): a block, its top half and the rows
 # it updates stay in L2 cache, and block memory is bounded whatever n*d is.
 _BLOCK_WORDS = 1 << 16
+# Fewest raw words a worker thread is given (64 MB of PCG64 output): a K=128
+# session at d=5514 (44.8 M words) splits, K=32 (2.7 M) and d=1 sessions do
+# not, since below this size a second thread measured no faster.
+_SPLIT_WORDS = 1 << 23
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.int64((1 << 29) - 1)
 
@@ -45,6 +65,26 @@ _MASK29 = np.int64((1 << 29) - 1)
 def pair_index(a: int, b: int, n: int) -> int:
     """Position of the pair (a, b), a < b, in the pair-major order of n."""
     return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def _worker_count(words: int) -> int:
+    """Threads for a session of ``words`` raw mask words: one per usable CPU,
+    but none that would draw fewer than _SPLIT_WORDS words."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, words // _SPLIT_WORDS))
+
+
+def _sender_ranges(n: int, workers: int) -> list:
+    """At most ``workers`` contiguous sender ranges [a0, a1) that cover
+    positions 0..n-2 with roughly equal pair counts."""
+    starts = [pair_index(a, a + 1, n) for a in range(n - 1)]  # pairs before sender a
+    total = n * (n - 1) // 2
+    bounds = [0] + sorted({bisect_left(starts, i * total / workers)
+                           for i in range(1, workers)} - {0, n - 1})
+    return list(zip(bounds, bounds[1:] + [n - 1]))
 
 
 def _fold(hi: np.ndarray, lo: np.ndarray, q: int) -> np.ndarray:
@@ -103,25 +143,42 @@ class SecAggSession:
             raw %= np.uint64(q)
         return raw
 
-    def _net_masks(self) -> np.ndarray:
-        """(n, d) net masks, row a for the participant at position a."""
-        n, d, q = len(self.participants), self.d, self.params.modulus
-        # split sums of the signed mask terms; uint64 wraps as two's complement
-        hi = np.zeros((n, d), dtype=np.uint64)
-        lo = np.zeros((n, d), dtype=np.uint64)
+    def _range_sums(self, a0: int, a1: int):
+        """Split sums (hi, lo) of the mask terms of senders a0 <= a < a1,
+        as wrapping uint64 arrays over the rows of positions a0, ..., n-1."""
+        n, d = len(self.participants), self.d
+        hi = np.zeros((n - a0, d), dtype=np.uint64)
+        lo = np.zeros((n - a0, d), dtype=np.uint64)
         stream = self._stream()
+        stream.advance(pair_index(a0, a0 + 1, n) * d)
         step = max(1, _BLOCK_WORDS // d)
-        for a in range(n - 1):
+        for a in range(a0, a1):
             for b0 in range(a + 1, n, step):
                 b1 = min(b0 + step, n)
                 block = self._rows(stream.random_raw((b1 - b0) * d).reshape(-1, d), a, b0)
                 top = block >> 32
                 block &= _MASK32
-                hi[a] += top.sum(axis=0)
-                lo[a] += block.sum(axis=0)
-                hi[b0:b1] -= top
-                lo[b0:b1] -= block
-        return _fold(hi, lo, q)
+                hi[a - a0] += top.sum(axis=0)
+                lo[a - a0] += block.sum(axis=0)
+                hi[b0 - a0:b1 - a0] -= top
+                lo[b0 - a0:b1 - a0] -= block
+        return hi, lo
+
+    def _net_masks(self) -> np.ndarray:
+        """(n, d) net masks, row a for the participant at position a."""
+        n, d = len(self.participants), self.d
+        ranges = _sender_ranges(n, _worker_count(n * (n - 1) // 2 * d))
+        if len(ranges) == 1:
+            hi, lo = self._range_sums(0, n - 1)
+        else:
+            with ThreadPoolExecutor(len(ranges) - 1) as pool:
+                parts = [pool.submit(self._range_sums, a0, a1) for a0, a1 in ranges[1:]]
+                hi, lo = self._range_sums(*ranges[0])
+                for (a0, _), part in zip(ranges[1:], parts):
+                    h, l = part.result()
+                    hi[a0:] += h
+                    lo[a0:] += l
+        return _fold(hi, lo, self.params.modulus)
 
     def _position(self, k: int) -> int:
         try:

@@ -189,6 +189,10 @@ def coalition_statistic(partials, theta_s: np.ndarray, public_norm: float,
         len(theta_s), 1, float(np.abs(theta_s).max()), 0.0, codecs
     ).raise_if_failed()
     points = [p.point for p in partials]
+    strangers = sorted(set(points) - set(cfg.points))
+    if strangers:
+        raise ConfigurationError(
+            f"partial points {strangers} are not evaluation points of the setup")
     lam = lagrange_at_zero(points, cfg.params)
     session = SecAggSession(
         round_id=0, participants=tuple(points), d=1,

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from twmark import keysetup
 from twmark.field import FieldParams, ProtocolCodecs
 
 
@@ -22,3 +25,21 @@ def codecs():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def tamper_share():
+    """Rewrites a share file with another point, or with ``extra`` bytes
+    appended (> 0) or cut from its end (< 0)."""
+
+    def tamper(src, dst, point=None, extra=0):
+        data = bytearray(open(src, "rb").read())
+        if point is not None:
+            hdr = list(struct.unpack_from(keysetup._SHARE_HDR, data, 8))
+            hdr[4] = point
+            struct.pack_into(keysetup._SHARE_HDR, data, 8, *hdr)
+        data = data + b"\0" * extra if extra >= 0 else data[:extra]
+        with open(dst, "wb") as fh:
+            fh.write(data)
+
+    return tamper

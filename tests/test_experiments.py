@@ -8,16 +8,19 @@ from twmark.errors import ConfigurationError
 from twmark.experiments import (
     ExperimentConfig,
     load_model,
+    load_run,
     load_trajectory,
     save_model,
     save_trajectory,
     worker_count,
     write_csv,
 )
-from twmark.field import FixedPointCodec
+from twmark.field import FieldParams, FixedPointCodec
+from twmark.keysetup import SetupResult, save_share, setup_trusted_dealer
 from twmark.flsim import MlpShape, init_model
 from twmark.protocol import GlobalModel
 from twmark.rngutil import rng_from_key
+from twmark.sharing import ShamirConfig
 
 # small but real end-to-end configuration for CLI tests
 SMALL_CFG = dict(
@@ -154,6 +157,15 @@ class TestCli:
         manifest = (rundir / "manifest.txt").read_text()
         assert f"config_hash = {cfg.config_hash()!r}" in manifest
 
+    def test_load_run_returns_setup(self, cli_workspace):
+        cfg, _, out = cli_workspace
+        setup, dataset, trajectory = load_run(cfg, out / "run_seed0")
+        assert isinstance(setup, SetupResult)
+        assert setup.d == cfg.shape().dim
+        assert setup.cfg.threshold == cfg.threshold
+        assert sorted(s.point for s in setup.shares) == list(range(1, cfg.n_clients + 1))
+        assert len(trajectory) == cfg.rounds + 1
+
     def test_verify_accepts_watermarked_model(self, cli_workspace):
         cfg, _, out = cli_workspace
         rundir = out / "run_seed0"
@@ -222,6 +234,26 @@ class TestCli:
                          "--calibration", str(out / "calibration.txt")] + shares)
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("point,extra", [(7, 0), (0, 0), (None, 1), (None, -1)])
+    def test_verify_rejects_bad_share_file(self, cli_workspace, tmp_path, capsys,
+                                           tamper_share, point, extra):
+        cfg, _, out = cli_workspace
+        scfg = ShamirConfig(n_clients=5, threshold=3, params=FieldParams(cfg.modulus))
+        setup = setup_trusted_dealer(scfg, cfg.shape().dim, rng_from_key(5, "setup"),
+                                     codecs=cfg.codecs())
+        paths = [str(tmp_path / f"client_{s.point}.share") for s in setup.shares[:3]]
+        for share, path in zip(setup.shares, paths):
+            save_share(share, setup, path)
+        argv = ["verify", "--model", str(out / "run_seed0" / "model_final.bin"),
+                "--calibration", str(out / "calibration.txt")] + paths
+        assert cli.main(argv) in (0, 1)
+        assert "decision:" in capsys.readouterr().out
+        tamper_share(paths[2], paths[2], point, extra)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "decision" not in captured.out
+        assert "error:" in captured.err
 
     def test_attack_command(self, cli_workspace):
         cfg, cfg_path, out = cli_workspace

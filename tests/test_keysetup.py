@@ -124,3 +124,16 @@ class TestShareFiles:
         path.write_bytes(b"NOTASHAREFILE")
         with pytest.raises(ConfigurationError):
             load_share(path)
+
+    @pytest.mark.parametrize("point,extra", [
+        (7, 0), (0, 0), (None, 1), (None, -1), (None, -8 * 24), (None, -220),
+    ])
+    def test_rejects_bad_point_or_length(self, fM61, rng, tmp_path, tamper_share,
+                                         point, extra):
+        setup = setup_trusted_dealer(_cfg(fM61), 24, rng)
+        path = tmp_path / "client_2.share"
+        save_share(setup.shares[1], setup, path)
+        load_share(path)
+        tamper_share(path, path, point, extra)
+        with pytest.raises(ConfigurationError):
+            load_share(path)

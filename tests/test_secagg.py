@@ -110,10 +110,10 @@ def _sum_of_pair_masks(session, k):
 
 
 class _ForcedWord:
-    """A session stream whose raw word at offset ``at`` reads 2^64 - 1,
+    """A session stream whose raw words at the offsets ``at`` read 2^64 - 1,
     the top word, which both the M61 and the generic mapping reject."""
 
-    def __init__(self, stream, at):
+    def __init__(self, stream, *at):
         self.stream, self.at, self.pos = stream, at, 0
 
     def advance(self, delta):
@@ -122,10 +122,17 @@ class _ForcedWord:
 
     def random_raw(self, size):
         out = self.stream.random_raw(size)
-        if self.pos <= self.at < self.pos + size:
-            out[self.at - self.pos] = np.uint64(2**64 - 1)
+        for at in self.at:
+            if self.pos <= at < self.pos + size:
+                out[at - self.pos] = np.uint64(2**64 - 1)
         self.pos += size
         return out
+
+
+def _force_words(monkeypatch, *at):
+    stream = SecAggSession._stream
+    monkeypatch.setattr(SecAggSession, "_stream",
+                        lambda self: _ForcedWord(stream(self), *at))
 
 
 class TestMaskLayout:
@@ -171,9 +178,7 @@ class TestMaskLayout:
         before = plain.pair_mask(2, 5)
         # pair (2, 5) sits at positions (1, 3): pair index 5, coordinate 4
         at = secagg.pair_index(1, 3, len(participants)) * d + 4
-        stream = SecAggSession._stream
-        monkeypatch.setattr(SecAggSession, "_stream",
-                            lambda self: _ForcedWord(stream(self), at))
+        _force_words(monkeypatch, at)
         session = _session(params, d=d, participants=participants)
         inputs = _inputs(params, session, rng)
         out = secagg_sum(inputs, session)
@@ -201,6 +206,140 @@ class TestMaskLayout:
         total = sum(int(m[0]) for _, m in session.observations) % fM61.modulus
         assert total == sum(inputs.values()) % fM61.modulus
         assert all(int(m[0]) != inputs[k] for k, m in session.observations)
+
+
+def _field_sum(inputs, d, params):
+    total = FieldVector.zeros(d, params)
+    for v in inputs.values():
+        total = total.add(v)
+    return total
+
+
+def _run(params, participants, d):
+    """(session, inputs, output) of one secagg_sum with fixed inputs."""
+    session = _session(params, d=d, participants=participants)
+    inputs = _inputs(params, session, np.random.default_rng(3))
+    return session, inputs, secagg_sum(inputs, session)
+
+
+class TestSplit:
+    """Sessions split into sender ranges give the serial masks bit for bit."""
+
+    @pytest.mark.parametrize("n,workers,want", [
+        (2, 1, [(0, 1)]), (2, 4, [(0, 1)]),
+        (4, 3, [(0, 1), (1, 2), (2, 3)]),
+        (5, 4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (7, 2, [(0, 2), (2, 6)]),
+        (128, 2, [(0, 38), (38, 127)]),
+        (1, 2, [(0, 0)]),
+    ])
+    def test_sender_ranges(self, n, workers, want):
+        assert secagg._sender_ranges(n, workers) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 11, 40])
+    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
+    def test_sender_ranges_are_balanced(self, n, workers):
+        ranges = secagg._sender_ranges(n, workers)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n - 1
+        assert all(a1 == b0 for (_, a1), (b0, _) in zip(ranges, ranges[1:]))
+        assert len(ranges) == min(workers, n - 1)
+        pairs = [secagg.pair_index(a1, a1 + 1, n) - secagg.pair_index(a0, a0 + 1, n)
+                 for a0, a1 in ranges]
+        # no range holds more than its share plus one sender's row of pairs
+        assert max(pairs) <= n * (n - 1) / 2 / len(ranges) + n - 1
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("participants", [(4, 9), (1, 2, 3, 5, 9),
+                                              (1, 2, 3, 4), tuple(range(1, 12))])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_split_equals_serial(self, field, participants, workers, request,
+                                 monkeypatch):
+        params = request.getfixturevalue(field)
+        d = 8
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
+        serial, inputs, want = _run(params, participants, d)
+        serial_masks = serial._net_masks()
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: workers)
+        session, _, out = _run(params, participants, d)
+        assert out == want
+        assert np.array_equal(session._net_masks(), serial_masks)
+        assert [k for k, _ in session.observations] == list(participants)
+        for (_, got), (_, ref) in zip(session.observations, serial.observations):
+            assert np.array_equal(got, ref)
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == session.client_mask(k)
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_rejected_word_in_every_range(self, field, workers, request,
+                                          monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = tuple(range(1, 10)), 8
+        n = len(participants)
+        ranges = secagg._sender_ranges(n, workers)
+        assert len(ranges) == workers
+        # the last word of each range's first pair and a middle word of its last
+        at = []
+        for a0, a1 in ranges:
+            at.append(secagg.pair_index(a0, a0 + 1, n) * d + d - 1)
+            at.append(secagg.pair_index(a1 - 1, n - 1, n) * d + d // 2)
+        _force_words(monkeypatch, *at)
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
+        serial, inputs, want = _run(params, participants, d)
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: workers)
+        session, _, out = _run(params, participants, d)
+        assert out == want
+        assert out == _field_sum(inputs, d, params)
+        for (_, got), (_, ref) in zip(session.observations, serial.observations):
+            assert np.array_equal(got, ref)
+            assert int(got.max()) < params.modulus
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+    def test_worker_count_follows_split_size_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(secagg.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        split = secagg._SPLIT_WORDS
+        assert secagg._worker_count(0) == 1
+        assert secagg._worker_count(split - 1) == 1
+        assert secagg._worker_count(2 * split) == 2
+        assert secagg._worker_count(100 * split) == 3
+        # K=32 sessions at the shipped d stay serial; K=128 ones split
+        assert secagg._worker_count(32 * 31 // 2 * 5514) == 1
+        assert secagg._worker_count(128 * 127 // 2 * 5514) == 3
+        monkeypatch.setattr(secagg.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert secagg._worker_count(128 * 127 // 2 * 5514) == 1
+
+    def test_shipped_split_size_matches_serial(self, fM61, monkeypatch):
+        # K=128 at d=2100 is just over two split sizes of raw words, so the
+        # session splits on any machine with two usable CPUs
+        participants, d = tuple(range(1, 129)), 2100
+        assert secagg._worker_count(128 * 127 // 2 * d) == min(
+            2, len(secagg.os.sched_getaffinity(0)))
+        split = _session(fM61, d=d, participants=participants)._net_masks()
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
+        serial = _session(fM61, d=d, participants=participants)._net_masks()
+        assert np.array_equal(split, serial)
+        assert not np.any(serial.sum(axis=0, dtype=object) % fM61.modulus)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_sessions_on_both_sides_of_split_size(self, fM61, monkeypatch, above):
+        participants, d = tuple(range(1, 10)), 8      # 36 pairs, 288 words
+        words = 36 * d
+        monkeypatch.setattr(secagg.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(secagg, "_SPLIT_WORDS",
+                            words // 2 if above else words + 1)
+        assert secagg._worker_count(words) == (2 if above else 1)
+        session, inputs, out = _run(fM61, participants, d)
+        assert out == _field_sum(inputs, d, fM61)
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
 
 
 class TestSecAggScalar:

@@ -17,6 +17,7 @@ from twmark.verify import (
     calibrate,
     coalition_statistic,
     cosine_against_keys,
+    PartialVerification,
     model_fingerprint,
     partial_inner,
     verify_direct,
@@ -167,6 +168,18 @@ class TestCoalitionStatistic:
         rep = coalition_statistic(partials, noise, setup.public_norm, calib,
                                   setup.cfg, codecs)
         assert isinstance(rep, VerificationReport)
+
+
+    @pytest.mark.parametrize("point", [7, 0])
+    def test_rejects_points_outside_setup(self, rng, codecs, point):
+        setup = _setup(rng)
+        theta = rng.standard_normal(64)
+        partials = [partial_inner(s, theta, codecs.share)
+                    for s in setup.shares[:3]]
+        partials[2] = PartialVerification(point=point, value=partials[2].value)
+        with pytest.raises(ConfigurationError):
+            coalition_statistic(partials, theta, setup.public_norm, _table(),
+                                setup.cfg, codecs)
 
 
 class TestCosine:
