@@ -3,10 +3,6 @@
 Subcommands: calibrate, train, attack, verify, scalability, fidelity,
 robustness, report. A config file holds key = value pairs (one per line,
 Python literals); any key can be overridden with --set key=value.
-The TWMARK_WORKERS environment variable is checked (a positive integer,
-else exit 2) but no command runs in parallel on it; the threads that draw
-the pair masks of a large SecAgg session ignore it. Outputs never depend
-on it or on the CPU count.
 
 verify exit codes: 0 accept, 1 reject, 2 error (including coalitions
 below the threshold).
@@ -29,7 +25,6 @@ from .experiments import (
     cmd_train,
     cmd_verify,
     load_run,
-    worker_count,
 )
 
 
@@ -111,7 +106,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        worker_count()  # validate the env var early
         if args.command == "report":
             report_path, exports = cmd_report(args.out)
             print(f"wrote {report_path}")

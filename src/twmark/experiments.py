@@ -17,15 +17,21 @@ import numpy as np
 from . import attacks
 from .errors import ConfigurationError, FingerprintMismatchError
 from .field import FieldParams, ProtocolCodecs, check_aggregate_bound
-from .flsim import AdamWParams, MlpShape, evaluate, gen_dataset, init_model, local_train
+from .flsim import AdamWParams, MlpShape, evaluate, gen_dataset, init_model
 from .keysetup import (
     SetupResult,
-    load_share,
+    load_shares,
     save_share,
     setup_dkg,
     setup_trusted_dealer,
 )
-from .protocol import ProtocolParams, run_baseline, run_protocol
+from .protocol import (
+    ClientState,
+    ProtocolParams,
+    default_train_fn,
+    run_baseline,
+    run_protocol,
+)
 from .rngutil import rng_from_key
 from .sharing import ShamirConfig
 from .verify import (
@@ -37,9 +43,6 @@ from .verify import (
     model_fingerprint,
     partial_inner,
 )
-
-WORKERS_ENV = "TWMARK_WORKERS"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -195,19 +198,6 @@ class ExperimentConfig:
         return cls(**values)
 
 
-def worker_count() -> int:
-    """The checked TWMARK_WORKERS value; nothing runs in parallel on it yet,
-    and execution order (and output) never depends on it."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{WORKERS_ENV}={raw!r} is not an integer")
-    if n < 1:
-        raise ConfigurationError(f"{WORKERS_ENV} must be >= 1")
-    return n
-
-
 # -- model / trajectory files --
 
 _MODEL_MAGIC = b"TWMODEL1"
@@ -306,21 +296,17 @@ def run_watermarked(cfg: ExperimentConfig, seed: int, c=None, n_clients=None,
 
 def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int = None,
                      n_samples=None, n_clients=None, batch_size=None):
-    """Watermark-free FedAvg in the real domain (used for calibration models)."""
+    """Watermark-free FedAvg in the real domain (used for calibration models);
+    clients train as in run_protocol, their models are averaged with np.mean."""
     K = n_clients or cfg.n_clients
     dataset = cfg.dataset(seed, n=n_samples, n_clients=K)
-    shape = cfg.shape()
-    theta = init_model(shape, rng_from_key(seed, "init"))
-    bs = batch_size or cfg.batch_size
+    params = cfg.protocol_params()
+    params.batch_size = batch_size or cfg.batch_size
+    train = default_train_fn(dataset, cfg.shape(), params, seed)
+    clients = [ClientState(client_id=k) for k in range(1, K + 1)]
+    theta = init_model(cfg.shape(), rng_from_key(seed, "init"))
     for r in range(1, (rounds or cfg.rounds) + 1):
-        locals_ = []
-        for k in range(1, K + 1):
-            X, y = dataset.shard(k - 1)
-            rng = rng_from_key(seed, "local_train", k, r)
-            locals_.append(local_train(theta, X, y, shape, rng,
-                                       epochs=cfg.local_epochs, batch_size=bs,
-                                       opt=cfg.optimizer()))
-        theta = np.mean(locals_, axis=0)
+        theta = np.mean([train(st, theta, r) for st in clients], axis=0)
     return dataset, theta
 
 
@@ -398,22 +384,13 @@ def cmd_verify(model_path, share_paths, calib_path,
             f"calibration fingerprint {calib.fingerprint!r} does not match "
             f"model {model_fingerprint(shape)!r}"
         )
-    shares, headers = [], []
-    for p in share_paths:
-        share, hdr = load_share(p)
-        shares.append(share)
-        headers.append(hdr)
-    if len({tuple(sorted(h.items())) for h in headers}) != 1:
-        raise ConfigurationError("share files disagree on protocol parameters")
-    hdr = headers[0]
+    shares, hdr, scfg = load_shares(share_paths)
     codecs = ProtocolCodecs(
-        params=FieldParams(hdr["modulus"]),
+        params=scfg.params,
         f_share=hdr["f_share"],
         g_scale=hdr["f_share"],  # only the share codec matters here
         f_model=2 * hdr["f_share"],
     )
-    scfg = ShamirConfig(n_clients=hdr["n_clients"], threshold=hdr["threshold"],
-                        params=FieldParams(hdr["modulus"]))
     enc = codecs.share.encode(theta)
     partials = [partial_inner(s, enc, codecs.share) for s in shares]
     report = coalition_statistic(
@@ -620,13 +597,8 @@ def load_run(cfg: ExperimentConfig, rundir):
 
     The setup holds the saved shares and their public parameters; the
     commitment and the DKG overhead record are not persisted."""
-    share_paths = sorted(glob.glob(os.path.join(rundir, "shares", "*.share")))
-    shares, hdr = [], None
-    for p in share_paths:
-        share, hdr = load_share(p)
-        shares.append(share)
-    scfg = ShamirConfig(n_clients=hdr["n_clients"], threshold=hdr["threshold"],
-                        params=FieldParams(hdr["modulus"]))
+    shares, hdr, scfg = load_shares(
+        sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
     setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares,
                         public_norm=hdr["public_norm"])
     seed = None

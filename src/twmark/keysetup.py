@@ -235,3 +235,18 @@ def load_share(path):
         "threshold": int(t), "public_norm": float(public_norm),
     }
     return ShamirShare(point=int(point), values=vec), header
+
+
+def load_shares(paths):
+    """Returns (shares sorted by point, their common header, ShamirConfig)
+    for the share files of one setup; no files, or files whose headers
+    disagree, raise ConfigurationError."""
+    if not paths:
+        raise ConfigurationError("no share files given")
+    loaded = sorted((load_share(p) for p in paths), key=lambda sh: sh[0].point)
+    if len({tuple(sorted(hdr.items())) for _, hdr in loaded}) != 1:
+        raise ConfigurationError("share files disagree on protocol parameters")
+    hdr = loaded[0][1]
+    cfg = ShamirConfig(n_clients=hdr["n_clients"], threshold=hdr["threshold"],
+                       params=FieldParams(hdr["modulus"]))
+    return [share for share, _ in loaded], hdr, cfg

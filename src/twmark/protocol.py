@@ -10,6 +10,10 @@ enc_model(sum theta_k) + S * enc_share(tau), so the realized per-round
 watermark drift is (scale_total / |S_r|) * tau up to fixed-point rounding.
 
 Rounds with participation below t skip the watermark term entirely.
+
+The per-client baseline (run_baseline) shares this round pipeline: the
+same training, EMA, theta ceiling, model SecAgg and average, with each
+client's own S_k * enc_share(tau_k) in place of the share term.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ProtocolAbortError, SkipRoundError
-from .field import FieldVector, ProtocolCodecs, check_aggregate_bound
+from .field import ProtocolCodecs, check_aggregate_bound
 from .flsim import AdamWParams, MlpShape, init_model, local_train
 from .keysetup import SetupResult
 from .rngutil import rng_from_key
@@ -44,7 +48,6 @@ class ClientState:
     client_id: int                # 1-based; equals the Shamir point
     share: ShamirShare = None
     ema: float = 0.0              # EMA of local update norms, zero-init
-    baseline_key: np.ndarray = None  # per-client key, baseline runs only
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,46 @@ def quantize_scale(scale_total: float, codecs: ProtocolCodecs,
     return int(np.floor(clamped * 2.0 ** codecs.g_scale + 0.5))
 
 
+def _train_participants(theta: np.ndarray, clients: dict, participants: tuple,
+                        round_index: int, params: ProtocolParams, train_fn):
+    """Steps (1)-(2): local training, EMA and adaptive scale of every
+    participant, under the theta_max ceiling. Returns (thetas, scales)."""
+    local_thetas, scales = {}, {}
+    for k in participants:
+        st = clients[k]
+        theta_k = train_fn(st, theta, round_index)
+        delta_norm = float(np.linalg.norm(theta_k - theta))
+        st.ema = ema_update(st.ema, delta_norm, params.ema_beta)
+        local_thetas[k] = theta_k
+        scales[k] = client_scale(delta_norm, st.ema, params.strength_c)
+    theta_abs_max = max(float(np.abs(t).max()) for t in local_thetas.values())
+    if theta_abs_max > params.theta_max:
+        raise ProtocolAbortError(
+            f"round {round_index}: |theta| reached {theta_abs_max:.3g}, "
+            f"above the configured ceiling {params.theta_max:.3g}"
+        )
+    return local_thetas, scales
+
+
+def _secure_average(local_thetas: dict, term, round_index: int,
+                    codecs: ProtocolCodecs, session_seed: int) -> GlobalModel:
+    """Steps (4)-(5): every client k submits enc_model(theta_k) plus its field
+    watermark term ``term(k)`` (none if ``term`` is None) under pairwise-mask
+    SecAgg; the decoded field sum is divided by the participant count. Terms
+    are made one client at a time, so no more than one is held at once."""
+    participants = tuple(local_thetas)
+    submissions = {}
+    for k in participants:
+        u = codecs.model.encode(local_thetas[k])
+        submissions[k] = u if term is None else u.add(term(k))
+    session = SecAggSession(round_id=round_index, participants=participants,
+                            d=len(submissions[participants[0]]),
+                            params=codecs.params, session_seed=session_seed)
+    agg = secagg_sum(submissions, session)
+    theta_next = codecs.model.decode_centered(agg) / len(participants)
+    return GlobalModel(theta=theta_next, round_index=round_index)
+
+
 def embed_round(global_model: GlobalModel, clients: dict, plan: RoundPlan,
                 setup: SetupResult, params: ProtocolParams,
                 train_fn, session_seed: int) -> GlobalModel:
@@ -94,31 +137,15 @@ def embed_round(global_model: GlobalModel, clients: dict, plan: RoundPlan,
     if not plan.participants:
         raise SkipRoundError(f"round {plan.round_index}: empty participant set")
     codecs = setup.codecs
-    d = len(global_model.theta)
     r = plan.round_index
+    local_thetas, scales = _train_participants(
+        global_model.theta, clients, plan.participants, r, params, train_fn)
+    check_aggregate_bound(len(global_model.theta), len(plan.participants),
+                          params.theta_max, params.scale_max, codecs).raise_if_failed()
 
-    # (1)-(2) local training, EMA and scale updates
-    local_thetas, scales = {}, {}
-    for k in plan.participants:
-        st = clients[k]
-        theta_k = train_fn(st, global_model.theta, r)
-        delta_norm = float(np.linalg.norm(theta_k - global_model.theta))
-        st.ema = ema_update(st.ema, delta_norm, params.ema_beta)
-        local_thetas[k] = theta_k
-        scales[k] = client_scale(delta_norm, st.ema, params.strength_c)
-
-    theta_abs_max = max(float(np.abs(t).max()) for t in local_thetas.values())
-    if theta_abs_max > params.theta_max:
-        raise ProtocolAbortError(
-            f"round {r}: |theta| reached {theta_abs_max:.3g}, "
-            f"above the configured ceiling {params.theta_max:.3g}"
-        )
-    check_aggregate_bound(
-        d, len(plan.participants), params.theta_max, params.scale_max, codecs
-    ).raise_if_failed()
-
-    # (3) scalar SecAgg over the encoded scales, then public re-quantization
+    term = None
     if plan.embed:
+        # (3) scalar SecAgg over the encoded scales, then public re-quantization
         scale_session = SecAggSession(
             round_id=r, participants=plan.participants, d=1,
             params=codecs.params, session_seed=session_seed * 2 + 1,
@@ -127,28 +154,14 @@ def embed_round(global_model: GlobalModel, clients: dict, plan: RoundPlan,
             {k: codecs.scale.encode_scalar(scales[k]) for k in plan.participants},
             scale_session,
         )
-        scale_total = codecs.scale.decode_scalar(total_enc)
-        S = quantize_scale(scale_total, codecs, params.scale_max)
-    else:
-        S = 0
+        S = quantize_scale(codecs.scale.decode_scalar(total_enc), codecs,
+                           params.scale_max)
+        # share-embedded terms (Lagrange map computed once per round)
+        lam = lagrange_at_zero(plan.participants, codecs.params)
 
-    # (4) share-embedded submissions (Lagrange map computed once per round)
-    lam = lagrange_at_zero(plan.participants, codecs.params) if plan.embed else None
-    submissions = {}
-    for k in plan.participants:
-        u = codecs.model.encode(local_thetas[k])
-        if plan.embed:
-            u = u.add(clients[k].share.values.scalar_mul(S * lam[k]))
-        submissions[k] = u
-
-    # (5) aggregate and average
-    session = SecAggSession(
-        round_id=r, participants=plan.participants, d=d,
-        params=codecs.params, session_seed=session_seed * 2,
-    )
-    agg = secagg_sum(submissions, session)
-    theta_next = codecs.model.decode_centered(agg) / len(plan.participants)
-    return GlobalModel(theta=theta_next, round_index=r)
+        def term(k):
+            return clients[k].share.values.scalar_mul(S * lam[k])
+    return _secure_average(local_thetas, term, r, codecs, session_seed * 2)
 
 
 def make_plans(n_clients: int, threshold: int, rounds: int,
@@ -168,7 +181,9 @@ def make_plans(n_clients: int, threshold: int, rounds: int,
     return plans
 
 
-def _default_train_fn(dataset, shape, params: ProtocolParams, master_seed: int):
+def default_train_fn(dataset, shape, params: ProtocolParams, master_seed: int):
+    """The client trainer of every run: local_train on the client's shard
+    with the stream keyed by (master_seed, client id, round)."""
     def train(st: ClientState, theta: np.ndarray, round_index: int) -> np.ndarray:
         X, y = dataset.shard(st.client_id - 1)
         rng = rng_from_key(master_seed, "local_train", st.client_id, round_index)
@@ -179,6 +194,14 @@ def _default_train_fn(dataset, shape, params: ProtocolParams, master_seed: int):
     return train
 
 
+def _start(dataset, shape: MlpShape, params: ProtocolParams, master_seed: int,
+           train_fn):
+    """(train_fn, or the default trainer if None; the trajectory [theta_0])."""
+    theta0 = init_model(shape, rng_from_key(master_seed, "init"))
+    return (train_fn or default_train_fn(dataset, shape, params, master_seed),
+            [GlobalModel(theta=theta0, round_index=0)])
+
+
 def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
                  params: ProtocolParams, rounds: int, master_seed: int,
                  train_fn=None) -> list:
@@ -186,15 +209,9 @@ def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
     if rounds < 1:
         raise ProtocolAbortError("rounds must be >= 1")
     K, t = setup.cfg.n_clients, setup.cfg.threshold
-    clients = {
-        s.point: ClientState(client_id=s.point, share=s) for s in setup.shares
-    }
-    if train_fn is None:
-        train_fn = _default_train_fn(dataset, shape, params, master_seed)
-    theta0 = init_model(shape, rng_from_key(master_seed, "init"))
-    trajectory = [GlobalModel(theta=theta0, round_index=0)]
-    plans = make_plans(K, t, rounds, params.participation, master_seed)
-    for plan in plans:
+    clients = {s.point: ClientState(client_id=s.point, share=s) for s in setup.shares}
+    train_fn, trajectory = _start(dataset, shape, params, master_seed, train_fn)
+    for plan in make_plans(K, t, rounds, params.participation, master_seed):
         nxt = embed_round(trajectory[-1], clients, plan, setup, params,
                           train_fn, session_seed=master_seed * 10_000 + plan.round_index)
         trajectory.append(nxt)
@@ -204,50 +221,31 @@ def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
 def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
                  n_clients: int, rounds: int, master_seed: int,
                  codecs: ProtocolCodecs = None, train_fn=None):
-    """Naive per-client watermark baseline through the same field pipeline.
+    """Naive per-client watermark baseline through the same round pipeline.
 
     Each client embeds its own independent key tau_k with its own scale;
     the averaged watermark direction becomes (1/K) sum_k scale_k tau_k,
-    whose expected norm shrinks as 1/sqrt(K).
+    whose expected norm shrinks as 1/sqrt(K). Every client adds a scaled
+    key, so the overflow bound is checked with K * scale_max.
 
     Returns (trajectory, per-client keys).
     """
     if codecs is None:
         codecs = ProtocolCodecs()
-    d = shape.dim
-    keys = [
-        rng_from_key(master_seed, "baseline_key", k).standard_normal(d)
-        for k in range(1, n_clients + 1)
-    ]
-    clients = {
-        k: ClientState(client_id=k, baseline_key=keys[k - 1])
-        for k in range(1, n_clients + 1)
-    }
-    if train_fn is None:
-        train_fn = _default_train_fn(dataset, shape, params, master_seed)
-    theta0 = init_model(shape, rng_from_key(master_seed, "init"))
-    trajectory = [GlobalModel(theta=theta0, round_index=0)]
-    enc_keys = {k: codecs.share.encode(keys[k - 1]) for k in clients}
+    check_aggregate_bound(
+        shape.dim, n_clients, params.theta_max, n_clients * params.scale_max, codecs
+    ).raise_if_failed()
+    participants = tuple(range(1, n_clients + 1))
+    keys = [rng_from_key(master_seed, "baseline_key", k).standard_normal(shape.dim)
+            for k in participants]
+    enc_keys = {k: codecs.share.encode(keys[k - 1]) for k in participants}
+    clients = {k: ClientState(client_id=k) for k in participants}
+    train_fn, trajectory = _start(dataset, shape, params, master_seed, train_fn)
     for r in range(1, rounds + 1):
-        participants = tuple(range(1, n_clients + 1))
-        theta_prev = trajectory[-1].theta
-        submissions = {}
-        for k in participants:
-            st = clients[k]
-            theta_k = train_fn(st, theta_prev, r)
-            delta_norm = float(np.linalg.norm(theta_k - theta_prev))
-            st.ema = ema_update(st.ema, delta_norm, params.ema_beta)
-            S_k = quantize_scale(
-                client_scale(delta_norm, st.ema, params.strength_c),
-                codecs, params.scale_max,
-            )
-            u = codecs.model.encode(theta_k).add(enc_keys[k].scalar_mul(S_k))
-            submissions[k] = u
-        session = SecAggSession(
-            round_id=r, participants=participants, d=d,
-            params=codecs.params, session_seed=master_seed * 10_000 + r,
-        )
-        agg = secagg_sum(submissions, session)
-        theta_next = codecs.model.decode_centered(agg) / n_clients
-        trajectory.append(GlobalModel(theta=theta_next, round_index=r))
+        local_thetas, scales = _train_participants(
+            trajectory[-1].theta, clients, participants, r, params, train_fn)
+        S = {k: quantize_scale(scales[k], codecs, params.scale_max) for k in participants}
+        trajectory.append(_secure_average(
+            local_thetas, lambda k: enc_keys[k].scalar_mul(S[k]), r, codecs,
+            master_seed * 10_000 + r))
     return trajectory, keys

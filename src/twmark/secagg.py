@@ -39,8 +39,6 @@ The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
 """
 
-import hashlib
-import json
 import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
@@ -244,12 +242,3 @@ def secagg_scalar(inputs: dict, session: SecAggSession) -> int:
     }
     return int(secagg_sum(vec_inputs, session).values[0])
 
-
-def write_observation_log(session: SecAggSession, path):
-    """Newline-delimited audit records: round, client, masked-vector digest."""
-    with open(path, "a") as fh:
-        for client, masked in session.observations:
-            digest = hashlib.sha256(masked.astype("<u8").tobytes()).hexdigest()
-            fh.write(json.dumps(
-                {"round": session.round_id, "client": client, "digest": digest}
-            ) + "\n")

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twmark import attacks
+from twmark import attacks, secagg
 from twmark.errors import ConfigurationError
 from twmark.experiments import (
     ExperimentConfig,
@@ -370,19 +370,15 @@ def _tree_files(root):
     return sorted(out)
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
+    # the default run, then one whose SecAgg sessions all draw their pair
+    # masks on 3 threads (K=32 sessions run on one thread by default)
     dirs = []
-    for workers in ("1", "4"):
-        outdir = tmp_path / f"workers{workers}"
-        old = os.environ.get("TWMARK_WORKERS")
-        os.environ["TWMARK_WORKERS"] = workers
-        try:
-            cmd_train(CFG, str(outdir), seed=0)
-        finally:
-            if old is None:
-                os.environ.pop("TWMARK_WORKERS", None)
-            else:
-                os.environ["TWMARK_WORKERS"] = old
+    for workers in ("default", "3"):
+        if workers == "3":
+            monkeypatch.setattr(secagg, "_worker_count", lambda words: 3)
+        outdir = tmp_path / f"workers_{workers}"
+        cmd_train(CFG, str(outdir), seed=0)
         dirs.append(outdir / "run_seed0")
     a, b = dirs
     files_a, files_b = _tree_files(a), _tree_files(b)

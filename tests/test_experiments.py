@@ -1,18 +1,20 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from twmark import cli
+from twmark import cli, experiments
 from twmark.errors import ConfigurationError
 from twmark.experiments import (
+    CalibrationTable,
     ExperimentConfig,
+    cmd_train,
     load_model,
     load_run,
     load_trajectory,
     save_model,
     save_trajectory,
-    worker_count,
     write_csv,
 )
 from twmark.field import FieldParams, FixedPointCodec
@@ -75,24 +77,6 @@ class TestConfig:
             ExperimentConfig(setup_mode="oracle")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(theta_max=1e9)  # verification bound overflows
-
-
-class TestWorkerCount:
-    def test_default_one(self, monkeypatch):
-        monkeypatch.delenv("TWMARK_WORKERS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("TWMARK_WORKERS", "4")
-        assert worker_count() == 4
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("TWMARK_WORKERS", "many")
-        with pytest.raises(ConfigurationError):
-            worker_count()
-        monkeypatch.setenv("TWMARK_WORKERS", "0")
-        with pytest.raises(ConfigurationError):
-            worker_count()
 
 
 class TestModelFiles:
@@ -165,6 +149,45 @@ class TestCli:
         assert setup.cfg.threshold == cfg.threshold
         assert sorted(s.point for s in setup.shares) == list(range(1, cfg.n_clients + 1))
         assert len(trajectory) == cfg.rounds + 1
+
+    def test_load_run_verifies_with_the_first_t_points(self, cli_workspace, tmp_path,
+                                                       monkeypatch):
+        # share files of K >= 10 sort as text as client_1, client_10, ...
+        _, _, out = cli_workspace
+        cfg = ExperimentConfig(**{**SMALL_CFG, "n_clients": 12, "threshold": 4,
+                                  "rounds": 1})
+        calib = CalibrationTable.load(out / "calibration.txt")
+        mem_setup, _, trajectory = cmd_train(cfg, tmp_path, seed=0)[0]
+        setup, _, _ = load_run(cfg, tmp_path / "run_seed0")
+        assert [s.point for s in setup.shares] == list(range(1, 13))
+        points = []
+        partial_inner = experiments.partial_inner
+        monkeypatch.setattr(experiments, "partial_inner",
+                            lambda s, *a: points.append(s.point) or partial_inner(s, *a))
+        theta = trajectory[-1].theta
+        rep = experiments.make_coalition_verifier(cfg, setup, calib)(theta)
+        assert points == [1, 2, 3, 4]
+        assert rep == experiments.make_coalition_verifier(cfg, mem_setup, calib)(theta)
+
+    @pytest.mark.parametrize("tamper", ["empty", "mixed"])
+    def test_robustness_rejects_bad_share_dir(self, cli_workspace, tmp_path, capsys,
+                                              tamper):
+        cfg, cfg_path, out = cli_workspace
+        rundir = tmp_path / "run"
+        shutil.copytree(out / "run_seed0", rundir)
+        if tamper == "empty":
+            for name in os.listdir(rundir / "shares"):
+                os.remove(rundir / "shares" / name)
+        else:
+            scfg = ShamirConfig(n_clients=5, threshold=3, params=FieldParams(cfg.modulus))
+            other = setup_trusted_dealer(scfg, cfg.shape().dim, rng_from_key(5, "setup"),
+                                         codecs=cfg.codecs())
+            save_share(other.shares[0], other, rundir / "shares" / "client_1.share")
+        code = cli.main(["robustness", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out"), "--run", str(rundir),
+                         "--calibration", str(out / "calibration.txt")])
+        assert code == 2
+        assert "share files" in capsys.readouterr().err
 
     def test_verify_accepts_watermarked_model(self, cli_workspace):
         cfg, _, out = cli_workspace
@@ -276,10 +299,3 @@ class TestCli:
                          "--set", "banana=1", "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_bad_worker_env_is_exit_2(self, cli_workspace, monkeypatch):
-        _, cfg_path, out = cli_workspace
-        monkeypatch.setenv("TWMARK_WORKERS", "lots")
-        code = cli.main(["calibrate", "--config", str(cfg_path),
-                         "--out", str(out)])
-        assert code == 2

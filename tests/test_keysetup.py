@@ -7,6 +7,7 @@ from twmark.keysetup import (
     dkg_cost_model,
     dkg_exchange,
     load_share,
+    load_shares,
     save_share,
     setup_dkg,
     setup_trusted_dealer,
@@ -137,3 +138,26 @@ class TestShareFiles:
         tamper_share(path, path, point, extra)
         with pytest.raises(ConfigurationError):
             load_share(path)
+
+    def test_load_shares_sorts_by_point(self, fM61, rng, tmp_path):
+        setup = setup_trusted_dealer(_cfg(fM61, K=12, t=4), 8, rng)
+        paths = []
+        for share in setup.shares:
+            paths.append(str(tmp_path / f"client_{share.point}.share"))
+            save_share(share, setup, paths[-1])
+        shares, hdr, cfg = load_shares(sorted(paths))  # client_1, client_10, ...
+        assert [s.point for s in shares] == list(range(1, 13))
+        assert all(a.values == b.values for a, b in zip(shares, setup.shares))
+        assert hdr["n_clients"] == 12 and hdr["threshold"] == 4
+        assert (cfg.n_clients, cfg.threshold, cfg.params) == (12, 4, fM61)
+
+    def test_load_shares_rejects_empty_and_mixed(self, fM61, rng, tmp_path):
+        with pytest.raises(ConfigurationError):
+            load_shares([])
+        paths = []
+        for K, t in ((5, 3), (6, 3)):
+            setup = setup_trusted_dealer(_cfg(fM61, K=K, t=t), 8, rng)
+            paths.append(str(tmp_path / f"K{K}.share"))
+            save_share(setup.shares[0], setup, paths[-1])
+        with pytest.raises(ConfigurationError, match="disagree"):
+            load_shares(paths)

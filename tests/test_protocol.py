@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from twmark.errors import ProtocolAbortError, SkipRoundError
-from twmark.field import FieldParams, ProtocolCodecs
+from twmark.errors import ConfigurationError, ProtocolAbortError, SkipRoundError
+from twmark.field import FieldParams, FieldVector, ProtocolCodecs, check_aggregate_bound
 from twmark.flsim import MlpShape, gen_dataset, init_model
 from twmark.keysetup import setup_trusted_dealer
 from twmark.protocol import (
@@ -180,3 +180,47 @@ class TestRunBaseline:
         b, kb = run_baseline(ds, SHAPE, params, 4, 2, master_seed=1)
         assert np.array_equal(a[-1].theta, b[-1].theta)
         assert all(np.array_equal(x, y) for x, y in zip(ka, kb))
+
+    def test_matches_unmasked_field_reference(self):
+        # the plain field sum of enc_model(theta_k) + S_k * enc_share(key_k),
+        # with no masks, decoded and divided by K
+        from twmark.flsim import local_train
+
+        ds = _dataset()
+        params = ProtocolParams(strength_c=5.0, batch_size=16)
+        codecs = ProtocolCodecs()
+        traj, keys = run_baseline(ds, SHAPE, params, 4, 2, master_seed=1)
+        theta = init_model(SHAPE, rng_from_key(1, "init"))
+        ema = [0.0] * 4
+        for r in (1, 2):
+            acc = FieldVector.zeros(SHAPE.dim, codecs.params)
+            for k in range(1, 5):
+                X, y = ds.shard(k - 1)
+                theta_k = local_train(theta, X, y, SHAPE,
+                                      rng_from_key(1, "local_train", k, r),
+                                      epochs=1, batch_size=16, opt=params.optimizer)
+                delta = float(np.linalg.norm(theta_k - theta))
+                ema[k - 1] = ema_update(ema[k - 1], delta, params.ema_beta)
+                S_k = quantize_scale(client_scale(delta, ema[k - 1], params.strength_c),
+                                     codecs, params.scale_max)
+                assert S_k > 0
+                acc = acc.add(codecs.model.encode(theta_k)).add(
+                    codecs.share.encode(keys[k - 1]).scalar_mul(S_k))
+            theta = codecs.model.decode_centered(acc) / 4
+            assert np.array_equal(traj[r].theta, theta)
+
+    def test_theta_ceiling_aborts(self):
+        with pytest.raises(ProtocolAbortError):
+            run_baseline(_dataset(), SHAPE, ProtocolParams(batch_size=16, theta_max=1e-3),
+                         4, 2, master_seed=1)
+
+    def test_bound_counts_every_clients_scale(self):
+        # scale_max passes the one-key bound of a threshold round but not
+        # the bound of K=4 clients each adding a key at scale_max
+        codecs = ProtocolCodecs()
+        limit = codecs.params.modulus / 2.0
+        scale_max = 0.5 * limit / (2.0 ** (codecs.g_scale + codecs.f_share) * 8.0)
+        check_aggregate_bound(SHAPE.dim, 4, 10.0, scale_max, codecs).raise_if_failed()
+        with pytest.raises(ConfigurationError):
+            run_baseline(_dataset(), SHAPE, ProtocolParams(scale_max=scale_max),
+                         4, 1, master_seed=1)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from twmark.secagg import (
     SecAggSession,
     secagg_scalar,
     secagg_sum,
-    write_observation_log,
 )
 
 
@@ -354,17 +351,3 @@ class TestSecAggScalar:
         with pytest.raises(ConfigurationError):
             secagg_scalar({k: 0 for k in session.participants}, session)
 
-
-class TestObservationLog:
-    def test_ndjson_records(self, fM61, rng, tmp_path):
-        session = _session(fM61)
-        secagg_sum(_inputs(fM61, session, rng), session)
-        path = tmp_path / "log.ndjson"
-        write_observation_log(session, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(session.participants)
-        for line, k in zip(lines, session.participants):
-            rec = json.loads(line)
-            assert rec["round"] == 1
-            assert rec["client"] == k
-            assert len(rec["digest"]) == 64
