@@ -601,11 +601,17 @@ def load_run(cfg: ExperimentConfig, rundir):
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
     setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares,
                         public_norm=hdr["public_norm"])
+    manifest = os.path.join(rundir, "manifest.txt")
     seed = None
-    with open(os.path.join(rundir, "manifest.txt")) as fh:
+    with open(manifest) as fh:
         for line in fh:
-            if line.startswith("seed"):
-                seed = int(line.split("=")[1])
+            key, _, value = line.partition("=")
+            if key.strip() == "seed":
+                seed = value.strip()
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{manifest}: no integer seed line") from None
     dataset = cfg.dataset(seed)
     trajectory = load_trajectory(os.path.join(rundir, "trajectory"))
     return setup, dataset, trajectory

@@ -5,6 +5,8 @@ arrays wrapped in FieldVector. The default modulus is the Mersenne prime
 M61 = 2^61 - 1, for which elementwise multiplication has a vectorized
 fast path (products are reduced via the 2^61 = 1 congruence). Any odd
 prime q >= 3 works; tiny primes (e.g. 7) enable exhaustive secrecy tests.
+Matrix products mod M61 (_matmul_mod, behind Shamir sharing) run exactly
+on float64 BLAS over 21-bit limbs.
 
 Real vectors enter the field through a centered fixed-point codec:
 encode(x) = round(x * 2^f) mod q with round-half-away-from-zero, decoded
@@ -33,10 +35,21 @@ F_MODEL = F_SHARE + G_SCALE
 
 _MASK31 = np.uint64((1 << 31) - 1)
 _MASK30 = np.uint64((1 << 30) - 1)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_MASK29 = np.int64((1 << 29) - 1)
+_MASK21 = np.uint64((1 << 21) - 1)
 _U61 = np.uint64(61)
 _U31 = np.uint64(31)
 _U30 = np.uint64(30)
 _U1 = np.uint64(1)
+
+# Most words a blockwise pass handles at once (512 KB): a block and its
+# temporaries stay in L2 cache, and their memory is bounded whatever the
+# array size.
+_BLOCK_WORDS = 1 << 16
+# Inner-dimension rows _matmul_mod multiplies in one pass: a limb-shift group
+# adds at most 3 limb products below 2^42 per row, and 3 * 682 * 2^42 < 2^53.
+_EXACT_ROWS = (1 << 53) // (3 << 42)
 
 
 def _is_prime(n: int) -> bool:
@@ -81,6 +94,98 @@ def _mulmod_m61(a, b):
     x = (x >> _U61) + (x & m)
     x = (x >> _U61) + (x & m)
     return np.where(x >= m, x - m, x)
+
+
+def _fold(hi: np.ndarray, lo: np.ndarray, q: int) -> np.ndarray:
+    """(hi * 2^32 + lo) mod q as uint64, for split sums held as wrapping
+    uint64 (two's complement) arrays; ``hi`` is overwritten for M61."""
+    h, l = hi.view(np.int64), lo.view(np.int64)
+    if q != M61:
+        return (((h.astype(object) << 32) + l) % q).astype(np.uint64)
+    # h * 2^32 = (h >> 29) * 2^61 + (h & mask29) * 2^32, and 2^61 = 1 mod M61
+    top = h >> 29
+    h &= _MASK29
+    h <<= 32
+    h += top
+    h += l
+    np.mod(h, np.int64(q), out=h)
+    return hi
+
+
+def _limb_rows(x: np.ndarray) -> np.ndarray:
+    """The three 21-bit limbs of uint64 values below 2^63 as float64,
+    stacked limb-major: shape (3, *x.shape)."""
+    out = np.empty((3,) + x.shape)
+    for i in range(3):
+        out[i] = (x >> np.uint64(21 * i)) & _MASK21
+    return out
+
+
+def _shift_operand(a: np.ndarray) -> np.ndarray:
+    """A's limbs laid out so that one float64 product with B's stacked
+    limbs yields the partials of limb shifts 0, 21 and 42 (mod 61).
+
+    A*B = sum_ij A_i B_j 2^(21(i+j)); the shifts 63 and 84 reduce to 2 and
+    23 since 2^61 = 1 (mod M61), so they enter the shift-0 and shift-21
+    rows with an exact factor 4. For entries below 2^61 the top limbs are
+    below 2^19, so every product is an integer below 2^42.
+    """
+    a0, a1, a2 = _limb_rows(a)
+    return np.block([[a0, 4 * a2, 4 * a1],
+                     [a1, a0, 4 * a2],
+                     [a2, a1, a0]])
+
+
+def _matmul_m61(a_shift: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A @ B) mod M61 for one pass of at most _EXACT_ROWS inner rows.
+
+    Each partial is a sum of at most 3 * _EXACT_ROWS integers below 2^42,
+    so below 2^53: float64 BLAS sums it exactly in any order. The partial
+    of shift e is folded with x * 2^e = ((x << e) & M61) | (x >> (61-e)).
+    """
+    n, w = b.shape
+    m = a_shift.shape[0] // 3
+    parts = (a_shift @ _limb_rows(b).reshape(3 * n, w)).astype(np.uint64)
+    q = np.uint64(M61)
+    x = parts[:m]
+    for k, e in ((1, 21), (2, 42)):
+        v = parts[k * m:(k + 1) * m]
+        x += ((v << np.uint64(e)) & q) | (v >> np.uint64(61 - e))
+    x = (x >> _U61) + (x & q)  # the 3 terms sum below 2^53 + 2^62
+    return np.where(x >= q, x - q, x)
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, params: "FieldParams") -> np.ndarray:
+    """(A @ B) mod q, exactly, for uint64 matrices with entries in [0, q).
+
+    For M61 both operands are split into 21-bit limbs and multiplied with
+    float64 BLAS (_matmul_m61), in passes of at most _EXACT_ROWS inner rows;
+    for any other q the product is taken over Python ints. The columns of B
+    are evaluated in blocks of about _BLOCK_WORDS words.
+    """
+    q = params.modulus
+    (m, n), p = a.shape, b.shape[1]
+    out = np.empty((m, p), dtype=np.uint64)
+    width = max(1, _BLOCK_WORDS // max(m, n))
+    if q != M61:
+        a_obj = a.astype(object)
+        for c0 in range(0, p, width):
+            out[:, c0:c0 + width] = (a_obj @ b[:, c0:c0 + width].astype(object)) % q
+        return out
+    passes = [(r0, _shift_operand(a[:, r0:r0 + _EXACT_ROWS]))
+              for r0 in range(0, n, _EXACT_ROWS)]
+    qq = np.uint64(q)
+    for c0 in range(0, p, width):
+        acc = None
+        for r0, a_shift in passes:
+            part = _matmul_m61(a_shift, b[r0:r0 + _EXACT_ROWS, c0:c0 + width])
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+                acc = np.where(acc >= qq, acc - qq, acc)
+        out[:, c0:c0 + width] = acc
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ DKG path: each client samples an additive contribution w_k ~ N(0, I_d/K),
 shares its encoding through its own degree-(t-1) polynomials and sends
 evaluations to every other client; client i's share is the componentwise
 field sum of what it received. The implicit key tau = sum_k w_k is never
-materialized at any single party.
+materialized at any single party. Each client's K evaluations are one
+exact Vandermonde product (sharing.shamir_share), and the K received
+evaluations are summed as 32-bit halves in uint64 and reduced mod q once.
 
 Overhead accounting for the DKG follows the closed forms: K(K-1)
 point-to-point messages (self-delivery is local), each carrying d
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .field import FieldParams, FieldVector, ProtocolCodecs
+from .field import _MASK32, FieldParams, FieldVector, ProtocolCodecs, _fold
 from .sharing import Commitment, ShamirConfig, ShamirShare, commit, shamir_share
 
 
@@ -103,19 +105,23 @@ def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
     K = cfg.n_clients
     if len(contributions_enc) != K:
         raise ConfigurationError("need one contribution per client")
+    d = len(contributions_enc[0])
+    hi = np.zeros((K, d), dtype=np.uint64)
+    lo = np.zeros((K, d), dtype=np.uint64)
     outgoing = []
     for k in range(K):
         coeffs = None if coeffs_per_client is None else coeffs_per_client[k]
         outgoing.append(
             shamir_share(contributions_enc[k], cfg, rngs[k], coeffs=coeffs)
         )
-    d = len(contributions_enc[0])
-    shares = []
-    for i, x in enumerate(cfg.points):
-        acc = FieldVector.zeros(d, cfg.params)
-        for k in range(K):
-            acc = acc.add(outgoing[k][i].values)
-        shares.append(ShamirShare(point=x, values=acc))
+        # recipient i's share is the sum over senders k of outgoing[k][i];
+        # the 32-bit halves of K < 2^31 values below 2^61 sum without overflow
+        evals = np.stack([s.values.values for s in outgoing[k]])
+        hi += evals >> np.uint64(32)
+        lo += evals & _MASK32
+    summed = _fold(hi, lo, cfg.params.modulus)
+    shares = [ShamirShare(point=x, values=FieldVector(row, cfg.params))
+              for x, row in zip(cfg.points, summed)]
     return shares, outgoing
 
 
@@ -169,8 +175,9 @@ def dkg_cost_model(K: int, t: int, d: int, bandwidth_bps: float = 1e9,
     """Closed-form DKG cost: per-client O(Kd) communication, O(Ktd) compute.
 
     Communication time charges (K-1) outgoing vector shares of d 8-byte
-    words each against the bandwidth; compute charges K*t*d Horner
-    multiplications at field_mul_ns each.
+    words each against the bandwidth; compute charges K*t*d field
+    multiplications (one evaluation of each of d degree-(t-1) polynomials
+    at K points) at field_mul_ns each.
     """
     if K < 1 or t < 1 or d < 1 or bandwidth_bps <= 0 or field_mul_ns <= 0:
         raise ConfigurationError("all cost-model arguments must be positive")

@@ -47,17 +47,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolAbortError
-from .field import M61, FieldParams, FieldVector
+from .field import _BLOCK_WORDS, _MASK32, M61, FieldParams, FieldVector, _fold
 
-# Most raw words drawn at once (512 KB): a block, its top half and the rows
-# it updates stay in L2 cache, and block memory is bounded whatever n*d is.
-_BLOCK_WORDS = 1 << 16
 # Fewest raw words a worker thread is given (64 MB of PCG64 output): a K=128
 # session at d=5514 (44.8 M words) splits, K=32 (2.7 M) and d=1 sessions do
 # not, since below this size a second thread measured no faster.
 _SPLIT_WORDS = 1 << 23
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK29 = np.int64((1 << 29) - 1)
 
 
 def pair_index(a: int, b: int, n: int) -> int:
@@ -83,22 +78,6 @@ def _sender_ranges(n: int, workers: int) -> list:
     bounds = [0] + sorted({bisect_left(starts, i * total / workers)
                            for i in range(1, workers)} - {0, n - 1})
     return list(zip(bounds, bounds[1:] + [n - 1]))
-
-
-def _fold(hi: np.ndarray, lo: np.ndarray, q: int) -> np.ndarray:
-    """(hi * 2^32 + lo) mod q as uint64, for split sums held as wrapping
-    uint64 (two's complement) arrays; ``hi`` is overwritten for M61."""
-    h, l = hi.view(np.int64), lo.view(np.int64)
-    if q != M61:
-        return (((h.astype(object) << 32) + l) % q).astype(np.uint64)
-    # h * 2^32 = (h >> 29) * 2^61 + (h & mask29) * 2^32, and 2^61 = 1 mod M61
-    top = h >> 29
-    h &= _MASK29
-    h <<= 32
-    h += top
-    h += l
-    np.mod(h, np.int64(q), out=h)
-    return hi
 
 
 @dataclass

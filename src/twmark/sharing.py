@@ -6,6 +6,15 @@ uniform degree-(t-1) polynomials with common public evaluation points
 reveal nothing. Embedding shares w_k = lambda_k * s_k sum to the secret
 over any participant set of size >= t.
 
+All K shares are evaluated at once as one matrix product over F_q,
+shares (K x d) = V (K x t) . C (t x d), where V[k, j] = x_k^j and C stacks
+the secret over the t-1 coefficient rows; reconstruction is the Lagrange
+row (1 x t) times the stacked shares. For M61 the product runs on float64
+BLAS over 21-bit limbs: each limb product is an integer below 2^42 and each
+partial sum one below 2^53, which float64 holds exactly whatever order BLAS
+adds in, so the shares are bit-identical to Horner's rule for every BLAS
+build and thread count (see field._matmul_mod).
+
 The commitment is SHA-256 over a fixed byte layout:
 rho (32) || d (8 LE) || q (8 LE) || f_share (2 LE) || secret words || norm double.
 """
@@ -18,7 +27,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError, SkipRoundError, ThresholdError
-from .field import FieldParams, FieldVector
+from .field import FieldParams, FieldVector, _matmul_mod
 
 
 @dataclass(frozen=True)
@@ -79,23 +88,21 @@ def shamir_share(secret: FieldVector, cfg: ShamirConfig, rng: np.random.Generato
     d = len(secret)
     if d == 0:
         raise ConfigurationError("secret must be non-empty")
-    t = cfg.threshold
+    t, q = cfg.threshold, cfg.params.modulus
     if coeffs is None:
         coeffs = cfg.params.uniform(rng, (t - 1, d))
     else:
         coeffs = np.asarray(coeffs, dtype=np.uint64)
         if coeffs.shape != (t - 1, d):
             raise ConfigurationError(f"coeffs must have shape {(t - 1, d)}")
-    shares = []
-    for x in cfg.points:
-        # Horner over the coefficient rows: P(x) = secret + a1*x + ... + a_{t-1}*x^{t-1}
-        acc = FieldVector.zeros(d, cfg.params)
-        for m in range(t - 2, -1, -1):
-            acc = acc.add(FieldVector(coeffs[m], cfg.params))
-            acc = acc.scalar_mul(x)
-        acc = acc.add(secret)
-        shares.append(ShamirShare(point=x, values=acc))
-    return shares
+        if coeffs.size and int(coeffs.max()) >= q:
+            raise ConfigurationError("coeffs must lie in [0, q)")
+    # P(x_k) = secret + a1*x_k + ... + a_{t-1}*x_k^{t-1} for every k at once
+    vandermonde = np.array([[pow(x, j, q) for j in range(t)] for x in cfg.points],
+                           dtype=np.uint64)
+    evals = _matmul_mod(vandermonde, np.vstack([secret.values, coeffs]), cfg.params)
+    return [ShamirShare(point=x, values=FieldVector(row, cfg.params))
+            for x, row in zip(cfg.points, evals)]
 
 
 def lagrange_at_zero(points, params: FieldParams) -> dict:
@@ -127,12 +134,15 @@ def shamir_reconstruct(shares, cfg: ShamirConfig) -> FieldVector:
         raise ThresholdError(
             f"{len(shares)} shares given, threshold is {cfg.threshold}"
         )
+    for s in shares:
+        cfg.params._check(s.values.params)
+    if len({len(s) for s in shares}) != 1:
+        raise ConfigurationError("shares differ in length")
     pts = [s.point for s in shares]
     lam = lagrange_at_zero(pts, cfg.params)
-    acc = FieldVector.zeros(len(shares[0]), cfg.params)
-    for s in shares:
-        acc = acc.add(s.values.scalar_mul(lam[s.point]))
-    return acc
+    row = np.array([[lam[x] for x in pts]], dtype=np.uint64)
+    stacked = np.stack([s.values.values for s in shares])
+    return FieldVector(_matmul_mod(row, stacked, cfg.params)[0], cfg.params)
 
 
 def derive_embedding_share(share: ShamirShare, participants, cfg: ShamirConfig) -> EmbeddingShare:

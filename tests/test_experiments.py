@@ -169,6 +169,26 @@ class TestCli:
         assert points == [1, 2, 3, 4]
         assert rep == experiments.make_coalition_verifier(cfg, mem_setup, calib)(theta)
 
+    @pytest.mark.parametrize("seed_line", [None, "seed = 0.5\n", "seed = \n"])
+    def test_load_run_rejects_manifest_without_integer_seed(self, cli_workspace, tmp_path,
+                                                           capsys, seed_line):
+        _, cfg_path, out = cli_workspace
+        cfg = ExperimentConfig(**{**SMALL_CFG, "rounds": 1})
+        cmd_train(cfg, tmp_path, seed=0)
+        manifest = tmp_path / "run_seed0" / "manifest.txt"
+        lines = [line for line in manifest.read_text().splitlines(keepends=True)
+                 if not line.startswith("seed")]
+        manifest.write_text("".join(lines) + (seed_line or ""))
+        with pytest.raises(ConfigurationError, match="manifest.txt"):
+            load_run(cfg, tmp_path / "run_seed0")
+        common = ["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                  "--run", str(tmp_path / "run_seed0"),
+                  "--calibration", str(out / "calibration.txt")]
+        for argv in (["robustness"] + common,
+                     ["attack"] + common + ["--kind", "prune_magnitude", "--prune-ratio", "0.5"]):
+            assert cli.main(argv) == 2
+            assert str(manifest) in capsys.readouterr().err
+
     @pytest.mark.parametrize("tamper", ["empty", "mixed"])
     def test_robustness_rejects_bad_share_dir(self, cli_workspace, tmp_path, capsys,
                                               tamper):

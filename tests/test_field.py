@@ -17,6 +17,9 @@ from twmark.field import (
     FieldVector,
     FixedPointCodec,
     ProtocolCodecs,
+    _BLOCK_WORDS,
+    _EXACT_ROWS,
+    _matmul_mod,
     _mulmod_m61,
     check_aggregate_bound,
 )
@@ -73,6 +76,37 @@ class TestMulmodM61:
             got = _mulmod_m61(ext, np.full_like(ext, x))
             want = [(int(v) * int(x)) % M61 for v in ext]
             assert [int(v) for v in got] == want
+
+
+class TestMatmulMod:
+    @staticmethod
+    def _reference(a, b, q):
+        # Python ints throughout: an object-dtype product never wraps or rounds
+        return ((a.astype(object) @ b.astype(object)) % q).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_against_python_ints(self, data):
+        q = data.draw(st.sampled_from([7, (1 << 31) - 1, M61]), label="q")
+        m = data.draw(st.integers(1, 4), label="m")
+        # above _EXACT_ROWS inner rows the M61 product runs in several passes
+        n = data.draw(st.sampled_from([1, 2, 7, _EXACT_ROWS, _EXACT_ROWS + 1,
+                                       2 * _EXACT_ROWS + 5]), label="n")
+        width = _BLOCK_WORDS // max(m, n)  # columns of B per block
+        p = data.draw(st.sampled_from([1, 5, width - 1, width + 1, 2 * width + 3]),
+                      label="p")
+        fill = data.draw(st.sampled_from(["uniform", "max", "mixed"]), label="fill")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = FieldParams(q)
+        a, b = params.uniform(rng, (m, n)), params.uniform(rng, (n, p))
+        if fill == "max":  # every limb full
+            a[:], b[:] = q - 1, q - 1
+        elif fill == "mixed":
+            a[rng.random(a.shape) < 0.5] = q - 1
+            b[rng.random(b.shape) < 0.5] = q - 1
+        got = _matmul_mod(a, b, params)
+        assert got.dtype == np.uint64 and got.shape == (m, p)
+        assert got.tolist() == self._reference(a, b, q)
 
 
 class TestFieldVector:

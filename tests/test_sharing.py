@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from twmark.errors import ConfigurationError, SkipRoundError, ThresholdError
-from twmark.field import FieldParams, FieldVector, FixedPointCodec
+from twmark.field import M61, FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs
+from twmark.keysetup import dkg_exchange, setup_dkg, setup_trusted_dealer
 from twmark.sharing import (
     Commitment,
     ShamirConfig,
@@ -20,6 +21,64 @@ from twmark.sharing import (
 
 def _vec(vals, params):
     return FieldVector(np.array(vals, dtype=np.uint64), params)
+
+
+def _horner(secret, coeffs, points, q):
+    """Reference evaluations P(x) = secret + a1*x + ... + a_{t-1}*x^{t-1} at
+    every point, by Horner's rule over Python ints."""
+    evals = []
+    for x in points:
+        acc = [0] * len(secret)
+        for row in coeffs[::-1]:
+            acc = [(a + int(c)) * x % q for a, c in zip(acc, row)]
+        evals.append([(a + int(s)) % q for a, s in zip(acc, secret)])
+    return evals
+
+
+def _near_q(K, q):
+    """K distinct nonzero evaluation points just below q and one above it."""
+    return tuple(q - 1 - i for i in range(K - 1)) + (q + 2,)
+
+
+class TestSharesMatchHorner:
+    """Dealer and DKG shares equal Horner evaluations of the coefficients the
+    setup draws, so both the arithmetic and the RNG consumption are pinned."""
+
+    @pytest.mark.parametrize("q", [M61, (1 << 31) - 1])
+    @pytest.mark.parametrize("K,t,near_q", [(32, 16, False), (12, 4, False), (9, 9, False),
+                                             (3, 1, False), (7, 5, True)])
+    def test_dealer(self, q, K, t, near_q):
+        params, d, seed = FieldParams(q), 40, 17
+        cfg = ShamirConfig(n_clients=K, threshold=t, params=params,
+                           points=_near_q(K, q) if near_q else None)
+        codecs = ProtocolCodecs(params=params)
+        setup = setup_trusted_dealer(cfg, d, np.random.default_rng(seed), codecs=codecs)
+        replay = np.random.default_rng(seed)  # the dealer's draws, in order
+        enc = codecs.share.encode(replay.standard_normal(d))
+        replay.bytes(32)
+        coeffs = params.uniform(replay, (t - 1, d))
+        assert [s.point for s in setup.shares] == list(cfg.points)
+        assert [s.values.values.tolist() for s in setup.shares] == \
+            _horner(enc.values, coeffs, cfg.points, q)
+
+    @pytest.mark.parametrize("K,t,near_q", [(32, 16, False), (12, 4, False), (6, 3, True)])
+    def test_dkg(self, K, t, near_q):
+        params, d, seed, q = FieldParams(), 24, 23, M61
+        cfg = ShamirConfig(n_clients=K, threshold=t, params=params,
+                           points=_near_q(K, q) if near_q else None)
+        setup = setup_dkg(cfg, d, np.random.default_rng(seed))
+        seeds = np.random.default_rng(seed).integers(0, 2**63, size=K)
+        rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+        enc = [ProtocolCodecs().share.encode(r.standard_normal(d) / np.sqrt(K))
+               for r in rngs]
+        coeffs = [params.uniform(r, (t - 1, d)) for r in rngs]
+        outgoing = [_horner(e.values, c, cfg.points, q) for e, c in zip(enc, coeffs)]
+        want = [[sum(col) % q for col in zip(*(out[i] for out in outgoing))]
+                for i in range(K)]
+        assert [s.values.values.tolist() for s in setup.shares] == want
+        shares, sent = dkg_exchange(enc, cfg, [None] * K, coeffs_per_client=coeffs)
+        assert [s.values.values.tolist() for s in shares] == want
+        assert [[s.values.values.tolist() for s in row] for row in sent] == outgoing
 
 
 class TestShamirConfig:
