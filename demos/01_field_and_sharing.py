@@ -45,8 +45,8 @@ for s in shares:
         acc = acc.add(derive_embedding_share(s, participants, cfg).values)
 print("sum of embedding shares == encoded secret:", acc == enc)
 
-# commitment: binding digest of the encoded key plus its public norm
-c = commit(enc, public_norm=2.0, f_share=20)
-print("commitment opens:", open_check(c, enc, 2.0, 20))
+# commitment: binding digest of the encoded key plus its public norm sqrt(d)
+c = commit(enc, f_share=20)
+print("commitment opens:", open_check(c, enc, 20))
 tampered = enc.add(FieldVector(np.ones(4, dtype=np.uint64), params))
-print("tampered key opens:", open_check(c, tampered, 2.0, 20))
+print("tampered key opens:", open_check(c, tampered, 20))

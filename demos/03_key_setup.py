@@ -20,8 +20,7 @@ rec = shamir_reconstruct(dealer.shares[:4], cfg)
 print("dealer: shares reconstruct enc(key):",
       rec == dealer.codecs.share.encode(dealer.debug_key))
 print("dealer: commitment opens:",
-      open_check(dealer.commitment, rec, dealer.public_norm,
-                 dealer.codecs.f_share))
+      open_check(dealer.commitment, rec, dealer.codecs.f_share))
 
 dkg = setup_dkg(cfg, d, master_rng=np.random.default_rng(1),
                 keep_contributions=True)

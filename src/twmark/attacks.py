@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateModelError
-from .flsim import AdamWParams, AdamWState, MlpShape, forward_backward, logits, _softmax
+from .flsim import (AdamWParams, AdamWState, MlpShape, _softmax, backward, cross_entropy,
+                    forward, forward_backward, init_model, logits)
 from .rngutil import rng_from_key
 
 @dataclass
@@ -183,9 +184,11 @@ def attack_quantize(theta: np.ndarray, shape: MlpShape,
 
 
 def _kd_grad(theta, X, y, teacher_logits, shape, T, alpha):
-    """Gradient of alpha * KL(softmax(zs/T) || softmax(zt/T)) + (1-alpha) * CE."""
-    ce_loss, ce_grad = forward_backward(theta, X, y, shape)
-    zs = logits(theta, X, shape)
+    """Gradient of alpha * KL(softmax(zs/T) || softmax(zt/T)) + (1-alpha) * CE,
+    from one forward pass; each loss term has its own backward pass."""
+    a, zs = forward(theta, X, shape)
+    ce_loss, dz2 = cross_entropy(zs, y)
+    ce_grad = backward(theta, X, a, dz2, shape)
     B = len(X)
     s = _softmax(zs / T)
     t = _softmax(teacher_logits / T)
@@ -193,16 +196,7 @@ def _kd_grad(theta, X, y, teacher_logits, shape, T, alpha):
     g = np.log(s + 1e-300) - np.log(t + 1e-300) + 1.0
     inner = (s * g).sum(axis=1, keepdims=True)
     dzs = s * (g - inner) / (T * B)
-    # push dzs through the network via a weighted backward pass
-    W1, b1, W2, b2 = shape.unpack(theta)
-    a = np.tanh(X @ W1.T + b1)
-    dW2 = dzs.T @ a
-    db2 = dzs.sum(axis=0)
-    da = dzs @ W2
-    dz1 = da * (1.0 - a * a)
-    dW1 = dz1.T @ X
-    db1 = dz1.sum(axis=0)
-    kd_grad = shape.pack(dW1, db1, dW2, db2)
+    kd_grad = backward(theta, X, a, dzs, shape)
     kl = float((s * (np.log(s + 1e-300) - np.log(t + 1e-300))).sum(axis=1).mean())
     loss = alpha * kl + (1 - alpha) * ce_loss
     return loss, alpha * kd_grad + (1 - alpha) * ce_grad
@@ -213,8 +207,6 @@ def attack_distill(teacher_theta: np.ndarray, dataset, shape: MlpShape,
     """Train a fresh same-architecture student against softened teacher
     outputs mixed with ground-truth labels; per-epoch checkpoints."""
     X, y = sample_attack_subset(dataset, cfg.data_fraction, cfg.seed)
-    from .flsim import init_model
-
     student = init_model(shape, rng_from_key(cfg.seed, "student_init"))
     state = AdamWState(params=cfg.optimizer)
     rng = rng_from_key(cfg.seed, "distill")

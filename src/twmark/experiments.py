@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attacks
 from .errors import ConfigurationError, FingerprintMismatchError
-from .field import FieldParams, ProtocolCodecs, check_aggregate_bound
+from .field import FieldParams, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
 from .flsim import AdamWParams, MlpShape, evaluate, gen_dataset, init_model
 from .keysetup import (
     SetupResult,
@@ -35,6 +35,7 @@ from .protocol import (
 from .rngutil import rng_from_key
 from .sharing import ShamirConfig
 from .verify import (
+    Z_STAR_DEFAULT,
     CalibrationTable,
     VerificationReport,
     calibrate,
@@ -212,17 +213,19 @@ def save_model(theta: np.ndarray, shape: MlpShape, round_index: int, path):
 
 
 def load_model(path):
-    """Returns (theta, MlpShape, round_index)."""
+    """Returns (theta, MlpShape, round_index); the file must hold exactly
+    the 28-byte header and the 8 * dim bytes of theta."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != _MODEL_MAGIC:
-        raise ConfigurationError(f"{path}: not a model file")
+    if data[:8] != _MODEL_MAGIC or len(data) < 28:
+        raise ConfigurationError(f"{path}: not a model file, or cut inside its header")
     m, h, G, r = struct.unpack("<IIIQ", data[8:28])
-    theta = np.frombuffer(data[28:], dtype="<f8").copy()
     shape = MlpShape(m, h, G)
-    if theta.size != shape.dim:
-        raise ConfigurationError(f"{path}: payload does not match header dims")
-    return theta, shape, int(r)
+    if len(data) != 28 + 8 * shape.dim:
+        raise ConfigurationError(
+            f"{path}: {len(data)} bytes, but a {m}x{h}x{G} model takes "
+            f"{28 + 8 * shape.dim}")
+    return np.frombuffer(data[28:], dtype="<f8").copy(), shape, int(r)
 
 
 def save_trajectory(trajectory, shape: MlpShape, dirpath):
@@ -248,7 +251,6 @@ def write_manifest(cfg: ExperimentConfig, seed: int, setup, path):
         fh.write(f"config_hash = {cfg.config_hash()!r}\n")
         fh.write(f"seed = {seed}\n")
         fh.write(f"setup_mode = {cfg.setup_mode!r}\n")
-        fh.write(f"public_norm = {setup.public_norm!r}\n")
         if setup.commitment is not None:
             fh.write(f"commitment_nonce = {setup.commitment.nonce.hex()!r}\n")
             fh.write(f"commitment_digest = {setup.commitment.digest.hex()!r}\n")
@@ -310,20 +312,24 @@ def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int = None,
     return dataset, theta
 
 
-def make_coalition_verifier(cfg: ExperimentConfig, setup, calib: CalibrationTable):
-    """Verification closure through the coalition path with the first t shares."""
-    codecs = cfg.codecs()
-    coalition = setup.shares[:setup.cfg.threshold]
+def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
+                        calib: CalibrationTable, z_star: float):
+    """The one coalition verification path: encode the model once at the
+    share codec, take one partial inner product per share, combine them."""
 
     def verifier(theta: np.ndarray) -> VerificationReport:
-        enc = codecs.share.encode(theta)
-        partials = [partial_inner(s, enc, codecs.share) for s in coalition]
-        return coalition_statistic(
-            partials, theta, setup.public_norm, calib, setup.cfg, codecs,
-            z_star=cfg.z_star,
-        )
+        enc = codec.encode(theta)
+        partials = [partial_inner(s, enc, codec) for s in shares]
+        return coalition_statistic(partials, theta, calib, scfg, codec.frac_bits,
+                                   z_star=z_star)
 
     return verifier
+
+
+def make_coalition_verifier(cfg: ExperimentConfig, setup, calib: CalibrationTable):
+    """Verification closure through the coalition path with the first t shares."""
+    return _coalition_verifier(setup.shares[:setup.cfg.threshold], setup.cfg,
+                               cfg.codecs().share, calib, cfg.z_star)
 
 
 # -- commands --
@@ -373,10 +379,10 @@ def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
 
 
 def cmd_verify(model_path, share_paths, calib_path,
-               z_star: float = None) -> tuple:
+               z_star: float = Z_STAR_DEFAULT) -> tuple:
     """Returns (report, exit_code 0 accept / 1 reject); raises on error
-    conditions (< t shares, fingerprint mismatch), which the CLI maps to
-    exit code 2."""
+    conditions (< t shares, fingerprint mismatch, a malformed file), which
+    the CLI maps to exit code 2. The key norm is sqrt(d), never read from files."""
     theta, shape, _ = load_model(model_path)
     calib = CalibrationTable.load(calib_path)
     if calib.fingerprint and calib.fingerprint != model_fingerprint(shape):
@@ -385,18 +391,8 @@ def cmd_verify(model_path, share_paths, calib_path,
             f"model {model_fingerprint(shape)!r}"
         )
     shares, hdr, scfg = load_shares(share_paths)
-    codecs = ProtocolCodecs(
-        params=scfg.params,
-        f_share=hdr["f_share"],
-        g_scale=hdr["f_share"],  # only the share codec matters here
-        f_model=2 * hdr["f_share"],
-    )
-    enc = codecs.share.encode(theta)
-    partials = [partial_inner(s, enc, codecs.share) for s in shares]
-    report = coalition_statistic(
-        partials, theta, hdr["public_norm"], calib, scfg, codecs,
-        z_star=z_star if z_star is not None else 4.0,
-    )
+    codec = FixedPointCodec(hdr["f_share"], scfg.params)
+    report = _coalition_verifier(shares, scfg, codec, calib, z_star)(theta)
     return report, (0 if report.accepted else 1)
 
 
@@ -597,10 +593,9 @@ def load_run(cfg: ExperimentConfig, rundir):
 
     The setup holds the saved shares and their public parameters; the
     commitment and the DKG overhead record are not persisted."""
-    shares, hdr, scfg = load_shares(
+    shares, _, scfg = load_shares(
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
-    setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares,
-                        public_norm=hdr["public_norm"])
+    setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares)
     manifest = os.path.join(rundir, "manifest.txt")
     seed = None
     with open(manifest) as fh:

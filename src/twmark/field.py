@@ -4,7 +4,8 @@ Field elements are plain Python ints in [0, q); vectors are numpy uint64
 arrays wrapped in FieldVector. The default modulus is the Mersenne prime
 M61 = 2^61 - 1, for which elementwise multiplication has a vectorized
 fast path (products are reduced via the 2^61 = 1 congruence). Any odd
-prime q >= 3 works; tiny primes (e.g. 7) enable exhaustive secrecy tests.
+prime 3 <= q < 2^63 works, so that the sum of two elements fits in uint64;
+tiny primes (e.g. 7) enable exhaustive secrecy tests.
 Matrix products mod M61 (_matmul_mod, behind Shamir sharing) run exactly
 on float64 BLAS over 21-bit limbs.
 
@@ -195,8 +196,8 @@ class FieldParams:
     modulus: int = M61
 
     def __post_init__(self):
-        if self.modulus < 3 or not _is_prime(self.modulus):
-            raise ConfigurationError(f"modulus {self.modulus} is not an odd prime >= 3")
+        if not 3 <= self.modulus < 1 << 63 or not _is_prime(self.modulus):
+            raise ConfigurationError(f"modulus {self.modulus} is not an odd prime in [3, 2^63)")
 
     # -- scalar ops (Python ints) --
 
@@ -458,6 +459,12 @@ class BoundReport:
 TAU_INF_BOUND = 8.0
 
 
+def verification_bound(d: int, theta_max: float, f_share: int,
+                       tau_inf_bound: float = TAU_INF_BOUND) -> float:
+    """Worst-case centered magnitude of <enc(theta), enc(tau)> at f_share bits."""
+    return d * theta_max * tau_inf_bound * 2.0 ** (2 * f_share)
+
+
 def check_aggregate_bound(
     d: int,
     K: int,
@@ -480,6 +487,6 @@ def check_aggregate_bound(
         K * theta_max * 2.0 ** codecs.f_model
         + scale_max * 2.0 ** codecs.g_scale * tau_inf_bound * 2.0 ** codecs.f_share
     )
-    verif = d * theta_max * tau_inf_bound * 2.0 ** (2 * codecs.f_share)
+    verif = verification_bound(d, theta_max, codecs.f_share, tau_inf_bound)
     ok = model_sum < limit and verif < limit
     return BoundReport(model_sum, verif, limit, ok)

@@ -10,7 +10,7 @@ Each "output channel" of a weight matrix is one row: hidden unit j owns
 row j of W1 and column j of W2.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,9 +127,15 @@ def init_model(shape: MlpShape, rng: np.random.Generator) -> np.ndarray:
     return shape.pack(W1, b1, W2, b2)
 
 
-def logits(theta: np.ndarray, X: np.ndarray, shape: MlpShape) -> np.ndarray:
+def forward(theta: np.ndarray, X: np.ndarray, shape: MlpShape):
+    """Hidden activations a = tanh(X W1^T + b1) (B, h) and logits (B, G)."""
     W1, b1, W2, b2 = shape.unpack(theta)
-    return np.tanh(X @ W1.T + b1) @ W2.T + b2
+    a = np.tanh(X @ W1.T + b1)
+    return a, a @ W2.T + b2
+
+
+def logits(theta: np.ndarray, X: np.ndarray, shape: MlpShape) -> np.ndarray:
+    return forward(theta, X, shape)[1]
 
 
 def _softmax(z):
@@ -138,30 +144,41 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward_backward(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     shape: MlpShape):
-    """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta."""
-    if len(X) == 0:
-        raise ConfigurationError("empty batch")
-    W1, b1, W2, b2 = shape.unpack(theta)
-    B = len(X)
-    z1 = X @ W1.T + b1          # (B, h)
-    a = np.tanh(z1)
-    z2 = a @ W2.T + b2          # (B, G)
-    p = _softmax(z2)
-    loss = float(-np.log(p[np.arange(B), y] + 1e-300).mean())
+def cross_entropy(z2: np.ndarray, y: np.ndarray):
+    """Mean softmax cross-entropy of logits z2 (B, G) against labels y, and
+    its gradient w.r.t. z2."""
+    B = len(y)
+    dz2 = _softmax(z2)
+    loss = float(-np.log(dz2[np.arange(B), y] + 1e-300).mean())
     if not np.isfinite(loss):
-        raise NumericalError(f"non-finite loss {loss}; |theta|_max={np.abs(theta).max()}")
-    dz2 = p.copy()
+        raise NumericalError(f"non-finite loss {loss}; |logits|_max={np.abs(z2).max()}")
     dz2[np.arange(B), y] -= 1.0
     dz2 /= B
+    return loss, dz2
+
+
+def backward(theta: np.ndarray, X: np.ndarray, a: np.ndarray, dz2: np.ndarray,
+             shape: MlpShape) -> np.ndarray:
+    """Gradient w.r.t. theta of a loss whose gradient w.r.t. the logits is
+    dz2, given the hidden activations a of forward(theta, X)."""
+    W2 = shape.unpack(theta)[2]
     dW2 = dz2.T @ a
     db2 = dz2.sum(axis=0)
     da = dz2 @ W2
     dz1 = da * (1.0 - a * a)
     dW1 = dz1.T @ X
     db1 = dz1.sum(axis=0)
-    return loss, shape.pack(dW1, db1, dW2, db2)
+    return shape.pack(dW1, db1, dW2, db2)
+
+
+def forward_backward(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
+                     shape: MlpShape):
+    """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta."""
+    if len(X) == 0:
+        raise ConfigurationError("empty batch")
+    a, z2 = forward(theta, X, shape)
+    loss, dz2 = cross_entropy(z2, y)
+    return loss, backward(theta, X, a, dz2, shape)
 
 
 @dataclass

@@ -12,10 +12,13 @@ materialized at any single party. Each client's K evaluations are one
 exact Vandermonde product (sharing.shamir_share), and the K received
 evaluations are summed as 32-bit halves in uint64 and reduced mod q once.
 
-Overhead accounting for the DKG follows the closed forms: K(K-1)
+Overhead accounting for the DKG is dkg_cost_model's closed form: K(K-1)
 point-to-point messages (self-delivery is local), each carrying d
 8-byte words, with per-client compute modeled as K*t*d field
 multiplications.
+
+The key-norm surrogate sharing.public_norm(d) = sqrt(d) is never data: a
+share file whose header slot for it holds any other value does not load.
 """
 
 import struct
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .field import _MASK32, FieldParams, FieldVector, ProtocolCodecs, _fold
-from .sharing import Commitment, ShamirConfig, ShamirShare, commit, shamir_share
+from .sharing import Commitment, ShamirConfig, ShamirShare, commit, public_norm, shamir_share
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,6 @@ class SetupResult:
     cfg: ShamirConfig
     codecs: ProtocolCodecs
     shares: list                    # one ShamirShare per client
-    public_norm: float              # published ||tau||_2 surrogate: sqrt(d)
     commitment: Commitment = None   # dealer path only
     overhead: OverheadRecord = None  # DKG path only
     debug_key: np.ndarray = None            # real tau, debug builds only
@@ -71,22 +73,19 @@ class SetupResult:
 def setup_trusted_dealer(cfg: ShamirConfig, d: int, rng: np.random.Generator,
                          codecs: ProtocolCodecs = None,
                          keep_key: bool = False) -> SetupResult:
-    """Alg.-style dealer setup: sample, commit, share, delete."""
+    """Alg.-style dealer setup: sample, commit (to enc(tau) and sqrt(d)), share, delete."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     if codecs is None:
         codecs = ProtocolCodecs(params=cfg.params)
     tau = rng.standard_normal(d)
     enc = codecs.share.encode(tau)
-    public_norm = float(np.sqrt(d))  # expected norm under N(0, I_d)
-    c = commit(enc, public_norm, codecs.f_share,
-               nonce=rng.bytes(32))
+    c = commit(enc, codecs.f_share, nonce=rng.bytes(32))
     shares = shamir_share(enc, cfg, rng)
     return SetupResult(
         cfg=cfg,
         codecs=codecs,
         shares=shares,
-        public_norm=public_norm,
         commitment=c,
         debug_key=tau if keep_key else None,
     )
@@ -131,7 +130,7 @@ def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
     """Dealer-free setup; the key is implicitly sum_k w_k, w_k ~ N(0, I_d/K).
 
     Per-client RNG streams may be passed explicitly; otherwise they are
-    spawned deterministically from master_rng.
+    spawned deterministically from master_rng. Overhead: dkg_cost_model(K, t, d).
     """
     if d < 1:
         raise ConfigurationError("d must be >= 1")
@@ -148,23 +147,11 @@ def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
     contributions = [rngs[k].standard_normal(d) / np.sqrt(K) for k in range(K)]
     enc = [codecs.share.encode(w) for w in contributions]
     shares, _ = dkg_exchange(enc, cfg, rngs)
-    messages = K * (K - 1)
-    overhead = OverheadRecord(
-        n_clients=K,
-        threshold=cfg.threshold,
-        d=d,
-        messages=messages,
-        payload_bytes=messages * d * 8,
-        per_client_mults=K * cfg.threshold * d,
-        compute_ns=0.0,
-        comm_ns=0.0,
-    )
     return SetupResult(
         cfg=cfg,
         codecs=codecs,
         shares=shares,
-        public_norm=float(np.sqrt(d)),
-        overhead=overhead,
+        overhead=dkg_cost_model(K, cfg.threshold, d),
         debug_contributions=contributions if keep_contributions else None,
         debug_key=sum(contributions) if keep_contributions else None,
     )
@@ -199,7 +186,7 @@ def dkg_cost_model(K: int, t: int, d: int, bandwidth_bps: float = 1e9,
 # -- key-material files: header + share, binary --
 
 _SHARE_MAGIC = b"TWSHARE1"
-_SHARE_HDR = "<QHIIQd"  # q, f_share, K, t, point, public_norm
+_SHARE_HDR = "<QHIIQd"  # q, f_share, K, t, point, public_norm(d)
 
 
 def save_share(share: ShamirShare, setup: SetupResult, path):
@@ -210,16 +197,17 @@ def save_share(share: ShamirShare, setup: SetupResult, path):
             _SHARE_HDR,
             setup.codecs.params.modulus, setup.codecs.f_share,
             setup.cfg.n_clients, setup.cfg.threshold,
-            share.point, setup.public_norm,
+            share.point, public_norm(len(share)),
         ))
         fh.write(share.values.to_bytes())
 
 
 def load_share(path):
-    """Returns (ShamirShare, header dict with q/f_share/K/t/public_norm).
+    """Returns (ShamirShare, header dict with modulus/f_share/n_clients/threshold).
 
-    The file must hold exactly the header, the length word and d words, and
-    its point must lie in [1, K] of its own header.
+    The file must hold exactly the header, the length word and d words, its
+    point must lie in [1, K] of its own header, and its norm word must be
+    exactly public_norm(d).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -228,7 +216,7 @@ def load_share(path):
     hdr_end = 8 + struct.calcsize(_SHARE_HDR)
     if len(data) < hdr_end + 8:
         raise ConfigurationError(f"{path}: share file is truncated")
-    q, f_share, K, t, point, public_norm = struct.unpack(_SHARE_HDR, data[8:hdr_end])
+    q, f_share, K, t, point, norm = struct.unpack(_SHARE_HDR, data[8:hdr_end])
     d = int.from_bytes(data[hdr_end:hdr_end + 8], "little")
     if len(data) != hdr_end + 8 + 8 * d:
         raise ConfigurationError(
@@ -236,10 +224,15 @@ def load_share(path):
             f"{hdr_end + 8 + 8 * d}")
     if not 1 <= point <= K:
         raise ConfigurationError(f"{path}: point {point} lies outside [1, K={K}]")
-    vec = FieldVector.from_bytes(data[hdr_end:], FieldParams(q))
+    if not norm == public_norm(d):  # also true for NaN
+        raise ConfigurationError(
+            f"{path}: header norm {norm!r} is not sqrt(d) = {public_norm(d)!r}")
+    try:
+        vec = FieldVector.from_bytes(data[hdr_end:], FieldParams(q))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     header = {
-        "modulus": int(q), "f_share": int(f_share), "n_clients": int(K),
-        "threshold": int(t), "public_norm": float(public_norm),
+        "modulus": int(q), "f_share": int(f_share), "n_clients": int(K), "threshold": int(t),
     }
     return ShamirShare(point=int(point), values=vec), header
 

@@ -16,7 +16,7 @@ adds in, so the shares are bit-identical to Horner's rule for every BLAS
 build and thread count (see field._matmul_mod).
 
 The commitment is SHA-256 over a fixed byte layout:
-rho (32) || d (8 LE) || q (8 LE) || f_share (2 LE) || secret words || norm double.
+rho (32) || d (8 LE) || q (8 LE) || f_share (2 LE) || secret words || sqrt(d) double.
 """
 
 import hashlib
@@ -28,6 +28,12 @@ import numpy as np
 
 from .errors import ConfigurationError, SkipRoundError, ThresholdError
 from .field import FieldParams, FieldVector, _matmul_mod
+
+
+def public_norm(d: int) -> float:
+    """The published surrogate for ||tau||_2, which nobody holds: sqrt(d),
+    the expected norm of a key drawn from N(0, I_d)."""
+    return float(np.sqrt(d))
 
 
 @dataclass(frozen=True)
@@ -179,29 +185,26 @@ class Commitment:
             raise ConfigurationError("nonce and digest must be 32 bytes")
 
 
-def _commitment_payload(nonce: bytes, secret_enc: FieldVector, public_norm: float,
-                        f_share: int) -> bytes:
+def _commitment_payload(nonce: bytes, secret_enc: FieldVector, f_share: int) -> bytes:
     return (
         nonce
         + len(secret_enc).to_bytes(8, "little")
         + secret_enc.params.modulus.to_bytes(8, "little")
         + f_share.to_bytes(2, "little")
         + secret_enc.words()
-        + struct.pack("<d", public_norm)
+        + struct.pack("<d", public_norm(len(secret_enc)))
     )
 
 
-def commit(secret_enc: FieldVector, public_norm: float, f_share: int,
-           nonce: bytes = None) -> Commitment:
+def commit(secret_enc: FieldVector, f_share: int, nonce: bytes = None) -> Commitment:
     """Commit to the encoded key; a fresh 32-byte nonce provides hiding."""
     if nonce is None:
         nonce = secrets.token_bytes(32)
-    payload = _commitment_payload(nonce, secret_enc, public_norm, f_share)
+    payload = _commitment_payload(nonce, secret_enc, f_share)
     return Commitment(nonce=nonce, digest=hashlib.sha256(payload).digest())
 
 
-def open_check(c: Commitment, secret_enc: FieldVector, public_norm: float,
-               f_share: int) -> bool:
+def open_check(c: Commitment, secret_enc: FieldVector, f_share: int) -> bool:
     """True iff the recomputed digest matches; mismatch is not an error."""
-    payload = _commitment_payload(c.nonce, secret_enc, public_norm, f_share)
+    payload = _commitment_payload(c.nonce, secret_enc, f_share)
     return hashlib.sha256(payload).digest() == c.digest

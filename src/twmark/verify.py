@@ -5,8 +5,9 @@ the exact field inner product of the encoded suspect model with its own
 share; the Lagrange-weighted scalars are combined under (scalar) secure
 aggregation, and the single decoded value equals <enc(theta_s), enc(tau)>
 by the interpolation identity. Dividing by ||theta_s||_2 and the public
-norm surrogate sqrt(d) yields the cosine, which is standardized against
-an empirically calibrated null into a one-sided z-test (accept iff
+norm surrogate sharing.public_norm(d) = sqrt(d), computed from the model's
+length and never taken from a file, yields the cosine, which is standardized
+against an empirically calibrated null into a one-sided z-test (accept iff
 z >= z*, default 4, a ~3.2e-5 false-positive tail).
 
 theta_s is encoded at f_share bits (not f_model) so the inner product
@@ -26,9 +27,10 @@ from .errors import (
     FingerprintMismatchError,
     ThresholdError,
 )
-from .field import FieldVector, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
+from .field import (FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs,
+                    verification_bound)
 from .secagg import SecAggSession, secagg_scalar
-from .sharing import ShamirConfig, ShamirShare, lagrange_at_zero
+from .sharing import ShamirConfig, ShamirShare, lagrange_at_zero, public_norm
 
 Z_STAR_DEFAULT = 4.0
 
@@ -149,16 +151,18 @@ def partial_inner(share: ShamirShare, theta_s, codec: FixedPointCodec) -> Partia
     return PartialVerification(point=share.point, value=enc.inner(share.values))
 
 
-def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, public_norm: float,
-                          calib: CalibrationTable, codecs: ProtocolCodecs,
-                          z_star: float, coalition_size: int) -> VerificationReport:
+def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, calib: CalibrationTable,
+                          params: FieldParams, f_share: int, z_star: float,
+                          coalition_size: int) -> VerificationReport:
+    if calib.dim != len(theta_s):
+        raise FingerprintMismatchError(
+            f"calibration dim {calib.dim} != model dim {len(theta_s)}")
     # the inner product carries 2*f_share fractional bits
-    double_codec = FixedPointCodec(2 * codecs.f_share, codecs.params)
-    inner = double_codec.decode_scalar(inner_enc)
+    inner = FixedPointCodec(2 * f_share, params).decode_scalar(inner_enc)
     norm = float(np.linalg.norm(theta_s))
     if norm == 0.0:
         raise DegenerateModelError("zero-norm suspect model")
-    cosine = inner / (norm * public_norm)
+    cosine = inner / (norm * public_norm(len(theta_s)))
     z = (cosine - calib.mu) / calib.sigma
     return VerificationReport(
         cosine=cosine, z=z, z_star=z_star, accepted=z >= z_star,
@@ -166,11 +170,11 @@ def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, public_norm: floa
     )
 
 
-def coalition_statistic(partials, theta_s: np.ndarray, public_norm: float,
-                        calib: CalibrationTable, cfg: ShamirConfig,
-                        codecs: ProtocolCodecs, z_star: float = Z_STAR_DEFAULT,
+def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
+                        cfg: ShamirConfig, f_share: int, z_star: float = Z_STAR_DEFAULT,
                         session_seed: int = 0) -> VerificationReport:
-    """Combine >= t partial scalars into the decision report.
+    """Combine >= t partial scalars, computed at f_share bits over cfg's
+    field, into the decision report.
 
     The Lagrange-weighted scalars flow through a simulated scalar secure
     aggregation, so the only value revealed across the coalition boundary
@@ -181,13 +185,11 @@ def coalition_statistic(partials, theta_s: np.ndarray, public_norm: float,
         raise ThresholdError(
             f"coalition of {len(partials)} is below threshold {cfg.threshold}"
         )
-    if calib.dim != len(theta_s):
-        raise FingerprintMismatchError(
-            f"calibration dim {calib.dim} != model dim {len(theta_s)}"
-        )
-    check_aggregate_bound(
-        len(theta_s), 1, float(np.abs(theta_s).max()), 0.0, codecs
-    ).raise_if_failed()
+    bound = verification_bound(len(theta_s), float(np.abs(theta_s).max(initial=0.0)),
+                               f_share)
+    if not bound < cfg.params.modulus / 2.0:
+        raise ConfigurationError(f"verification bound {bound:.3e} reaches q/2; "
+                                 "reduce f_share or dimension d")
     points = [p.point for p in partials]
     strangers = sorted(set(points) - set(cfg.points))
     if strangers:
@@ -201,39 +203,29 @@ def coalition_statistic(partials, theta_s: np.ndarray, public_norm: float,
     weighted = {p.point: cfg.params.mul(lam[p.point], p.value) for p in partials}
     inner_enc = secagg_scalar(weighted, session)
     return _statistic_from_inner(
-        inner_enc, theta_s, public_norm, calib, codecs, z_star, len(partials)
+        inner_enc, theta_s, calib, cfg.params, f_share, z_star, len(partials)
     )
 
 
 def verify_direct(theta_s: np.ndarray, tau_debug: np.ndarray, calib: CalibrationTable,
-                  codecs: ProtocolCodecs, public_norm: float = None,
-                  z_star: float = Z_STAR_DEFAULT) -> VerificationReport:
+                  codecs: ProtocolCodecs, z_star: float = Z_STAR_DEFAULT) -> VerificationReport:
     """Oracle path for tests: same field-level inner product, computed from
     a retained key instead of shares. Identical z to the coalition path."""
-    if public_norm is None:
-        public_norm = float(np.sqrt(len(theta_s)))
-    if calib.dim != len(theta_s):
-        raise FingerprintMismatchError(
-            f"calibration dim {calib.dim} != model dim {len(theta_s)}"
-        )
     enc_theta = codecs.share.encode(theta_s)
     enc_tau = codecs.share.encode(tau_debug)
     inner_enc = enc_theta.inner(enc_tau)
     return _statistic_from_inner(
-        inner_enc, theta_s, public_norm, calib, codecs, z_star, coalition_size=0
+        inner_enc, theta_s, calib, codecs.params, codecs.f_share, z_star, coalition_size=0
     )
 
 
-def cosine_against_keys(theta: np.ndarray, keys: np.ndarray,
-                        public_norm: float = None) -> np.ndarray:
-    """Cosines of one model against many keys, with the sqrt(d) surrogate
-    denominator used everywhere (calibration and verification alike)."""
-    if public_norm is None:
-        public_norm = float(np.sqrt(theta.size))
+def cosine_against_keys(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Cosines of one model against many keys, with the public_norm(d)
+    surrogate denominator used everywhere (calibration and verification alike)."""
     norm = float(np.linalg.norm(theta))
     if norm == 0.0:
         raise DegenerateModelError("zero-norm model")
-    return keys @ theta / (norm * public_norm)
+    return keys @ theta / (norm * public_norm(theta.size))
 
 
 def calibrate(models, n_keys: int, rng: np.random.Generator,

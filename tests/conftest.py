@@ -29,15 +29,17 @@ def rng():
 
 @pytest.fixture
 def tamper_share():
-    """Rewrites a share file with another point, or with ``extra`` bytes
-    appended (> 0) or cut from its end (< 0)."""
+    """Rewrites a share file with another point, another header norm, or
+    with ``extra`` bytes appended (> 0) or cut from its end (< 0)."""
 
-    def tamper(src, dst, point=None, extra=0):
+    def tamper(src, dst, point=None, extra=0, norm=None):
         data = bytearray(open(src, "rb").read())
+        hdr = list(struct.unpack_from(keysetup._SHARE_HDR, data, 8))
         if point is not None:
-            hdr = list(struct.unpack_from(keysetup._SHARE_HDR, data, 8))
             hdr[4] = point
-            struct.pack_into(keysetup._SHARE_HDR, data, 8, *hdr)
+        if norm is not None:
+            hdr[5] = norm
+        struct.pack_into(keysetup._SHARE_HDR, data, 8, *hdr)
         data = data + b"\0" * extra if extra >= 0 else data[:extra]
         with open(dst, "wb") as fh:
             fh.write(data)

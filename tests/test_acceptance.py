@@ -130,14 +130,12 @@ def test_criterion_01_exact_algebra(fM61):
     calib = CalibrationTable(mu=0.0, sigma=1.0, n_models=2, n_keys_per_model=100,
                              skewness=0.0, excess_kurtosis=0.0, dim=d,
                              fingerprint="")
-    direct = verify_direct(theta, setup.debug_key, calib, codecs,
-                           public_norm=setup.public_norm)
+    direct = verify_direct(theta, setup.debug_key, calib, codecs)
     n_checked = 0
     for size in range(3, 7):
         for combo in itertools.combinations(setup.shares, size):
             partials = [partial_inner(s, theta, codecs.share) for s in combo]
-            rep = coalition_statistic(partials, theta, setup.public_norm,
-                                      calib, cfg, codecs)
+            rep = coalition_statistic(partials, theta, calib, cfg, codecs.f_share)
             assert rep.z == direct.z
             n_checked += 1
     assert n_checked == 42

@@ -31,6 +31,12 @@ SMALL_CFG = dict(
 )
 
 
+def _tamper_case(point=None, extra=0, norm=None):
+    """A tamper_share case; point and length cases keep their "point-extra" ids."""
+    return pytest.param(point, extra, norm,
+                        id=f"{point}-{extra}" if norm is None else f"norm={norm!r}")
+
+
 class TestRngUtil:
     def test_deterministic(self):
         a = rng_from_key(7, "setup").standard_normal(4)
@@ -278,10 +284,17 @@ class TestCli:
         assert code == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("point,extra", [(7, 0), (0, 0), (None, 1), (None, -1)])
+    @pytest.mark.parametrize("point,extra,norm", [
+        _tamper_case(7, 0), _tamper_case(0, 0), _tamper_case(None, 1),
+        _tamper_case(None, -1),
+        # header norms other than exactly sqrt(d), d = 5514 under SMALL_CFG
+        *(_tamper_case(norm=n) for n in (1e-300, -5.0, float("nan"), float("inf"),
+                                         float(np.sqrt(5514)) * (1 + 2**-52))),
+    ])
     def test_verify_rejects_bad_share_file(self, cli_workspace, tmp_path, capsys,
-                                           tamper_share, point, extra):
+                                           tamper_share, point, extra, norm):
         cfg, _, out = cli_workspace
+        assert cfg.shape().dim == 5514
         scfg = ShamirConfig(n_clients=5, threshold=3, params=FieldParams(cfg.modulus))
         setup = setup_trusted_dealer(scfg, cfg.shape().dim, rng_from_key(5, "setup"),
                                      codecs=cfg.codecs())
@@ -292,11 +305,36 @@ class TestCli:
                 "--calibration", str(out / "calibration.txt")] + paths
         assert cli.main(argv) in (0, 1)
         assert "decision:" in capsys.readouterr().out
-        tamper_share(paths[2], paths[2], point, extra)
+        # a norm goes into every share, so that the headers still agree
+        tampered = paths if norm is not None else paths[2:]
+        for path in tampered:
+            tamper_share(path, path, point, extra, norm)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert "decision" not in captured.out
-        assert "error:" in captured.err
+        assert f"error: {tampered[0]}" in captured.err
+
+    @pytest.mark.parametrize("cut", [20, -3])
+    def test_verify_rejects_truncated_model_file(self, cli_workspace, tmp_path, capsys,
+                                                 cut):
+        # cut inside the header, or to a payload that is not whole float64 words
+        _, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        model = tmp_path / "model.bin"
+        model.write_bytes((rundir / "model_final.bin").read_bytes()[:cut])
+        shares = [str(rundir / "shares" / f"client_{k}.share") for k in (1, 2, 3)]
+        code = cli.main(["verify", "--model", str(model),
+                         "--calibration", str(out / "calibration.txt")] + shares)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "decision" not in captured.out
+        assert f"error: {model}" in captured.err
+
+    def test_train_rejects_modulus_from_2_63(self, tmp_path, capsys):
+        code = cli.main(["train", "--set", "modulus=18446744073709551557",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "modulus 18446744073709551557" in capsys.readouterr().err
 
     def test_attack_command(self, cli_workspace):
         cfg, cfg_path, out = cli_workspace

@@ -29,10 +29,16 @@ class TestFieldParams:
     def test_m61_is_prime(self):
         FieldParams(M61)  # must not raise
 
-    @pytest.mark.parametrize("bad", [0, 1, 2, 4, 9, 15, M61 - 1])
+    # 2^64 - 59 is prime, but the sum of two of its elements overflows uint64
+    @pytest.mark.parametrize("bad", [0, 1, 2, 4, 9, 15, M61 - 1, 2**64 - 59])
     def test_rejects_non_odd_primes(self, bad):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=f"modulus {bad} "):
             FieldParams(bad)
+
+    def test_largest_moduli_below_2_63_add_exactly(self):
+        q = 2**63 - 25
+        top = FieldVector(np.array([q - 1, q - 2], dtype=np.uint64), FieldParams(q))
+        assert top.add(top).values.tolist() == [(2 * (q - 1)) % q, (2 * (q - 2)) % q]
 
     def test_scalar_ops_q7(self, f7):
         assert f7.add(5, 4) == 2

@@ -12,11 +12,17 @@ from twmark.keysetup import (
     setup_dkg,
     setup_trusted_dealer,
 )
-from twmark.sharing import ShamirConfig, open_check, shamir_reconstruct
+from twmark.sharing import ShamirConfig, open_check, public_norm, shamir_reconstruct
 
 
 def _cfg(params, K=5, t=3):
     return ShamirConfig(n_clients=K, threshold=t, params=params)
+
+
+def _tamper_case(point=None, extra=0, norm=None):
+    """A tamper_share case; point and length cases keep their "point-extra" ids."""
+    return pytest.param(point, extra, norm,
+                        id=f"{point}-{extra}" if norm is None else f"norm={norm!r}")
 
 
 class TestTrustedDealer:
@@ -30,12 +36,11 @@ class TestTrustedDealer:
         cfg = _cfg(fM61)
         setup = setup_trusted_dealer(cfg, 32, rng, keep_key=True)
         enc = setup.codecs.share.encode(setup.debug_key)
-        assert open_check(setup.commitment, enc, setup.public_norm,
-                          setup.codecs.f_share)
+        assert open_check(setup.commitment, enc, setup.codecs.f_share)
 
     def test_public_norm_is_sqrt_d(self, fM61, rng):
-        setup = setup_trusted_dealer(_cfg(fM61), 64, rng)
-        assert setup.public_norm == pytest.approx(8.0)
+        assert public_norm(64) == 8.0
+        assert public_norm(2) == 2 ** 0.5
 
     def test_key_discarded_by_default(self, fM61, rng):
         setup = setup_trusted_dealer(_cfg(fM61), 16, rng)
@@ -117,7 +122,6 @@ class TestShareFiles:
             "f_share": setup.codecs.f_share,
             "n_clients": 5,
             "threshold": 3,
-            "public_norm": setup.public_norm,
         }
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -126,17 +130,21 @@ class TestShareFiles:
         with pytest.raises(ConfigurationError):
             load_share(path)
 
-    @pytest.mark.parametrize("point,extra", [
-        (7, 0), (0, 0), (None, 1), (None, -1), (None, -8 * 24), (None, -220),
+    @pytest.mark.parametrize("point,extra,norm", [
+        _tamper_case(7, 0), _tamper_case(0, 0), _tamper_case(None, 1),
+        _tamper_case(None, -1), _tamper_case(None, -8 * 24), _tamper_case(None, -220),
+        # header norms other than exactly sqrt(d), d = 24
+        *(_tamper_case(norm=n) for n in (1e-300, -5.0, float("nan"), float("inf"),
+                                         float(np.sqrt(24)) * (1 + 2**-52))),
     ])
     def test_rejects_bad_point_or_length(self, fM61, rng, tmp_path, tamper_share,
-                                         point, extra):
+                                         point, extra, norm):
         setup = setup_trusted_dealer(_cfg(fM61), 24, rng)
         path = tmp_path / "client_2.share"
         save_share(setup.shares[1], setup, path)
         load_share(path)
-        tamper_share(path, path, point, extra)
-        with pytest.raises(ConfigurationError):
+        tamper_share(path, path, point, extra, norm)
+        with pytest.raises(ConfigurationError, match="client_2.share"):
             load_share(path)
 
     def test_load_shares_sorts_by_point(self, fM61, rng, tmp_path):

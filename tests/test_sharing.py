@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -196,27 +197,34 @@ class TestCommitment:
     def _setup(self, fM61, rng):
         codec = FixedPointCodec(20, fM61)
         tau = rng.standard_normal(16)
-        return codec.encode(tau), float(np.sqrt(16))
+        return codec.encode(tau)
 
     def test_deterministic_given_nonce(self, fM61, rng):
-        enc, norm = self._setup(fM61, rng)
+        enc = self._setup(fM61, rng)
         nonce = bytes(range(32))
-        c1 = commit(enc, norm, 20, nonce=nonce)
-        c2 = commit(enc, norm, 20, nonce=nonce)
+        c1 = commit(enc, 20, nonce=nonce)
+        c2 = commit(enc, 20, nonce=nonce)
         assert c1 == c2
-        assert open_check(c1, enc, norm, 20)
+        assert open_check(c1, enc, 20)
+
+    def test_payload_layout(self, fM61, rng):
+        # the norm slot holds public_norm(d) = sqrt(16) = 4.0
+        enc = self._setup(fM61, rng)
+        nonce = bytes(range(32))
+        payload = (nonce + (16).to_bytes(8, "little") + fM61.modulus.to_bytes(8, "little")
+                   + (20).to_bytes(2, "little") + enc.words() + struct.pack("<d", 4.0))
+        assert commit(enc, 20, nonce=nonce).digest == hashlib.sha256(payload).digest()
 
     def test_fresh_nonces_hide(self, fM61, rng):
-        enc, norm = self._setup(fM61, rng)
-        assert commit(enc, norm, 20).digest != commit(enc, norm, 20).digest
+        enc = self._setup(fM61, rng)
+        assert commit(enc, 20).digest != commit(enc, 20).digest
 
     def test_binding_rejects_tampering(self, fM61, rng):
-        enc, norm = self._setup(fM61, rng)
-        c = commit(enc, norm, 20)
+        enc = self._setup(fM61, rng)
+        c = commit(enc, 20)
         other = enc.add(FieldVector(np.ones(16, dtype=np.uint64), fM61))
-        assert not open_check(c, other, norm, 20)
-        assert not open_check(c, enc, norm + 1.0, 20)
-        assert not open_check(c, enc, norm, 21)
+        assert not open_check(c, other, 20)
+        assert not open_check(c, enc, 21)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -117,10 +117,8 @@ class TestCoalitionStatistic:
         theta = 0.1 * rng.standard_normal(64) + 0.02 * setup.debug_key
         partials = [partial_inner(s, theta, codecs.share)
                     for s in setup.shares[:3]]
-        rep = coalition_statistic(partials, theta, setup.public_norm, calib,
-                                  setup.cfg, codecs)
-        direct = verify_direct(theta, setup.debug_key, calib, codecs,
-                               public_norm=setup.public_norm)
+        rep = coalition_statistic(partials, theta, calib, setup.cfg, codecs.f_share)
+        direct = verify_direct(theta, setup.debug_key, calib, codecs)
         assert rep.z == direct.z
         assert rep.cosine == direct.cosine
 
@@ -130,8 +128,7 @@ class TestCoalitionStatistic:
         partials = [partial_inner(s, theta, codecs.share)
                     for s in setup.shares[:2]]
         with pytest.raises(ThresholdError):
-            coalition_statistic(partials, theta, setup.public_norm, _table(),
-                                setup.cfg, codecs)
+            coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
 
     def test_dimension_mismatch(self, rng, codecs):
         setup = _setup(rng)
@@ -139,8 +136,8 @@ class TestCoalitionStatistic:
         partials = [partial_inner(s, theta, codecs.share)
                     for s in setup.shares[:3]]
         with pytest.raises(FingerprintMismatchError):
-            coalition_statistic(partials, theta, setup.public_norm,
-                                _table(dim=63), setup.cfg, codecs)
+            coalition_statistic(partials, theta, _table(dim=63), setup.cfg,
+                                codecs.f_share)
 
     def test_zero_model_degenerate(self, rng, codecs):
         setup = _setup(rng)
@@ -148,8 +145,7 @@ class TestCoalitionStatistic:
         partials = [partial_inner(s, theta, codecs.share)
                     for s in setup.shares[:3]]
         with pytest.raises(DegenerateModelError):
-            coalition_statistic(partials, theta, setup.public_norm, _table(),
-                                setup.cfg, codecs)
+            coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
 
     def test_accept_boundary(self, rng, codecs):
         # watermark-aligned model accepts; pure-noise model rejects
@@ -158,15 +154,13 @@ class TestCoalitionStatistic:
         aligned = 0.5 * setup.debug_key
         partials = [partial_inner(s, aligned, codecs.share)
                     for s in setup.shares[:3]]
-        rep = coalition_statistic(partials, aligned, setup.public_norm, calib,
-                                  setup.cfg, codecs)
+        rep = coalition_statistic(partials, aligned, calib, setup.cfg, codecs.f_share)
         assert rep.accepted and rep.z >= 4.0
 
         noise = rng.standard_normal(64)
         partials = [partial_inner(s, noise, codecs.share)
                     for s in setup.shares[:3]]
-        rep = coalition_statistic(partials, noise, setup.public_norm, calib,
-                                  setup.cfg, codecs)
+        rep = coalition_statistic(partials, noise, calib, setup.cfg, codecs.f_share)
         assert isinstance(rep, VerificationReport)
 
 
@@ -178,8 +172,7 @@ class TestCoalitionStatistic:
                     for s in setup.shares[:3]]
         partials[2] = PartialVerification(point=point, value=partials[2].value)
         with pytest.raises(ConfigurationError):
-            coalition_statistic(partials, theta, setup.public_norm, _table(),
-                                setup.cfg, codecs)
+            coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
 
 
 class TestCosine:
