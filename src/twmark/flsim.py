@@ -200,16 +200,29 @@ class AdamWState:
     step: int = 0
 
     def update(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """theta after one step, as a new array. The moments are updated in
+        place and the step runs in two buffers, in the operation order of
+        theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta)."""
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         p = self.params
         self.step += 1
-        self.m = p.beta1 * self.m + (1 - p.beta1) * grad
-        self.v = p.beta2 * self.v + (1 - p.beta2) * grad * grad
-        mhat = self.m / (1 - p.beta1 ** self.step)
-        vhat = self.v / (1 - p.beta2 ** self.step)
-        return theta - p.lr * (mhat / (np.sqrt(vhat) + p.eps) + p.weight_decay * theta)
+        a = np.multiply(grad, 1 - p.beta1)
+        self.m *= p.beta1
+        self.m += a
+        np.multiply(grad, 1 - p.beta2, out=a)
+        a *= grad
+        self.v *= p.beta2
+        self.v += a
+        b = np.divide(self.v, 1 - p.beta2 ** self.step)               # vhat
+        np.sqrt(b, out=b)
+        b += p.eps
+        np.divide(self.m, 1 - p.beta1 ** self.step, out=a)           # mhat
+        a /= b
+        a += np.multiply(theta, p.weight_decay, out=b)
+        a *= p.lr
+        return np.subtract(theta, a, out=a)
 
 
 def local_train(theta: np.ndarray, X: np.ndarray, y: np.ndarray,

@@ -11,6 +11,9 @@ field sum of what it received. The implicit key tau = sum_k w_k is never
 materialized at any single party. Each client's K evaluations are one
 exact Vandermonde product (sharing.shamir_share), and the K received
 evaluations are summed as 32-bit halves in uint64 and reduced mod q once.
+setup_dkg adds each client's evaluations as they are made and keeps none
+of them; dkg_exchange also returns them all, the view the secrecy tests
+reconstruct.
 
 Overhead accounting for the DKG is dkg_cost_model's closed form: K(K-1)
 point-to-point messages (self-delivery is local), each carrying d
@@ -91,6 +94,30 @@ def setup_trusted_dealer(cfg: ShamirConfig, d: int, rng: np.random.Generator,
     )
 
 
+def _dkg_outgoing(contributions_enc: list, cfg: ShamirConfig, rngs: list,
+                  coeffs_per_client: list = None):
+    """Each client's evaluations for every recipient (its outgoing traffic),
+    produced one client at a time."""
+    for k, contribution in enumerate(contributions_enc):
+        coeffs = None if coeffs_per_client is None else coeffs_per_client[k]
+        yield shamir_share(contribution, cfg, rngs[k], coeffs=coeffs)
+
+
+def _dkg_shares(outgoing, cfg: ShamirConfig, d: int) -> list:
+    """Recipient i's share: the field sum over senders of their evaluations
+    at i. The 32-bit halves of K < 2^31 values below 2^61 sum without
+    overflow, so each sender's rows can be released once they are added."""
+    hi = np.zeros((cfg.n_clients, d), dtype=np.uint64)
+    lo = np.zeros((cfg.n_clients, d), dtype=np.uint64)
+    for sent in outgoing:
+        evals = np.stack([s.values.values for s in sent])
+        hi += evals >> np.uint64(32)
+        lo += evals & _MASK32
+    summed = _fold(hi, lo, cfg.params.modulus)
+    return [ShamirShare(point=x, values=FieldVector(row, cfg.params))
+            for x, row in zip(cfg.points, summed)]
+
+
 def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
                  rngs: list, coeffs_per_client: list = None):
     """Core DKG exchange over already-encoded contributions.
@@ -101,27 +128,10 @@ def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
     the list of ShamirShare rows client k produced (its outgoing traffic),
     used by secrecy tests to reconstruct a coalition's full view.
     """
-    K = cfg.n_clients
-    if len(contributions_enc) != K:
+    if len(contributions_enc) != cfg.n_clients:
         raise ConfigurationError("need one contribution per client")
-    d = len(contributions_enc[0])
-    hi = np.zeros((K, d), dtype=np.uint64)
-    lo = np.zeros((K, d), dtype=np.uint64)
-    outgoing = []
-    for k in range(K):
-        coeffs = None if coeffs_per_client is None else coeffs_per_client[k]
-        outgoing.append(
-            shamir_share(contributions_enc[k], cfg, rngs[k], coeffs=coeffs)
-        )
-        # recipient i's share is the sum over senders k of outgoing[k][i];
-        # the 32-bit halves of K < 2^31 values below 2^61 sum without overflow
-        evals = np.stack([s.values.values for s in outgoing[k]])
-        hi += evals >> np.uint64(32)
-        lo += evals & _MASK32
-    summed = _fold(hi, lo, cfg.params.modulus)
-    shares = [ShamirShare(point=x, values=FieldVector(row, cfg.params))
-              for x, row in zip(cfg.points, summed)]
-    return shares, outgoing
+    outgoing = list(_dkg_outgoing(contributions_enc, cfg, rngs, coeffs_per_client))
+    return _dkg_shares(outgoing, cfg, len(contributions_enc[0])), outgoing
 
 
 def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
@@ -146,7 +156,7 @@ def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
         raise ConfigurationError("need one rng per client")
     contributions = [rngs[k].standard_normal(d) / np.sqrt(K) for k in range(K)]
     enc = [codecs.share.encode(w) for w in contributions]
-    shares, _ = dkg_exchange(enc, cfg, rngs)
+    shares = _dkg_shares(_dkg_outgoing(enc, cfg, rngs), cfg, d)
     return SetupResult(
         cfg=cfg,
         codecs=codecs,

@@ -1,39 +1,58 @@
-"""Simulated secure aggregation via pairwise additive masking.
+"""Simulated secure aggregation via pairwise additive masks on a sparse graph.
 
 The server-side view is modeled explicitly: a session records only the
-masked client submissions and the final sum. For every unordered pair of
-participant positions (a, b) with a < b a mask vector is drawn; the
-lower-positioned client adds it and the higher one subtracts it, so masks
-cancel and the sum of masked submissions equals the field sum of the raw
-inputs, bit-exactly (Bonawitz et al., CCS 2017).
+masked client submissions and the final sum. Pair masks are drawn only for
+the edges of a Harary graph H(k, n) over the n participants, with
+k = mask_degree(n) = 2 * ceil(log2 n) (SecAgg+, Bell et al., CCS 2020).
+For each edge the client in the lower slot adds the mask and the other
+subtracts it, so masks cancel and the sum of masked submissions equals the
+field sum of the raw inputs, bit-exactly (Bonawitz et al., CCS 2017).
 
-All of a session's pair masks come from one PCG64 stream keyed by
-(session_seed, round_id); it stands in for the per-pair PRG seeds that a
-key agreement would give each pair of clients. The stream is laid out
-pair-major: pair (a, b) owns the d raw words starting at offset
-pair_index(a, b, n) * d, so the (n-1-a, d) rows of one sender a are
-contiguous and are drawn together (in blocks of at most _BLOCK_WORDS
-words), and a single pair's row can be read with ``PCG64.advance``. Raw
-words map to field elements exactly: for M61 by the top 61 bits,
-rejecting the one value equal to q; for any other q by ``% q`` below the
-largest multiple of q under 2^64. A rejected word is replaced by a draw
-from a fallback stream keyed by the session and the pair, which leaves
-every other pair's offset in place.
+Graph. Participants sit in circulant slots 0..n-1, and slot a is joined
+to slots a +- 1, ..., a +- k/2 mod n, so every client has exactly k
+neighbours and the graph stays connected after removing any k-1 clients.
+The slot of each participant comes from a permutation drawn from its own
+stream keyed by (session_seed, round_id). When k >= n - 1 (n <= 7 or
+n = 9) the graph is complete, k is n - 1, and the slots are the sorted
+participant positions, which is the all-pairs protocol.
 
-Net masks are formed with numpy: each block's 32-bit halves are
-column-summed into the sender's row and subtracted from the rows of the
-later peers, and the split sums are reduced mod q once at the end. A
-session of at least 2 * _SPLIT_WORDS raw words is split into contiguous
-sender ranges with about equal pair counts, one per usable CPU; each
-range runs in its own thread (PCG64 output and numpy passes over whole
-blocks release the GIL) on a copy of the stream advanced to
-pair_index(a0, a0+1, n) * d, its first sender's offset, and keeps its
-own split sums over the rows from a0 on. Every pair therefore reads the
-same raw words and the same fallback stream whatever the split, and the
-partial sums are added with wrapping uint64 arithmetic, which is exact
-mod 2^64, before the one reduction. Masks, masked submissions and sums
-are thus bit-identical for every CPU count. The threads are started and
-joined inside each call; no pool outlives a session.
+Collusion bound. The server together with at most k - 1 clients cannot
+isolate an honest client's input: the honest clients stay connected, so
+their masks only cancel in the sum over all of them. The all-pairs
+protocol held against the server plus n - 2 clients. At n = 32 the bound
+is 9 clients, at n = 128 it is 13. The slots follow from the session seed,
+so the bound holds against a coalition chosen knowing the graph.
+
+Stream layout. All of a session's pair masks come from one PCG64 stream
+keyed by (session_seed, round_id); it stands in for the per-pair PRG seeds
+that a key agreement would give each pair of clients. The stream is laid
+out edge-major in sender (slot) order: edge (a, b), a < b, owns the d raw
+words starting at edge_offset(a, b, n) * d. The later neighbours of one
+sender a form at most two contiguous slot slices, so the stream is read
+in blocks of at most _BLOCK_WORDS words made of pieces, each the edges
+from one sender to one run of contiguous slots; a block may span many
+senders when d is small. A single edge's row can be read with
+``PCG64.advance``. Raw words map to field elements
+exactly: for M61 by the top 61 bits, rejecting the one value equal to q;
+for any other q by ``% q`` below the largest multiple of q under 2^64. A
+rejected word is replaced by a draw from a fallback stream keyed by the
+session and the pair's participant ids, which leaves every other edge's
+offset in place.
+
+Net masks are formed with numpy over rows in slot order: the 32-bit
+halves of each piece are column-summed into its sender's row and
+subtracted from the rows of its receivers, and the split sums are reduced
+mod q once at the end. A session of at least 2 * _SPLIT_WORDS raw words is split into
+contiguous sender ranges with about equal edge counts, one per usable CPU;
+each range runs in its own thread (PCG64 output and numpy passes over
+whole blocks release the GIL) on a copy of the stream advanced to its
+first sender's offset, and keeps its own split sums over the rows from
+that sender on. Every edge therefore reads the same raw words and the same
+fallback stream whatever the split, and the partial sums are added with
+wrapping uint64 arithmetic, which is exact mod 2^64, before the one
+reduction. Masks, masked submissions and sums are thus bit-identical for
+every CPU count. The threads are started and joined inside each call; no
+pool outlives a session.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
@@ -43,21 +62,78 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolAbortError
 from .field import _BLOCK_WORDS, _MASK32, M61, FieldParams, FieldVector, _fold
 
-# Fewest raw words a worker thread is given (64 MB of PCG64 output): a K=128
-# session at d=5514 (44.8 M words) splits, K=32 (2.7 M) and d=1 sessions do
-# not, since below this size a second thread measured no faster.
+# Fewest raw words a worker thread is given (64 MB of PCG64 output). Below
+# this size a second thread measured no faster. The sparse graph keeps every
+# shipped session under two split sizes: K=128 at d=5514 draws 4.9 M words.
 _SPLIT_WORDS = 1 << 23
 
 
-def pair_index(a: int, b: int, n: int) -> int:
-    """Position of the pair (a, b), a < b, in the pair-major order of n."""
-    return a * (2 * n - a - 1) // 2 + b - a - 1
+def mask_degree(n: int) -> int:
+    """Neighbours k of each client in a session of n: 2 * ceil(log2 n),
+    or n - 1 when that many or more would make the graph complete."""
+    return max(0, min(n - 1, 2 * (n - 1).bit_length()))
+
+
+class _Graph(NamedTuple):
+    """H(mask_degree(n), n) in slot order."""
+
+    reach: int      # largest circular slot distance of an edge
+    later: tuple    # later[a]: slot slices [b0, b1) of a's neighbours b > a, in edge order
+    starts: tuple   # starts[a]: edges of the senders before a; starts[n]: all edges
+
+
+@lru_cache(maxsize=256)
+def _graph(n: int) -> _Graph:
+    """The mask graph of a session of n, built once per n."""
+    k = mask_degree(n)
+    reach = k - k // 2
+    later, starts = [], [0]
+    for a in range(n):
+        near = min(a + reach, n - 1) + 1   # slots a+1 .. near-1: a + j
+        wrap = max(n - reach + a, near)    # slots wrap .. n-1: a - j mod n
+        slices = ((a + 1, n),) if wrap == near else ((a + 1, near), (wrap, n))
+        slices = tuple((b0, b1) for b0, b1 in slices if b0 < b1)
+        later.append(slices)
+        starts.append(starts[-1] + sum(b1 - b0 for b0, b1 in slices))
+    return _Graph(reach, tuple(later), tuple(starts))
+
+
+def edge_offset(a: int, b: int, n: int) -> int:
+    """Position of the edge between slots a < b in the edge-major order of a
+    session of n; for a complete graph that is the pair index of (a, b)."""
+    graph = _graph(n)
+    off = graph.starts[a]
+    for b0, b1 in graph.later[a]:
+        if b0 <= b < b1:
+            return off + b - b0
+        off += b1 - b0
+    raise ConfigurationError(f"slots {a} and {b} of {n} share no mask edge")
+
+
+def _blocks(later, a0: int, a1: int, step: int):
+    """The edges of senders a0 <= a < a1 in stream order, as blocks of at
+    most ``step`` rows; a block is a list of pieces (a, b0, b1), the edges
+    from slot a to the contiguous slots b0 .. b1-1."""
+    block, rows = [], 0
+    for a in range(a0, a1):
+        for s0, s1 in later[a]:
+            for b0 in range(s0, s1, step):
+                b1 = min(b0 + step, s1)
+                if rows + b1 - b0 > step:
+                    yield block
+                    block, rows = [], 0
+                block.append((a, b0, b1))
+                rows += b1 - b0
+    if block:
+        yield block
 
 
 def _worker_count(words: int) -> int:
@@ -72,10 +148,9 @@ def _worker_count(words: int) -> int:
 
 def _sender_ranges(n: int, workers: int) -> list:
     """At most ``workers`` contiguous sender ranges [a0, a1) that cover
-    positions 0..n-2 with roughly equal pair counts."""
-    starts = [pair_index(a, a + 1, n) for a in range(n - 1)]  # pairs before sender a
-    total = n * (n - 1) // 2
-    bounds = [0] + sorted({bisect_left(starts, i * total / workers)
+    slots 0..n-2 with roughly equal edge counts."""
+    starts = _graph(n).starts
+    bounds = [0] + sorted({bisect_left(starts[:n - 1], i * starts[n] / workers)
                            for i in range(1, workers)} - {0, n - 1})
     return list(zip(bounds, bounds[1:] + [n - 1]))
 
@@ -91,17 +166,25 @@ class SecAggSession:
     session_seed: int
     observations: list = dc_field(default_factory=list)  # (client, masked uint64 array)
     output: FieldVector = None
+    _slot: np.ndarray = dc_field(init=False, repr=False, compare=False)  # slot of position p
 
     def __post_init__(self):
         self.participants = tuple(sorted(self.participants))
         if len(set(self.participants)) != len(self.participants):
             raise ConfigurationError("duplicate participants")
+        n = len(self.participants)
+        if mask_degree(n) >= n - 1:
+            self._slot = np.arange(n)
+        else:
+            seq = np.random.SeedSequence((self.session_seed, self.round_id), spawn_key=(0,))
+            self._slot = np.random.Generator(np.random.PCG64(seq)).permutation(n)
 
     def _stream(self) -> np.random.PCG64:
         return np.random.PCG64(np.random.SeedSequence((self.session_seed, self.round_id)))
 
-    def _rows(self, raw: np.ndarray, a: int, b0: int) -> np.ndarray:
-        """Field elements, in place, from the raw words of pairs (a, b0), (a, b0+1), ..."""
+    def _rows(self, raw: np.ndarray, pieces) -> np.ndarray:
+        """Field elements, in place, from the raw words of the edges of
+        ``pieces``, each (a, b0, b1): slot a to slots b0 .. b1-1, in order."""
         q = self.params.modulus
         if q == M61:
             raw >>= np.uint64(3)     # 61 uniform bits; only the value q is rejected
@@ -110,10 +193,11 @@ class SecAggSession:
             limit = ((1 << 64) // q) * q
         if int(raw.max()) >= limit:
             bad = raw >= np.uint64(limit)
+            at = np.argsort(self._slot)   # position at each slot
+            edges = [(a, b) for a, b0, b1 in pieces for b in range(b0, b1)]
             for r in np.flatnonzero(bad.any(axis=1)):
-                seq = np.random.SeedSequence((self.session_seed, self.round_id,
-                                              self.participants[a],
-                                              self.participants[b0 + r]))
+                ids = sorted(self.participants[at[s]] for s in edges[r])
+                seq = np.random.SeedSequence((self.session_seed, self.round_id, *ids))
                 rng = np.random.Generator(np.random.PCG64(seq))
                 raw[r, bad[r]] = self.params.uniform(rng, int(bad[r].sum()))
         if q != M61:
@@ -122,29 +206,34 @@ class SecAggSession:
 
     def _range_sums(self, a0: int, a1: int):
         """Split sums (hi, lo) of the mask terms of senders a0 <= a < a1,
-        as wrapping uint64 arrays over the rows of positions a0, ..., n-1."""
+        as wrapping uint64 arrays over the rows of slots a0, ..., n-1."""
         n, d = len(self.participants), self.d
+        graph = _graph(n)
         hi = np.zeros((n - a0, d), dtype=np.uint64)
         lo = np.zeros((n - a0, d), dtype=np.uint64)
         stream = self._stream()
-        stream.advance(pair_index(a0, a0 + 1, n) * d)
+        stream.advance(graph.starts[a0] * d)
         step = max(1, _BLOCK_WORDS // d)
-        for a in range(a0, a1):
-            for b0 in range(a + 1, n, step):
-                b1 = min(b0 + step, n)
-                block = self._rows(stream.random_raw((b1 - b0) * d).reshape(-1, d), a, b0)
-                top = block >> 32
-                block &= _MASK32
-                hi[a - a0] += top.sum(axis=0)
-                lo[a - a0] += block.sum(axis=0)
-                hi[b0 - a0:b1 - a0] -= top
-                lo[b0 - a0:b1 - a0] -= block
+        for pieces in _blocks(graph.later, a0, a1, step):
+            rows = sum(b1 - b0 for _, b0, b1 in pieces)
+            block = self._rows(stream.random_raw(rows * d).reshape(-1, d), pieces)
+            top = block >> 32
+            block &= _MASK32
+            r = 0
+            for a, b0, b1 in pieces:
+                r1 = r + b1 - b0
+                hi[a - a0] += top[r:r1].sum(axis=0)
+                lo[a - a0] += block[r:r1].sum(axis=0)
+                hi[b0 - a0:b1 - a0] -= top[r:r1]
+                lo[b0 - a0:b1 - a0] -= block[r:r1]
+                r = r1
         return hi, lo
 
     def _net_masks(self) -> np.ndarray:
-        """(n, d) net masks, row a for the participant at position a."""
+        """(n, d) net masks in slot order: row _slot[p] for the participant
+        at position p."""
         n, d = len(self.participants), self.d
-        ranges = _sender_ranges(n, _worker_count(n * (n - 1) // 2 * d))
+        ranges = _sender_ranges(n, _worker_count(_graph(n).starts[n] * d))
         if len(ranges) == 1:
             hi, lo = self._range_sums(0, n - 1)
         else:
@@ -163,19 +252,34 @@ class SecAggSession:
         except ValueError:
             raise ConfigurationError(f"{k} is not a participant") from None
 
+    def neighbours(self, k: int) -> tuple:
+        """The participants client k shares a pair mask with, ascending."""
+        n = len(self.participants)
+        dist = (self._slot - self._slot[self._position(k)]) % n
+        dist = np.minimum(dist, n - dist)
+        joined = (dist > 0) & (dist <= _graph(n).reach)
+        return tuple(p for p, j in zip(self.participants, joined) if j)
+
     def pair_mask(self, i: int, j: int) -> FieldVector:
-        """Mask of the unordered pair of participants (i, j), i < j."""
+        """Mask client i adds for its edge to client j, i < j; j subtracts it."""
         if i >= j:
             raise ConfigurationError("pair masks are keyed by i < j")
-        a, b = self._position(i), self._position(j)
+        si, sj = (int(self._slot[self._position(k)]) for k in (i, j))
+        a, b = min(si, sj), max(si, sj)
+        try:
+            offset = edge_offset(a, b, len(self.participants))
+        except ConfigurationError:
+            raise ConfigurationError(f"clients {i} and {j} share no mask edge in "
+                                     f"round {self.round_id}") from None
         stream = self._stream()
-        stream.advance(pair_index(a, b, len(self.participants)) * self.d)
-        row = self._rows(stream.random_raw(self.d).reshape(1, -1), a, b)
-        return FieldVector(row[0], self.params)
+        stream.advance(offset * self.d)
+        raw = stream.random_raw(self.d).reshape(1, -1)
+        row = FieldVector(self._rows(raw, [(a, b, b + 1)])[0], self.params)
+        return row if si < sj else FieldVector.zeros(self.d, self.params).sub(row)
 
     def client_mask(self, k: int) -> FieldVector:
-        """Net mask client k applies: + for higher-positioned peers, - for lower."""
-        return FieldVector(self._net_masks()[self._position(k)], self.params)
+        """Net mask client k applies: + for its edges to later slots, - for earlier."""
+        return FieldVector(self._net_masks()[self._slot[self._position(k)]], self.params)
 
 
 def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
@@ -199,7 +303,8 @@ def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
             )
     q = np.uint64(session.params.modulus)
     masked = session._net_masks()  # becomes the matrix of masked submissions
-    for row, k in zip(masked, session.participants):
+    for k, slot in zip(session.participants, session._slot):
+        row = masked[slot]
         row += inputs[k].values   # both < q < 2^63, no overflow
         np.subtract(row, q, out=row, where=row >= q)
         session.observations.append((k, row))
@@ -220,4 +325,3 @@ def secagg_scalar(inputs: dict, session: SecAggSession) -> int:
         for k, v in inputs.items()
     }
     return int(secagg_sum(vec_inputs, session).values[0])
-

@@ -102,6 +102,24 @@ class TestAdamW:
         want = theta - p.lr * (grad / (np.abs(grad) + p.eps) + p.weight_decay * theta)
         assert np.allclose(out, want, atol=1e-12)
 
+    def test_matches_reference_bit_for_bit(self, rng):
+        p = AdamWParams(lr=0.01, weight_decay=0.1)
+        state = AdamWState(params=p)
+        theta = rng.standard_normal(64)
+        m, v = np.zeros(64), np.zeros(64)
+        for step in range(1, 21):
+            grad = rng.standard_normal(64)
+            before = theta.copy()
+            out = state.update(theta, grad)
+            assert np.array_equal(theta, before)   # the caller's theta is kept
+            m = p.beta1 * m + (1 - p.beta1) * grad
+            v = p.beta2 * v + (1 - p.beta2) * grad * grad
+            mhat = m / (1 - p.beta1 ** step)
+            vhat = v / (1 - p.beta2 ** step)
+            want = theta - p.lr * (mhat / (np.sqrt(vhat) + p.eps) + p.weight_decay * theta)
+            assert np.array_equal(out, want)
+            theta = out
+
     def test_decay_is_decoupled(self):
         # zero gradient still shrinks the weights
         state = AdamWState(params=AdamWParams(lr=0.1, weight_decay=1.0))

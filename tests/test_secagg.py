@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,10 +98,15 @@ def _applied_masks(session, inputs):
             for k, masked in session.observations}
 
 
+def _pair_index(a, b, n):
+    """Pair index of positions a < b in the all-pairs (complete graph) order."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
 def _sum_of_pair_masks(session, k):
-    """Reference net mask of client k, built pair by pair from pair_mask."""
+    """Reference net mask of client k, built edge by edge from pair_mask."""
     mask = FieldVector.zeros(session.d, session.params)
-    for other in session.participants:
+    for other in session.neighbours(k):
         if k < other:
             mask = mask.add(session.pair_mask(k, other))
         elif other < k:
@@ -174,7 +182,7 @@ class TestMaskLayout:
         plain = _session(params, d=d, participants=participants)
         before = plain.pair_mask(2, 5)
         # pair (2, 5) sits at positions (1, 3): pair index 5, coordinate 4
-        at = secagg.pair_index(1, 3, len(participants)) * d + 4
+        at = _pair_index(1, 3, len(participants)) * d + 4
         _force_words(monkeypatch, at)
         session = _session(params, d=d, participants=participants)
         inputs = _inputs(params, session, rng)
@@ -205,6 +213,161 @@ class TestMaskLayout:
         assert all(int(m[0]) != inputs[k] for k, m in session.observations)
 
 
+def _connected(nodes, adjacent):
+    """Whether ``nodes`` form one connected component under ``adjacent``."""
+    nodes = set(nodes)
+    seen, todo = set(), [next(iter(nodes))]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(adjacent[node] & nodes)
+    return seen == nodes
+
+
+class TestGraph:
+    """The Harary mask graph H(k, n), k = 2 * ceil(log2 n), and its layout."""
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (2, 1), (5, 4), (7, 6), (8, 6), (9, 8),
+                                     (10, 8), (16, 8), (17, 10), (32, 10), (128, 14)])
+    def test_mask_degree(self, n, k):
+        assert secagg.mask_degree(n) == k
+        assert secagg._graph(n).starts[n] == n * k // 2
+
+    @pytest.mark.parametrize("n", list(range(1, 42)) + [64, 127, 128])
+    def test_every_client_has_k_neighbours(self, fM61, n):
+        session = _session(fM61, participants=tuple(range(3, 3 + 2 * n, 2)))
+        k = secagg.mask_degree(n)
+        nb = {p: session.neighbours(p) for p in session.participants}
+        for p, peers in nb.items():
+            assert len(peers) == k and p not in peers
+            assert all(p in nb[q] for q in peers)
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_connected_after_removing_any_k_minus_1(self, fM61, n):
+        session = _session(fM61, participants=tuple(range(1, n + 1)))
+        k = secagg.mask_degree(n)
+        assert k < n - 1   # a sparse graph
+        adjacent = {p: set(session.neighbours(p)) for p in session.participants}
+        for removed in itertools.combinations(session.participants, k - 1):
+            assert _connected(set(session.participants) - set(removed), adjacent)
+        # k is tight: removing one client's neighbours isolates it
+        assert not _connected(set(session.participants) - adjacent[1], adjacent)
+
+    def test_slots_follow_the_session(self, fM61):
+        nb = [_session(fM61, participants=tuple(range(1, 17)), seed=seed,
+                       round_id=r).neighbours(1) for seed, r in ((7, 1), (7, 2), (8, 1))]
+        assert len(set(nb)) == 3
+        assert _session(fM61, participants=tuple(range(1, 17))).neighbours(1) == nb[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9])
+    def test_complete_graph_is_the_pair_order(self, n):
+        assert secagg.mask_degree(n) == n - 1
+        for a, b in itertools.combinations(range(n), 2):
+            assert secagg.edge_offset(a, b, n) == _pair_index(a, b, n)
+
+    @pytest.mark.parametrize("n", [8, 11, 40])
+    def test_edge_offsets_enumerate_the_edges(self, n):
+        k = secagg.mask_degree(n)
+        offsets = []
+        for a, b in itertools.combinations(range(n), 2):
+            if min(b - a, n - b + a) <= k // 2:
+                offsets.append(secagg.edge_offset(a, b, n))
+            else:
+                with pytest.raises(ConfigurationError):
+                    secagg.edge_offset(a, b, n)
+        assert offsets == list(range(n * k // 2))
+
+    @pytest.mark.parametrize("field,n,digest", [
+        ("f7", 2, "0b749fe5f256baaf"), ("f7", 5, "638589521ca67944"),
+        ("f7", 7, "4adc589d152cd758"), ("f7", 9, "638c280d11e88750"),
+        ("fM61", 2, "bad6731e25fd35f5"), ("fM61", 5, "c141be2348bed3bc"),
+        ("fM61", 7, "2fc30e778b0a4d11"), ("fM61", 9, "0ea1ad543bb15e5e"),
+    ])
+    def test_complete_graph_masks_are_pinned(self, field, n, digest, request):
+        # digests of the all-pairs protocol before the sparse graph existed
+        params = request.getfixturevalue(field)
+        session = _session(params, d=16, participants=tuple(range(1, 2 * n, 2)))
+        masks = np.stack([session.client_mask(k).values for k in session.participants])
+        assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("n", [11, 40])
+    def test_observation_minus_input_is_client_mask(self, field, n, rng, request):
+        params = request.getfixturevalue(field)
+        session = _session(params, participants=tuple(range(1, n + 1)))
+        inputs = _inputs(params, session, rng)
+        assert secagg_sum(inputs, session) == _field_sum(inputs, session.d, params)
+        applied = _applied_masks(session, inputs)
+        for k in session.participants:
+            assert applied[k] == session.client_mask(k)
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+    def test_pair_mask_of_a_non_edge_raises(self, fM61):
+        session = _session(fM61, participants=tuple(range(1, 12)))
+        strangers = [p for p in session.participants
+                     if p != 1 and p not in session.neighbours(1)]
+        assert len(strangers) == 10 - secagg.mask_degree(11)
+        for p in strangers:
+            with pytest.raises(ConfigurationError, match="no mask edge"):
+                session.pair_mask(1, p)
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    def test_rejected_word_in_a_sparse_edge(self, field, rng, request, monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = tuple(range(1, 12)), 8
+        plain = _session(params, d=d, participants=participants)
+        slot = {p: int(s) for p, s in zip(participants, plain._slot)}
+        # the edge from slot 0 to slot n-1 is in slot 0's wrapped slice
+        i, j = sorted(p for p in participants if slot[p] in (0, 10))
+        assert j in plain.neighbours(i)
+        before = plain.pair_mask(i, j)
+        at = secagg.edge_offset(0, 10, 11) * d + 5
+        _force_words(monkeypatch, at)
+        session = _session(params, d=d, participants=participants)
+        inputs = _inputs(params, session, rng)
+        assert secagg_sum(inputs, session) == _field_sum(inputs, d, params)
+        for _, masked in session.observations:
+            assert int(masked.max()) < params.modulus
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+        # only the rejected word changes, to the pair's first fallback draw
+        fallback = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 1, i, j))))
+        raw = int(params.uniform(fallback, 1)[0])
+        after = session.pair_mask(i, j)
+        want = raw if slot[i] == 0 else (params.modulus - raw) % params.modulus
+        assert int(after.values[5]) == want
+        assert np.array_equal(np.delete(after.values, 5), np.delete(before.values, 5))
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_rejected_word_in_every_sparse_range(self, field, workers, request,
+                                                 monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = tuple(range(1, 41)), 8
+        n = len(participants)
+        starts = secagg._graph(n).starts
+        ranges = secagg._sender_ranges(n, workers)
+        assert len(ranges) == workers
+        # the first word of each range and a middle word of its last edge
+        at = []
+        for a0, a1 in ranges:
+            at.append(starts[a0] * d)
+            at.append((starts[a1] - 1) * d + d // 2)
+        _force_words(monkeypatch, *at)
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
+        serial, inputs, want = _run(params, participants, d)
+        monkeypatch.setattr(secagg, "_worker_count", lambda words: workers)
+        session, _, out = _run(params, participants, d)
+        assert out == want == _field_sum(inputs, d, params)
+        for (_, got), (_, ref) in zip(session.observations, serial.observations):
+            assert np.array_equal(got, ref)
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+
 def _field_sum(inputs, d, params):
     total = FieldVector.zeros(d, params)
     for v in inputs.values():
@@ -227,7 +390,7 @@ class TestSplit:
         (4, 3, [(0, 1), (1, 2), (2, 3)]),
         (5, 4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
         (7, 2, [(0, 2), (2, 6)]),
-        (128, 2, [(0, 38), (38, 127)]),
+        (128, 2, [(0, 60), (60, 127)]),
         (1, 2, [(0, 0)]),
     ])
     def test_sender_ranges(self, n, workers, want):
@@ -240,14 +403,15 @@ class TestSplit:
         assert ranges[0][0] == 0 and ranges[-1][1] == n - 1
         assert all(a1 == b0 for (_, a1), (b0, _) in zip(ranges, ranges[1:]))
         assert len(ranges) == min(workers, n - 1)
-        pairs = [secagg.pair_index(a1, a1 + 1, n) - secagg.pair_index(a0, a0 + 1, n)
-                 for a0, a1 in ranges]
-        # no range holds more than its share plus one sender's row of pairs
-        assert max(pairs) <= n * (n - 1) / 2 / len(ranges) + n - 1
+        starts = secagg._graph(n).starts
+        edges = [starts[a1] - starts[a0] for a0, a1 in ranges]
+        # no range holds more than its share plus one sender's row of edges
+        assert max(edges) <= starts[n] / len(ranges) + secagg.mask_degree(n)
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     @pytest.mark.parametrize("participants", [(4, 9), (1, 2, 3, 5, 9),
-                                              (1, 2, 3, 4), tuple(range(1, 12))])
+                                              (1, 2, 3, 4), tuple(range(1, 12)),
+                                              tuple(range(1, 41))])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_split_equals_serial(self, field, participants, workers, request,
                                  monkeypatch):
@@ -280,8 +444,8 @@ class TestSplit:
         # the last word of each range's first pair and a middle word of its last
         at = []
         for a0, a1 in ranges:
-            at.append(secagg.pair_index(a0, a0 + 1, n) * d + d - 1)
-            at.append(secagg.pair_index(a1 - 1, n - 1, n) * d + d // 2)
+            at.append(_pair_index(a0, a0 + 1, n) * d + d - 1)
+            at.append(_pair_index(a1 - 1, n - 1, n) * d + d // 2)
         _force_words(monkeypatch, *at)
         monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
         serial, inputs, want = _run(params, participants, d)
@@ -304,18 +468,20 @@ class TestSplit:
         assert secagg._worker_count(split - 1) == 1
         assert secagg._worker_count(2 * split) == 2
         assert secagg._worker_count(100 * split) == 3
-        # K=32 sessions at the shipped d stay serial; K=128 ones split
+        # all pairs of K=128 at the shipped d would split; the 896 edges of
+        # its sparse graph, and the 160 of K=32, stay serial
         assert secagg._worker_count(32 * 31 // 2 * 5514) == 1
         assert secagg._worker_count(128 * 127 // 2 * 5514) == 3
+        assert secagg._worker_count(secagg._graph(128).starts[128] * 5514) == 1
         monkeypatch.setattr(secagg.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
         assert secagg._worker_count(128 * 127 // 2 * 5514) == 1
 
     def test_shipped_split_size_matches_serial(self, fM61, monkeypatch):
-        # K=128 at d=2100 is just over two split sizes of raw words, so the
-        # session splits on any machine with two usable CPUs
-        participants, d = tuple(range(1, 129)), 2100
-        assert secagg._worker_count(128 * 127 // 2 * d) == min(
+        # the 896 edges of K=128 at d=18725 are just over two split sizes of
+        # raw words, so the session splits on any machine with two usable CPUs
+        participants, d = tuple(range(1, 129)), 18725
+        assert secagg._worker_count(secagg._graph(128).starts[128] * d) == min(
             2, len(secagg.os.sched_getaffinity(0)))
         split = _session(fM61, d=d, participants=participants)._net_masks()
         monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
