@@ -119,7 +119,6 @@ class ExperimentConfig:
         return ProtocolCodecs(
             params=FieldParams(self.modulus),
             f_share=self.f_share, g_scale=self.g_scale,
-            f_model=self.f_share + self.g_scale,
         )
 
     def shamir_cfg(self, n_clients=None, threshold=None) -> ShamirConfig:
@@ -315,7 +314,11 @@ def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int = None,
 def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
                         calib: CalibrationTable, z_star: float):
     """The one coalition verification path: encode the model once at the
-    share codec, take one partial inner product per share, combine them."""
+    share codec, take one partial inner product per share, combine them.
+    The codec must use the f_share the calibration table was made for."""
+    if codec.frac_bits != calib.f_share:
+        raise ConfigurationError(f"shares carry f_share {codec.frac_bits}, the "
+                                 f"calibration table f_share {calib.f_share}")
 
     def verifier(theta: np.ndarray) -> VerificationReport:
         enc = codec.encode(theta)
@@ -343,7 +346,7 @@ def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
         _, theta = run_plain_fedavg(cfg, seed=10_000 + i, rounds=cfg.calib_rounds)
         models.append(theta)
     table = calibrate(models, cfg.calib_keys, rng_from_key("calibration-keys"),
-                      fingerprint=model_fingerprint(cfg.shape()))
+                      fingerprint=model_fingerprint(cfg.shape()), f_share=cfg.f_share)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         table.save(os.path.join(outdir, "calibration.txt"))
@@ -392,7 +395,11 @@ def cmd_verify(model_path, share_paths, calib_path,
         )
     shares, hdr, scfg = load_shares(share_paths)
     codec = FixedPointCodec(hdr["f_share"], scfg.params)
-    report = _coalition_verifier(shares, scfg, codec, calib, z_star)(theta)
+    try:
+        verifier = _coalition_verifier(shares, scfg, codec, calib, z_star)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{share_paths[0]}: {exc}") from None
+    report = verifier(theta)
     return report, (0 if report.accepted else 1)
 
 

@@ -416,11 +416,10 @@ class ProtocolCodecs:
     params: FieldParams = dc_field(default_factory=FieldParams)
     f_share: int = F_SHARE
     g_scale: int = G_SCALE
-    f_model: int = F_MODEL
 
-    def __post_init__(self):
-        if self.f_model != self.f_share + self.g_scale:
-            raise ConfigurationError("f_model must equal f_share + g_scale")
+    @property
+    def f_model(self) -> int:
+        return self.f_share + self.g_scale
 
     @property
     def share(self) -> FixedPointCodec:
@@ -459,10 +458,9 @@ class BoundReport:
 TAU_INF_BOUND = 8.0
 
 
-def verification_bound(d: int, theta_max: float, f_share: int,
-                       tau_inf_bound: float = TAU_INF_BOUND) -> float:
+def verification_bound(d: int, theta_max: float, f_share: int) -> float:
     """Worst-case centered magnitude of <enc(theta), enc(tau)> at f_share bits."""
-    return d * theta_max * tau_inf_bound * 2.0 ** (2 * f_share)
+    return d * theta_max * TAU_INF_BOUND * 2.0 ** (2 * f_share)
 
 
 def check_aggregate_bound(
@@ -471,13 +469,12 @@ def check_aggregate_bound(
     theta_max: float,
     scale_max: float,
     codecs: ProtocolCodecs,
-    tau_inf_bound: float = TAU_INF_BOUND,
 ) -> BoundReport:
     """Guard both decodes the protocol performs against wraparound.
 
     (i) the model-sum aggregate K*theta_max*2^f_model plus the watermark
-    term scale_max*2^g_scale * tau_bound * 2^f_share, and (ii) the
-    verification inner product d*theta_max*tau_bound*2^(2*f_share),
+    term scale_max*2^g_scale * TAU_INF_BOUND * 2^f_share, and (ii) the
+    verification inner product d*theta_max*TAU_INF_BOUND*2^(2*f_share),
     must both stay below q/2 in centered magnitude.
     """
     if d < 1 or K < 1 or theta_max < 0 or scale_max < 0:
@@ -485,8 +482,8 @@ def check_aggregate_bound(
     limit = codecs.params.modulus / 2.0
     model_sum = (
         K * theta_max * 2.0 ** codecs.f_model
-        + scale_max * 2.0 ** codecs.g_scale * tau_inf_bound * 2.0 ** codecs.f_share
+        + scale_max * 2.0 ** codecs.g_scale * TAU_INF_BOUND * 2.0 ** codecs.f_share
     )
-    verif = verification_bound(d, theta_max, codecs.f_share, tau_inf_bound)
+    verif = verification_bound(d, theta_max, codecs.f_share)
     ok = model_sum < limit and verif < limit
     return BoundReport(model_sum, verif, limit, ok)

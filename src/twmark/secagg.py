@@ -42,25 +42,13 @@ offset in place.
 Net masks are formed with numpy over rows in slot order: the 32-bit
 halves of each piece are column-summed into its sender's row and
 subtracted from the rows of its receivers, and the split sums are reduced
-mod q once at the end. A session of at least 2 * _SPLIT_WORDS raw words is split into
-contiguous sender ranges with about equal edge counts, one per usable CPU;
-each range runs in its own thread (PCG64 output and numpy passes over
-whole blocks release the GIL) on a copy of the stream advanced to its
-first sender's offset, and keeps its own split sums over the rows from
-that sender on. Every edge therefore reads the same raw words and the same
-fallback stream whatever the split, and the partial sums are added with
-wrapping uint64 arithmetic, which is exact mod 2^64, before the one
-reduction. Masks, masked submissions and sums are thus bit-identical for
-every CPU count. The threads are started and joined inside each call; no
-pool outlives a session.
+mod q once at the end. All of a session's masks are drawn on the calling
+thread, in one pass over the stream.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
 """
 
-import os
-from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import NamedTuple
@@ -69,12 +57,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtocolAbortError
 from .field import _BLOCK_WORDS, _MASK32, M61, FieldParams, FieldVector, _fold
-
-# Fewest raw words a worker thread is given (64 MB of PCG64 output). Below
-# this size a second thread measured no faster. The sparse graph keeps every
-# shipped session under two split sizes: K=128 at d=5514 draws 4.9 M words.
-_SPLIT_WORDS = 1 << 23
-
 
 def mask_degree(n: int) -> int:
     """Neighbours k of each client in a session of n: 2 * ceil(log2 n),
@@ -118,13 +100,13 @@ def edge_offset(a: int, b: int, n: int) -> int:
     raise ConfigurationError(f"slots {a} and {b} of {n} share no mask edge")
 
 
-def _blocks(later, a0: int, a1: int, step: int):
-    """The edges of senders a0 <= a < a1 in stream order, as blocks of at
-    most ``step`` rows; a block is a list of pieces (a, b0, b1), the edges
-    from slot a to the contiguous slots b0 .. b1-1."""
+def _blocks(later, step: int):
+    """All edges in stream order, as blocks of at most ``step`` rows; a
+    block is a list of pieces (a, b0, b1), the edges from slot a to the
+    contiguous slots b0 .. b1-1."""
     block, rows = [], 0
-    for a in range(a0, a1):
-        for s0, s1 in later[a]:
+    for a, slices in enumerate(later):
+        for s0, s1 in slices:
             for b0 in range(s0, s1, step):
                 b1 = min(b0 + step, s1)
                 if rows + b1 - b0 > step:
@@ -134,25 +116,6 @@ def _blocks(later, a0: int, a1: int, step: int):
                 rows += b1 - b0
     if block:
         yield block
-
-
-def _worker_count(words: int) -> int:
-    """Threads for a session of ``words`` raw mask words: one per usable CPU,
-    but none that would draw fewer than _SPLIT_WORDS words."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, words // _SPLIT_WORDS))
-
-
-def _sender_ranges(n: int, workers: int) -> list:
-    """At most ``workers`` contiguous sender ranges [a0, a1) that cover
-    slots 0..n-2 with roughly equal edge counts."""
-    starts = _graph(n).starts
-    bounds = [0] + sorted({bisect_left(starts[:n - 1], i * starts[n] / workers)
-                           for i in range(1, workers)} - {0, n - 1})
-    return list(zip(bounds, bounds[1:] + [n - 1]))
 
 
 @dataclass
@@ -204,17 +167,15 @@ class SecAggSession:
             raw %= np.uint64(q)
         return raw
 
-    def _range_sums(self, a0: int, a1: int):
-        """Split sums (hi, lo) of the mask terms of senders a0 <= a < a1,
-        as wrapping uint64 arrays over the rows of slots a0, ..., n-1."""
+    def _net_masks(self) -> np.ndarray:
+        """(n, d) net masks in slot order: row _slot[p] for the participant
+        at position p."""
         n, d = len(self.participants), self.d
-        graph = _graph(n)
-        hi = np.zeros((n - a0, d), dtype=np.uint64)
-        lo = np.zeros((n - a0, d), dtype=np.uint64)
+        hi = np.zeros((n, d), dtype=np.uint64)
+        lo = np.zeros((n, d), dtype=np.uint64)
         stream = self._stream()
-        stream.advance(graph.starts[a0] * d)
         step = max(1, _BLOCK_WORDS // d)
-        for pieces in _blocks(graph.later, a0, a1, step):
+        for pieces in _blocks(_graph(n).later, step):
             rows = sum(b1 - b0 for _, b0, b1 in pieces)
             block = self._rows(stream.random_raw(rows * d).reshape(-1, d), pieces)
             top = block >> 32
@@ -222,28 +183,11 @@ class SecAggSession:
             r = 0
             for a, b0, b1 in pieces:
                 r1 = r + b1 - b0
-                hi[a - a0] += top[r:r1].sum(axis=0)
-                lo[a - a0] += block[r:r1].sum(axis=0)
-                hi[b0 - a0:b1 - a0] -= top[r:r1]
-                lo[b0 - a0:b1 - a0] -= block[r:r1]
+                hi[a] += top[r:r1].sum(axis=0)
+                lo[a] += block[r:r1].sum(axis=0)
+                hi[b0:b1] -= top[r:r1]
+                lo[b0:b1] -= block[r:r1]
                 r = r1
-        return hi, lo
-
-    def _net_masks(self) -> np.ndarray:
-        """(n, d) net masks in slot order: row _slot[p] for the participant
-        at position p."""
-        n, d = len(self.participants), self.d
-        ranges = _sender_ranges(n, _worker_count(_graph(n).starts[n] * d))
-        if len(ranges) == 1:
-            hi, lo = self._range_sums(0, n - 1)
-        else:
-            with ThreadPoolExecutor(len(ranges) - 1) as pool:
-                parts = [pool.submit(self._range_sums, a0, a1) for a0, a1 in ranges[1:]]
-                hi, lo = self._range_sums(*ranges[0])
-                for (a0, _), part in zip(ranges[1:], parts):
-                    h, l = part.result()
-                    hi[a0:] += h
-                    lo[a0:] += l
         return _fold(hi, lo, self.params.modulus)
 
     def _position(self, k: int) -> int:

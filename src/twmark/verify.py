@@ -27,7 +27,7 @@ from .errors import (
     FingerprintMismatchError,
     ThresholdError,
 )
-from .field import (FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs,
+from .field import (F_SHARE, FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs,
                     verification_bound)
 from .secagg import SecAggSession, secagg_scalar
 from .sharing import ShamirConfig, ShamirShare, lagrange_at_zero, public_norm
@@ -41,7 +41,7 @@ KURTOSIS_WARN = 0.5
 # the fields of a saved calibration table, in file order, with their types
 _CALIB_TYPES = {"mu": float, "sigma": float, "n_models": int, "n_keys_per_model": int,
                 "skewness": float, "excess_kurtosis": float, "dim": int,
-                "fingerprint": str}
+                "f_share": int, "fingerprint": str}
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ class CalibrationTable:
     skewness: float
     excess_kurtosis: float
     dim: int
+    f_share: int    # fractional bits of the shares this table verifies with
     fingerprint: str
 
     def __post_init__(self):
@@ -229,7 +230,7 @@ def cosine_against_keys(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def calibrate(models, n_keys: int, rng: np.random.Generator,
-              fingerprint: str = "") -> CalibrationTable:
+              fingerprint: str = "", f_share: int = F_SHARE) -> CalibrationTable:
     """Pool cosine samples of unwatermarked models against fresh Gaussian
     keys; records moments plus skew/kurtosis diagnostics."""
     models = [np.asarray(m, dtype=np.float64) for m in models]
@@ -258,5 +259,6 @@ def calibrate(models, n_keys: int, rng: np.random.Generator,
         skewness=float(stats.skew(pooled)),
         excess_kurtosis=float(stats.kurtosis(pooled)),
         dim=d,
+        f_share=f_share,
         fingerprint=fingerprint,
     )

@@ -29,12 +29,14 @@ def rng():
 
 @pytest.fixture
 def tamper_share():
-    """Rewrites a share file with another point, another header norm, or
-    with ``extra`` bytes appended (> 0) or cut from its end (< 0)."""
+    """Rewrites a share file with another point, another header norm or
+    f_share, or with ``extra`` bytes appended (> 0) or cut from its end (< 0)."""
 
-    def tamper(src, dst, point=None, extra=0, norm=None):
+    def tamper(src, dst, point=None, extra=0, norm=None, f_share=None):
         data = bytearray(open(src, "rb").read())
         hdr = list(struct.unpack_from(keysetup._SHARE_HDR, data, 8))
+        if f_share is not None:
+            hdr[1] = f_share
         if point is not None:
             hdr[4] = point
         if norm is not None:

@@ -9,18 +9,20 @@ one pass/fail line under `pytest -v`.
 import filecmp
 import itertools
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from twmark import attacks, secagg
+import twmark
+from twmark import attacks
 from twmark.errors import ConfigurationError
 from twmark.experiments import (
     ExperimentConfig,
     cmd_fidelity,
     cmd_scalability,
-    cmd_train,
     make_coalition_verifier,
     run_plain_fedavg,
     run_watermarked,
@@ -129,7 +131,7 @@ def test_criterion_01_exact_algebra(fM61):
     theta = rng.uniform(-1.0, 1.0, d)
     calib = CalibrationTable(mu=0.0, sigma=1.0, n_models=2, n_keys_per_model=100,
                              skewness=0.0, excess_kurtosis=0.0, dim=d,
-                             fingerprint="")
+                             fingerprint="", f_share=codecs.f_share)
     direct = verify_direct(theta, setup.debug_key, calib, codecs)
     n_checked = 0
     for size in range(3, 7):
@@ -358,7 +360,7 @@ def test_criterion_10_gradient_correctness():
         assert rel <= 1e-4, f"coordinate {i}: analytic {grad[i]:.6e}, fd {fd:.6e}"
 
 
-# -- 11: determinism across worker counts --
+# -- 11: determinism across BLAS thread counts --
 
 def _tree_files(root):
     out = []
@@ -368,15 +370,19 @@ def _tree_files(root):
     return sorted(out)
 
 
-def test_criterion_11_determinism(tmp_path, monkeypatch):
-    # the default run, then one whose SecAgg sessions all draw their pair
-    # masks on 3 threads (K=32 sessions run on one thread by default)
+def test_criterion_11_determinism(tmp_path):
+    # BLAS is the only source of threads (Shamir sharing's _matmul_mod and
+    # the flsim matmuls): the same run in two processes, on 1 and 2 BLAS threads
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(twmark.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
     dirs = []
-    for workers in ("default", "3"):
-        if workers == "3":
-            monkeypatch.setattr(secagg, "_worker_count", lambda words: 3)
-        outdir = tmp_path / f"workers_{workers}"
-        cmd_train(CFG, str(outdir), seed=0)
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"blas_{threads}"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from twmark.experiments import "
+             "ExperimentConfig, cmd_train; cmd_train(ExperimentConfig(), sys.argv[1], seed=0)",
+             str(outdir)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path), check=True)
         dirs.append(outdir / "run_seed0")
     a, b = dirs
     files_a, files_b = _tree_files(a), _tree_files(b)

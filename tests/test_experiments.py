@@ -314,6 +314,44 @@ class TestCli:
         assert "decision" not in captured.out
         assert f"error: {tampered[0]}" in captured.err
 
+    def test_verify_rejects_forged_f_share(self, cli_workspace, tmp_path, capsys,
+                                           tamper_share):
+        # share headers rewritten from f_share 20 to 12 once made an
+        # unwatermarked model accept, with z far above z*
+        cfg, _, out = cli_workspace
+        from twmark.experiments import run_plain_fedavg
+
+        _, theta = run_plain_fedavg(cfg, seed=77, rounds=3)
+        model = tmp_path / "plain.bin"
+        save_model(theta, cfg.shape(), 3, model)
+        paths = [str(tmp_path / f"client_{k}.share") for k in (1, 2, 3)]
+        for k, path in zip((1, 2, 3), paths):
+            tamper_share(out / "run_seed0" / "shares" / f"client_{k}.share", path,
+                         f_share=12)
+        code = cli.main(["verify", "--model", str(model),
+                         "--calibration", str(out / "calibration.txt")] + paths)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "decision:" not in captured.out
+        assert f"error: {paths[0]}" in captured.err
+        assert "f_share 12" in captured.err
+
+    def test_verify_rejects_calibration_without_f_share(self, cli_workspace, tmp_path,
+                                                        capsys):
+        _, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        calib = tmp_path / "calibration.txt"
+        calib.write_text("".join(
+            ln for ln in (out / "calibration.txt").read_text().splitlines(keepends=True)
+            if not ln.startswith("f_share")))
+        shares = [str(rundir / "shares" / f"client_{k}.share") for k in (1, 2, 3)]
+        code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
+                         "--calibration", str(calib)] + shares)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "decision:" not in captured.out
+        assert f"error: {calib}" in captured.err and "f_share" in captured.err
+
     @pytest.mark.parametrize("cut", [20, -3])
     def test_verify_rejects_truncated_model_file(self, cli_workspace, tmp_path, capsys,
                                                  cut):

@@ -16,7 +16,6 @@ from twmark.field import (
     FieldParams,
     FieldVector,
     FixedPointCodec,
-    ProtocolCodecs,
     _BLOCK_WORDS,
     _EXACT_ROWS,
     _matmul_mod,
@@ -227,10 +226,6 @@ class TestProtocolCodecs:
         assert codecs.f_share == F_SHARE == 20
         assert codecs.g_scale == G_SCALE == 16
         assert codecs.f_model == F_MODEL == 36
-
-    def test_role_sum_invariant(self, fM61):
-        with pytest.raises(ConfigurationError):
-            ProtocolCodecs(params=fM61, f_share=20, g_scale=16, f_model=30)
 
 
 class TestAggregateBound:

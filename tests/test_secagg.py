@@ -291,6 +291,19 @@ class TestGraph:
         masks = np.stack([session.client_mask(k).values for k in session.participants])
         assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("field,n,digest", [
+        ("f7", 11, "63b8818a8fd7db7d"), ("f7", 40, "c64c65fb31691ac3"),
+        ("f7", 128, "75f9a4b3b9ba71d7"),
+        ("fM61", 11, "13a0140d127ecf47"), ("fM61", 40, "d5f7756740692f14"),
+        ("fM61", 128, "100d4a73730d85d9"),
+    ])
+    def test_sparse_graph_masks_are_pinned(self, field, n, digest, request):
+        # digests of the Harary-graph masks as first shipped
+        params = request.getfixturevalue(field)
+        session = _session(params, participants=tuple(range(1, 2 * n, 2)))
+        masks = session._net_masks()[session._slot]
+        assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     @pytest.mark.parametrize("n", [11, 40])
     def test_observation_minus_input_is_client_mask(self, field, n, rng, request):
@@ -340,33 +353,6 @@ class TestGraph:
         assert int(after.values[5]) == want
         assert np.array_equal(np.delete(after.values, 5), np.delete(before.values, 5))
 
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_rejected_word_in_every_sparse_range(self, field, workers, request,
-                                                 monkeypatch):
-        params = request.getfixturevalue(field)
-        participants, d = tuple(range(1, 41)), 8
-        n = len(participants)
-        starts = secagg._graph(n).starts
-        ranges = secagg._sender_ranges(n, workers)
-        assert len(ranges) == workers
-        # the first word of each range and a middle word of its last edge
-        at = []
-        for a0, a1 in ranges:
-            at.append(starts[a0] * d)
-            at.append((starts[a1] - 1) * d + d // 2)
-        _force_words(monkeypatch, *at)
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
-        serial, inputs, want = _run(params, participants, d)
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: workers)
-        session, _, out = _run(params, participants, d)
-        assert out == want == _field_sum(inputs, d, params)
-        for (_, got), (_, ref) in zip(session.observations, serial.observations):
-            assert np.array_equal(got, ref)
-        applied = _applied_masks(session, inputs)
-        for k in participants:
-            assert applied[k] == _sum_of_pair_masks(session, k)
-
 
 def _field_sum(inputs, d, params):
     total = FieldVector.zeros(d, params)
@@ -382,127 +368,50 @@ def _run(params, participants, d):
     return session, inputs, secagg_sum(inputs, session)
 
 
-class TestSplit:
-    """Sessions split into sender ranges give the serial masks bit for bit."""
-
-    @pytest.mark.parametrize("n,workers,want", [
-        (2, 1, [(0, 1)]), (2, 4, [(0, 1)]),
-        (4, 3, [(0, 1), (1, 2), (2, 3)]),
-        (5, 4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-        (7, 2, [(0, 2), (2, 6)]),
-        (128, 2, [(0, 60), (60, 127)]),
-        (1, 2, [(0, 0)]),
-    ])
-    def test_sender_ranges(self, n, workers, want):
-        assert secagg._sender_ranges(n, workers) == want
-
-    @pytest.mark.parametrize("n", [2, 3, 6, 11, 40])
-    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
-    def test_sender_ranges_are_balanced(self, n, workers):
-        ranges = secagg._sender_ranges(n, workers)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n - 1
-        assert all(a1 == b0 for (_, a1), (b0, _) in zip(ranges, ranges[1:]))
-        assert len(ranges) == min(workers, n - 1)
-        starts = secagg._graph(n).starts
-        edges = [starts[a1] - starts[a0] for a0, a1 in ranges]
-        # no range holds more than its share plus one sender's row of edges
-        assert max(edges) <= starts[n] / len(ranges) + secagg.mask_degree(n)
+class TestSerialMasks:
+    """Masks over whole sessions: sender boundaries, rejections, and K=128."""
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     @pytest.mark.parametrize("participants", [(4, 9), (1, 2, 3, 5, 9),
                                               (1, 2, 3, 4), tuple(range(1, 12)),
                                               tuple(range(1, 41))])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_split_equals_serial(self, field, participants, workers, request,
-                                 monkeypatch):
+    def test_applied_masks_are_client_and_pair_masks(self, field, participants,
+                                                     request):
         params = request.getfixturevalue(field)
-        d = 8
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
-        serial, inputs, want = _run(params, participants, d)
-        serial_masks = serial._net_masks()
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: workers)
-        session, _, out = _run(params, participants, d)
-        assert out == want
-        assert np.array_equal(session._net_masks(), serial_masks)
+        session, inputs, out = _run(params, participants, 8)
+        assert out == _field_sum(inputs, 8, params)
         assert [k for k, _ in session.observations] == list(participants)
-        for (_, got), (_, ref) in zip(session.observations, serial.observations):
-            assert np.array_equal(got, ref)
         applied = _applied_masks(session, inputs)
         for k in participants:
             assert applied[k] == session.client_mask(k)
             assert applied[k] == _sum_of_pair_masks(session, k)
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_rejected_word_in_every_range(self, field, workers, request,
-                                          monkeypatch):
+    @pytest.mark.parametrize("n", [9, 40])
+    def test_rejected_words_at_sender_boundaries(self, field, n, request,
+                                                 monkeypatch):
         params = request.getfixturevalue(field)
-        participants, d = tuple(range(1, 10)), 8
-        n = len(participants)
-        ranges = secagg._sender_ranges(n, workers)
-        assert len(ranges) == workers
-        # the last word of each range's first pair and a middle word of its last
+        participants, d = tuple(range(1, n + 1)), 8
+        starts = secagg._graph(n).starts
+        senders = [0, 1, n // 3, n // 2, n - 3, n - 2]
+        # the first word of each sender and a middle word of its last edge
         at = []
-        for a0, a1 in ranges:
-            at.append(_pair_index(a0, a0 + 1, n) * d + d - 1)
-            at.append(_pair_index(a1 - 1, n - 1, n) * d + d // 2)
+        for a in senders:
+            at.append(starts[a] * d)
+            at.append((starts[a + 1] - 1) * d + d // 2)
         _force_words(monkeypatch, *at)
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
-        serial, inputs, want = _run(params, participants, d)
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: workers)
-        session, _, out = _run(params, participants, d)
-        assert out == want
+        session, inputs, out = _run(params, participants, d)
         assert out == _field_sum(inputs, d, params)
-        for (_, got), (_, ref) in zip(session.observations, serial.observations):
-            assert np.array_equal(got, ref)
-            assert int(got.max()) < params.modulus
+        for _, masked in session.observations:
+            assert int(masked.max()) < params.modulus
         applied = _applied_masks(session, inputs)
         for k in participants:
             assert applied[k] == _sum_of_pair_masks(session, k)
 
-    def test_worker_count_follows_split_size_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(secagg.os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2}, raising=False)
-        split = secagg._SPLIT_WORDS
-        assert secagg._worker_count(0) == 1
-        assert secagg._worker_count(split - 1) == 1
-        assert secagg._worker_count(2 * split) == 2
-        assert secagg._worker_count(100 * split) == 3
-        # all pairs of K=128 at the shipped d would split; the 896 edges of
-        # its sparse graph, and the 160 of K=32, stay serial
-        assert secagg._worker_count(32 * 31 // 2 * 5514) == 1
-        assert secagg._worker_count(128 * 127 // 2 * 5514) == 3
-        assert secagg._worker_count(secagg._graph(128).starts[128] * 5514) == 1
-        monkeypatch.setattr(secagg.os, "sched_getaffinity",
-                            lambda pid: {0}, raising=False)
-        assert secagg._worker_count(128 * 127 // 2 * 5514) == 1
-
-    def test_shipped_split_size_matches_serial(self, fM61, monkeypatch):
-        # the 896 edges of K=128 at d=18725 are just over two split sizes of
-        # raw words, so the session splits on any machine with two usable CPUs
-        participants, d = tuple(range(1, 129)), 18725
-        assert secagg._worker_count(secagg._graph(128).starts[128] * d) == min(
-            2, len(secagg.os.sched_getaffinity(0)))
-        split = _session(fM61, d=d, participants=participants)._net_masks()
-        monkeypatch.setattr(secagg, "_worker_count", lambda words: 1)
-        serial = _session(fM61, d=d, participants=participants)._net_masks()
-        assert np.array_equal(split, serial)
-        assert not np.any(serial.sum(axis=0, dtype=object) % fM61.modulus)
-
-    @pytest.mark.parametrize("above", [False, True])
-    def test_sessions_on_both_sides_of_split_size(self, fM61, monkeypatch, above):
-        participants, d = tuple(range(1, 10)), 8      # 36 pairs, 288 words
-        words = 36 * d
-        monkeypatch.setattr(secagg.os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2, 3}, raising=False)
-        monkeypatch.setattr(secagg, "_SPLIT_WORDS",
-                            words // 2 if above else words + 1)
-        assert secagg._worker_count(words) == (2 if above else 1)
-        session, inputs, out = _run(fM61, participants, d)
-        assert out == _field_sum(inputs, d, fM61)
-        applied = _applied_masks(session, inputs)
-        for k in participants:
-            assert applied[k] == _sum_of_pair_masks(session, k)
+    def test_masks_cancel_at_k128_shipped_width(self, fM61):
+        # the 896 edges of K=128 at the default hidden width: 4.9 M raw words
+        masks = _session(fM61, d=5514, participants=tuple(range(1, 129)))._net_masks()
+        assert not np.any(masks.sum(axis=0, dtype=object) % fM61.modulus)
 
 
 class TestSecAggScalar:

@@ -28,7 +28,7 @@ def _table(mu=0.0, sigma=0.01, dim=64, fingerprint=""):
     return CalibrationTable(mu=mu, sigma=sigma, n_models=2,
                             n_keys_per_model=100, skewness=0.0,
                             excess_kurtosis=0.0, dim=dim,
-                            fingerprint=fingerprint)
+                            fingerprint=fingerprint, f_share=20)
 
 
 def _setup(rng, K=5, t=3, d=64):
@@ -80,7 +80,8 @@ class TestCalibrationTable:
         assert not ok.normality_warning
         skewed = CalibrationTable(mu=0, sigma=1, n_models=2,
                                   n_keys_per_model=100, skewness=0.4,
-                                  excess_kurtosis=0.0, dim=4, fingerprint="")
+                                  excess_kurtosis=0.0, dim=4, fingerprint="",
+                                  f_share=20)
         assert skewed.normality_warning
 
 
