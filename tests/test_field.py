@@ -16,6 +16,7 @@ from twmark.field import (
     FieldParams,
     FieldVector,
     FixedPointCodec,
+    ProtocolCodecs,
     _BLOCK_WORDS,
     _EXACT_ROWS,
     _matmul_mod,
@@ -226,6 +227,15 @@ class TestProtocolCodecs:
         assert codecs.f_share == F_SHARE == 20
         assert codecs.g_scale == G_SCALE == 16
         assert codecs.f_model == F_MODEL == 36
+
+    def test_role_sum_invariant(self, fM61):
+        # f_model is derived from the other two roles, so it cannot disagree
+        codecs = ProtocolCodecs(params=fM61, f_share=20, g_scale=10)
+        assert codecs.f_model == codecs.model.frac_bits == 30
+        with pytest.raises(TypeError):
+            ProtocolCodecs(params=fM61, f_share=20, g_scale=16, f_model=30)
+        with pytest.raises(AttributeError):
+            codecs.f_model = 36
 
 
 class TestAggregateBound:

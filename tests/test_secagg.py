@@ -353,6 +353,27 @@ class TestGraph:
         assert int(after.values[5]) == want
         assert np.array_equal(np.delete(after.values, 5), np.delete(before.values, 5))
 
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_rejected_word_in_every_sparse_range(self, field, rows, request,
+                                                 monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = tuple(range(1, 41)), 8
+        offsets = _block_offsets(len(participants), rows)
+        assert max(np.diff(offsets)) <= rows < offsets[-1]
+        # the first word of each block and a middle word of its last edge
+        at = []
+        for r0, r1 in zip(offsets, offsets[1:]):
+            at.append(r0 * d)
+            at.append((r1 - 1) * d + d // 2)
+        _force_words(monkeypatch, *at)
+        session, inputs, out = _split_run(params, participants, d, rows,
+                                          monkeypatch)
+        assert out == _field_sum(inputs, d, params)
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
 
 def _field_sum(inputs, d, params):
     total = FieldVector.zeros(d, params)
@@ -369,22 +390,7 @@ def _run(params, participants, d):
 
 
 class TestSerialMasks:
-    """Masks over whole sessions: sender boundaries, rejections, and K=128."""
-
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
-    @pytest.mark.parametrize("participants", [(4, 9), (1, 2, 3, 5, 9),
-                                              (1, 2, 3, 4), tuple(range(1, 12)),
-                                              tuple(range(1, 41))])
-    def test_applied_masks_are_client_and_pair_masks(self, field, participants,
-                                                     request):
-        params = request.getfixturevalue(field)
-        session, inputs, out = _run(params, participants, 8)
-        assert out == _field_sum(inputs, 8, params)
-        assert [k for k, _ in session.observations] == list(participants)
-        applied = _applied_masks(session, inputs)
-        for k in participants:
-            assert applied[k] == session.client_mask(k)
-            assert applied[k] == _sum_of_pair_masks(session, k)
+    """Masks over whole sessions, with rejected words at sender boundaries."""
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     @pytest.mark.parametrize("n", [9, 40])
@@ -408,10 +414,99 @@ class TestSerialMasks:
         for k in participants:
             assert applied[k] == _sum_of_pair_masks(session, k)
 
-    def test_masks_cancel_at_k128_shipped_width(self, fM61):
-        # the 896 edges of K=128 at the default hidden width: 4.9 M raw words
-        masks = _session(fM61, d=5514, participants=tuple(range(1, 129)))._net_masks()
-        assert not np.any(masks.sum(axis=0, dtype=object) % fM61.modulus)
+
+def _block_offsets(n, rows):
+    """Edge offsets at which the blocks of at most ``rows`` rows start, and
+    the edge count of the session after the last."""
+    offsets = [0]
+    for pieces in secagg._blocks(secagg._graph(n).later, rows):
+        offsets.append(offsets[-1] + sum(b1 - b0 for _, b0, b1 in pieces))
+    return offsets
+
+
+def _split_run(params, participants, d, rows, monkeypatch):
+    """(session, inputs, output) of a session read in blocks of at most
+    ``rows`` rows, after checking its net masks, observations and output
+    against the same session read in one block."""
+    monkeypatch.setattr(secagg, "_BLOCK_WORDS", 1 << 40)
+    whole, inputs, want = _run(params, participants, d)
+    whole_masks = whole._net_masks()
+    monkeypatch.setattr(secagg, "_BLOCK_WORDS", rows * d)
+    session, _, out = _run(params, participants, d)
+    assert out == want
+    assert np.array_equal(session._net_masks(), whole_masks)
+    assert [k for k, _ in session.observations] == list(session.participants)
+    for (_, got), (_, ref) in zip(session.observations, whole.observations):
+        assert np.array_equal(got, ref)
+    return session, inputs, out
+
+
+class TestSplit:
+    """Sessions split into blocks of rows give the one-block masks bit for bit."""
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("participants", [(4, 9), (1, 2, 3, 5, 9),
+                                              (1, 2, 3, 4), tuple(range(1, 12)),
+                                              tuple(range(1, 41))])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_split_equals_serial(self, field, participants, rows, request,
+                                 monkeypatch):
+        params = request.getfixturevalue(field)
+        session, inputs, out = _split_run(params, participants, 8, rows,
+                                          monkeypatch)
+        assert out == _field_sum(inputs, 8, params)
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == session.client_mask(k)
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_rejected_word_in_every_range(self, field, rows, request,
+                                          monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = tuple(range(1, 10)), 8
+        offsets = _block_offsets(len(participants), rows)
+        assert max(np.diff(offsets)) <= rows < offsets[-1]
+        # the last word of each block's first edge and a middle word of its last
+        at = []
+        for r0, r1 in zip(offsets, offsets[1:]):
+            at.append(r0 * d + d - 1)
+            at.append((r1 - 1) * d + d // 2)
+        _force_words(monkeypatch, *at)
+        session, inputs, out = _split_run(params, participants, d, rows,
+                                          monkeypatch)
+        assert out == _field_sum(inputs, d, params)
+        for _, masked in session.observations:
+            assert int(masked.max()) < params.modulus
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
+
+    def test_shipped_split_size_matches_serial(self, fM61, monkeypatch):
+        # the 896 edges of K=128 at the default hidden width: 4.9 M raw words,
+        # read in blocks of _BLOCK_WORDS or all at once
+        participants, d = tuple(range(1, 129)), 5514
+        assert secagg._graph(128).starts[128] == 896
+        split = _session(fM61, d=d, participants=participants)._net_masks()
+        monkeypatch.setattr(secagg, "_BLOCK_WORDS", 1 << 40)
+        serial = _session(fM61, d=d, participants=participants)._net_masks()
+        assert np.array_equal(split, serial)
+        assert not np.any(serial.sum(axis=0, dtype=object) % fM61.modulus)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_sessions_on_both_sides_of_split_size(self, fM61, monkeypatch, above):
+        participants, d = tuple(range(1, 10)), 8      # 36 edges, 288 words
+        words = 36 * d
+        monkeypatch.setattr(secagg, "_BLOCK_WORDS",
+                            words // 2 if above else words)
+        step = secagg._BLOCK_WORDS // d
+        assert (len(_block_offsets(9, step)) > 2) == above
+        session, inputs, out = _run(fM61, participants, d)
+        assert out == _field_sum(inputs, d, fM61)
+        applied = _applied_masks(session, inputs)
+        for k in participants:
+            assert applied[k] == _sum_of_pair_masks(session, k)
 
 
 class TestSecAggScalar:
