@@ -2,7 +2,8 @@
 
 Subcommands: calibrate, train, attack, verify, scalability, fidelity,
 robustness, report. A config file holds key = value pairs (one per line,
-Python literals); any key can be overridden with --set key=value.
+Python literals of the field's type); any key can be overridden with
+--set key=value.
 
 verify exit codes: 0 accept, 1 reject, 2 error (including coalitions
 below the threshold).

@@ -5,7 +5,6 @@ and all randomness flows through seeded streams so re-running a command
 with the same config yields byte-identical CSV bodies.
 """
 
-import ast
 import glob
 import hashlib
 import os
@@ -25,6 +24,7 @@ from .keysetup import (
     setup_dkg,
     setup_trusted_dealer,
 )
+from .literals import file_lines, literal_text, read_literals
 from .protocol import (
     ClientState,
     ProtocolParams,
@@ -158,10 +158,7 @@ class ExperimentConfig:
     # -- serialization --
 
     def canonical_text(self) -> str:
-        lines = []
-        for f in dc_fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        return "\n".join(lines) + "\n"
+        return literal_text((f.name, getattr(self, f.name)) for f in dc_fields(self))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
@@ -172,30 +169,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "ExperimentConfig":
-        values = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, raw = line.partition("=")
-                if not sep:
-                    raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-                values[key.strip()] = ast.literal_eval(raw.strip())
-        return cls.with_overrides(values, overrides)
+        values = {**read_literals(file_lines(path), _CONFIG_TYPES), **_set_items(overrides)}
+        try:
+            return cls(**values)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     @classmethod
     def with_overrides(cls, values: dict, overrides=()) -> "ExperimentConfig":
-        known = {f.name for f in dc_fields(cls)}
-        for item in overrides:
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ConfigurationError(f"override {item!r} is not key=value")
-            values[key.strip()] = ast.literal_eval(raw.strip())
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values)
+        return cls(**{**values, **_set_items(overrides)})
+
+
+_CONFIG_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
+
+
+def _set_items(overrides) -> dict:
+    """Config values from `--set key=value` items."""
+    return read_literals(((f"--set {item!r}", item) for item in overrides), _CONFIG_TYPES)
 
 
 # -- model / trajectory files --
@@ -245,14 +235,19 @@ def load_trajectory(dirpath):
     return out
 
 
+# the keys of a run manifest, in file order, with their types
+_MANIFEST_TYPES = {"config_hash": str, "seed": int, "setup_mode": str,
+                   "commitment_nonce": str, "commitment_digest": str}
+
+
 def write_manifest(cfg: ExperimentConfig, seed: int, setup, path):
+    pairs = [("config_hash", cfg.config_hash()), ("seed", seed),
+             ("setup_mode", cfg.setup_mode)]
+    if setup.commitment is not None:
+        pairs += [("commitment_nonce", setup.commitment.nonce.hex()),
+                  ("commitment_digest", setup.commitment.digest.hex())]
     with open(path, "w") as fh:
-        fh.write(f"config_hash = {cfg.config_hash()!r}\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write(f"setup_mode = {cfg.setup_mode!r}\n")
-        if setup.commitment is not None:
-            fh.write(f"commitment_nonce = {setup.commitment.nonce.hex()!r}\n")
-            fh.write(f"commitment_digest = {setup.commitment.digest.hex()!r}\n")
+        fh.write(literal_text(pairs))
 
 
 def write_csv(path, header: str, rows):
@@ -452,8 +447,8 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
         write_csv(os.path.join(outdir, "scalability.csv"),
                   "config_hash,K,seed,method,z,test_accuracy", rows)
         with open(os.path.join(outdir, "scalability_summary.txt"), "w") as fh:
-            fh.write(f"baseline_decay_exponent = {slope!r}\n")
-            fh.write(f"z_star = {cfg.z_star!r}\n")
+            fh.write(literal_text([("baseline_decay_exponent", slope),
+                                   ("z_star", cfg.z_star)]))
     return {"records": records, "baseline_decay_exponent": slope}
 
 
@@ -589,7 +584,7 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
         write_csv(os.path.join(outdir, "robustness.csv"),
                   "run_id,attack,params,step,test_accuracy,z,decision", rows)
         with open(os.path.join(outdir, "robustness_summary.txt"), "w") as fh:
-            fh.write(f"z_threshold_line = {cfg.z_star!r}\n")
+            fh.write(literal_text([("z_threshold_line", cfg.z_star)]))
             for p, front in sorted(fronts.items()):
                 fh.write(f"pareto_frontier_p={p}: {front!r}\n")
     return {"records": records, "pareto": fronts}
@@ -604,16 +599,9 @@ def load_run(cfg: ExperimentConfig, rundir):
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
     setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares)
     manifest = os.path.join(rundir, "manifest.txt")
-    seed = None
-    with open(manifest) as fh:
-        for line in fh:
-            key, _, value = line.partition("=")
-            if key.strip() == "seed":
-                seed = value.strip()
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{manifest}: no integer seed line") from None
+    seed = read_literals(file_lines(manifest), _MANIFEST_TYPES).get("seed")
+    if seed is None:
+        raise ConfigurationError(f"{manifest}: no integer seed line")
     dataset = cfg.dataset(seed)
     trajectory = load_trajectory(os.path.join(rundir, "trajectory"))
     return setup, dataset, trajectory

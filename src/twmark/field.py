@@ -207,15 +207,6 @@ class FieldParams:
                 f"modulus mismatch: {self.modulus} vs {other.modulus}"
             )
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
 

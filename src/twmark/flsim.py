@@ -60,8 +60,8 @@ def _sample_blobs(rng, means, noise, per_class):
 
 
 def gen_dataset(seed: int, n: int = 20480, input_dim: int = 32, n_classes: int = 10,
-                n_clients: int = 32, noise: float = 1.0, n_test: int = 2000,
-                aux_fraction: float = 1.0) -> SyntheticDataset:
+                n_clients: int = 32, noise: float = 1.0,
+                n_test: int = 2000) -> SyntheticDataset:
     """Deterministic per seed. n must divide evenly into K shards; labels
     are dealt per class round-robin so every shard is balanced."""
     if n % n_clients != 0:
@@ -74,9 +74,7 @@ def gen_dataset(seed: int, n: int = 20480, input_dim: int = 32, n_classes: int =
     means = 3.0 * rng.standard_normal((n_classes, input_dim))
     X_train, y_train = _sample_blobs(rng, means, noise, n // n_classes)
     X_test, y_test = _sample_blobs(rng, means, noise, n_test // n_classes)
-    n_aux = int(aux_fraction * n)
-    n_aux -= n_aux % n_classes
-    X_aux, y_aux = _sample_blobs(rng, means, noise, max(n_aux // n_classes, 1))
+    X_aux, y_aux = _sample_blobs(rng, means, noise, max(n // n_classes, 1))
 
     # per-class round-robin deal keeps every shard balanced within 5%
     shards = [[] for _ in range(n_clients)]

@@ -14,8 +14,6 @@ theta_s is encoded at f_share bits (not f_model) so the inner product
 stays within q/2 at larger d; the bound check is a hard precondition.
 """
 
-import ast
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +27,7 @@ from .errors import (
 )
 from .field import (F_SHARE, FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs,
                     verification_bound)
+from .literals import file_lines, literal_text, read_literals
 from .secagg import SecAggSession, secagg_scalar
 from .sharing import ShamirConfig, ShamirShare, lagrange_at_zero, public_norm
 
@@ -68,44 +67,19 @@ class CalibrationTable:
 
     def save(self, path):
         with open(path, "w") as fh:
-            for k in _CALIB_TYPES:
-                fh.write(f"{k} = {getattr(self, k)!r}\n")
+            fh.write(literal_text((k, getattr(self, k)) for k in _CALIB_TYPES))
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":
         """Parse a saved table; values are literals, never evaluated code."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except UnicodeDecodeError:
-            raise ConfigurationError(f"{path}: calibration table is not text") from None
-        fields = {}
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CALIB_TYPES:
-                raise ConfigurationError(f"{path}:{lineno}: expected a calibration "
-                                         f"field = value, got {line[:60]!r}")
-            try:
-                value = ast.literal_eval(raw.strip())
-            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: {key} is not a literal") from None
-            want = _CALIB_TYPES[key]
-            if type(value) is int and want is float:
-                value = float(value)
-            if type(value) is not want or (want is float and not math.isfinite(value)):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: {key} = {raw.strip()[:40]} is not a "
-                    f"{'finite float' if want is float else want.__name__}")
-            fields[key] = value
+        fields = read_literals(file_lines(path), _CALIB_TYPES)
         missing = sorted(set(_CALIB_TYPES) - set(fields))
         if missing:
             raise ConfigurationError(f"{path}: calibration table lacks {missing}")
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -115,15 +89,6 @@ class VerificationReport:
     z_star: float
     accepted: bool
     coalition_size: int
-
-    def csv_row(self, model_id="", attack_id="") -> str:
-        decision = "accept" if self.accepted else "reject"
-        return (
-            f"{model_id},{attack_id},{self.coalition_size},"
-            f"{self.cosine:.10g},{self.z:.10g},{decision}"
-        )
-
-    CSV_HEADER = "model_id,attack_id,coalition_size,cosine,z,decision"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twmark import cli, experiments
 from twmark.errors import ConfigurationError
@@ -75,6 +77,31 @@ class TestConfig:
     def test_malformed_override(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.with_overrides({}, ["justakey"])
+
+    def test_int_for_float_field_is_stored_as_float(self):
+        cfg = ExperimentConfig.with_overrides({}, ["strength_c=1"])
+        assert type(cfg.strength_c) is float
+        assert cfg.config_hash() == ExperimentConfig(strength_c=1.0).config_hash()
+
+    @pytest.mark.parametrize("line, message", [
+        ("rounds = 1.5", "rounds = 1.5 is not of type int"),
+        ("seeds = 0", "seeds = 0 is not of type tuple"),
+        ("noise = 1e999", "noise = 1e999 is not a finite float"),
+        ("rounds = os.sep", "rounds is not a literal"),
+        ("rounds 5", "expected a known key = value"),
+    ])
+    def test_file_errors_name_the_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "config.txt"
+        path.write_text("# comment\n\n" + line + "\n")
+        want = "^" + re.escape(f"{path}:3: {message}")
+        with pytest.raises(ConfigurationError, match=want):
+            ExperimentConfig.from_file(path)
+
+    def test_file_values_are_checked_together(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("n_clients = 4\n")  # below the default threshold
+        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: threshold")):
+            ExperimentConfig.from_file(path)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -374,6 +401,31 @@ class TestCli:
         assert code == 2
         assert "modulus 18446744073709551557" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, where, key", [
+        (["--set", "rounds=1.5"], "--set 'rounds=1.5'", "rounds"),
+        (["--set", "seeds=0"], "--set 'seeds=0'", "seeds"),
+        (["--set", "strength_c=1e999"], "--set 'strength_c=1e999'", "strength_c"),
+        (["--config", "{bad}"], "{bad}:1", "rounds"),
+    ], ids=["set-float-rounds", "set-int-seeds", "set-inf-strength", "config-name"])
+    def test_train_rejects_mistyped_config(self, tmp_path, capsys, args, where, key):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("rounds = os.sep\n")
+        args = [a.format(bad=bad) for a in args]
+        code = cli.main(["train", *args, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {where.format(bad=bad)}: {key}" in err
+        assert not list(tmp_path.glob("**/run_seed*"))
+
+    def test_load_run_rejects_unknown_manifest_line(self, cli_workspace, tmp_path):
+        cfg, _, out = cli_workspace
+        shutil.copytree(out / "run_seed0", tmp_path / "run_seed0")
+        manifest = tmp_path / "run_seed0" / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "public_norm = 74.25\n")
+        want = re.escape(str(manifest)) + r":\d+: .*'public_norm"
+        with pytest.raises(ConfigurationError, match=want):
+            load_run(cfg, tmp_path / "run_seed0")
+
     def test_attack_command(self, cli_workspace):
         cfg, cfg_path, out = cli_workspace
         code = cli.main(["attack", "--config", str(cfg_path),
@@ -395,3 +447,54 @@ class TestCli:
                          "--set", "banana=1", "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def literal_files(cli_workspace, tmp_path_factory):
+    """Copies of a saved config, a calibration table and a run's manifest,
+    each as (path, original bytes, loader)."""
+    cfg, cfg_path, out = cli_workspace
+    root = tmp_path_factory.mktemp("literal-files")
+    shutil.copy(cfg_path, root / "config.txt")
+    shutil.copy(out / "calibration.txt", root / "calibration.txt")
+    shutil.copytree(out / "run_seed0", root / "run_seed0")
+    files = {
+        "config": (root / "config.txt",
+                   lambda: ExperimentConfig.from_file(root / "config.txt")),
+        "calibration": (root / "calibration.txt",
+                        lambda: CalibrationTable.load(root / "calibration.txt")),
+        "manifest": (root / "run_seed0" / "manifest.txt",
+                     lambda: load_run(cfg, root / "run_seed0")),
+    }
+    return {kind: (path, path.read_bytes(), load) for kind, (path, load) in files.items()}
+
+
+def _damage(data: bytes, draw) -> bytes:
+    """``data`` cut anywhere, with one arbitrary line appended, or with one byte flipped."""
+    how = draw(st.sampled_from(["cut", "append", "flip"]))
+    if how == "cut":
+        return data[:draw(st.integers(0, len(data)))]
+    if how == "append":
+        line = draw(st.one_of(st.text().map(str.encode), st.binary()))
+        return data + line + b"\n"
+    pos = draw(st.integers(0, len(data) - 1))
+    flipped = data[pos] ^ draw(st.integers(1, 255))
+    return data[:pos] + bytes([flipped]) + data[pos + 1:]
+
+
+class TestLiteralFiles:
+    @pytest.mark.parametrize("kind", ["config", "calibration", "manifest"])
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damaged_file_loads_or_names_itself(self, literal_files, kind, data):
+        path, original, load = literal_files[kind]
+        path.write_bytes(_damage(original, data.draw))
+        try:
+            load()
+        except ConfigurationError as exc:
+            assert str(exc).startswith(str(path)), exc
+
+    def test_saved_files_load(self, literal_files):
+        for path, original, load in literal_files.values():
+            path.write_bytes(original)
+            load()

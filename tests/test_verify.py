@@ -208,14 +208,6 @@ class TestCalibrate:
         table = calibrate(models, 200, rng)
         assert table.n_models == 2
 
-    def test_report_csv_row(self):
-        rep = VerificationReport(cosine=0.1, z=5.0, z_star=4.0, accepted=True,
-                                 coalition_size=3)
-        row = rep.csv_row("m1", "none")
-        assert row.split(",")[0] == "m1"
-        assert row.endswith("accept")
-        assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
-
 
 def test_model_fingerprint():
     assert model_fingerprint(MlpShape()) == "mlp-32x128x10-d5514"
