@@ -16,8 +16,10 @@ from twmark.attacks import (
     _quantize_tensor,
 )
 from twmark.errors import ConfigurationError, DegenerateModelError
-from twmark.flsim import MlpShape, gen_dataset, init_model, logits
+from twmark.flsim import (AdamWParams, AdamWState, MlpShape, forward_backward, gen_dataset,
+                          init_model, local_train, logits)
 from twmark.protocol import GlobalModel
+from twmark.rngutil import rng_from_key
 
 SHAPE = MlpShape(input_dim=6, hidden=8, n_classes=4)  # d = 92
 
@@ -217,3 +219,74 @@ class TestPareto:
 
     def test_single_point(self):
         assert pareto_frontier([(0.5, 3.0)]) == [(0.5, 3.0)]
+
+
+def _reference_training(theta, X, rng, epochs, batch_size, opt, batch_grad):
+    """AdamW over shuffled mini-batches written out as one loop, with
+    theta after every epoch: the reference for every training procedure."""
+    state = AdamWState(params=opt)
+    out = [theta.copy()]
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), batch_size):
+            idx = order[start:start + batch_size]
+            theta = state.update(theta, batch_grad(theta, idx))
+        out.append(theta.copy())
+    return out
+
+
+def _assert_checkpoints(got, want):
+    assert [step for step, _ in got] == list(range(len(want)))
+    for (_, a), b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+class TestTrainingMatchesReference:
+    """Every training procedure is the reference loop, bit for bit (the
+    attacks draw their subset and streams at seed 0)."""
+
+    CFG = dict(epochs=3, batch_size=32, optimizer=AdamWParams(lr=0.01, weight_decay=0.1))
+
+    def test_local_train(self, theta, dataset):
+        X, y = dataset.shard(1)
+        opt = AdamWParams(lr=0.01, weight_decay=0.1)
+        got = local_train(theta, X, y, SHAPE, np.random.default_rng(5), epochs=3,
+                          batch_size=32, opt=opt)
+        want = _reference_training(
+            theta, X, np.random.default_rng(5), 3, 32, opt,
+            lambda th, idx: forward_backward(th, X[idx], y[idx], SHAPE)[1])
+        assert np.array_equal(got, want[-1])
+
+    def test_finetune(self, theta, dataset):
+        cfg = AttackConfig(data_fraction=0.1, **self.CFG)
+        X, y = sample_attack_subset(dataset, 0.1, seed=0)
+        want = _reference_training(
+            theta, X, rng_from_key(0, "finetune"), 3, 32, cfg.optimizer,
+            lambda th, idx: forward_backward(th, X[idx], y[idx], SHAPE)[1])
+        _assert_checkpoints(attack_finetune(theta, dataset, SHAPE, cfg), want)
+
+    def test_adaptive_finetune(self, theta, dataset, rng):
+        cfg = AttackConfig(data_fraction=0.1, alpha=0.3, **self.CFG)
+        key = estimate_key(_traj(rng))
+        X, y = sample_attack_subset(dataset, 0.1, seed=0)
+
+        def grad(th, idx):
+            g = forward_backward(th, X[idx], y[idx], SHAPE)[1]
+            align = float(th @ key.direction)
+            return 0.7 * g + 0.3 * np.sign(align) * key.direction
+
+        want = _reference_training(theta, X, rng_from_key(0, "finetune"), 3, 32,
+                                   cfg.optimizer, grad)
+        _assert_checkpoints(attack_adaptive_finetune(theta, dataset, SHAPE, key, cfg),
+                            want)
+
+    def test_distill(self, theta, dataset):
+        cfg = AttackConfig(data_fraction=0.2, alpha=0.5, **self.CFG)
+        X, y = sample_attack_subset(dataset, 0.2, seed=0)
+        teacher_out = logits(theta, X, SHAPE)
+        student = init_model(SHAPE, rng_from_key(0, "student_init"))
+        want = _reference_training(
+            student, X, rng_from_key(0, "distill"), 3, 32, cfg.optimizer,
+            lambda th, idx: _kd_grad(th, X[idx], y[idx], teacher_out[idx], SHAPE,
+                                     T=3.0, alpha=0.5)[1])
+        _assert_checkpoints(attack_distill(theta, dataset, SHAPE, cfg), want)
