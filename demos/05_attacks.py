@@ -48,21 +48,21 @@ report("quantize static4", attacks.attack_quantize(theta, shape, "static4"))
 opt = cfg.optimizer()
 points = []
 for p in (0.05, 0.20):
-    acfg = attacks.AttackConfig(kind="finetune", data_fraction=p,
+    acfg = attacks.AttackConfig(data_fraction=p,
                                 epochs=cfg.attack_epochs, optimizer=opt)
     cps = attacks.attack_finetune(theta, dataset, shape, acfg)
     points.append(report(f"finetune p={p}", cps[-1][1]))
 
 key = attacks.estimate_key(trajectory)
-acfg = attacks.AttackConfig(kind="adaptive_finetune", data_fraction=0.05,
+acfg = attacks.AttackConfig(data_fraction=0.05,
                             epochs=cfg.attack_epochs, alpha=0.5, optimizer=opt)
 cps = attacks.attack_adaptive_finetune(theta, dataset, shape, key, acfg)
 points.append(report("adaptive finetune a=0.5", cps[-1][1]))
 
-acfg = attacks.AttackConfig(kind="distill", data_fraction=0.20,
+acfg = attacks.AttackConfig(data_fraction=0.20,
                             epochs=cfg.attack_epochs, optimizer=opt)
 cps = attacks.attack_distill(theta, dataset, shape, acfg)
-points.append(report("distill p=0.2", cps[-1][1]))
+points.append(report(f"distill p=0.2 T={attacks.DISTILL_TEMPERATURE}", cps[-1][1]))
 
 front = attacks.pareto_frontier(points)
 print("\nattacker's Pareto frontier (accuracy up, z down):")

@@ -16,22 +16,23 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateModelError
-from .flsim import (AdamWParams, AdamWState, MlpShape, _softmax, backward, cross_entropy,
+from .flsim import (AdamWParams, MlpShape, _softmax, adamw_epochs, backward, cross_entropy,
                     forward, forward_backward, init_model, logits)
 from .rngutil import rng_from_key
 
+ATTACK_SEED = 0               # the attacker's subset, student init and batch order
+DISTILL_TEMPERATURE = 3.0     # distillation softening
+
+
 @dataclass
 class AttackConfig:
-    kind: str = "finetune"
     data_fraction: float = 0.05
     epochs: int = 100
     batch_size: int = 128
     optimizer: AdamWParams = dc_field(default_factory=AdamWParams)
     alpha: float = 0.5          # adaptive penalty weight or distill mix
-    temperature: float = 3.0    # distillation softening
     prune_ratio: float = 0.5
     quant_scheme: str = "static8"
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,7 @@ def sample_attack_subset(dataset, fraction: float, seed: int):
 
 def estimate_key(trajectory) -> EstimatedKey:
     """Default estimator: the normalized net displacement theta_T - theta_0."""
-    if len(trajectory) < 2:
-        raise ConfigurationError("need at least two checkpoints")
-    delta = trajectory[-1].theta - trajectory[0].theta
-    norm = np.linalg.norm(delta)
-    if norm == 0.0:
-        raise DegenerateModelError("zero net displacement in trajectory")
-    return EstimatedKey(direction=delta / norm)
+    return estimate_key_insider(trajectory, ())
 
 
 def estimate_key_insider(trajectory, own_updates) -> EstimatedKey:
@@ -75,37 +70,37 @@ def estimate_key_insider(trajectory, own_updates) -> EstimatedKey:
         delta = delta - upd
     norm = np.linalg.norm(delta)
     if norm == 0.0:
-        raise DegenerateModelError("residual displacement is zero")
+        raise DegenerateModelError("zero residual displacement in trajectory")
     return EstimatedKey(direction=delta / norm)
 
 
-def _finetune_loop(theta0, X, y, shape, cfg: AttackConfig, penalty_dir=None,
-                   alpha: float = 0.0):
-    """Shared AdamW loop; with alpha > 0 adds the alignment penalty
-    alpha * |<theta, dir>| (subgradient alpha * sign(<theta, dir>) * dir)."""
-    theta = theta0.copy()
-    state = AdamWState(params=cfg.optimizer)
-    checkpoints = [(0, theta.copy())]
-    rng = rng_from_key(cfg.seed, "finetune")
-    n = len(X)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grad = forward_backward(theta, X[idx], y[idx], shape)
-            if alpha > 0.0:
-                align = float(theta @ penalty_dir)
-                grad = (1.0 - alpha) * grad + alpha * np.sign(align) * penalty_dir
-            theta = state.update(theta, grad)
-        checkpoints.append((epoch, theta.copy()))
-    return checkpoints
+def _train_checkpoints(theta0, data, batch_grad, stream: str, cfg: AttackConfig):
+    """[(0, theta0), (1, theta after epoch 1), ...] of adamw_epochs on
+    ``data``, with the batch order drawn from the attacker's ``stream``."""
+    return [(0, theta0.copy())] + list(enumerate(adamw_epochs(
+        theta0, data, batch_grad, rng_from_key(ATTACK_SEED, stream), cfg.epochs,
+        cfg.batch_size, cfg.optimizer), 1))
+
+
+def _finetune(theta0, dataset, shape, cfg: AttackConfig, penalty_dir=None,
+              alpha: float = 0.0):
+    """Fine-tuning on the attacker's subset; with alpha > 0 adds the alignment
+    penalty alpha * |<theta, dir>| (subgradient alpha * sign(<theta, dir>) * dir)."""
+    def batch_grad(theta, X, y):
+        _, grad = forward_backward(theta, X, y, shape)
+        if alpha > 0.0:
+            align = float(theta @ penalty_dir)
+            grad = (1.0 - alpha) * grad + alpha * np.sign(align) * penalty_dir
+        return grad
+
+    data = sample_attack_subset(dataset, cfg.data_fraction, ATTACK_SEED)
+    return _train_checkpoints(theta0, data, batch_grad, "finetune", cfg)
 
 
 def attack_finetune(theta: np.ndarray, dataset, shape: MlpShape,
                     cfg: AttackConfig):
     """Plain fine-tuning on a p-fraction subset; per-epoch checkpoints."""
-    X, y = sample_attack_subset(dataset, cfg.data_fraction, cfg.seed)
-    return _finetune_loop(theta, X, y, shape, cfg)
+    return _finetune(theta, dataset, shape, cfg)
 
 
 def attack_adaptive_finetune(theta: np.ndarray, dataset, shape: MlpShape,
@@ -113,9 +108,8 @@ def attack_adaptive_finetune(theta: np.ndarray, dataset, shape: MlpShape,
     """Fine-tuning with the alignment-suppression penalty at weight alpha."""
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ConfigurationError("alpha must be in [0, 1]")
-    X, y = sample_attack_subset(dataset, cfg.data_fraction, cfg.seed)
-    return _finetune_loop(theta, X, y, shape, cfg,
-                          penalty_dir=key.direction, alpha=cfg.alpha)
+    return _finetune(theta, dataset, shape, cfg, penalty_dir=key.direction,
+                     alpha=cfg.alpha)
 
 
 def attack_prune(theta: np.ndarray, shape: MlpShape, ratio: float,
@@ -204,24 +198,17 @@ def _kd_grad(theta, X, y, teacher_logits, shape, T, alpha):
 
 def attack_distill(teacher_theta: np.ndarray, dataset, shape: MlpShape,
                    cfg: AttackConfig):
-    """Train a fresh same-architecture student against softened teacher
-    outputs mixed with ground-truth labels; per-epoch checkpoints."""
-    X, y = sample_attack_subset(dataset, cfg.data_fraction, cfg.seed)
-    student = init_model(shape, rng_from_key(cfg.seed, "student_init"))
-    state = AdamWState(params=cfg.optimizer)
-    rng = rng_from_key(cfg.seed, "distill")
-    teacher_out = logits(teacher_theta, X, shape)
-    checkpoints = [(0, student.copy())]
-    n = len(X)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grad = _kd_grad(student, X[idx], y[idx], teacher_out[idx],
-                               shape, cfg.temperature, cfg.alpha)
-            student = state.update(student, grad)
-        checkpoints.append((epoch, student.copy()))
-    return checkpoints
+    """Train a fresh same-architecture student against teacher outputs
+    softened at DISTILL_TEMPERATURE, mixed with ground-truth labels;
+    per-epoch checkpoints."""
+    X, y = sample_attack_subset(dataset, cfg.data_fraction, ATTACK_SEED)
+    student = init_model(shape, rng_from_key(ATTACK_SEED, "student_init"))
+
+    def batch_grad(theta, Xb, yb, teacher_b):
+        return _kd_grad(theta, Xb, yb, teacher_b, shape, DISTILL_TEMPERATURE, cfg.alpha)[1]
+
+    return _train_checkpoints(student, (X, y, logits(teacher_theta, X, shape)),
+                              batch_grad, "distill", cfg)
 
 
 def pareto_frontier(points):

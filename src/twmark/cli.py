@@ -29,6 +29,10 @@ from .experiments import (
 )
 
 
+# the `attack` options that set AttackConfig fields
+_ATTACK_PARAMS = ("data_fraction", "alpha", "prune_ratio", "quant_scheme")
+
+
 def _load_config(args) -> ExperimentConfig:
     overrides = args.set or []
     if args.config:
@@ -143,15 +147,8 @@ def main(argv=None) -> int:
 
         if args.command == "attack":
             calib = _calib(cfg, args, out)
-            params = {}
-            if args.data_fraction is not None:
-                params["data_fraction"] = args.data_fraction
-            if args.alpha is not None:
-                params["alpha"] = args.alpha
-            if args.prune_ratio is not None:
-                params["prune_ratio"] = args.prune_ratio
-            if args.quant_scheme is not None:
-                params["quant_scheme"] = args.quant_scheme
+            params = {name: getattr(args, name) for name in _ATTACK_PARAMS
+                      if getattr(args, name) is not None}
             records = cmd_attack(cfg, args.run, calib, args.kind,
                                  outdir=out, **params)
             final = records[-1]

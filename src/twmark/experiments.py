@@ -7,6 +7,7 @@ with the same config yields byte-identical CSV bodies.
 
 import glob
 import hashlib
+import itertools
 import os
 import struct
 from dataclasses import dataclass, fields as dc_fields
@@ -81,23 +82,23 @@ class ExperimentConfig:
     calib_keys: int = 2000
     calib_rounds: int = 30
     # sweeps
-    k_sweep: tuple = (4, 8, 16, 32, 64, 128)
-    c_sweep: tuple = (0.0, 0.025, 0.05, 0.075, 0.1)
+    k_sweep: tuple[int, ...] = (4, 8, 16, 32, 64, 128)
+    c_sweep: tuple[float, ...] = (0.0, 0.025, 0.05, 0.075, 0.1)
     sweep_rounds: int = 30
     sweep_samples: int = 5120
     sweep_samples_per_client: int = 160   # K sweep: shard size held fixed
     sweep_batch: int = 32
     # attacks
-    attack_kinds: tuple = ("finetune", "adaptive_finetune", "prune_magnitude",
-                           "prune_structured", "quantize", "distill")
-    attack_fractions: tuple = (0.01, 0.05, 0.10, 0.20)
+    attack_kinds: tuple[str, ...] = ("finetune", "adaptive_finetune", "prune_magnitude",
+                                     "prune_structured", "quantize", "distill")
+    attack_fractions: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20)
     attack_epochs: int = 100
-    attack_alphas: tuple = (0.1, 0.3, 0.5, 0.7)
-    prune_ratios: tuple = (0.3, 0.5, 0.7, 0.9)
-    quant_schemes: tuple = ("static8", "static4", "dynamic8")
+    attack_alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7)
+    prune_ratios: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9)
+    quant_schemes: tuple[str, ...] = ("static8", "static4", "dynamic8")
     attack_batch: int = 128
     # bookkeeping
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -105,6 +106,8 @@ class ExperimentConfig:
             raise ConfigurationError("threshold t must not exceed K")
         if self.setup_mode not in ("dealer", "dkg"):
             raise ConfigurationError("setup_mode must be 'dealer' or 'dkg'")
+        for kind in self.attack_kinds:
+            _attack(kind)
         check_aggregate_bound(
             self.shape().dim, self.n_clients, self.theta_max, self.scale_max,
             self.codecs(),
@@ -273,12 +276,11 @@ def run_setup(cfg: ExperimentConfig, seed: int, n_clients=None, threshold=None,
 
 
 def run_watermarked(cfg: ExperimentConfig, seed: int, c=None, n_clients=None,
-                    threshold=None, rounds=None, n_samples=None,
-                    batch_size=None, keep_key=False):
+                    threshold=None, rounds=None, n_samples=None, batch_size=None):
     """One full watermarked FL run; returns (setup, dataset, trajectory)."""
     K = n_clients or cfg.n_clients
     t = threshold or min(cfg.threshold, K)
-    setup = run_setup(cfg, seed, n_clients=K, threshold=t, keep_key=keep_key)
+    setup = run_setup(cfg, seed, n_clients=K, threshold=t)
     dataset = cfg.dataset(seed, n=n_samples, n_clients=K)
     params = cfg.protocol_params(c=c)
     if batch_size is not None:
@@ -290,16 +292,12 @@ def run_watermarked(cfg: ExperimentConfig, seed: int, c=None, n_clients=None,
     return setup, dataset, trajectory
 
 
-def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int = None,
-                     n_samples=None, n_clients=None, batch_size=None):
+def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int = None):
     """Watermark-free FedAvg in the real domain (used for calibration models);
     clients train as in run_protocol, their models are averaged with np.mean."""
-    K = n_clients or cfg.n_clients
-    dataset = cfg.dataset(seed, n=n_samples, n_clients=K)
-    params = cfg.protocol_params()
-    params.batch_size = batch_size or cfg.batch_size
-    train = default_train_fn(dataset, cfg.shape(), params, seed)
-    clients = [ClientState(client_id=k) for k in range(1, K + 1)]
+    dataset = cfg.dataset(seed)
+    train = default_train_fn(dataset, cfg.shape(), cfg.protocol_params(), seed)
+    clients = [ClientState(client_id=k) for k in range(1, cfg.n_clients + 1)]
     theta = init_model(cfg.shape(), rng_from_key(seed, "init"))
     for r in range(1, (rounds or cfg.rounds) + 1):
         theta = np.mean([train(st, theta, r) for st in clients], axis=0)
@@ -383,7 +381,7 @@ def cmd_verify(model_path, share_paths, calib_path,
     the CLI maps to exit code 2. The key norm is sqrt(d), never read from files."""
     theta, shape, _ = load_model(model_path)
     calib = CalibrationTable.load(calib_path)
-    if calib.fingerprint and calib.fingerprint != model_fingerprint(shape):
+    if calib.fingerprint != model_fingerprint(shape):
         raise FingerprintMismatchError(
             f"calibration fingerprint {calib.fingerprint!r} does not match "
             f"model {model_fingerprint(shape)!r}"
@@ -453,9 +451,8 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
 
 
 def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
-                 seeds=None, sweep_budget: bool = False):
+                 sweep_budget: bool = False):
     """Accuracy and z across the watermark-strength sweep."""
-    seeds = list(seeds if seeds is not None else cfg.seeds)
     shape = cfg.shape()
     rows, records = [], []
     run_kwargs = {}
@@ -463,7 +460,7 @@ def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
         run_kwargs = dict(rounds=cfg.sweep_rounds, n_samples=cfg.sweep_samples,
                           batch_size=cfg.sweep_batch)
     for c in cfg.c_sweep:
-        for s in seeds:
+        for s in cfg.seeds:
             setup, dataset, trajectory = run_watermarked(cfg, s, c=c, **run_kwargs)
             verifier = make_coalition_verifier(cfg, setup, calib)
             rep = verifier(trajectory[-1].theta)
@@ -487,64 +484,69 @@ def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     return {"records": records, "summary": summary}
 
 
+_FRACTIONS = ("data_fraction", "attack_fractions")
+_RATIOS = ("prune_ratio", "prune_ratios")
+
+# attack kind -> (its grid: (AttackConfig field, ExperimentConfig tuple of its
+# values) pairs, the first varied slowest; its run: (acfg, theta, trajectory,
+# dataset, shape) -> [(step, theta)] checkpoints)
+_ATTACKS = {
+    "finetune": ((_FRACTIONS,), lambda a, th, tr, ds, sh:
+                 attacks.attack_finetune(th, ds, sh, a)),
+    "adaptive_finetune": ((_FRACTIONS, ("alpha", "attack_alphas")), lambda a, th, tr, ds, sh:
+                          attacks.attack_adaptive_finetune(th, ds, sh,
+                                                           attacks.estimate_key(tr), a)),
+    "prune_magnitude": ((_RATIOS,), lambda a, th, tr, ds, sh:
+                        [(0, attacks.attack_prune(th, sh, a.prune_ratio, "magnitude"))]),
+    "prune_structured": ((_RATIOS,), lambda a, th, tr, ds, sh:
+                         [(0, attacks.attack_prune(th, sh, a.prune_ratio, "structured"))]),
+    "quantize": ((("quant_scheme", "quant_schemes"),), lambda a, th, tr, ds, sh:
+                 [(0, attacks.attack_quantize(th, sh, a.quant_scheme))]),
+    "distill": ((_FRACTIONS,), lambda a, th, tr, ds, sh:
+                attacks.attack_distill(th, ds, sh, a)),
+}
+
+# training attacks verify every _EPOCH_STRIDE-th checkpoint and the last
+_EPOCH_STRIDE = 10
+
+
+def _attack(kind: str):
+    """The _ATTACKS entry of ``kind``; an unknown kind is a ConfigurationError."""
+    if kind not in _ATTACKS:
+        raise ConfigurationError(f"unknown attack kind {kind!r}")
+    return _ATTACKS[kind]
+
+
 def _attack_jobs(cfg: ExperimentConfig):
     """The attack grid as (kind, params dict) jobs, deterministic order."""
     jobs = []
     for kind in cfg.attack_kinds:
-        if kind == "finetune":
-            for p in cfg.attack_fractions:
-                jobs.append((kind, {"data_fraction": p}))
-        elif kind == "adaptive_finetune":
-            for p in cfg.attack_fractions:
-                for a in cfg.attack_alphas:
-                    jobs.append((kind, {"data_fraction": p, "alpha": a}))
-        elif kind in ("prune_magnitude", "prune_structured"):
-            for ratio in cfg.prune_ratios:
-                jobs.append((kind, {"prune_ratio": ratio}))
-        elif kind == "quantize":
-            for scheme in cfg.quant_schemes:
-                jobs.append((kind, {"quant_scheme": scheme}))
-        elif kind == "distill":
-            for p in cfg.attack_fractions:
-                jobs.append((kind, {"data_fraction": p}))
-        else:
-            raise ConfigurationError(f"unknown attack kind {kind!r}")
+        grid = _attack(kind)[0]
+        for values in itertools.product(*(getattr(cfg, field) for _, field in grid)):
+            jobs.append((kind, {name: v for (name, _), v in zip(grid, values)}))
     return jobs
 
 
 def run_attack_job(kind: str, acfg: attacks.AttackConfig, theta, trajectory,
                    dataset, shape: MlpShape):
     """Returns a list of (step, theta) checkpoints for the attacked model."""
-    if kind == "finetune":
-        return attacks.attack_finetune(theta, dataset, shape, acfg)
-    if kind == "adaptive_finetune":
-        key = attacks.estimate_key(trajectory)
-        return attacks.attack_adaptive_finetune(theta, dataset, shape, key, acfg)
-    if kind == "prune_magnitude":
-        return [(0, attacks.attack_prune(theta, shape, acfg.prune_ratio, "magnitude"))]
-    if kind == "prune_structured":
-        return [(0, attacks.attack_prune(theta, shape, acfg.prune_ratio, "structured"))]
-    if kind == "quantize":
-        return [(0, attacks.attack_quantize(theta, shape, acfg.quant_scheme))]
-    if kind == "distill":
-        return attacks.attack_distill(theta, dataset, shape, acfg)
-    raise ConfigurationError(f"unknown attack kind {kind!r}")
+    return _attack(kind)[1](acfg, theta, trajectory, dataset, shape)
 
 
 def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
-                       trajectory, dataset, epoch_stride: int):
+                       trajectory, dataset):
     """One attack job on the final model of ``trajectory``; every
-    ``epoch_stride``-th checkpoint and the last go through ``verifier``.
+    _EPOCH_STRIDE-th checkpoint and the last go through ``verifier``.
     Returns (records, CSV rows)."""
     shape = cfg.shape()
     acfg = attacks.AttackConfig(
-        kind=kind, epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
+        epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
         optimizer=cfg.optimizer(), **params,
     )
     checkpoints = run_attack_job(kind, acfg, trajectory[-1].theta, trajectory,
                                  dataset, shape)
     keep = [cp for i, cp in enumerate(checkpoints)
-            if i % epoch_stride == 0 or i == len(checkpoints) - 1]
+            if i % _EPOCH_STRIDE == 0 or i == len(checkpoints) - 1]
     param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
     run_id = cfg.config_hash()
     records, rows = [], []
@@ -560,7 +562,7 @@ def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
 
 
 def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
-                   calib: CalibrationTable, outdir=None, epoch_stride: int = 10):
+                   calib: CalibrationTable, outdir=None):
     """Run the attack grid on a completed watermarked run.
 
     Every checkpoint is measured through the coalition verification path
@@ -570,7 +572,7 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
     rows, records = [], []
     for kind, params in _attack_jobs(cfg):
         job_records, job_rows = _attack_and_verify(
-            cfg, verifier, kind, params, trajectory, dataset, epoch_stride)
+            cfg, verifier, kind, params, trajectory, dataset)
         records += job_records
         rows += job_rows
     fronts = {}
@@ -608,12 +610,13 @@ def load_run(cfg: ExperimentConfig, rundir):
 
 
 def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
-               kind: str, outdir=None, epoch_stride: int = 10, **params):
+               kind: str, outdir=None, **params):
     """One attack job against a persisted run, verified via the coalition path."""
+    _attack(kind)
     setup, dataset, trajectory = load_run(cfg, rundir)
     verifier = make_coalition_verifier(cfg, setup, calib)
     records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory,
-                                       dataset, epoch_stride)
+                                       dataset)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),

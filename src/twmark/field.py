@@ -16,6 +16,7 @@ used by the protocol: shares/keys (f_share), scale factors (g_scale) and
 model submissions (f_model = f_share + g_scale).
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -408,6 +409,12 @@ class ProtocolCodecs:
     f_share: int = F_SHARE
     g_scale: int = G_SCALE
 
+    def __post_init__(self):
+        for name in ("f_share", "g_scale"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be non-negative, "
+                                         f"got {getattr(self, name)}")
+
     @property
     def f_model(self) -> int:
         return self.f_share + self.g_scale
@@ -449,9 +456,14 @@ class BoundReport:
 TAU_INF_BOUND = 8.0
 
 
+def _pow2(bits: int) -> float:
+    """2^bits, or inf where a float overflows: a bound then fails, not raises."""
+    return 2.0 ** bits if bits < 1024 else math.inf
+
+
 def verification_bound(d: int, theta_max: float, f_share: int) -> float:
     """Worst-case centered magnitude of <enc(theta), enc(tau)> at f_share bits."""
-    return d * theta_max * TAU_INF_BOUND * 2.0 ** (2 * f_share)
+    return d * theta_max * TAU_INF_BOUND * _pow2(2 * f_share)
 
 
 def check_aggregate_bound(
@@ -472,8 +484,8 @@ def check_aggregate_bound(
         raise ConfigurationError("d, K must be positive; magnitudes non-negative")
     limit = codecs.params.modulus / 2.0
     model_sum = (
-        K * theta_max * 2.0 ** codecs.f_model
-        + scale_max * 2.0 ** codecs.g_scale * TAU_INF_BOUND * 2.0 ** codecs.f_share
+        K * theta_max * _pow2(codecs.f_model)
+        + scale_max * _pow2(codecs.g_scale) * TAU_INF_BOUND * _pow2(codecs.f_share)
     )
     verif = verification_bound(d, theta_max, codecs.f_share)
     ok = model_sum < limit and verif < limit

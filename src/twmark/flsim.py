@@ -223,27 +223,38 @@ class AdamWState:
         return np.subtract(theta, a, out=a)
 
 
+def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rng: np.random.Generator,
+                 epochs: int, batch_size: int, opt: AdamWParams):
+    """The one training loop: AdamW from fresh optimizer state over
+    mini-batches of a fresh permutation of the samples of ``data``, a tuple
+    of equal-length arrays, per epoch; yields theta after each epoch.
+    batch_grad(theta, *batch) is the gradient on one batch of those arrays."""
+    state = AdamWState(params=opt)
+    for _ in range(epochs):
+        order = rng.permutation(len(data[0]))
+        for start in range(0, len(order), batch_size):
+            idx = order[start:start + batch_size]
+            theta = state.update(theta, batch_grad(theta, *(a[idx] for a in data)))
+        yield theta
+
+
 def local_train(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                 shape: MlpShape, rng: np.random.Generator,
                 epochs: int = 1, batch_size: int = 64,
                 opt: AdamWParams = None) -> np.ndarray:
-    """AdamW over shuffled mini-batches; optimizer state is fresh per call
-    (stateless clients across rounds)."""
+    """A client's local step: adamw_epochs on its data, so the optimizer
+    state is fresh per call (stateless clients across rounds)."""
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
-    if opt is None:
-        opt = AdamWParams()
-    state = AdamWState(params=opt)
-    theta = theta.copy()
-    n = len(X)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, grad = forward_backward(theta, X[idx], y[idx], shape)
-            if loss > 1e3:
-                raise NumericalError(f"divergence: loss={loss:.3g}")
-            theta = state.update(theta, grad)
+
+    def batch_grad(th, Xb, yb):
+        loss, grad = forward_backward(th, Xb, yb, shape)
+        if loss > 1e3:
+            raise NumericalError(f"divergence: loss={loss:.3g}")
+        return grad
+
+    *_, theta = adamw_epochs(theta, (X, y), batch_grad, rng, epochs, batch_size,
+                             opt or AdamWParams())
     return theta
 
 

@@ -3,6 +3,7 @@ tables and run manifests; values are parsed, never evaluated."""
 
 import ast
 import math
+from typing import get_args, get_origin
 
 from .errors import ConfigurationError
 
@@ -22,11 +23,23 @@ def file_lines(path):
     return [(f"{path}:{n}", line) for n, line in enumerate(lines, 1)]
 
 
+def _typed(value, want):
+    """``value`` as a value of type ``want``: exactly that type, except that
+    an int is taken as a float; floats must be finite; a ``tuple[T, ...]``
+    holds only values of type T, each under the same rules. Raises TypeError."""
+    if get_origin(want) is tuple and type(value) is tuple:
+        return tuple(_typed(v, get_args(want)[0]) for v in value)
+    if type(value) is int and want is float:
+        value = float(value)
+    if type(value) is not want or (want is float and not math.isfinite(value)):
+        raise TypeError
+    return value
+
+
 def read_literals(lines, types: dict) -> dict:
     """The values of (where, text) lines. Blank and `#` lines are skipped;
     every other line is `key = literal`, with a key of ``types`` and a value
-    of exactly its type (an int is taken as a float for a float key), and
-    floats must be finite. Errors name ``where`` and the key."""
+    of its type under the rules of _typed. Errors name ``where`` and the key."""
     values = {}
     for where, line in lines:
         line = line.strip()
@@ -42,11 +55,11 @@ def read_literals(lines, types: dict) -> dict:
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
             raise ConfigurationError(f"{where}: {key} is not a literal") from None
         want = types[key]
-        if type(value) is int and want is float:
-            value = float(value)
-        if type(value) is not want or (want is float and not math.isfinite(value)):
+        try:
+            values[key] = _typed(value, want)
+        except TypeError:
+            name = want if get_origin(want) else want.__name__
             raise ConfigurationError(
                 f"{where}: {key} = {raw[:40]} is not "
-                f"{'a finite float' if want is float else 'of type ' + want.__name__}")
-        values[key] = value
+                f"{'a finite float' if want is float else f'of type {name}'}") from None
     return values

@@ -194,23 +194,15 @@ def default_train_fn(dataset, shape, params: ProtocolParams, master_seed: int):
     return train
 
 
-def _start(dataset, shape: MlpShape, params: ProtocolParams, master_seed: int,
-           train_fn):
-    """(train_fn, or the default trainer if None; the trajectory [theta_0])."""
-    theta0 = init_model(shape, rng_from_key(master_seed, "init"))
-    return (train_fn or default_train_fn(dataset, shape, params, master_seed),
-            [GlobalModel(theta=theta0, round_index=0)])
-
-
 def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
-                 params: ProtocolParams, rounds: int, master_seed: int,
-                 train_fn=None) -> list:
+                 params: ProtocolParams, rounds: int, master_seed: int) -> list:
     """Full loop; returns checkpoints theta_0..theta_T (the adversary's view)."""
     if rounds < 1:
         raise ProtocolAbortError("rounds must be >= 1")
     K, t = setup.cfg.n_clients, setup.cfg.threshold
     clients = {s.point: ClientState(client_id=s.point, share=s) for s in setup.shares}
-    train_fn, trajectory = _start(dataset, shape, params, master_seed, train_fn)
+    train_fn = default_train_fn(dataset, shape, params, master_seed)
+    trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
     for plan in make_plans(K, t, rounds, params.participation, master_seed):
         nxt = embed_round(trajectory[-1], clients, plan, setup, params,
                           train_fn, session_seed=master_seed * 10_000 + plan.round_index)
@@ -220,7 +212,7 @@ def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
 
 def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
                  n_clients: int, rounds: int, master_seed: int,
-                 codecs: ProtocolCodecs = None, train_fn=None):
+                 codecs: ProtocolCodecs = None):
     """Naive per-client watermark baseline through the same round pipeline.
 
     Each client embeds its own independent key tau_k with its own scale;
@@ -240,7 +232,8 @@ def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
             for k in participants]
     enc_keys = {k: codecs.share.encode(keys[k - 1]) for k in participants}
     clients = {k: ClientState(client_id=k) for k in participants}
-    train_fn, trajectory = _start(dataset, shape, params, master_seed, train_fn)
+    train_fn = default_train_fn(dataset, shape, params, master_seed)
+    trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
     for r in range(1, rounds + 1):
         local_thetas, scales = _train_participants(
             trajectory[-1].theta, clients, participants, r, params, train_fn)

@@ -286,7 +286,7 @@ def test_criterion_08_robustness_suite(calib_models_and_table, wm_runs):
     assert zp >= 4.0, f"prune 0.5: z = {zp:.2f}"
 
     # 100 epochs of fine-tuning on a 5% subset still detects
-    ft_cfg = attacks.AttackConfig(kind="finetune", data_fraction=0.05,
+    ft_cfg = attacks.AttackConfig(data_fraction=0.05,
                                   epochs=CFG.attack_epochs,
                                   batch_size=CFG.attack_batch,
                                   optimizer=CFG.optimizer())
@@ -296,7 +296,7 @@ def test_criterion_08_robustness_suite(calib_models_and_table, wm_runs):
 
     # the adaptive attack degenerates to plain fine-tuning at alpha = 0,
     # checkpoint for checkpoint
-    ad_cfg = attacks.AttackConfig(kind="adaptive_finetune", data_fraction=0.05,
+    ad_cfg = attacks.AttackConfig(data_fraction=0.05,
                                   epochs=CFG.attack_epochs,
                                   batch_size=CFG.attack_batch,
                                   optimizer=CFG.optimizer(), alpha=0.0)
@@ -307,7 +307,7 @@ def test_criterion_08_robustness_suite(calib_models_and_table, wm_runs):
         assert step_a == step_f and np.array_equal(th_a, th_f)
 
     # distillation on a 20% subset removes the watermark
-    kd_cfg = attacks.AttackConfig(kind="distill", data_fraction=0.20,
+    kd_cfg = attacks.AttackConfig(data_fraction=0.20,
                                   epochs=CFG.attack_epochs,
                                   batch_size=CFG.attack_batch,
                                   optimizer=CFG.optimizer())

@@ -189,8 +189,7 @@ class TestQuantize:
 
 class TestDistill:
     def test_student_from_fresh_init(self, theta, dataset):
-        cfg = AttackConfig(epochs=2, batch_size=32, data_fraction=0.2,
-                           alpha=0.5, temperature=3.0)
+        cfg = AttackConfig(epochs=2, batch_size=32, data_fraction=0.2, alpha=0.5)
         cps = attack_distill(theta, dataset, SHAPE, cfg)
         assert len(cps) == 3
         assert not np.array_equal(cps[0][1], theta)

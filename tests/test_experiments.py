@@ -82,10 +82,18 @@ class TestConfig:
         cfg = ExperimentConfig.with_overrides({}, ["strength_c=1"])
         assert type(cfg.strength_c) is float
         assert cfg.config_hash() == ExperimentConfig(strength_c=1.0).config_hash()
+        cfg = ExperimentConfig.with_overrides({}, ["c_sweep=(0, 0.025)"])
+        assert cfg.c_sweep == (0.0, 0.025) and type(cfg.c_sweep[0]) is float
+        assert cfg.config_hash() == ExperimentConfig(c_sweep=(0.0, 0.025)).config_hash()
 
     @pytest.mark.parametrize("line, message", [
         ("rounds = 1.5", "rounds = 1.5 is not of type int"),
         ("seeds = 0", "seeds = 0 is not of type tuple"),
+        ("seeds = (0.5,)", "seeds = (0.5,) is not of type tuple[int, ...]"),
+        ("c_sweep = (0.1, 1e999)", "c_sweep = (0.1, 1e999) is not of type "
+                                   "tuple[float, ...]"),
+        ("quant_schemes = ('static8', 8)", "quant_schemes = ('static8', 8) is not of "
+                                           "type tuple[str, ...]"),
         ("noise = 1e999", "noise = 1e999 is not a finite float"),
         ("rounds = os.sep", "rounds is not a literal"),
         ("rounds 5", "expected a known key = value"),
@@ -110,6 +118,8 @@ class TestConfig:
             ExperimentConfig(setup_mode="oracle")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(theta_max=1e9)  # verification bound overflows
+        with pytest.raises(ConfigurationError, match="unknown attack kind 'banana'"):
+            ExperimentConfig(attack_kinds=("finetune", "banana"))
 
 
 class TestModelFiles:
@@ -416,6 +426,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {where.format(bad=bad)}: {key}" in err
         assert not list(tmp_path.glob("**/run_seed*"))
+
+    # a K=4 one-round run, so that a config the reader wrongly accepts fails fast
+    TINY = ["--set", "n_clients=4", "--set", "threshold=2", "--set", "n_samples=400",
+            "--set", "rounds=1"]
+
+    @pytest.mark.parametrize("item, key", [
+        ("seeds=(0.5,)", "seeds"),
+        ("attack_fractions=(0.1, 1e999)", "attack_fractions"),
+        ("attack_kinds=('finetune', 3)", "attack_kinds"),
+    ])
+    def test_train_rejects_mistyped_tuple_element(self, tmp_path, capsys, item, key):
+        code = cli.main(["train", *self.TINY, "--set", item, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: --set {item!r}: {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("f_share=600", "aggregate overflow bound exceeded"),
+        ("g_scale=2000", "aggregate overflow bound exceeded"),
+        ("f_share=-1", "f_share must be non-negative"),
+        ("g_scale=-1", "g_scale must be non-negative"),
+    ])
+    def test_train_rejects_out_of_range_fractional_bits(self, tmp_path, capsys, item,
+                                                        message):
+        code = cli.main(["train", *self.TINY, "--set", item, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_rejects_calibration_with_empty_fingerprint(self, cli_workspace,
+                                                               tmp_path, capsys):
+        # an empty fingerprint once skipped the architecture check, so the
+        # table passed for any model of the same d
+        _, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        calib = tmp_path / "calibration.txt"
+        calib.write_text("".join(
+            "fingerprint = ''\n" if ln.startswith("fingerprint") else ln
+            for ln in (out / "calibration.txt").read_text().splitlines(keepends=True)))
+        shares = [str(rundir / "shares" / f"client_{k}.share") for k in (1, 2, 3)]
+        code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
+                         "--calibration", str(calib)] + shares)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "decision:" not in captured.out
+        assert "fingerprint" in captured.err
+
+    def test_attack_rejects_unknown_kind_before_loading_the_run(self, cli_workspace,
+                                                                tmp_path, capsys):
+        _, cfg_path, out = cli_workspace
+        code = cli.main(["attack", "--config", str(cfg_path), "--out", str(tmp_path),
+                         "--run", str(tmp_path / "no-such-run"),
+                         "--calibration", str(out / "calibration.txt"), "--kind", "banana"])
+        assert code == 2
+        assert "error: unknown attack kind 'banana'" in capsys.readouterr().err
 
     def test_load_run_rejects_unknown_manifest_line(self, cli_workspace, tmp_path):
         cfg, _, out = cli_workspace
