@@ -1,8 +1,9 @@
 """Post-training watermark-removal attacks.
 
-Every attack is a deterministic function of (model or trajectory, config,
-seed). Fine-tuning variants return per-epoch checkpoints so callers can
-log (accuracy, z) trajectories; pruning and quantization are one-shot
+Every attack is a deterministic function of (model or trajectory, config):
+the attacker's subset and streams are drawn at ATTACK_SEED. Training
+attacks run flsim.adamw_epochs and return per-epoch checkpoints so callers
+can log (accuracy, z) trajectories; pruning and quantization are one-shot
 transforms evaluated without retraining.
 
 The adaptive fine-tuning objective is (1 - alpha) * task loss +

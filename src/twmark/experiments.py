@@ -292,14 +292,14 @@ def run_watermarked(cfg: ExperimentConfig, seed: int, c=None, n_clients=None,
     return setup, dataset, trajectory
 
 
-def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int = None):
+def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int):
     """Watermark-free FedAvg in the real domain (used for calibration models);
     clients train as in run_protocol, their models are averaged with np.mean."""
     dataset = cfg.dataset(seed)
     train = default_train_fn(dataset, cfg.shape(), cfg.protocol_params(), seed)
     clients = [ClientState(client_id=k) for k in range(1, cfg.n_clients + 1)]
     theta = init_model(cfg.shape(), rng_from_key(seed, "init"))
-    for r in range(1, (rounds or cfg.rounds) + 1):
+    for r in range(1, rounds + 1):
         theta = np.mean([train(st, theta, r) for st in clients], axis=0)
     return dataset, theta
 
@@ -484,25 +484,25 @@ def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     return {"records": records, "summary": summary}
 
 
-_FRACTIONS = ("data_fraction", "attack_fractions")
-_RATIOS = ("prune_ratio", "prune_ratios")
+_FRACTIONS = {"data_fraction": "attack_fractions"}
+_RATIOS = {"prune_ratio": "prune_ratios"}
 
-# attack kind -> (its grid: (AttackConfig field, ExperimentConfig tuple of its
-# values) pairs, the first varied slowest; its run: (acfg, theta, trajectory,
-# dataset, shape) -> [(step, theta)] checkpoints)
+# attack kind -> (its grid: each AttackConfig field it varies and the
+# ExperimentConfig tuple of its values, the first varied slowest; its run:
+# (acfg, theta, trajectory, dataset, shape) -> [(step, theta)] checkpoints)
 _ATTACKS = {
-    "finetune": ((_FRACTIONS,), lambda a, th, tr, ds, sh:
+    "finetune": (_FRACTIONS, lambda a, th, tr, ds, sh:
                  attacks.attack_finetune(th, ds, sh, a)),
-    "adaptive_finetune": ((_FRACTIONS, ("alpha", "attack_alphas")), lambda a, th, tr, ds, sh:
-                          attacks.attack_adaptive_finetune(th, ds, sh,
-                                                           attacks.estimate_key(tr), a)),
-    "prune_magnitude": ((_RATIOS,), lambda a, th, tr, ds, sh:
+    "adaptive_finetune": ({**_FRACTIONS, "alpha": "attack_alphas"},
+                          lambda a, th, tr, ds, sh: attacks.attack_adaptive_finetune(
+                              th, ds, sh, attacks.estimate_key(tr), a)),
+    "prune_magnitude": (_RATIOS, lambda a, th, tr, ds, sh:
                         [(0, attacks.attack_prune(th, sh, a.prune_ratio, "magnitude"))]),
-    "prune_structured": ((_RATIOS,), lambda a, th, tr, ds, sh:
+    "prune_structured": (_RATIOS, lambda a, th, tr, ds, sh:
                          [(0, attacks.attack_prune(th, sh, a.prune_ratio, "structured"))]),
-    "quantize": ((("quant_scheme", "quant_schemes"),), lambda a, th, tr, ds, sh:
+    "quantize": ({"quant_scheme": "quant_schemes"}, lambda a, th, tr, ds, sh:
                  [(0, attacks.attack_quantize(th, sh, a.quant_scheme))]),
-    "distill": ((_FRACTIONS,), lambda a, th, tr, ds, sh:
+    "distill": (_FRACTIONS, lambda a, th, tr, ds, sh:
                 attacks.attack_distill(th, ds, sh, a)),
 }
 
@@ -522,8 +522,8 @@ def _attack_jobs(cfg: ExperimentConfig):
     jobs = []
     for kind in cfg.attack_kinds:
         grid = _attack(kind)[0]
-        for values in itertools.product(*(getattr(cfg, field) for _, field in grid)):
-            jobs.append((kind, {name: v for (name, _), v in zip(grid, values)}))
+        for values in itertools.product(*(getattr(cfg, field) for field in grid.values())):
+            jobs.append((kind, dict(zip(grid, values))))
     return jobs
 
 
@@ -615,8 +615,7 @@ def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
     _attack(kind)
     setup, dataset, trajectory = load_run(cfg, rundir)
     verifier = make_coalition_verifier(cfg, setup, calib)
-    records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory,
-                                       dataset)
+    records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),
