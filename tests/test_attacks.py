@@ -248,7 +248,7 @@ class TestTrainingMatchesReference:
 
     def test_local_train(self, theta, dataset):
         X, y = dataset.shard(1)
-        opt = AdamWParams(lr=0.01, weight_decay=0.1)
+        opt = self.CFG["optimizer"]
         got = local_train(theta, X, y, SHAPE, np.random.default_rng(5), epochs=3,
                           batch_size=32, opt=opt)
         want = _reference_training(
