@@ -9,13 +9,13 @@ import glob
 import hashlib
 import itertools
 import os
-import struct
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from . import attacks
-from .errors import ConfigurationError, FingerprintMismatchError
+from .binfile import Format
+from .errors import ConfigurationError, DegenerateModelError, FingerprintMismatchError
 from .field import FieldParams, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
 from .flsim import AdamWParams, MlpShape, evaluate, gen_dataset, init_model
 from .keysetup import (
@@ -28,6 +28,7 @@ from .keysetup import (
 from .literals import file_lines, literal_text, read_literals
 from .protocol import (
     ClientState,
+    GlobalModel,
     ProtocolParams,
     default_train_fn,
     run_baseline,
@@ -193,31 +194,18 @@ def _set_items(overrides) -> dict:
 
 # -- model / trajectory files --
 
-_MODEL_MAGIC = b"TWMODEL1"
+# input_dim, hidden, n_classes, round index; then the dim float64 words of theta
+_MODEL_FILE = Format("TWMODEL2", "<IIIQ", lambda hdr: MlpShape(*hdr[:3]).dim)
 
 
 def save_model(theta: np.ndarray, shape: MlpShape, round_index: int, path):
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<IIIQ", shape.input_dim, shape.hidden,
-                             shape.n_classes, round_index))
-        fh.write(np.asarray(theta, dtype="<f8").tobytes())
+    _MODEL_FILE.write(path, (shape.input_dim, shape.hidden, shape.n_classes, round_index),
+                      np.asarray(theta, dtype="<f8").tobytes())
 
 
 def load_model(path):
-    """Returns (theta, MlpShape, round_index); the file must hold exactly
-    the 28-byte header and the 8 * dim bytes of theta."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _MODEL_MAGIC or len(data) < 28:
-        raise ConfigurationError(f"{path}: not a model file, or cut inside its header")
-    m, h, G, r = struct.unpack("<IIIQ", data[8:28])
-    shape = MlpShape(m, h, G)
-    if len(data) != 28 + 8 * shape.dim:
-        raise ConfigurationError(
-            f"{path}: {len(data)} bytes, but a {m}x{h}x{G} model takes "
-            f"{28 + 8 * shape.dim}")
-    return np.frombuffer(data[28:], dtype="<f8").copy(), shape, int(r)
+    (m, h, G, r), words = _MODEL_FILE.read(path)
+    return np.frombuffer(words, dtype="<f8").copy(), MlpShape(m, h, G), r
 
 
 def save_trajectory(trajectory, shape: MlpShape, dirpath):
@@ -228,14 +216,9 @@ def save_trajectory(trajectory, shape: MlpShape, dirpath):
 
 
 def load_trajectory(dirpath):
-    from .protocol import GlobalModel
-
     names = sorted(n for n in os.listdir(dirpath) if n.startswith("round_"))
-    out = []
-    for n in names:
-        theta, _, r = load_model(os.path.join(dirpath, n))
-        out.append(GlobalModel(theta=theta, round_index=r))
-    return out
+    models = (load_model(os.path.join(dirpath, n)) for n in names)
+    return [GlobalModel(theta=theta, round_index=r) for theta, _, r in models]
 
 
 # the keys of a run manifest, in file order, with their types
@@ -308,10 +291,10 @@ def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
                         calib: CalibrationTable, z_star: float):
     """The one coalition verification path: encode the model once at the
     share codec, take one partial inner product per share, combine them.
-    The codec must use the f_share the calibration table was made for."""
-    if codec.frac_bits != calib.f_share:
-        raise ConfigurationError(f"shares carry f_share {codec.frac_bits}, the "
-                                 f"calibration table f_share {calib.f_share}")
+    The shares must have the f_share and d the calibration table was made for."""
+    if (codec.frac_bits, len(shares[0])) != (calib.f_share, calib.dim):
+        raise ConfigurationError(f"shares have f_share {codec.frac_bits}, d {len(shares[0])}; "
+                                 f"the calibration table {calib.f_share}, {calib.dim}")
 
     def verifier(theta: np.ndarray) -> VerificationReport:
         enc = codec.encode(theta)
@@ -382,17 +365,18 @@ def cmd_verify(model_path, share_paths, calib_path,
     theta, shape, _ = load_model(model_path)
     calib = CalibrationTable.load(calib_path)
     if calib.fingerprint != model_fingerprint(shape):
-        raise FingerprintMismatchError(
-            f"calibration fingerprint {calib.fingerprint!r} does not match "
-            f"model {model_fingerprint(shape)!r}"
-        )
+        raise FingerprintMismatchError(f"{calib_path}: fingerprint {calib.fingerprint!r} is "
+                                       f"not the {model_fingerprint(shape)!r} of {model_path}")
     shares, hdr, scfg = load_shares(share_paths)
-    codec = FixedPointCodec(hdr["f_share"], scfg.params)
     try:
+        codec = FixedPointCodec(hdr["f_share"], scfg.params)
         verifier = _coalition_verifier(shares, scfg, codec, calib, z_star)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{share_paths[0]}: {exc}") from None
-    report = verifier(theta)
+    try:
+        report = verifier(theta)
+    except (ConfigurationError, DegenerateModelError) as exc:
+        raise ConfigurationError(f"{model_path}: {exc}") from None
     return report, (0 if report.accepted else 1)
 
 
@@ -597,9 +581,10 @@ def load_run(cfg: ExperimentConfig, rundir):
 
     The setup holds the saved shares and their public parameters; the
     commitment and the DKG overhead record are not persisted."""
-    shares, _, scfg = load_shares(
+    shares, hdr, scfg = load_shares(
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
-    setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares)
+    setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares,
+                        setup_id=bytes.fromhex(hdr["setup_id"]))
     manifest = os.path.join(rundir, "manifest.txt")
     seed = read_literals(file_lines(manifest), _MANIFEST_TYPES).get("seed")
     if seed is None:

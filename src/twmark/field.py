@@ -16,6 +16,7 @@ used by the protocol: shares/keys (f_share), scale factors (g_scale) and
 model submissions (f_model = f_share + g_scale).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -54,8 +55,9 @@ _BLOCK_WORDS = 1 << 16
 _EXACT_ROWS = (1 << 53) // (3 << 42)
 
 
+@functools.lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3e24; cached per n."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -320,21 +322,9 @@ class FieldVector:
         hi = int((prod >> np.uint64(32)).sum(dtype=np.uint64))
         return ((hi << 32) + lo) % self.params.modulus
 
-    # -- serialization: little-endian 8-byte words, length-prefixed --
-
-    def to_bytes(self) -> bytes:
-        header = len(self).to_bytes(8, "little")
-        return header + self.values.astype("<u8").tobytes()
-
     def words(self) -> bytes:
-        """Raw element words without the length prefix."""
+        """The elements as little-endian 8-byte words."""
         return self.values.astype("<u8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: FieldParams) -> "FieldVector":
-        n = int.from_bytes(data[:8], "little")
-        arr = np.frombuffer(data[8:8 + 8 * n], dtype="<u8").astype(np.uint64)
-        return cls(arr, params)
 
     @classmethod
     def zeros(cls, d: int, params: FieldParams) -> "FieldVector":
@@ -354,8 +344,9 @@ class FixedPointCodec:
     params: FieldParams = dc_field(default_factory=FieldParams)
 
     def __post_init__(self):
-        if self.frac_bits < 0:
-            raise ConfigurationError("frac_bits must be non-negative")
+        if self.frac_bits < 0 or 2 << self.frac_bits >= self.params.modulus:
+            raise ConfigurationError(f"{self.frac_bits} fractional bits: need 0 <= f "
+                                     f"and 2^f < q/2 for q = {self.params.modulus}")
 
     @property
     def limit(self) -> float:

@@ -19,19 +19,16 @@ Overhead accounting for the DKG is dkg_cost_model's closed form: K(K-1)
 point-to-point messages (self-delivery is local), each carrying d
 8-byte words, with per-client compute modeled as K*t*d field
 multiplications.
-
-The key-norm surrogate sharing.public_norm(d) = sqrt(d) is never data: a
-share file whose header slot for it holds any other value does not load.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import Format
 from .errors import ConfigurationError
 from .field import _MASK32, FieldParams, FieldVector, ProtocolCodecs, _fold
-from .sharing import Commitment, ShamirConfig, ShamirShare, commit, public_norm, shamir_share
+from .sharing import Commitment, ShamirConfig, ShamirShare, commit, shamir_share
 
 
 @dataclass(frozen=True)
@@ -63,6 +60,7 @@ class SetupResult:
     cfg: ShamirConfig
     codecs: ProtocolCodecs
     shares: list                    # one ShamirShare per client
+    setup_id: bytes = None          # 16 bytes, the setup RNG's last draw
     commitment: Commitment = None   # dealer path only
     overhead: OverheadRecord = None  # DKG path only
     debug_key: np.ndarray = None            # real tau, debug builds only
@@ -89,6 +87,7 @@ def setup_trusted_dealer(cfg: ShamirConfig, d: int, rng: np.random.Generator,
         cfg=cfg,
         codecs=codecs,
         shares=shares,
+        setup_id=rng.bytes(16),
         commitment=c,
         debug_key=tau if keep_key else None,
     )
@@ -135,25 +134,20 @@ def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
 
 
 def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
-              rngs: list = None, codecs: ProtocolCodecs = None,
+              codecs: ProtocolCodecs = None,
               keep_contributions: bool = False) -> SetupResult:
     """Dealer-free setup; the key is implicitly sum_k w_k, w_k ~ N(0, I_d/K).
-
-    Per-client RNG streams may be passed explicitly; otherwise they are
-    spawned deterministically from master_rng. Overhead: dkg_cost_model(K, t, d).
-    """
+    Per-client RNG streams are spawned deterministically from master_rng;
+    the overhead is dkg_cost_model(K, t, d)."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
+    if master_rng is None:
+        raise ConfigurationError("pass master_rng")
     if codecs is None:
         codecs = ProtocolCodecs(params=cfg.params)
     K = cfg.n_clients
-    if rngs is None:
-        if master_rng is None:
-            raise ConfigurationError("pass master_rng or per-client rngs")
-        seeds = master_rng.integers(0, 2**63, size=K)
-        rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    if len(rngs) != K:
-        raise ConfigurationError("need one rng per client")
+    seeds = master_rng.integers(0, 2**63, size=K)
+    rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
     contributions = [rngs[k].standard_normal(d) / np.sqrt(K) for k in range(K)]
     enc = [codecs.share.encode(w) for w in contributions]
     shares = _dkg_shares(_dkg_outgoing(enc, cfg, rngs), cfg, d)
@@ -161,6 +155,7 @@ def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
         cfg=cfg,
         codecs=codecs,
         shares=shares,
+        setup_id=master_rng.bytes(16),
         overhead=dkg_cost_model(K, cfg.threshold, d),
         debug_contributions=contributions if keep_contributions else None,
         debug_key=sum(contributions) if keep_contributions else None,
@@ -195,68 +190,51 @@ def dkg_cost_model(K: int, t: int, d: int, bandwidth_bps: float = 1e9,
 
 # -- key-material files: header + share, binary --
 
-_SHARE_MAGIC = b"TWSHARE1"
-_SHARE_HDR = "<QHIIQd"  # q, f_share, K, t, point, public_norm(d)
+# q, f_share, K, t, point, setup id, d; then the d share words
+_SHARE_FILE = Format("TWSHARE2", "<QHIIQ16sQ", lambda hdr: hdr[-1])
 
 
 def save_share(share: ShamirShare, setup: SetupResult, path):
     """Per-client key-material file; self-contained for verification."""
-    with open(path, "wb") as fh:
-        fh.write(_SHARE_MAGIC)
-        fh.write(struct.pack(
-            _SHARE_HDR,
-            setup.codecs.params.modulus, setup.codecs.f_share,
-            setup.cfg.n_clients, setup.cfg.threshold,
-            share.point, public_norm(len(share)),
-        ))
-        fh.write(share.values.to_bytes())
+    _SHARE_FILE.write(path, (
+        setup.codecs.params.modulus, setup.codecs.f_share, setup.cfg.n_clients,
+        setup.cfg.threshold, share.point, setup.setup_id, len(share),
+    ), share.values.words())
 
 
 def load_share(path):
-    """Returns (ShamirShare, header dict with modulus/f_share/n_clients/threshold).
-
-    The file must hold exactly the header, the length word and d words, its
-    point must lie in [1, K] of its own header, and its norm word must be
-    exactly public_norm(d).
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _SHARE_MAGIC:
-        raise ConfigurationError(f"{path}: not a share file")
-    hdr_end = 8 + struct.calcsize(_SHARE_HDR)
-    if len(data) < hdr_end + 8:
-        raise ConfigurationError(f"{path}: share file is truncated")
-    q, f_share, K, t, point, norm = struct.unpack(_SHARE_HDR, data[8:hdr_end])
-    d = int.from_bytes(data[hdr_end:hdr_end + 8], "little")
-    if len(data) != hdr_end + 8 + 8 * d:
-        raise ConfigurationError(
-            f"{path}: {len(data)} bytes, but a share of length {d} takes "
-            f"{hdr_end + 8 + 8 * d}")
-    if not 1 <= point <= K:
-        raise ConfigurationError(f"{path}: point {point} lies outside [1, K={K}]")
-    if not norm == public_norm(d):  # also true for NaN
-        raise ConfigurationError(
-            f"{path}: header norm {norm!r} is not sqrt(d) = {public_norm(d)!r}")
+    """Returns (ShamirShare, header dict: modulus, f_share, n_clients, threshold
+    and setup_id as hex); point and t must lie in [1, K], K below q, q prime."""
+    (q, f_share, K, t, point, setup_id, _), words = _SHARE_FILE.read(path)
+    if not (1 <= point <= K and 1 <= t <= K < q):
+        raise ConfigurationError(f"{path}: need 1 <= point, t <= K < q, got point {point}, "
+                                 f"t {t}, K {K}, q {q}")
     try:
-        vec = FieldVector.from_bytes(data[hdr_end:], FieldParams(q))
+        vec = FieldVector(np.frombuffer(words, dtype="<u8").astype(np.uint64), FieldParams(q))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    header = {
-        "modulus": int(q), "f_share": int(f_share), "n_clients": int(K), "threshold": int(t),
-    }
-    return ShamirShare(point=int(point), values=vec), header
+    return ShamirShare(point=point, values=vec), dict(
+        modulus=q, f_share=f_share, n_clients=K, threshold=t, setup_id=setup_id.hex())
 
 
 def load_shares(paths):
-    """Returns (shares sorted by point, their common header, ShamirConfig)
-    for the share files of one setup; no files, or files whose headers
-    disagree, raise ConfigurationError."""
+    """Returns (shares sorted by point, their common header, ShamirConfig) for
+    the share files of one setup; no files, a header that differs from the
+    first one or a point held twice raise ConfigurationError naming the files."""
     if not paths:
         raise ConfigurationError("no share files given")
-    loaded = sorted((load_share(p) for p in paths), key=lambda sh: sh[0].point)
-    if len({tuple(sorted(hdr.items())) for _, hdr in loaded}) != 1:
-        raise ConfigurationError("share files disagree on protocol parameters")
-    hdr = loaded[0][1]
-    cfg = ShamirConfig(n_clients=hdr["n_clients"], threshold=hdr["threshold"],
-                       params=FieldParams(hdr["modulus"]))
-    return [share for share, _ in loaded], hdr, cfg
+    loaded = [(path, *load_share(path)) for path in paths]
+    first, _, hdr0 = loaded[0]
+    by_point = {}
+    for path, share, hdr in loaded:
+        key = next((key for key in hdr0 if hdr[key] != hdr0[key]), None)
+        if key:
+            raise ConfigurationError(f"{path}: share files disagree on {key}: "
+                                     f"{hdr[key]!r} here, {hdr0[key]!r} in {first}")
+        if share.point in by_point:
+            raise ConfigurationError(f"{path}: point {share.point} is also the "
+                                     f"point of {by_point[share.point]}")
+        by_point[share.point] = path
+    cfg = ShamirConfig(n_clients=hdr0["n_clients"], threshold=hdr0["threshold"],
+                       params=FieldParams(hdr0["modulus"]))
+    return sorted((share for _, share, _ in loaded), key=lambda s: s.point), hdr0, cfg

@@ -20,6 +20,8 @@ def file_lines(path):
             lines = fh.read().splitlines()
     except UnicodeDecodeError:
         raise ConfigurationError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read: {exc.strerror}") from None
     return [(f"{path}:{n}", line) for n, line in enumerate(lines, 1)]
 
 

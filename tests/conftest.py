@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -29,19 +27,19 @@ def rng():
 
 @pytest.fixture
 def tamper_share():
-    """Rewrites a share file with another point, another header norm or
-    f_share, or with ``extra`` bytes appended (> 0) or cut from its end (< 0)."""
+    """Rewrites a share file with another point or f_share through the
+    container, so its digest holds, then appends ``extra`` zero bytes (> 0)
+    or cuts them from its end (< 0)."""
 
-    def tamper(src, dst, point=None, extra=0, norm=None, f_share=None):
-        data = bytearray(open(src, "rb").read())
-        hdr = list(struct.unpack_from(keysetup._SHARE_HDR, data, 8))
+    def tamper(src, dst, point=None, extra=0, f_share=None):
+        hdr, words = keysetup._SHARE_FILE.read(src)
+        hdr = list(hdr)
         if f_share is not None:
             hdr[1] = f_share
         if point is not None:
             hdr[4] = point
-        if norm is not None:
-            hdr[5] = norm
-        struct.pack_into(keysetup._SHARE_HDR, data, 8, *hdr)
+        keysetup._SHARE_FILE.write(dst, hdr, words)
+        data = open(dst, "rb").read()
         data = data + b"\0" * extra if extra >= 0 else data[:extra]
         with open(dst, "wb") as fh:
             fh.write(data)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import shutil
@@ -31,12 +33,6 @@ SMALL_CFG = dict(
     n_clients=6, threshold=3, rounds=10, n_samples=1920, strength_c=0.1,
     calib_models=2, calib_rounds=3, calib_keys=200, seeds=(0,),
 )
-
-
-def _tamper_case(point=None, extra=0, norm=None):
-    """A tamper_share case; point and length cases keep their "point-extra" ids."""
-    return pytest.param(point, extra, norm,
-                        id=f"{point}-{extra}" if norm is None else f"norm={norm!r}")
 
 
 class TestRngUtil:
@@ -321,15 +317,9 @@ class TestCli:
         assert code == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("point,extra,norm", [
-        _tamper_case(7, 0), _tamper_case(0, 0), _tamper_case(None, 1),
-        _tamper_case(None, -1),
-        # header norms other than exactly sqrt(d), d = 5514 under SMALL_CFG
-        *(_tamper_case(norm=n) for n in (1e-300, -5.0, float("nan"), float("inf"),
-                                         float(np.sqrt(5514)) * (1 + 2**-52))),
-    ])
+    @pytest.mark.parametrize("point,extra", [(7, 0), (0, 0), (None, 1), (None, -1)])
     def test_verify_rejects_bad_share_file(self, cli_workspace, tmp_path, capsys,
-                                           tamper_share, point, extra, norm):
+                                           tamper_share, point, extra):
         cfg, _, out = cli_workspace
         assert cfg.shape().dim == 5514
         scfg = ShamirConfig(n_clients=5, threshold=3, params=FieldParams(cfg.modulus))
@@ -342,14 +332,11 @@ class TestCli:
                 "--calibration", str(out / "calibration.txt")] + paths
         assert cli.main(argv) in (0, 1)
         assert "decision:" in capsys.readouterr().out
-        # a norm goes into every share, so that the headers still agree
-        tampered = paths if norm is not None else paths[2:]
-        for path in tampered:
-            tamper_share(path, path, point, extra, norm)
+        tamper_share(paths[2], paths[2], point, extra)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert "decision" not in captured.out
-        assert f"error: {tampered[0]}" in captured.err
+        assert f"error: {paths[2]}" in captured.err
 
     def test_verify_rejects_forged_f_share(self, cli_workspace, tmp_path, capsys,
                                            tamper_share):
@@ -542,9 +529,23 @@ def _damage(data: bytes, draw) -> bytes:
     if how == "append":
         line = draw(st.one_of(st.text().map(str.encode), st.binary()))
         return data + line + b"\n"
+    return _flip(data, draw)
+
+
+def _flip(data: bytes, draw) -> bytes:
     pos = draw(st.integers(0, len(data) - 1))
     flipped = data[pos] ^ draw(st.integers(1, 255))
     return data[:pos] + bytes([flipped]) + data[pos + 1:]
+
+
+def _corrupt(data: bytes, draw) -> bytes:
+    """``data`` cut short anywhere, extended by arbitrary bytes, or with one byte flipped."""
+    how = draw(st.sampled_from(["cut", "append", "flip"]))
+    if how == "cut":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if how == "append":
+        return data + draw(st.binary(min_size=1))
+    return _flip(data, draw)
 
 
 class TestLiteralFiles:
@@ -563,3 +564,154 @@ class TestLiteralFiles:
         for path, original, load in literal_files.values():
             path.write_bytes(original)
             load()
+
+
+@pytest.fixture(scope="module")
+def verify_files(cli_workspace, tmp_path_factory):
+    """Copies of a run's final model and of t of its share files, and the
+    calibration table they verify against."""
+    _, _, out = cli_workspace
+    root = tmp_path_factory.mktemp("verify-files")
+    rundir = out / "run_seed0"
+    model = root / "model_final.bin"
+    shutil.copy(rundir / "model_final.bin", model)
+    shares = [root / f"client_{k}.share" for k in (1, 2, 3)]
+    for path in shares:
+        shutil.copy(rundir / "shares" / path.name, path)
+    return model, shares, out / "calibration.txt"
+
+
+def _verify(model, shares, calib) -> tuple:
+    """(exit code, stdout, stderr) of `twmark verify`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["verify", "--model", str(model), "--calibration", str(calib)]
+                        + [str(p) for p in shares])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestBinaryFiles:
+    def test_saved_files_verify(self, verify_files):
+        code, out, _ = _verify(*verify_files)
+        assert code == 0 and "decision: accept" in out
+
+    @pytest.mark.parametrize("kind", ["model", "share"])
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damaged_file_is_an_error_naming_it(self, verify_files, kind, data):
+        model, shares, calib = verify_files
+        path = model if kind == "model" else data.draw(st.sampled_from(shares))
+        original = path.read_bytes()
+        path.write_bytes(_corrupt(original, data.draw))
+        try:
+            code, out, err = _verify(model, shares, calib)
+        finally:
+            path.write_bytes(original)
+        assert code == 2
+        assert err.startswith(f"error: {path}: "), err
+        assert "decision:" not in out
+
+    @pytest.mark.parametrize("kind", ["model", "share"])
+    def test_old_format_is_named(self, verify_files, tmp_path, kind):
+        model, shares, calib = verify_files
+        src = model if kind == "model" else shares[0]
+        old = tmp_path / src.name
+        old.write_bytes(src.read_bytes()[:7] + b"1" + src.read_bytes()[8:])
+        if kind == "model":
+            code, out, err = _verify(old, shares, calib)
+        else:
+            code, out, err = _verify(model, [old] + shares[1:], calib)
+        assert code == 2 and "decision:" not in out
+        magic = "TWMODEL" if kind == "model" else "TWSHARE"
+        assert err == f"error: {old}: starts b'{magic}1', not {magic}2\n"
+
+    def test_shares_of_two_setups_are_an_error(self, cli_workspace, verify_files,
+                                               tmp_path):
+        # q, f_share, K and t agree, the setups do not: with two such K=4, t=2
+        # runs, an unwatermarked model once passed at z = 21,630
+        cfg, _, _ = cli_workspace
+        _, shares, calib = verify_files
+        _, theta = experiments.run_plain_fedavg(cfg, seed=77, rounds=3)
+        model = tmp_path / "plain.bin"
+        save_model(theta, cfg.shape(), 3, model)
+        other = experiments.run_setup(cfg, 1)  # the shares `train` writes for seed 1
+        foreign = tmp_path / "client_3.share"
+        save_share(other.shares[2], other, foreign)
+        code, out, err = _verify(model, shares[:2] + [foreign], calib)
+        assert code == 2 and "decision:" not in out
+        assert err.startswith(f"error: {foreign}: share files disagree on setup_id: ")
+        assert f" in {shares[0]}\n" in err
+
+    def test_one_share_file_twice_is_an_error(self, verify_files):
+        model, shares, calib = verify_files
+        code, out, err = _verify(model, shares[:2] + shares[1:2], calib)
+        assert code == 2 and "decision:" not in out
+        assert err == f"error: {shares[1]}: point 2 is also the point of {shares[1]}\n"
+
+    def test_f_share_beyond_the_field_is_an_error(self, verify_files, tmp_path,
+                                                  tamper_share):
+        # shares and calibration edited to f_share = 1100 once ended in
+        # "error: (34, 'Numerical result out of range')"
+        model, shares, calib = verify_files
+        forged_calib = tmp_path / "calibration.txt"
+        forged_calib.write_text("".join(
+            "f_share = 1100\n" if ln.startswith("f_share") else ln
+            for ln in calib.read_text().splitlines(keepends=True)))
+        forged = [tmp_path / p.name for p in shares]
+        for src, dst in zip(shares, forged):
+            tamper_share(src, dst, f_share=1100)
+        code, out, err = _verify(model, forged, forged_calib)
+        assert code == 2 and "decision:" not in out
+        assert err.startswith(f"error: {forged[0]}: 1100 fractional bits: need ")
+
+    def test_fingerprint_error_names_the_calibration(self, verify_files, tmp_path):
+        model, shares, calib = verify_files
+        other = tmp_path / "calibration.txt"
+        other.write_text("".join(
+            "fingerprint = 'mlp-1x2x3'\n" if ln.startswith("fingerprint") else ln
+            for ln in calib.read_text().splitlines(keepends=True)))
+        code, out, err = _verify(model, shares, other)
+        assert code == 2 and "decision:" not in out
+        assert err.startswith(f"error: {other}: fingerprint 'mlp-1x2x3' is not the ")
+        assert err.endswith(f" of {model}\n")
+
+    @pytest.mark.parametrize("weight, message", [
+        (np.nan, "coordinate 7 is not finite"), (0.0, "zero-norm suspect model"),
+        (1e9, "verification bound"),
+    ])
+    def test_model_values_that_cannot_verify_name_the_model(self, cli_workspace,
+                                                            verify_files, tmp_path,
+                                                            weight, message):
+        # a model file with a sound digest, but weights verification refuses
+        cfg, _, _ = cli_workspace
+        _, shares, calib = verify_files
+        theta = np.zeros(cfg.shape().dim)
+        theta[7] = weight
+        model = tmp_path / "model.bin"
+        save_model(theta, cfg.shape(), 0, model)
+        code, out, err = _verify(model, shares, calib)
+        assert code == 2 and "decision:" not in out
+        assert err.startswith(f"error: {model}: {message}")
+
+    @pytest.mark.parametrize("missing", ["model", "share", "calibration"])
+    def test_missing_file_names_itself(self, verify_files, tmp_path, missing):
+        model, shares, calib = verify_files
+        gone = tmp_path / "gone"
+        code, out, err = _verify(*{"model": (gone, shares, calib),
+                                   "share": (model, shares[:2] + [gone], calib),
+                                   "calibration": (model, shares, gone)}[missing])
+        assert code == 2 and "decision:" not in out
+        assert err == f"error: {gone}: cannot read: No such file or directory\n"
+
+    def test_shares_of_another_length_are_an_error(self, cli_workspace, verify_files,
+                                                   tmp_path):
+        cfg, _, _ = cli_workspace
+        model, _, calib = verify_files
+        scfg = ShamirConfig(n_clients=6, threshold=3, params=FieldParams(cfg.modulus))
+        setup = setup_trusted_dealer(scfg, 24, rng_from_key(5, "setup"), codecs=cfg.codecs())
+        paths = [tmp_path / f"client_{s.point}.share" for s in setup.shares[:3]]
+        for share, path in zip(setup.shares, paths):
+            save_share(share, setup, path)
+        code, out, err = _verify(model, paths, calib)
+        assert code == 2 and "decision:" not in out
+        assert err.startswith(f"error: {paths[0]}: shares have f_share 20, d 24; ")

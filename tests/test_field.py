@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twmark import field
 from twmark.errors import (
     ConfigurationError,
     EncodingOverflowError,
@@ -34,6 +35,15 @@ class TestFieldParams:
     def test_rejects_non_odd_primes(self, bad):
         with pytest.raises(ConfigurationError, match=f"modulus {bad} "):
             FieldParams(bad)
+
+    def test_primality_cache_keeps_rejecting_composites(self):
+        FieldParams(M61)
+        assert field._is_prime.cache_info().currsize >= 1
+        for bad in (M61 - 2, 2**31 - 1 + 2, (2**31 - 1) * (2**29 - 3)):
+            for _ in range(2):  # the second time from the cache
+                with pytest.raises(ConfigurationError, match=f"modulus {bad} "):
+                    FieldParams(bad)
+        FieldParams(2**31 - 1)
 
     def test_largest_moduli_below_2_63_add_exactly(self):
         q = 2**63 - 25
@@ -161,10 +171,9 @@ class TestFieldVector:
 
     def test_bytes_roundtrip(self, fM61, rng):
         v = FieldVector(fM61.uniform(rng, 17), fM61)
-        data = v.to_bytes()
-        assert len(data) == 8 + 17 * 8
-        assert FieldVector.from_bytes(data, fM61) == v
-        assert v.words() == data[8:]
+        data = v.words()
+        assert len(data) == 17 * 8
+        assert FieldVector(np.frombuffer(data, dtype="<u8"), fM61) == v
 
 
 class TestFixedPointCodec:
@@ -211,6 +220,14 @@ class TestFixedPointCodec:
     def test_negative_frac_bits(self, fM61):
         with pytest.raises(ConfigurationError):
             FixedPointCodec(-1, fM61)
+
+    @pytest.mark.parametrize("q, most", [(M61, 59), (7, 1), (2**31 - 1, 29)])
+    def test_frac_bits_leave_room_below_q_half(self, q, most):
+        # 2^f < q/2, so that 1.0 encodes; 1100 bits once overflowed a float
+        assert FixedPointCodec(most, FieldParams(q)).encode_scalar(1.0) == 1 << most
+        for bits in (most + 1, 1100):
+            with pytest.raises(ConfigurationError, match=f"^{bits} fractional bits: .* {q}$"):
+                FixedPointCodec(bits, FieldParams(q))
 
     def test_vector_roundtrip(self, fM61, rng):
         codec = FixedPointCodec(F_SHARE, fM61)

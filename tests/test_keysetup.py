@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twmark import field, keysetup
 from twmark.errors import ConfigurationError
 from twmark.field import FieldVector, ProtocolCodecs
 from twmark.keysetup import (
@@ -12,17 +13,12 @@ from twmark.keysetup import (
     setup_dkg,
     setup_trusted_dealer,
 )
-from twmark.sharing import ShamirConfig, open_check, public_norm, shamir_reconstruct
+from twmark.sharing import (ShamirConfig, open_check, public_norm, shamir_reconstruct,
+                            shamir_share)
 
 
 def _cfg(params, K=5, t=3):
     return ShamirConfig(n_clients=K, threshold=t, params=params)
-
-
-def _tamper_case(point=None, extra=0, norm=None):
-    """A tamper_share case; point and length cases keep their "point-extra" ids."""
-    return pytest.param(point, extra, norm,
-                        id=f"{point}-{extra}" if norm is None else f"norm={norm!r}")
 
 
 class TestTrustedDealer:
@@ -122,6 +118,7 @@ class TestShareFiles:
             "f_share": setup.codecs.f_share,
             "n_clients": 5,
             "threshold": 3,
+            "setup_id": setup.setup_id.hex(),
         }
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -130,21 +127,25 @@ class TestShareFiles:
         with pytest.raises(ConfigurationError):
             load_share(path)
 
-    @pytest.mark.parametrize("point,extra,norm", [
-        _tamper_case(7, 0), _tamper_case(0, 0), _tamper_case(None, 1),
-        _tamper_case(None, -1), _tamper_case(None, -8 * 24), _tamper_case(None, -220),
-        # header norms other than exactly sqrt(d), d = 24
-        *(_tamper_case(norm=n) for n in (1e-300, -5.0, float("nan"), float("inf"),
-                                         float(np.sqrt(24)) * (1 + 2**-52))),
+    @pytest.mark.parametrize("point,extra", [
+        (7, 0), (0, 0), (None, 1), (None, -1), (None, -8 * 24), (None, -220),
     ])
     def test_rejects_bad_point_or_length(self, fM61, rng, tmp_path, tamper_share,
-                                         point, extra, norm):
+                                         point, extra):
         setup = setup_trusted_dealer(_cfg(fM61), 24, rng)
         path = tmp_path / "client_2.share"
         save_share(setup.shares[1], setup, path)
         load_share(path)
-        tamper_share(path, path, point, extra, norm)
+        tamper_share(path, path, point, extra)
         with pytest.raises(ConfigurationError, match="client_2.share"):
+            load_share(path)
+
+    def test_rejects_k_from_q(self, tmp_path):
+        # points 1..K must stay distinct and nonzero mod q
+        path = tmp_path / "client_1.share"
+        keysetup._SHARE_FILE.write(path, (7, 1, 7, 3, 1, bytes(16), 2), bytes(16))
+        with pytest.raises(ConfigurationError,
+                           match=f"^{path}: need 1 <= point, t <= K < q, got point 1, t 3, K 7, q 7$"):
             load_share(path)
 
     def test_load_shares_sorts_by_point(self, fM61, rng, tmp_path):
@@ -169,3 +170,53 @@ class TestShareFiles:
             save_share(setup.shares[0], setup, paths[-1])
         with pytest.raises(ConfigurationError, match="disagree"):
             load_shares(paths)
+
+    def _saved(self, setup, tmp_path, name):
+        paths = [str(tmp_path / f"{name}_{s.point}.share") for s in setup.shares]
+        for share, path in zip(setup.shares, paths):
+            save_share(share, setup, path)
+        return paths
+
+    def test_load_shares_rejects_mixed_setups(self, fM61, tmp_path):
+        # same (q, f_share, K, t), different setup RNGs: only the id differs
+        a = setup_trusted_dealer(_cfg(fM61), 8, np.random.default_rng(0))
+        b = setup_trusted_dealer(_cfg(fM61), 8, np.random.default_rng(1))
+        assert a.setup_id != b.setup_id and len(a.setup_id) == 16
+        pa, pb = self._saved(a, tmp_path, "a"), self._saved(b, tmp_path, "b")
+        with pytest.raises(ConfigurationError,
+                           match=f"^{pb[1]}: share files disagree on setup_id: .* in {pa[0]}$"):
+            load_shares([pa[0], pb[1], pa[2]])
+
+    def test_load_shares_rejects_one_point_twice(self, fM61, rng, tmp_path):
+        paths = self._saved(setup_trusted_dealer(_cfg(fM61), 8, rng), tmp_path, "c")
+        copy = str(tmp_path / "copy.share")
+        with open(paths[1], "rb") as src, open(copy, "wb") as dst:
+            dst.write(src.read())
+        with pytest.raises(ConfigurationError,
+                           match=f"^{copy}: point 2 is also the point of {paths[1]}$"):
+            load_shares([paths[0], paths[1], copy])
+
+    def test_load_shares_tests_primality_once_per_modulus(self, fM61, rng, tmp_path):
+        setup = setup_trusted_dealer(_cfg(fM61, K=16, t=8), 8, rng)
+        paths = self._saved(setup, tmp_path, "p")
+        field._is_prime.cache_clear()
+        load_shares(paths)
+        info = field._is_prime.cache_info()
+        assert (info.misses, info.hits) == (1, 16)
+
+
+class TestSetupId:
+    def test_drawn_after_every_other_draw(self, fM61):
+        # so shares, commitments and training are those of a setup without an id
+        cfg = _cfg(fM61)
+        dealer = setup_trusted_dealer(cfg, 8, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        tau = rng.standard_normal(8)
+        rng.bytes(32)
+        shares = shamir_share(dealer.codecs.share.encode(tau), cfg, rng)
+        assert all(a.values == b.values for a, b in zip(shares, dealer.shares))
+        assert dealer.setup_id == rng.bytes(16)
+        dkg = setup_dkg(cfg, 8, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        rng.integers(0, 2**63, size=cfg.n_clients)
+        assert dkg.setup_id == rng.bytes(16)
