@@ -39,6 +39,7 @@ from .sharing import ShamirConfig
 from .verify import (
     Z_STAR_DEFAULT,
     CalibrationTable,
+    EncodedSuspect,
     VerificationReport,
     calibrate,
     coalition_statistic,
@@ -297,7 +298,7 @@ def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
                                  f"the calibration table {calib.f_share}, {calib.dim}")
 
     def verifier(theta: np.ndarray) -> VerificationReport:
-        enc = codec.encode(theta)
+        enc = EncodedSuspect.of(codec.encode(theta))
         partials = [partial_inner(s, enc, codec) for s in shares]
         return coalition_statistic(partials, theta, calib, scfg, codec.frac_bits,
                                    z_star=z_star)

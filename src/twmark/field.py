@@ -7,7 +7,10 @@ fast path (products are reduced via the 2^61 = 1 congruence). Any odd
 prime 3 <= q < 2^63 works, so that the sum of two elements fits in uint64;
 tiny primes (e.g. 7) enable exhaustive secrecy tests.
 Matrix products mod M61 (_matmul_mod, behind Shamir sharing) run exactly
-on float64 BLAS over 21-bit limbs.
+on float64 BLAS over 21-bit limbs. FieldVector.centered gives a vector's
+centered integers and their largest magnitude, from which verification
+takes its partial inner products (see verify); FieldVector.inner is the
+exact uint64 oracle.
 
 Real vectors enter the field through a centered fixed-point codec:
 encode(x) = round(x * 2^f) mod q with round-half-away-from-zero, decoded
@@ -192,6 +195,13 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, params: "FieldParams") -> np.ndarr
     return out
 
 
+def _centered(vals: np.ndarray, q: int) -> np.ndarray:
+    """Elements of [0, q) as their representatives in [-(q-1)/2, (q-1)/2],
+    int64 (q < 2^63, so every element fits)."""
+    signed = vals.astype(np.int64)
+    return np.where(vals > np.uint64((q - 1) // 2), signed - np.int64(q), signed)
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """An odd prime modulus q; all element values lie in [0, q)."""
@@ -315,12 +325,18 @@ class FieldVector:
         return out
 
     def inner(self, other: "FieldVector") -> int:
-        """<self, other> mod q, exact."""
+        """<self, other> mod q, exact; the oracle behind verify_direct."""
         prod = self.mul_elementwise(other).values
         # split-sum so the accumulation never overflows uint64
         lo = int((prod & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
         hi = int((prod >> np.uint64(32)).sum(dtype=np.uint64))
         return ((hi << 32) + lo) % self.params.modulus
+
+    def centered(self) -> tuple:
+        """The centered representatives, in [-(q-1)/2, (q-1)/2], as int64,
+        and their largest magnitude as an int (below 2^62)."""
+        c = _centered(self.values, self.params.modulus)
+        return c, int(np.abs(c).max(initial=0))
 
     def words(self) -> bytes:
         """The elements as little-endian 8-byte words."""
@@ -382,11 +398,7 @@ class FixedPointCodec:
         return self.decode_values(v.values)
 
     def decode_values(self, vals: np.ndarray) -> np.ndarray:
-        q = self.params.modulus
-        half = (q - 1) // 2
-        signed = vals.astype(np.int64)
-        centered = np.where(vals > np.uint64(half), signed - np.int64(q), signed)
-        return centered.astype(np.float64) / 2.0 ** self.frac_bits
+        return _centered(vals, self.params.modulus).astype(np.float64) / 2.0 ** self.frac_bits
 
     def decode_scalar(self, v: int) -> float:
         return float(self.decode_values(np.array([v], dtype=np.uint64))[0])

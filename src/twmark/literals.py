@@ -3,6 +3,7 @@ tables and run manifests; values are parsed, never evaluated."""
 
 import ast
 import math
+import warnings
 from typing import get_args, get_origin
 
 from .errors import ConfigurationError
@@ -53,9 +54,14 @@ def read_literals(lines, types: dict) -> dict:
             raise ConfigurationError(f"{where}: expected a known key = value, "
                                      f"got {line[:60]!r}")
         try:
-            value = ast.literal_eval(raw)
-        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-            raise ConfigurationError(f"{where}: {key} is not a literal") from None
+            with warnings.catch_warnings():
+                # e.g. an invalid escape such as '\d', which would warn naming no file
+                warnings.simplefilter("error")
+                value = ast.literal_eval(raw)
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError,
+                Warning) as exc:
+            reason = f": {exc.msg}" if isinstance(exc, SyntaxError) and exc.msg else ""
+            raise ConfigurationError(f"{where}: {key} is not a literal{reason}") from None
         want = types[key]
         try:
             values[key] = _typed(value, want)

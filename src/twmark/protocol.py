@@ -156,7 +156,7 @@ def embed_round(global_model: GlobalModel, clients: dict, plan: RoundPlan,
         )
         S = quantize_scale(codecs.scale.decode_scalar(total_enc), codecs,
                            params.scale_max)
-        # share-embedded terms (Lagrange map computed once per round)
+        # share-embedded terms (Lagrange map cached per participant set)
         lam = lagrange_at_zero(plan.participants, codecs.params)
 
         def term(k):

@@ -13,16 +13,20 @@ row (1 x t) times the stacked shares. For M61 the product runs on float64
 BLAS over 21-bit limbs: each limb product is an integer below 2^42 and each
 partial sum one below 2^53, which float64 holds exactly whatever order BLAS
 adds in, so the shares are bit-identical to Horner's rule for every BLAS
-build and thread count (see field._matmul_mod).
+build and thread count (see field._matmul_mod). The Lagrange coefficients
+of a point set are computed once per (points, field) and returned read-only.
 
 The commitment is SHA-256 over a fixed byte layout:
 rho (32) || d (8 LE) || q (8 LE) || f_share (2 LE) || secret words || sqrt(d) double.
 """
 
+import functools
 import hashlib
 import secrets
-from dataclasses import dataclass
 import struct
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -111,13 +115,19 @@ def shamir_share(secret: FieldVector, cfg: ShamirConfig, rng: np.random.Generato
             for x, row in zip(cfg.points, evals)]
 
 
-def lagrange_at_zero(points, params: FieldParams) -> dict:
+def lagrange_at_zero(points, params: FieldParams) -> Mapping[int, int]:
     """Lagrange coefficients at 0: lambda_i = prod_{j != i} (0-x_j)/(x_i-x_j).
 
     For any polynomial P of degree < |points| through the shares,
-    sum_i lambda_i P(x_i) = P(0).
+    sum_i lambda_i P(x_i) = P(0). Computed once per (points, params); the
+    mapping is read-only, so no caller can change what a later call gets.
     """
-    pts = list(points)
+    return _lagrange_at_zero(tuple(points), params)
+
+
+@functools.lru_cache(maxsize=64)
+def _lagrange_at_zero(pts: tuple, params: FieldParams) -> Mapping[int, int]:
+    # an exception is not cached: duplicate points raise on every call
     if len(set(p % params.modulus for p in pts)) != len(pts):
         raise ConfigurationError("duplicate evaluation points")
     q = params.modulus
@@ -130,7 +140,7 @@ def lagrange_at_zero(points, params: FieldParams) -> dict:
             num = num * (-xj) % q
             den = den * (xi - xj) % q
         lam[xi] = num * params.inv(den) % q
-    return lam
+    return MappingProxyType(lam)
 
 
 def shamir_reconstruct(shares, cfg: ShamirConfig) -> FieldVector:

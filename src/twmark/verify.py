@@ -12,8 +12,19 @@ z >= z*, default 4, a ~3.2e-5 false-positive tail).
 
 theta_s is encoded at f_share bits (not f_model) so the inner product
 stays within q/2 at larger d; the bound check is a hard precondition.
+
+A partial <enc(theta_s), s_i> mod q is computed from the suspect's small
+centered integers c, not from its 61-bit field words: c is split once per
+model into signed float64 limbs of at most 24 bits (EncodedSuspect), each
+share word is read as four 16-bit limbs, and sum_l 2^(16l) (c @ limb_l(s))
+is one float64 product per share for every model within the verification
+bound at the default f_share (d < 2^22). Longer or wider inputs take more
+passes over d, chosen so that every partial sum is an integer of magnitude
+at most 2^53: the result is exact for any q < 2^63, BLAS build and thread
+count. FieldVector.inner stays the oracle behind verify_direct.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +71,10 @@ class CalibrationTable:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
+        suffix = re.search(r"-d([0-9]+)$", self.fingerprint)
+        if suffix and int(suffix[1]) != self.dim:
+            raise ConfigurationError(f"fingerprint {self.fingerprint!r} is not of "
+                                     f"the table's dim {self.dim}")
 
     @property
     def normality_warning(self) -> bool:
@@ -103,18 +118,80 @@ def model_fingerprint(shape) -> str:
     return f"mlp-{shape.input_dim}x{shape.hidden}x{shape.n_classes}-d{shape.dim}"
 
 
+# float64 holds every integer of magnitude at most 2^53 exactly
+_EXACT = 1 << 53
+# a share word is read as four 16-bit limbs, the suspect as limbs of at most 24 bits
+_SHARE_LIMB_MAX = (1 << 16) - 1
+_SUSPECT_LIMB_BITS = 24
+
+
+@dataclass(frozen=True)
+class EncodedSuspect:
+    """The encoded suspect, prepared once for all the coalition's partials.
+
+    Its centered integers c are split in integer arithmetic into k limbs of
+    ``bits`` <= 24 bits, each carrying the sign of its c, so that
+    c = sum_m 2^(bits*m) * limbs[m], and held as float64. ``rows`` is the
+    most coordinates one float64 product sums exactly: a term is a limb
+    times a 16-bit share limb, and ``rows`` terms stay within 2^53 in
+    magnitude. At the default f_share every model within the verification
+    bound, d * max|c| < 2^37 + d/2, takes one pass for d < 2^22.
+    """
+
+    limbs: np.ndarray   # (k, d) float64
+    bits: int
+    rows: int
+    params: FieldParams
+
+    def __len__(self):
+        return self.limbs.shape[1]
+
+    @classmethod
+    def of(cls, enc: FieldVector) -> "EncodedSuspect":
+        c, top = enc.centered()
+        k = -(-top.bit_length() // _SUSPECT_LIMB_BITS) or 1
+        bits = -(-top.bit_length() // k)
+        mag = np.abs(c)
+        limbs = np.empty((k, len(c)))
+        for m in range(k):
+            limb = (mag >> (bits * m)) & ((1 << bits) - 1)
+            limbs[m] = np.where(c < 0, -limb, limb)
+        widest = min(top, (1 << bits) - 1)  # the largest limb magnitude
+        return cls(limbs, bits, _EXACT // (max(widest, 1) * _SHARE_LIMB_MAX), enc.params)
+
+
+def _inner_exact(x: EncodedSuspect, share: FieldVector) -> int:
+    """<c, s> mod q = sum over suspect limbs m and share limbs l of
+    2^(bits*m + 16*l) * (x.limbs[m] @ limb_l(s)), one float64 product per
+    pass of x.rows coordinates. Every partial sum is an integer of at most
+    2^53 in magnitude, so BLAS sums it exactly in any order."""
+    d = len(share)
+    s = (np.ascontiguousarray(share.values, dtype="<u8").view("<u2")
+         .reshape(d, 4).astype(np.float64))
+    total = 0
+    for r0 in range(0, d, x.rows):
+        part = x.limbs[:, r0:r0 + x.rows] @ s[r0:r0 + x.rows]
+        for m, row in enumerate(part.tolist()):
+            total += sum(int(v) << (x.bits * m + 16 * l) for l, v in enumerate(row))
+    return total % x.params.modulus
+
+
 def partial_inner(share: ShamirShare, theta_s, codec: FixedPointCodec) -> PartialVerification:
     """Exact field inner product of the encoded suspect with one share.
 
-    ``theta_s`` is the real model, or its ``codec`` encoding when one model
-    is scored against several shares and should be encoded once.
+    ``theta_s`` is the real model, a field vector such as its ``codec``
+    encoding, or that encoding as an EncodedSuspect, which a coalition
+    prepares once for all its shares.
     """
     if len(theta_s) != len(share.values):
         raise ConfigurationError(
             f"length mismatch: model {len(theta_s)}, share {len(share.values)}"
         )
-    enc = theta_s if isinstance(theta_s, FieldVector) else codec.encode(theta_s)
-    return PartialVerification(point=share.point, value=enc.inner(share.values))
+    if not isinstance(theta_s, EncodedSuspect):
+        enc = theta_s if isinstance(theta_s, FieldVector) else codec.encode(theta_s)
+        theta_s = EncodedSuspect.of(enc)
+    share.values.params._check(theta_s.params)
+    return PartialVerification(point=share.point, value=_inner_exact(theta_s, share.values))
 
 
 def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, calib: CalibrationTable,

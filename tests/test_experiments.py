@@ -3,6 +3,7 @@ import io
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -565,6 +566,45 @@ class TestLiteralFiles:
             path.write_bytes(original)
             load()
 
+    def test_invalid_escape_in_a_config_file_names_the_line(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("# comment\nsetup_mode = '\\d'\n")
+        want = "^" + re.escape(f"{path}:2: setup_mode is not a literal: "
+                               "invalid escape sequence '\\d'")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=want):
+                ExperimentConfig.from_file(path)
+
+    def test_invalid_escape_in_a_set_item_names_the_item(self):
+        item = "setup_mode='\\d'"
+        want = "^" + re.escape(f"--set {item!r}: setup_mode is not a literal: "
+                               "invalid escape sequence '\\d'")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=want):
+                ExperimentConfig.with_overrides({}, [item])
+
+    def test_escapes_in_a_calibration_table(self, literal_files, tmp_path):
+        # '\d' warned naming no file; '\\d' is a valid escape and reads
+        path, original, _ = literal_files["calibration"]
+        text = original.decode()
+        dim = CalibrationTable.load(path).dim
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        for dst, value in ((bad, f"'mlp\\d-d{dim}'"), (good, f"'mlp\\\\d-d{dim}'")):
+            dst.write_text("".join(
+                f"fingerprint = {value}\n" if ln.startswith("fingerprint") else ln
+                for ln in text.splitlines(keepends=True)))
+        line = 1 + text.splitlines().index(
+            next(ln for ln in text.splitlines() if ln.startswith("fingerprint")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match="^" + re.escape(f"{bad}:{line}: fingerprint is not a "
+                                                     "literal: invalid escape sequence")):
+                CalibrationTable.load(bad)
+            assert CalibrationTable.load(good).fingerprint == f"mlp\\d-d{dim}"
+
 
 @pytest.fixture(scope="module")
 def verify_files(cli_workspace, tmp_path_factory):
@@ -663,6 +703,19 @@ class TestBinaryFiles:
         code, out, err = _verify(model, forged, forged_calib)
         assert code == 2 and "decision:" not in out
         assert err.startswith(f"error: {forged[0]}: 1100 fractional bits: need ")
+
+    def test_calibration_dim_error_names_the_calibration(self, verify_files, tmp_path):
+        # a table whose dim line alone was edited was blamed on the first share file
+        model, shares, calib = verify_files
+        other = tmp_path / "calibration.txt"
+        other.write_text("".join(
+            "dim = 9999\n" if ln.startswith("dim") else ln
+            for ln in calib.read_text().splitlines(keepends=True)))
+        code, out, err = _verify(model, shares, other)
+        assert code == 2 and "decision:" not in out
+        fingerprint = CalibrationTable.load(calib).fingerprint
+        assert err == (f"error: {other}: fingerprint {fingerprint!r} is not of "
+                       "the table's dim 9999\n")
 
     def test_fingerprint_error_names_the_calibration(self, verify_files, tmp_path):
         model, shares, calib = verify_files

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twmark.errors import ConfigurationError, SkipRoundError, ThresholdError
 from twmark.field import M61, FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs
@@ -161,6 +162,42 @@ class TestLagrange:
     def test_duplicate_points_rejected(self, fM61):
         with pytest.raises(ConfigurationError):
             lagrange_at_zero([1, 2, 1], fM61)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_the_product_formula(self, data):
+        q = data.draw(st.sampled_from([7, 1_000_003, M61]))
+        params = FieldParams(q)
+        # distinct nonzero residues; a point may be any integer of its class
+        residues = data.draw(st.lists(st.integers(1, min(q - 1, 10**6)), min_size=1,
+                                      max_size=min(q - 1, 40), unique=True))
+        pts = [r + q * data.draw(st.integers(-2, 2)) for r in residues]
+        want = {}
+        for xi in pts:
+            num, den = 1, 1
+            for xj in pts:
+                if xj != xi:
+                    num, den = num * -xj % q, den * (xi - xj) % q
+            want[xi] = num * pow(den, q - 2, q) % q
+        for _ in range(2):  # computed, then read from the cache
+            assert dict(lagrange_at_zero(pts, params)) == want
+
+    def test_returned_mapping_cannot_change_a_later_result(self, fM61):
+        pts = [3, 5, 9, 11]
+        lam = lagrange_at_zero(pts, fM61)
+        want = dict(lam)
+        with pytest.raises(TypeError):
+            lam[3] = 0
+        with pytest.raises(AttributeError):
+            lam.clear()
+        pts.append(13)  # the caller's list is not the cache key
+        assert lagrange_at_zero([3, 5, 9, 11], fM61) == want
+
+    def test_duplicate_points_raise_on_every_call(self, f7):
+        for pts in ([1, 2, 1], [1, 8], [1, 8]):  # 8 = 1 (mod 7)
+            with pytest.raises(ConfigurationError, match="duplicate"):
+                lagrange_at_zero(pts, f7)
+            assert lagrange_at_zero(pts[:1], f7) == {1: 1}
 
 
 class TestEmbeddingShares:

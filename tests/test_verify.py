@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twmark.errors import (
     ConfigurationError,
     DegenerateModelError,
+    FieldMismatchError,
     FingerprintMismatchError,
     ThresholdError,
 )
-from twmark.field import FieldParams, ProtocolCodecs
+from twmark.field import (F_SHARE, M61, TAU_INF_BOUND, FieldParams, FieldVector,
+                          FixedPointCodec, ProtocolCodecs, verification_bound)
 from twmark.flsim import MlpShape
 from twmark.keysetup import setup_trusted_dealer
-from twmark.sharing import ShamirConfig
+from twmark.sharing import ShamirConfig, ShamirShare
 from twmark.verify import (
     CalibrationTable,
+    EncodedSuspect,
     VerificationReport,
     calibrate,
     coalition_statistic,
@@ -38,7 +42,7 @@ def _setup(rng, K=5, t=3, d=64):
 
 class TestCalibrationTable:
     def test_save_load_roundtrip(self, tmp_path):
-        t = _table(mu=1e-4, sigma=0.013, fingerprint="mlp-32x128x10-d5514")
+        t = _table(mu=1e-4, sigma=0.013, dim=5514, fingerprint="mlp-32x128x10-d5514")
         path = tmp_path / "calibration.txt"
         t.save(path)
         assert CalibrationTable.load(path) == t
@@ -54,7 +58,7 @@ class TestCalibrationTable:
 
     def test_load_rejects_truncated_file(self, tmp_path):
         path = tmp_path / "calibration.txt"
-        _table(fingerprint="mlp-32x128x10-d5514").save(path)
+        _table(dim=5514, fingerprint="mlp-32x128x10-d5514").save(path)
         data = path.read_bytes()
         # every prefix short of the final newline lacks a field or a value
         for cut in range(len(data) - 1):
@@ -109,6 +113,100 @@ class TestPartialInner:
         setup = _setup(rng, d=16)
         with pytest.raises(ConfigurationError):
             partial_inner(setup.shares[0], np.zeros(8), codecs.share)
+
+
+# 7, a mid-size prime, M61 and the largest prime below 2^63
+_PRIMES = (7, 1_000_003, M61, (1 << 63) - 25)
+
+
+def _elements(rng, q, d, edges=0.25):
+    """d elements of [0, q), the share ``edges`` of them 0, 1, (q-1)/2,
+    (q+1)/2 or q-1."""
+    vals = FieldParams(q).uniform(rng, d)
+    edge = np.array([0, 1, (q - 1) // 2, (q + 1) // 2, q - 1], dtype=np.uint64)
+    pick = rng.random(d) < edges
+    vals[pick] = rng.choice(edge, int(pick.sum()))
+    return vals
+
+
+def _suspect(data, rng, codec, d):
+    """A model at +-codec.limit, a model inside it, any field vector, or one
+    whose centered values reach 2^24 - 1 or 2^48 - 1, the widest limbs.
+    Signs all alike make the partial sums as large as they get."""
+    q = codec.params.modulus
+    kind = data.draw(st.sampled_from(["limit", "inside", "field", "wide"]))
+    sign = data.draw(st.sampled_from([1, -1, 0]))
+    signs = np.where(rng.random(d) < 0.5, -1, 1) if sign == 0 else np.full(d, sign)
+    top = np.nextafter(codec.limit, 0.0)
+    if kind == "limit":
+        return signs * top
+    if kind == "inside":
+        return signs * top * rng.random(d) * 2.0 ** -data.draw(st.integers(0, 60))
+    if kind == "field":
+        return FieldVector(_elements(rng, q, d), codec.params)
+    bound = min((1 << data.draw(st.sampled_from([24, 48]))) - 1, (q - 1) // 2)
+    low = data.draw(st.sampled_from([0, bound]))
+    c = [int(s) * int(v) for s, v in zip(signs, rng.integers(low, bound, d, endpoint=True))]
+    c[int(rng.integers(d))] = bound
+    return FieldVector([v % q for v in c], codec.params)
+
+
+class TestPartialInnerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_python_int_sum(self, data):
+        q = data.draw(st.sampled_from(_PRIMES))
+        params = FieldParams(q)
+        codec = FixedPointCodec(data.draw(st.integers(0, (q - 1).bit_length() - 2)), params)
+        # lengths past 16384 take at least three passes of the widest limbs
+        d = data.draw(st.integers(1, 40) | st.integers(16385, 20000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        theta = _suspect(data, rng, codec, d)
+        edges = data.draw(st.sampled_from([0.25, 1.0]))
+        share = ShamirShare(point=1, values=FieldVector(_elements(rng, q, d, edges), params))
+        enc = theta if isinstance(theta, FieldVector) else codec.encode(theta)
+        want = sum(int(a) * int(b) for a, b in zip(enc.values, share.values.values)) % q
+        assert partial_inner(share, theta, codec).value == want
+        assert partial_inner(share, EncodedSuspect.of(enc), codec).value == want
+
+    def test_default_codec_takes_one_product_per_share(self, codecs):
+        # the largest model the verification bound lets through at d = 5514
+        d = 5514
+        top = 2.0 ** 60 / (d * TAU_INF_BOUND * 2.0 ** (2 * F_SHARE)) * (1 - 2.0 ** -40)
+        assert verification_bound(d, top, F_SHARE) < codecs.params.modulus / 2.0
+        theta = np.where(np.arange(d) % 2, top, -top)
+        assert EncodedSuspect.of(codecs.share.encode(theta)).rows >= d
+
+    def test_widest_limbs_take_several_passes(self, rng):
+        codec = FixedPointCodec(20, FieldParams())
+        theta = rng.uniform(-15.9, 15.9, 20000)
+        x = EncodedSuspect.of(codec.encode(theta))
+        assert x.limbs.shape == (1, 20000) and x.bits == 24 and x.rows < 20000 // 2
+        share = ShamirShare(point=1, values=FieldVector(_elements(rng, M61, 20000),
+                                                        codec.params))
+        want = codec.encode(theta).inner(share.values)
+        assert partial_inner(share, x, codec).value == want
+
+    @pytest.mark.parametrize("bits", [24, 48])
+    def test_worst_case_sums_stay_exact(self, bits):
+        # every term the largest a pass allows, a full limb of c times q - 1
+        # (16-bit limbs 0xffe6, 0xffff, 0xffff, 0x7fff), and an odd sum
+        q = _PRIMES[-1]
+        params = FieldParams(q)
+        c = (1 << bits) - 1
+        enc = FieldVector(np.full(20001, c, dtype=np.uint64), params)
+        share = ShamirShare(point=1, values=FieldVector(np.full(20001, q - 1), params))
+        want = 20001 * c * (q - 1) % q
+        for sign in (1, -1):
+            got = partial_inner(share, enc if sign == 1 else FieldVector(
+                np.full(20001, q - c, dtype=np.uint64), params), None)
+            assert got.value == sign * want % q
+
+    def test_rejects_a_share_of_another_field(self, codecs):
+        share = ShamirShare(point=1, values=FieldVector(np.ones(4, dtype=np.uint64),
+                                                        FieldParams(7)))
+        with pytest.raises(FieldMismatchError):
+            partial_inner(share, np.ones(4), codecs.share)
 
 
 class TestCoalitionStatistic:
