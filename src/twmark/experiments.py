@@ -1,15 +1,16 @@
 """Experiment orchestration: configuration, runs, sweeps, files, reports.
 
-One measurement per CSV row, manifests tie every row to a config hash,
-and all randomness flows through seeded streams so re-running a command
-with the same config yields byte-identical CSV bodies.
+A watermarked run is a function of (ExperimentConfig, seed); sweep points
+run derived configs (dataclasses.replace) and a run directory keeps the
+config it ran (config.txt). CSV rows carry the command's config hash and all
+randomness is seeded, so a re-run yields byte-identical CSV bodies.
 """
 
 import glob
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -126,20 +127,13 @@ class ExperimentConfig:
             f_share=self.f_share, g_scale=self.g_scale,
         )
 
-    def shamir_cfg(self, n_clients=None, threshold=None) -> ShamirConfig:
-        return ShamirConfig(
-            n_clients=n_clients or self.n_clients,
-            threshold=threshold or self.threshold,
-            params=FieldParams(self.modulus),
-        )
-
     def optimizer(self) -> AdamWParams:
         return AdamWParams(lr=self.lr, weight_decay=self.weight_decay,
                            beta1=self.adam_beta1, beta2=self.adam_beta2)
 
-    def protocol_params(self, c=None) -> ProtocolParams:
+    def protocol_params(self) -> ProtocolParams:
         return ProtocolParams(
-            strength_c=self.strength_c if c is None else c,
+            strength_c=self.strength_c,
             ema_beta=self.ema_beta,
             scale_max=self.scale_max,
             theta_max=self.theta_max,
@@ -222,14 +216,12 @@ def load_trajectory(dirpath):
     return [GlobalModel(theta=theta, round_index=r) for theta, _, r in models]
 
 
-# the keys of a run manifest, in file order, with their types
-_MANIFEST_TYPES = {"config_hash": str, "seed": int, "setup_mode": str,
-                   "commitment_nonce": str, "commitment_digest": str}
+# the keys of a run manifest (its config is config.txt), in file order, with types
+_MANIFEST_TYPES = {"seed": int, "commitment_nonce": str, "commitment_digest": str}
 
 
-def write_manifest(cfg: ExperimentConfig, seed: int, setup, path):
-    pairs = [("config_hash", cfg.config_hash()), ("seed", seed),
-             ("setup_mode", cfg.setup_mode)]
+def write_manifest(seed: int, setup, path):
+    pairs = [("seed", seed)]
     if setup.commitment is not None:
         pairs += [("commitment_nonce", setup.commitment.nonce.hex()),
                   ("commitment_digest", setup.commitment.digest.hex())]
@@ -249,7 +241,8 @@ def write_csv(path, header: str, rows):
 
 def run_setup(cfg: ExperimentConfig, seed: int, n_clients=None, threshold=None,
               keep_key=False):
-    scfg = cfg.shamir_cfg(n_clients, threshold)
+    scfg = ShamirConfig(n_clients or cfg.n_clients, threshold or cfg.threshold,
+                        FieldParams(cfg.modulus))
     codecs = cfg.codecs()
     d = cfg.shape().dim
     if cfg.setup_mode == "dealer":
@@ -259,20 +252,12 @@ def run_setup(cfg: ExperimentConfig, seed: int, n_clients=None, threshold=None,
                      codecs=codecs, keep_contributions=keep_key)
 
 
-def run_watermarked(cfg: ExperimentConfig, seed: int, c=None, n_clients=None,
-                    threshold=None, rounds=None, n_samples=None, batch_size=None):
-    """One full watermarked FL run; returns (setup, dataset, trajectory)."""
-    K = n_clients or cfg.n_clients
-    t = threshold or min(cfg.threshold, K)
-    setup = run_setup(cfg, seed, n_clients=K, threshold=t)
-    dataset = cfg.dataset(seed, n=n_samples, n_clients=K)
-    params = cfg.protocol_params(c=c)
-    if batch_size is not None:
-        params.batch_size = batch_size
-    trajectory = run_protocol(
-        setup, dataset, cfg.shape(), params,
-        rounds=rounds or cfg.rounds, master_seed=seed,
-    )
+def run_watermarked(cfg: ExperimentConfig, seed: int):
+    """One full watermarked FL run of ``cfg``; returns (setup, dataset, trajectory)."""
+    setup = run_setup(cfg, seed)
+    dataset = cfg.dataset(seed)
+    trajectory = run_protocol(setup, dataset, cfg.shape(), cfg.protocol_params(),
+                              rounds=cfg.rounds, master_seed=seed)
     return setup, dataset, trajectory
 
 
@@ -307,9 +292,10 @@ def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
 
 
 def make_coalition_verifier(cfg: ExperimentConfig, setup, calib: CalibrationTable):
-    """Verification closure through the coalition path with the first t shares."""
+    """Verification closure through the coalition path with the first t shares,
+    at the shares' own codec; ``cfg`` supplies z*."""
     return _coalition_verifier(setup.shares[:setup.cfg.threshold], setup.cfg,
-                               cfg.codecs().share, calib, cfg.z_star)
+                               setup.codecs.share, calib, cfg.z_star)
 
 
 # -- commands --
@@ -331,8 +317,8 @@ def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
 
 
 def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
-    """Watermarked runs for each seed; persists trajectory, shares, manifest,
-    metrics CSV. Returns per-seed (setup, dataset, trajectory)."""
+    """Watermarked runs for each seed; persists trajectory, shares, config,
+    manifest, metrics CSV. Returns per-seed (setup, dataset, trajectory)."""
     seeds = [seed] if seed is not None else list(cfg.seeds)
     shape = cfg.shape()
     results = {}
@@ -346,7 +332,8 @@ def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
         for share in setup.shares:
             save_share(share, setup,
                        os.path.join(rundir, "shares", f"client_{share.point}.share"))
-        write_manifest(cfg, s, setup, os.path.join(rundir, "manifest.txt"))
+        cfg.save(os.path.join(rundir, "config.txt"))
+        write_manifest(s, setup, os.path.join(rundir, "manifest.txt"))
         rows = [
             f"{cfg.config_hash()},{s},{gm.round_index},"
             f"{evaluate(gm.theta, dataset.X_test, dataset.y_test, shape):.6f}"
@@ -387,27 +374,36 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
 
     Sweep runs use the reduced sweep_* budget with the per-client shard
     size held fixed, so the data volume grows with K as it would in a
-    real federation. Returns a dict with per-K records and the fitted
-    baseline decay exponent of z vs K.
+    real federation. The overflow bound is checked at every K before any
+    run starts. Returns a dict with per-K records and the fitted baseline
+    decay exponent of z vs K; rows carry ``cfg``'s config hash.
     """
     seeds = list(seeds if seeds is not None else cfg.seeds)
     shape = cfg.shape()
+    for K in cfg.k_sweep:
+        # the baseline adds K keys at up to scale_max each, a stricter bound
+        # than the threshold run's one scale_max term
+        try:
+            check_aggregate_bound(shape.dim, K, cfg.theta_max, K * cfg.scale_max,
+                                  cfg.codecs()).raise_if_failed()
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"k_sweep K={K}: {exc}") from None
+    sweep = replace(cfg, batch_size=cfg.sweep_batch)
+    params = sweep.protocol_params()
+    base_params = replace(sweep, strength_c=cfg.baseline_c).protocol_params()
     rows, records = [], []
     for K in cfg.k_sweep:
         # threshold = K//2 for the sweep, mirroring the K=32/t=16 ratio
         t = max(2, K // 2)
-        n_samples = cfg.sweep_samples_per_client * K
         for s in seeds:
-            setup, dataset, trajectory = run_watermarked(
-                cfg, s, n_clients=K, threshold=t, rounds=cfg.sweep_rounds,
-                n_samples=n_samples, batch_size=cfg.sweep_batch,
-            )
+            setup = run_setup(cfg, s, n_clients=K, threshold=t)
+            dataset = cfg.dataset(s, n=cfg.sweep_samples_per_client * K, n_clients=K)
+            trajectory = run_protocol(setup, dataset, shape, params,
+                                      rounds=cfg.sweep_rounds, master_seed=s)
             verifier = make_coalition_verifier(cfg, setup, calib)
             rep = verifier(trajectory[-1].theta)
             acc = evaluate(trajectory[-1].theta, dataset.X_test, dataset.y_test, shape)
 
-            base_params = cfg.protocol_params(c=cfg.baseline_c)
-            base_params.batch_size = cfg.sweep_batch
             base_traj, base_keys = run_baseline(
                 dataset, shape, base_params, K,
                 rounds=cfg.sweep_rounds, master_seed=s, codecs=cfg.codecs(),
@@ -437,16 +433,16 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
 
 def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
                  sweep_budget: bool = False):
-    """Accuracy and z across the watermark-strength sweep."""
+    """Accuracy and z across the watermark-strength sweep: ``cfg`` at each c (with
+    sweep_budget, at the sweep_* rounds, samples and batch); rows carry its hash."""
     shape = cfg.shape()
     rows, records = [], []
-    run_kwargs = {}
-    if sweep_budget:
-        run_kwargs = dict(rounds=cfg.sweep_rounds, n_samples=cfg.sweep_samples,
-                          batch_size=cfg.sweep_batch)
+    budget = dict(rounds=cfg.sweep_rounds, n_samples=cfg.sweep_samples,
+                  batch_size=cfg.sweep_batch) if sweep_budget else {}
     for c in cfg.c_sweep:
+        point = replace(cfg, strength_c=c, **budget)
         for s in cfg.seeds:
-            setup, dataset, trajectory = run_watermarked(cfg, s, c=c, **run_kwargs)
+            setup, dataset, trajectory = run_watermarked(point, s)
             verifier = make_coalition_verifier(cfg, setup, calib)
             rep = verifier(trajectory[-1].theta)
             acc = evaluate(trajectory[-1].theta, dataset.X_test, dataset.y_test, shape)
@@ -580,17 +576,24 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
 def load_run(cfg: ExperimentConfig, rundir):
     """Reload a persisted training run: (SetupResult, dataset, trajectory).
 
-    The setup holds the saved shares and their public parameters; the
-    commitment and the DKG overhead record are not persisted."""
+    The run's config.txt, checked against the share headers, rebuilds the
+    dataset and the codecs; ``cfg`` is not read. The commitment and the DKG
+    overhead record are not persisted."""
     shares, hdr, scfg = load_shares(
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
-    setup = SetupResult(cfg=scfg, codecs=cfg.codecs(), shares=shares,
+    config = os.path.join(rundir, "config.txt")
+    run_cfg = ExperimentConfig.from_file(config)
+    for key in ("modulus", "f_share", "n_clients", "threshold"):
+        if getattr(run_cfg, key) != hdr[key]:
+            raise ConfigurationError(f"{config}: {key} {getattr(run_cfg, key)}, "
+                                     f"the share files {hdr[key]}")
+    setup = SetupResult(cfg=scfg, codecs=run_cfg.codecs(), shares=shares,
                         setup_id=bytes.fromhex(hdr["setup_id"]))
     manifest = os.path.join(rundir, "manifest.txt")
     seed = read_literals(file_lines(manifest), _MANIFEST_TYPES).get("seed")
     if seed is None:
         raise ConfigurationError(f"{manifest}: no integer seed line")
-    dataset = cfg.dataset(seed)
+    dataset = run_cfg.dataset(seed)
     trajectory = load_trajectory(os.path.join(rundir, "trajectory"))
     return setup, dataset, trajectory
 

@@ -77,12 +77,11 @@ def gen_dataset(seed: int, n: int = 20480, input_dim: int = 32, n_classes: int =
     X_aux, y_aux = _sample_blobs(rng, means, noise, max(n // n_classes, 1))
 
     # per-class round-robin deal keeps every shard balanced within 5%
-    shards = [[] for _ in range(n_clients)]
+    owner = np.empty(n, dtype=np.int64)
     for g in range(n_classes):
         idx = np.flatnonzero(y_train == g)
-        for pos, i in enumerate(idx):
-            shards[pos % n_clients].append(i)
-    shards = [np.array(sorted(s)) for s in shards]
+        owner[idx] = np.arange(len(idx)) % n_clients
+    shards = [np.flatnonzero(owner == k) for k in range(n_clients)]
     return SyntheticDataset(
         seed=seed, n=n, input_dim=input_dim, n_classes=n_classes,
         n_clients=n_clients, noise=noise, means=means,

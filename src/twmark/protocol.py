@@ -29,7 +29,7 @@ from .secagg import SecAggSession, secagg_scalar, secagg_sum
 from .sharing import ShamirShare, lagrange_at_zero
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolParams:
     """Knobs of the embedding protocol (training knobs live in flsim)."""
 

@@ -281,11 +281,8 @@ def calibrate(models, n_keys: int, rng: np.random.Generator,
     if n_keys < 100:
         raise ConfigurationError("need at least 100 keys per model")
     d = models[0].size
-    usable = []
-    for m in models:
-        if np.linalg.norm(m) == 0.0:
-            continue  # zero-norm models are excluded with a warning
-        usable.append(m)
+    # zero-norm models are left out; n_models records how many were used
+    usable = [m for m in models if np.linalg.norm(m) != 0.0]
     if len(usable) < 2:
         raise ConfigurationError("fewer than two usable (nonzero) models")
     samples = []

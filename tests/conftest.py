@@ -39,7 +39,8 @@ def tamper_share():
         if point is not None:
             hdr[4] = point
         keysetup._SHARE_FILE.write(dst, hdr, words)
-        data = open(dst, "rb").read()
+        with open(dst, "rb") as fh:
+            data = fh.read()
         data = data + b"\0" * extra if extra >= 0 else data[:extra]
         with open(dst, "wb") as fh:
             fh.write(data)

@@ -6,6 +6,7 @@ order of 30-45 minutes); each test_criterion_NN_* function produces exactly
 one pass/fail line under `pytest -v`.
 """
 
+import dataclasses
 import filecmp
 import itertools
 import os
@@ -68,7 +69,8 @@ def wm_runs():
 @pytest.fixture(scope="session")
 def c0_runs():
     """The same runs with the watermark strength set to zero."""
-    return {s: run_watermarked(CFG, s, c=0.0) for s in CFG.seeds}
+    cfg = dataclasses.replace(CFG, strength_c=0.0)
+    return {s: run_watermarked(cfg, s) for s in CFG.seeds}
 
 
 # -- 1: exact algebra --

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -178,8 +179,7 @@ class TestCli:
         metrics = (rundir / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "config_hash,seed,round,test_accuracy"
         assert len(metrics) == cfg.rounds + 2
-        manifest = (rundir / "manifest.txt").read_text()
-        assert f"config_hash = {cfg.config_hash()!r}" in manifest
+        assert ExperimentConfig.from_file(rundir / "config.txt") == cfg
 
     def test_load_run_returns_setup(self, cli_workspace):
         cfg, _, out = cli_workspace
@@ -500,6 +500,72 @@ class TestCli:
                          "--set", "banana=1", "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestRunDirectory:
+    """A run directory is reloaded from its own config.txt."""
+
+    def test_reload_uses_the_training_config(self, cli_workspace):
+        # a run trained at n_samples=1920 once reloaded at 3840 without error
+        cfg, _, out = cli_workspace
+        other = dataclasses.replace(cfg, n_samples=3840)
+        _, dataset, _ = load_run(other, out / "run_seed0")
+        trained = cfg.dataset(0)
+        assert dataset.n == 1920
+        assert np.array_equal(dataset.X_test, trained.X_test)
+        assert np.array_equal(dataset.y_test, trained.y_test)
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "f_share", "threshold"])
+    def test_bad_config_is_an_error_naming_it(self, cli_workspace, tmp_path, capsys,
+                                              damage):
+        cfg, cfg_path, out = cli_workspace
+        rundir = tmp_path / "run_seed0"
+        shutil.copytree(out / "run_seed0", rundir)
+        config = rundir / "config.txt"
+        if damage == "missing":
+            config.unlink()
+        elif damage == "malformed":
+            config.write_text("rounds = os.sep\n")
+        else:
+            value = {"f_share": 18, "threshold": 2}[damage]
+            dataclasses.replace(cfg, **{damage: value}).save(config)
+        with pytest.raises(ConfigurationError, match="^" + re.escape(str(config))):
+            load_run(cfg, rundir)
+        assert cli.main(["robustness", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out"), "--run", str(rundir),
+                         "--calibration", str(out / "calibration.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}")
+
+    def test_attack_under_another_f_share_is_refused(self, cli_workspace, tmp_path,
+                                                     capsys):
+        # under f_share 18 (the calibration made at 18 too) the attack path once
+        # took the codec from the command's config and scored the run's model
+        # with a z four times too large
+        _, cfg_path, out = cli_workspace
+        common = ["--config", str(cfg_path), "--set", "f_share=18",
+                  "--out", str(tmp_path), "--run", str(out / "run_seed0")]
+        for argv in (["attack"] + common + ["--kind", "prune_magnitude",
+                                            "--prune-ratio", "0.5"],
+                     ["robustness"] + common):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: shares have f_share 20, d 5514; "
+                                  "the calibration table 18, 5514"), err
+        assert CalibrationTable.load(tmp_path / "calibration.txt").f_share == 18
+        assert not list(tmp_path.glob("*.csv"))
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("g_scale, K", [(24, 128), (29, 4)])
+    def test_overflow_bound_is_checked_at_every_k_before_training(
+            self, monkeypatch, g_scale, K):
+        # at g_scale 24 the K=128 baseline overflows; the sweep once trained
+        # every smaller K first
+        cfg = ExperimentConfig(g_scale=g_scale, seeds=(0,))
+        monkeypatch.setattr(experiments, "run_setup",
+                            lambda *a, **kw: pytest.fail("run_setup was called"))
+        with pytest.raises(ConfigurationError, match=f"^k_sweep K={K}: aggregate overflow"):
+            experiments.cmd_scalability(cfg, calib=None)
 
 
 @pytest.fixture(scope="module")
