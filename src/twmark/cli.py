@@ -26,6 +26,7 @@ from .experiments import (
     cmd_train,
     cmd_verify,
     load_run,
+    run_config,
 )
 
 
@@ -175,7 +176,8 @@ def main(argv=None) -> int:
         if args.command == "robustness":
             calib = _calib(cfg, args, out)
             setup, dataset, trajectory = load_run(cfg, args.run)
-            cmd_robustness(cfg, setup, dataset, trajectory, calib, outdir=out)
+            cmd_robustness(cfg, setup, dataset, trajectory, calib, outdir=out,
+                           run_id=run_config(args.run).config_hash())
             print(f"robustness grid written under {out}")
             return 0
 

@@ -40,7 +40,7 @@ from .sharing import ShamirConfig
 from .verify import (
     Z_STAR_DEFAULT,
     CalibrationTable,
-    EncodedSuspect,
+    Coalition,
     VerificationReport,
     calibrate,
     coalition_statistic,
@@ -275,16 +275,17 @@ def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int):
 
 def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
                         calib: CalibrationTable, z_star: float):
-    """The one coalition verification path: encode the model once at the
-    share codec, take one partial inner product per share, combine them.
-    The shares must have the f_share and d the calibration table was made for."""
+    """The one coalition verification path: stack the shares once, then per
+    model encode it once at the share codec, take the coalition's partial
+    inner products in one call and combine them. The shares must have the
+    f_share and d the calibration table was made for."""
     if (codec.frac_bits, len(shares[0])) != (calib.f_share, calib.dim):
         raise ConfigurationError(f"shares have f_share {codec.frac_bits}, d {len(shares[0])}; "
                                  f"the calibration table {calib.f_share}, {calib.dim}")
+    coalition = Coalition.of(shares)
 
     def verifier(theta: np.ndarray) -> VerificationReport:
-        enc = EncodedSuspect.of(codec.encode(theta))
-        partials = [partial_inner(s, enc, codec) for s in shares]
+        partials = partial_inner(coalition, theta, codec)
         return coalition_statistic(partials, theta, calib, scfg, codec.frac_bits,
                                    z_star=z_star)
 
@@ -515,10 +516,11 @@ def run_attack_job(kind: str, acfg: attacks.AttackConfig, theta, trajectory,
 
 
 def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
-                       trajectory, dataset):
+                       trajectory, dataset, run_id=None):
     """One attack job on the final model of ``trajectory``; every
     _EPOCH_STRIDE-th checkpoint and the last go through ``verifier``.
-    Returns (records, CSV rows)."""
+    Returns (records, CSV rows), the rows tagged ``run_id``, the hash of
+    the run's config, which defaults to ``cfg``'s."""
     shape = cfg.shape()
     acfg = attacks.AttackConfig(
         epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
@@ -529,7 +531,7 @@ def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
     keep = [cp for i, cp in enumerate(checkpoints)
             if i % _EPOCH_STRIDE == 0 or i == len(checkpoints) - 1]
     param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
-    run_id = cfg.config_hash()
+    run_id = run_id or cfg.config_hash()
     records, rows = [], []
     for step, th in keep:
         rep = verifier(th)
@@ -543,17 +545,18 @@ def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
 
 
 def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
-                   calib: CalibrationTable, outdir=None):
+                   calib: CalibrationTable, outdir=None, run_id=None):
     """Run the attack grid on a completed watermarked run.
 
     Every checkpoint is measured through the coalition verification path
-    (never the debug path). Returns records plus per-budget Pareto fronts.
+    (never the debug path), and rows carry ``run_id`` as _attack_and_verify
+    does. Returns records plus per-budget Pareto fronts.
     """
     verifier = make_coalition_verifier(cfg, setup, calib)
     rows, records = [], []
     for kind, params in _attack_jobs(cfg):
         job_records, job_rows = _attack_and_verify(
-            cfg, verifier, kind, params, trajectory, dataset)
+            cfg, verifier, kind, params, trajectory, dataset, run_id)
         records += job_records
         rows += job_rows
     fronts = {}
@@ -573,6 +576,11 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
     return {"records": records, "pareto": fronts}
 
 
+def run_config(rundir) -> ExperimentConfig:
+    """The config a run directory was trained with, from its config.txt."""
+    return ExperimentConfig.from_file(os.path.join(rundir, "config.txt"))
+
+
 def load_run(cfg: ExperimentConfig, rundir):
     """Reload a persisted training run: (SetupResult, dataset, trajectory).
 
@@ -582,7 +590,7 @@ def load_run(cfg: ExperimentConfig, rundir):
     shares, hdr, scfg = load_shares(
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
     config = os.path.join(rundir, "config.txt")
-    run_cfg = ExperimentConfig.from_file(config)
+    run_cfg = run_config(rundir)
     for key in ("modulus", "f_share", "n_clients", "threshold"):
         if getattr(run_cfg, key) != hdr[key]:
             raise ConfigurationError(f"{config}: {key} {getattr(run_cfg, key)}, "
@@ -600,11 +608,13 @@ def load_run(cfg: ExperimentConfig, rundir):
 
 def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
                kind: str, outdir=None, **params):
-    """One attack job against a persisted run, verified via the coalition path."""
+    """One attack job against a persisted run, verified via the coalition
+    path; rows carry the hash of the run's own config."""
     _attack(kind)
     setup, dataset, trajectory = load_run(cfg, rundir)
     verifier = make_coalition_verifier(cfg, setup, calib)
-    records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset)
+    records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset,
+                                       run_config(rundir).config_hash())
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),

@@ -248,10 +248,10 @@ def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
     q = np.uint64(session.params.modulus)
     masked = session._net_masks()  # becomes the matrix of masked submissions
     for k, slot in zip(session.participants, session._slot):
-        row = masked[slot]
-        row += inputs[k].values   # both < q < 2^63, no overflow
-        np.subtract(row, q, out=row, where=row >= q)
-        session.observations.append((k, row))
+        masked[slot] += inputs[k].values   # both < q < 2^63, no overflow
+        session.observations.append((k, masked[slot]))
+    # one reduction for every row; the observations are views of the rows
+    np.subtract(masked, q, out=masked, where=masked >= q)
     acc = FieldVector.__new__(FieldVector)
     acc.values = _fold((masked >> 32).sum(axis=0), (masked & _MASK32).sum(axis=0),
                        session.params.modulus)

@@ -13,15 +13,18 @@ z >= z*, default 4, a ~3.2e-5 false-positive tail).
 theta_s is encoded at f_share bits (not f_model) so the inner product
 stays within q/2 at larger d; the bound check is a hard precondition.
 
-A partial <enc(theta_s), s_i> mod q is computed from the suspect's small
-centered integers c, not from its 61-bit field words: c is split once per
-model into signed float64 limbs of at most 24 bits (EncodedSuspect), each
-share word is read as four 16-bit limbs, and sum_l 2^(16l) (c @ limb_l(s))
-is one float64 product per share for every model within the verification
-bound at the default f_share (d < 2^22). Longer or wider inputs take more
-passes over d, chosen so that every partial sum is an integer of magnitude
-at most 2^53: the result is exact for any q < 2^63, BLAS build and thread
-count. FieldVector.inner stays the oracle behind verify_direct.
+The partials <enc(theta_s), s_i> mod q of a whole coalition are computed
+from the suspect's small centered integers c, not from its 61-bit field
+words: c is split once per model into signed float64 limbs of at most 24
+bits (EncodedSuspect), and the coalition's t shares are read once per
+verifier as four 16-bit limbs per word, stacked into one (d, 4t) float64
+matrix (Coalition, 32*d*t bytes). All t partials are then one float64
+product per pass over d, and partial j is sum_l 2^(16l) P[:, 4j+l]. Every
+model within the verification bound at the default f_share (d < 2^22)
+takes one pass. Longer or wider inputs take more passes, chosen so that
+every partial sum is an integer of magnitude at most 2^53: the result is
+exact for any q < 2^63, BLAS build and thread count. FieldVector.inner
+stays the oracle behind verify_direct.
 """
 
 import re
@@ -40,7 +43,7 @@ from .field import (F_SHARE, FieldParams, FieldVector, FixedPointCodec, Protocol
                     verification_bound)
 from .literals import file_lines, literal_text, read_literals
 from .secagg import SecAggSession, secagg_scalar
-from .sharing import ShamirConfig, ShamirShare, lagrange_at_zero, public_norm
+from .sharing import ShamirConfig, lagrange_at_zero, public_norm
 
 Z_STAR_DEFAULT = 4.0
 
@@ -160,38 +163,71 @@ class EncodedSuspect:
         return cls(limbs, bits, _EXACT // (max(widest, 1) * _SHARE_LIMB_MAX), enc.params)
 
 
-def _inner_exact(x: EncodedSuspect, share: FieldVector) -> int:
-    """<c, s> mod q = sum over suspect limbs m and share limbs l of
-    2^(bits*m + 16*l) * (x.limbs[m] @ limb_l(s)), one float64 product per
-    pass of x.rows coordinates. Every partial sum is an integer of at most
-    2^53 in magnitude, so BLAS sums it exactly in any order."""
-    d = len(share)
-    s = (np.ascontiguousarray(share.values, dtype="<u8").view("<u2")
-         .reshape(d, 4).astype(np.float64))
-    total = 0
-    for r0 in range(0, d, x.rows):
-        part = x.limbs[:, r0:r0 + x.rows] @ s[r0:r0 + x.rows]
-        for m, row in enumerate(part.tolist()):
-            total += sum(int(v) << (x.bits * m + 16 * l) for l, v in enumerate(row))
-    return total % x.params.modulus
+@dataclass(frozen=True)
+class Coalition:
+    """A coalition's shares, prepared once for all its verifications.
+
+    Share j's words are read as four 16-bit limbs, least significant
+    first, held in columns 4j .. 4j+3 of one (d, 4t) float64 matrix, so
+    a verifier holds 32*d*t bytes. A single share is a coalition of one.
+    """
+
+    points: tuple
+    limbs: np.ndarray   # (d, 4t) float64
+    params: FieldParams
+
+    def __len__(self):
+        return self.limbs.shape[0]
+
+    @classmethod
+    def of(cls, shares) -> "Coalition":
+        shares = list(shares)
+        if not shares:
+            raise ConfigurationError("a coalition needs at least one share")
+        d, params = len(shares[0]), shares[0].values.params
+        for s in shares:
+            params._check(s.values.params)
+            if len(s) != d:
+                raise ConfigurationError(f"length mismatch: share {s.point} has {len(s)}, "
+                                         f"share {shares[0].point} {d}")
+        words = np.stack([s.values.values for s in shares], axis=1).astype("<u8", copy=False)
+        limbs = words.view("<u2").reshape(d, 4 * len(shares)).astype(np.float64)
+        return cls(tuple(s.point for s in shares), limbs, params)
 
 
-def partial_inner(share: ShamirShare, theta_s, codec: FixedPointCodec) -> PartialVerification:
-    """Exact field inner product of the encoded suspect with one share.
+def partial_inner(coalition, theta_s, codec: FixedPointCodec) -> list:
+    """Exact field inner products of the encoded suspect with every share
+    of ``coalition``, a Coalition or the shares to stack into one, as one
+    PartialVerification per share in coalition order.
 
     ``theta_s`` is the real model, a field vector such as its ``codec``
-    encoding, or that encoding as an EncodedSuspect, which a coalition
-    prepares once for all its shares.
+    encoding, or that encoding as an EncodedSuspect. Partial j is
+    sum over suspect limbs m and share limbs l of
+    2^(bits*m + 16*l) * P[m, 4j+l], P = x.limbs @ coalition.limbs, one
+    float64 product per pass of x.rows coordinates. Every partial sum is an
+    integer of at most 2^53 in magnitude, so BLAS sums it exactly in any
+    order.
     """
-    if len(theta_s) != len(share.values):
+    if not isinstance(coalition, Coalition):
+        coalition = Coalition.of(coalition)
+    if len(theta_s) != len(coalition):
         raise ConfigurationError(
-            f"length mismatch: model {len(theta_s)}, share {len(share.values)}"
+            f"length mismatch: model {len(theta_s)}, share {len(coalition)}"
         )
     if not isinstance(theta_s, EncodedSuspect):
         enc = theta_s if isinstance(theta_s, FieldVector) else codec.encode(theta_s)
         theta_s = EncodedSuspect.of(enc)
-    share.values.params._check(theta_s.params)
-    return PartialVerification(point=share.point, value=_inner_exact(theta_s, share.values))
+    coalition.params._check(theta_s.params)
+    x, t = theta_s, len(coalition.points)
+    totals = [0] * t
+    for r0 in range(0, len(x), x.rows):
+        part = x.limbs[:, r0:r0 + x.rows] @ coalition.limbs[r0:r0 + x.rows]
+        for m, rows in enumerate(part.astype(np.int64).reshape(-1, t, 4).tolist()):
+            for j, (l0, l1, l2, l3) in enumerate(rows):
+                totals[j] += (l0 + (l1 << 16) + (l2 << 32) + (l3 << 48)) << (x.bits * m)
+    q = x.params.modulus
+    return [PartialVerification(point=p, value=v % q)
+            for p, v in zip(coalition.points, totals)]
 
 
 def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, calib: CalibrationTable,

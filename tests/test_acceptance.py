@@ -138,7 +138,7 @@ def test_criterion_01_exact_algebra(fM61):
     n_checked = 0
     for size in range(3, 7):
         for combo in itertools.combinations(setup.shares, size):
-            partials = [partial_inner(s, theta, codecs.share) for s in combo]
+            partials = partial_inner(combo, theta, codecs.share)
             rep = coalition_statistic(partials, theta, calib, cfg, codecs.f_share)
             assert rep.z == direct.z
             n_checked += 1

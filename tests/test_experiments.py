@@ -200,13 +200,13 @@ class TestCli:
         mem_setup, _, trajectory = cmd_train(cfg, tmp_path, seed=0)[0]
         setup, _, _ = load_run(cfg, tmp_path / "run_seed0")
         assert [s.point for s in setup.shares] == list(range(1, 13))
-        points = []
+        calls = []
         partial_inner = experiments.partial_inner
         monkeypatch.setattr(experiments, "partial_inner",
-                            lambda s, *a: points.append(s.point) or partial_inner(s, *a))
+                            lambda c, *a: calls.append(c.points) or partial_inner(c, *a))
         theta = trajectory[-1].theta
         rep = experiments.make_coalition_verifier(cfg, setup, calib)(theta)
-        assert points == [1, 2, 3, 4]
+        assert calls == [(1, 2, 3, 4)]
         assert rep == experiments.make_coalition_verifier(cfg, mem_setup, calib)(theta)
 
     @pytest.mark.parametrize("seed_line", [None, "seed = 0.5\n", "seed = \n"])
@@ -553,6 +553,27 @@ class TestRunDirectory:
                                   "the calibration table 18, 5514"), err
         assert CalibrationTable.load(tmp_path / "calibration.txt").f_share == 18
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_attack_rows_carry_the_run_config_hash(self, cli_workspace, tmp_path):
+        # a K=4 run attacked under a config of other n_samples and noise once
+        # wrote rows tagged with the attacking config's hash
+        cfg, cfg_path, out = cli_workspace
+        run_cfg = dataclasses.replace(cfg, n_clients=4, threshold=2, rounds=1)
+        cmd_train(run_cfg, tmp_path, seed=0)
+        common = ["--config", str(cfg_path), "--set", "n_samples=3840", "--set", "noise=0.5",
+                  "--run", str(tmp_path / "run_seed0"),
+                  "--calibration", str(out / "calibration.txt")]
+        attack = ["attack", *common, "--out", str(tmp_path / "attack"),
+                  "--kind", "prune_magnitude", "--prune-ratio", "0.5"]
+        grid = ["robustness", *common, "--out", str(tmp_path / "grid"),
+                "--set", "attack_kinds=('prune_magnitude',)", "--set", "prune_ratios=(0.5,)"]
+        for argv, csv in ((attack, tmp_path / "attack" / "attack_prune_magnitude.csv"),
+                          (grid, tmp_path / "grid" / "robustness.csv")):
+            assert cli.main(argv) == 0
+            rows = csv.read_text().splitlines()[1:]
+            assert rows and {row.split(",")[0] for row in rows} == {run_cfg.config_hash()}
+        assert run_cfg.config_hash() != dataclasses.replace(
+            cfg, n_samples=3840, noise=0.5).config_hash()
 
 
 class TestSweeps:
