@@ -38,6 +38,7 @@ from .sharing import (
 )
 from .verify import (
     CalibrationTable,
+    Coalition,
     VerificationReport,
     calibrate,
     coalition_statistic,
@@ -49,6 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationTable",
+    "Coalition",
     "Commitment",
     "FieldParams",
     "FieldVector",

@@ -25,8 +25,7 @@ from .experiments import (
     cmd_scalability,
     cmd_train,
     cmd_verify,
-    load_run,
-    run_config,
+    read_run,
 )
 
 
@@ -175,9 +174,9 @@ def main(argv=None) -> int:
 
         if args.command == "robustness":
             calib = _calib(cfg, args, out)
-            setup, dataset, trajectory = load_run(cfg, args.run)
+            run_cfg, setup, dataset, trajectory = read_run(args.run)
             cmd_robustness(cfg, setup, dataset, trajectory, calib, outdir=out,
-                           run_id=run_config(args.run).config_hash())
+                           run_id=run_cfg.config_hash())
             print(f"robustness grid written under {out}")
             return 0
 

@@ -516,11 +516,11 @@ def run_attack_job(kind: str, acfg: attacks.AttackConfig, theta, trajectory,
 
 
 def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
-                       trajectory, dataset, run_id=None):
+                       trajectory, dataset, run_id: str):
     """One attack job on the final model of ``trajectory``; every
     _EPOCH_STRIDE-th checkpoint and the last go through ``verifier``.
     Returns (records, CSV rows), the rows tagged ``run_id``, the hash of
-    the run's config, which defaults to ``cfg``'s."""
+    the run's config."""
     shape = cfg.shape()
     acfg = attacks.AttackConfig(
         epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
@@ -531,7 +531,6 @@ def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
     keep = [cp for i, cp in enumerate(checkpoints)
             if i % _EPOCH_STRIDE == 0 or i == len(checkpoints) - 1]
     param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
-    run_id = run_id or cfg.config_hash()
     records, rows = [], []
     for step, th in keep:
         rep = verifier(th)
@@ -549,9 +548,12 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
     """Run the attack grid on a completed watermarked run.
 
     Every checkpoint is measured through the coalition verification path
-    (never the debug path), and rows carry ``run_id`` as _attack_and_verify
-    does. Returns records plus per-budget Pareto fronts.
+    (never the debug path). Rows carry ``run_id``, the hash of the run's
+    config, which defaults to ``cfg``'s. Returns records plus per-budget
+    Pareto fronts.
     """
+    if run_id is None:
+        run_id = cfg.config_hash()
     verifier = make_coalition_verifier(cfg, setup, calib)
     rows, records = [], []
     for kind, params in _attack_jobs(cfg):
@@ -576,21 +578,17 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
     return {"records": records, "pareto": fronts}
 
 
-def run_config(rundir) -> ExperimentConfig:
-    """The config a run directory was trained with, from its config.txt."""
-    return ExperimentConfig.from_file(os.path.join(rundir, "config.txt"))
-
-
-def load_run(cfg: ExperimentConfig, rundir):
-    """Reload a persisted training run: (SetupResult, dataset, trajectory).
+def read_run(rundir):
+    """Reload a persisted training run: (the ExperimentConfig it was
+    trained with, SetupResult, dataset, trajectory).
 
     The run's config.txt, checked against the share headers, rebuilds the
-    dataset and the codecs; ``cfg`` is not read. The commitment and the DKG
-    overhead record are not persisted."""
+    dataset and the codecs. The commitment and the DKG overhead record are
+    not persisted."""
     shares, hdr, scfg = load_shares(
         sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
     config = os.path.join(rundir, "config.txt")
-    run_cfg = run_config(rundir)
+    run_cfg = ExperimentConfig.from_file(config)
     for key in ("modulus", "f_share", "n_clients", "threshold"):
         if getattr(run_cfg, key) != hdr[key]:
             raise ConfigurationError(f"{config}: {key} {getattr(run_cfg, key)}, "
@@ -603,7 +601,12 @@ def load_run(cfg: ExperimentConfig, rundir):
         raise ConfigurationError(f"{manifest}: no integer seed line")
     dataset = run_cfg.dataset(seed)
     trajectory = load_trajectory(os.path.join(rundir, "trajectory"))
-    return setup, dataset, trajectory
+    return run_cfg, setup, dataset, trajectory
+
+
+def load_run(cfg: ExperimentConfig, rundir):
+    """(SetupResult, dataset, trajectory) of read_run; ``cfg`` is not read."""
+    return read_run(rundir)[1:]
 
 
 def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
@@ -611,10 +614,10 @@ def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
     """One attack job against a persisted run, verified via the coalition
     path; rows carry the hash of the run's own config."""
     _attack(kind)
-    setup, dataset, trajectory = load_run(cfg, rundir)
+    run_cfg, setup, dataset, trajectory = read_run(rundir)
     verifier = make_coalition_verifier(cfg, setup, calib)
     records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset,
-                                       run_config(rundir).config_hash())
+                                       run_cfg.config_hash())
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),

@@ -17,14 +17,14 @@ The partials <enc(theta_s), s_i> mod q of a whole coalition are computed
 from the suspect's small centered integers c, not from its 61-bit field
 words: c is split once per model into signed float64 limbs of at most 24
 bits (EncodedSuspect), and the coalition's t shares are read once per
-verifier as four 16-bit limbs per word, stacked into one (d, 4t) float64
-matrix (Coalition, 32*d*t bytes). All t partials are then one float64
-product per pass over d, and partial j is sum_l 2^(16l) P[:, 4j+l]. Every
-model within the verification bound at the default f_share (d < 2^22)
-takes one pass. Longer or wider inputs take more passes, chosen so that
-every partial sum is an integer of magnitude at most 2^53: the result is
-exact for any q < 2^63, BLAS build and thread count. FieldVector.inner
-stays the oracle behind verify_direct.
+verifier as four 16-bit limbs per word, written share by share into one
+(4t, d) float64 matrix (Coalition, 32*d*t bytes). All t partials are then
+one float64 product per pass over d, and partial j is
+sum_l 2^(16l) P[:, 4j+l]. Every model within the verification bound at
+the default f_share (d < 2^22) takes one pass. Longer or wider inputs take
+more passes, chosen so that every partial sum is an integer of magnitude
+at most 2^53: the result is exact for any q < 2^63, BLAS build and thread
+count. FieldVector.inner stays the oracle behind verify_direct.
 """
 
 import re
@@ -168,16 +168,17 @@ class Coalition:
     """A coalition's shares, prepared once for all its verifications.
 
     Share j's words are read as four 16-bit limbs, least significant
-    first, held in columns 4j .. 4j+3 of one (d, 4t) float64 matrix, so
-    a verifier holds 32*d*t bytes. A single share is a coalition of one.
+    first, held in rows 4j .. 4j+3 of one (4t, d) float64 matrix, so a
+    verifier holds 32*d*t bytes. Each share's limbs are written straight
+    into their own rows. A single share is a coalition of one.
     """
 
     points: tuple
-    limbs: np.ndarray   # (d, 4t) float64
+    limbs: np.ndarray   # (4t, d) float64
     params: FieldParams
 
     def __len__(self):
-        return self.limbs.shape[0]
+        return self.limbs.shape[1]
 
     @classmethod
     def of(cls, shares) -> "Coalition":
@@ -190,26 +191,25 @@ class Coalition:
             if len(s) != d:
                 raise ConfigurationError(f"length mismatch: share {s.point} has {len(s)}, "
                                          f"share {shares[0].point} {d}")
-        words = np.stack([s.values.values for s in shares], axis=1).astype("<u8", copy=False)
-        limbs = words.view("<u2").reshape(d, 4 * len(shares)).astype(np.float64)
-        return cls(tuple(s.point for s in shares), limbs, params)
+        limbs = np.empty((len(shares), 4, d))
+        for rows, s in zip(limbs, shares):
+            rows.T[...] = s.values.values.astype("<u8", copy=False).view("<u2").reshape(d, 4)
+        return cls(tuple(s.point for s in shares), limbs.reshape(-1, d), params)
 
 
-def partial_inner(coalition, theta_s, codec: FixedPointCodec) -> list:
+def partial_inner(coalition: Coalition, theta_s, codec: FixedPointCodec) -> list:
     """Exact field inner products of the encoded suspect with every share
-    of ``coalition``, a Coalition or the shares to stack into one, as one
-    PartialVerification per share in coalition order.
+    of ``coalition``, as one PartialVerification per share in coalition
+    order.
 
     ``theta_s`` is the real model, a field vector such as its ``codec``
     encoding, or that encoding as an EncodedSuspect. Partial j is
     sum over suspect limbs m and share limbs l of
-    2^(bits*m + 16*l) * P[m, 4j+l], P = x.limbs @ coalition.limbs, one
+    2^(bits*m + 16*l) * P[m, 4j+l], P = x.limbs @ coalition.limbs.T, one
     float64 product per pass of x.rows coordinates. Every partial sum is an
     integer of at most 2^53 in magnitude, so BLAS sums it exactly in any
     order.
     """
-    if not isinstance(coalition, Coalition):
-        coalition = Coalition.of(coalition)
     if len(theta_s) != len(coalition):
         raise ConfigurationError(
             f"length mismatch: model {len(theta_s)}, share {len(coalition)}"
@@ -221,7 +221,7 @@ def partial_inner(coalition, theta_s, codec: FixedPointCodec) -> list:
     x, t = theta_s, len(coalition.points)
     totals = [0] * t
     for r0 in range(0, len(x), x.rows):
-        part = x.limbs[:, r0:r0 + x.rows] @ coalition.limbs[r0:r0 + x.rows]
+        part = x.limbs[:, r0:r0 + x.rows] @ coalition.limbs[:, r0:r0 + x.rows].T
         for m, rows in enumerate(part.astype(np.int64).reshape(-1, t, 4).tolist()):
             for j, (l0, l1, l2, l3) in enumerate(rows):
                 totals[j] += (l0 + (l1 << 16) + (l2 << 32) + (l3 << 48)) << (x.bits * m)

@@ -36,6 +36,7 @@ from twmark.secagg import SecAggSession, secagg_sum
 from twmark.sharing import ShamirConfig, derive_embedding_share, shamir_reconstruct, shamir_share
 from twmark.verify import (
     CalibrationTable,
+    Coalition,
     calibrate,
     coalition_statistic,
     cosine_against_keys,
@@ -138,7 +139,7 @@ def test_criterion_01_exact_algebra(fM61):
     n_checked = 0
     for size in range(3, 7):
         for combo in itertools.combinations(setup.shares, size):
-            partials = partial_inner(combo, theta, codecs.share)
+            partials = partial_inner(Coalition.of(combo), theta, codecs.share)
             rep = coalition_statistic(partials, theta, calib, cfg, codecs.f_share)
             assert rep.z == direct.z
             n_checked += 1

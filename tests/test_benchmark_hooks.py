@@ -36,7 +36,7 @@ def test_tracer_sees_training_and_fine_tuning():
         _, dataset, trajectory = run_watermarked(cfg, 0)
         experiments._attack_and_verify(
             cfg, lambda theta: SimpleNamespace(z=0.0, accepted=False), "finetune",
-            {"data_fraction": 0.05}, trajectory, dataset)
+            {"data_fraction": 0.05}, trajectory, dataset, cfg.config_hash())
     finally:
         tracer.uninstall()
     counters = tracer.counters["job"]

@@ -96,7 +96,7 @@ class TestPartialInner:
         theta = rng.standard_normal(16)
         enc = codecs.share.encode(theta)
         share = setup.shares[0]
-        [got] = partial_inner([share], theta, codecs.share)
+        [got] = partial_inner(Coalition.of([share]), theta, codecs.share)
         want = sum(
             int(a) * int(b) for a, b in zip(enc.values, share.values.values)
         ) % codecs.params.modulus
@@ -106,13 +106,14 @@ class TestPartialInner:
         setup = _setup(rng, d=16)
         theta = rng.standard_normal(16)
         enc = codecs.share.encode(theta)
-        assert (partial_inner(setup.shares, enc, codecs.share)
-                == partial_inner(setup.shares, theta, codecs.share))
+        coalition = Coalition.of(setup.shares)
+        assert (partial_inner(coalition, enc, codecs.share)
+                == partial_inner(coalition, theta, codecs.share))
 
     def test_length_mismatch(self, rng, codecs):
         setup = _setup(rng, d=16)
         with pytest.raises(ConfigurationError):
-            partial_inner(setup.shares[:1], np.zeros(8), codecs.share)
+            partial_inner(Coalition.of(setup.shares[:1]), np.zeros(8), codecs.share)
 
 
 # 7, a mid-size prime, M61 and the largest prime below 2^63
@@ -170,7 +171,7 @@ class TestPartialInnerKernel:
         first = sum(int(a) * int(b) for a, b in zip(enc.values, shares[0].values.values)) % q
         want = [PartialVerification(point=s.point, value=enc.inner(s.values)) for s in shares]
         assert want[0].value == first
-        assert partial_inner(shares, theta, codec) == want
+        assert partial_inner(Coalition.of(shares), theta, codec) == want
         assert partial_inner(Coalition.of(shares), EncodedSuspect.of(enc), codec) == want
 
     def test_default_codec_takes_one_product_per_share(self, codecs):
@@ -189,7 +190,7 @@ class TestPartialInnerKernel:
         share = ShamirShare(point=1, values=FieldVector(_elements(rng, M61, 20000),
                                                         codec.params))
         want = codec.encode(theta).inner(share.values)
-        assert partial_inner([share], x, codec)[0].value == want
+        assert partial_inner(Coalition.of([share]), x, codec)[0].value == want
 
     @pytest.mark.parametrize("bits", [24, 48])
     def test_worst_case_sums_stay_exact(self, bits):
@@ -202,7 +203,7 @@ class TestPartialInnerKernel:
         share = ShamirShare(point=1, values=FieldVector(np.full(20001, q - 1), params))
         want = 20001 * c * (q - 1) % q
         for sign in (1, -1):
-            [got] = partial_inner([share], enc if sign == 1 else FieldVector(
+            [got] = partial_inner(Coalition.of([share]), enc if sign == 1 else FieldVector(
                 np.full(20001, q - c, dtype=np.uint64), params), None)
             assert got.value == sign * want % q
 
@@ -224,13 +225,13 @@ class TestPartialInnerKernel:
                                                         codecs.params))
         for members in ([], [*shares, short]):
             with pytest.raises(ConfigurationError):
-                partial_inner(members, np.zeros(16), codecs.share)
+                Coalition.of(members)
 
     def test_rejects_a_share_of_another_field(self, codecs):
         share = ShamirShare(point=1, values=FieldVector(np.ones(4, dtype=np.uint64),
                                                         FieldParams(7)))
         with pytest.raises(FieldMismatchError):
-            partial_inner([share], np.ones(4), codecs.share)
+            partial_inner(Coalition.of([share]), np.ones(4), codecs.share)
 
 
 class TestCoalitionStatistic:
@@ -238,7 +239,7 @@ class TestCoalitionStatistic:
         setup = _setup(rng)
         calib = _table()
         theta = 0.1 * rng.standard_normal(64) + 0.02 * setup.debug_key
-        partials = partial_inner(setup.shares[:3], theta, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:3]), theta, codecs.share)
         rep = coalition_statistic(partials, theta, calib, setup.cfg, codecs.f_share)
         direct = verify_direct(theta, setup.debug_key, calib, codecs)
         assert rep.z == direct.z
@@ -247,14 +248,14 @@ class TestCoalitionStatistic:
     def test_below_threshold(self, rng, codecs):
         setup = _setup(rng)
         theta = rng.standard_normal(64)
-        partials = partial_inner(setup.shares[:2], theta, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:2]), theta, codecs.share)
         with pytest.raises(ThresholdError):
             coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
 
     def test_dimension_mismatch(self, rng, codecs):
         setup = _setup(rng)
         theta = rng.standard_normal(64)
-        partials = partial_inner(setup.shares[:3], theta, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:3]), theta, codecs.share)
         with pytest.raises(FingerprintMismatchError):
             coalition_statistic(partials, theta, _table(dim=63), setup.cfg,
                                 codecs.f_share)
@@ -262,7 +263,7 @@ class TestCoalitionStatistic:
     def test_zero_model_degenerate(self, rng, codecs):
         setup = _setup(rng)
         theta = np.zeros(64)
-        partials = partial_inner(setup.shares[:3], theta, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:3]), theta, codecs.share)
         with pytest.raises(DegenerateModelError):
             coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
 
@@ -271,12 +272,12 @@ class TestCoalitionStatistic:
         setup = _setup(rng)
         calib = _table()
         aligned = 0.5 * setup.debug_key
-        partials = partial_inner(setup.shares[:3], aligned, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:3]), aligned, codecs.share)
         rep = coalition_statistic(partials, aligned, calib, setup.cfg, codecs.f_share)
         assert rep.accepted and rep.z >= 4.0
 
         noise = rng.standard_normal(64)
-        partials = partial_inner(setup.shares[:3], noise, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:3]), noise, codecs.share)
         rep = coalition_statistic(partials, noise, calib, setup.cfg, codecs.f_share)
         assert isinstance(rep, VerificationReport)
 
@@ -285,7 +286,7 @@ class TestCoalitionStatistic:
     def test_rejects_points_outside_setup(self, rng, codecs, point):
         setup = _setup(rng)
         theta = rng.standard_normal(64)
-        partials = partial_inner(setup.shares[:3], theta, codecs.share)
+        partials = partial_inner(Coalition.of(setup.shares[:3]), theta, codecs.share)
         partials[2] = PartialVerification(point=point, value=partials[2].value)
         with pytest.raises(ConfigurationError):
             coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
