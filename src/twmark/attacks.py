@@ -180,10 +180,9 @@ def attack_quantize(theta: np.ndarray, shape: MlpShape,
 
 def _kd_grad(theta, X, y, teacher_logits, shape, T, alpha):
     """Gradient of alpha * KL(softmax(zs/T) || softmax(zt/T)) + (1-alpha) * CE,
-    from one forward pass; each loss term has its own backward pass."""
+    from one forward pass and one backward pass of the mixed logit gradient."""
     a, zs = forward(theta, X, shape)
     ce_loss, dz2 = cross_entropy(zs, y)
-    ce_grad = backward(theta, X, a, dz2, shape)
     B = len(X)
     s = _softmax(zs / T)
     t = _softmax(teacher_logits / T)
@@ -191,10 +190,9 @@ def _kd_grad(theta, X, y, teacher_logits, shape, T, alpha):
     g = np.log(s + 1e-300) - np.log(t + 1e-300) + 1.0
     inner = (s * g).sum(axis=1, keepdims=True)
     dzs = s * (g - inner) / (T * B)
-    kd_grad = backward(theta, X, a, dzs, shape)
     kl = float((s * (np.log(s + 1e-300) - np.log(t + 1e-300))).sum(axis=1).mean())
     loss = alpha * kl + (1 - alpha) * ce_loss
-    return loss, alpha * kd_grad + (1 - alpha) * ce_grad
+    return loss, backward(theta, X, a, alpha * dzs + (1 - alpha) * dz2, shape)
 
 
 def attack_distill(teacher_theta: np.ndarray, dataset, shape: MlpShape,

@@ -27,6 +27,7 @@ from .experiments import (
     cmd_verify,
     read_run,
 )
+from .verify import Z_STAR_DEFAULT
 
 
 # the `attack` options that set AttackConfig fields
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="coalition z-test on a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
-    p.add_argument("--z-star", type=float, default=4.0)
+    p.add_argument("--z-star", type=float, default=Z_STAR_DEFAULT)
     p.add_argument("shares", nargs="+", help=">= t share files")
 
     p = sub.add_parser("scalability", help="K sweep, threshold vs baseline")

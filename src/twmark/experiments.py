@@ -65,7 +65,7 @@ class ExperimentConfig:
     theta_max: float = 10.0
     setup_mode: str = "dealer"           # dealer | dkg
     participation: float = 1.0
-    z_star: float = 4.0
+    z_star: float = Z_STAR_DEFAULT
     # data / model
     n_samples: int = 20480
     input_dim: int = 32
@@ -243,13 +243,9 @@ def run_setup(cfg: ExperimentConfig, seed: int, n_clients=None, threshold=None,
               keep_key=False):
     scfg = ShamirConfig(n_clients or cfg.n_clients, threshold or cfg.threshold,
                         FieldParams(cfg.modulus))
-    codecs = cfg.codecs()
-    d = cfg.shape().dim
-    if cfg.setup_mode == "dealer":
-        return setup_trusted_dealer(scfg, d, rng_from_key(seed, "setup"),
-                                    codecs=codecs, keep_key=keep_key)
-    return setup_dkg(scfg, d, master_rng=rng_from_key(seed, "setup"),
-                     codecs=codecs, keep_contributions=keep_key)
+    setup = setup_trusted_dealer if cfg.setup_mode == "dealer" else setup_dkg
+    return setup(scfg, cfg.shape().dim, rng_from_key(seed, "setup"),
+                 codecs=cfg.codecs(), keep_key=keep_key)
 
 
 def run_watermarked(cfg: ExperimentConfig, seed: int):

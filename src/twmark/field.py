@@ -369,9 +369,7 @@ class FixedPointCodec:
         return self.params.modulus / 2.0 ** (self.frac_bits + 1)
 
     def encode(self, x) -> FieldVector:
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         bad = ~(np.abs(x) < self.limit)  # also true for NaN
         if bad.any():
             nonfinite = ~np.isfinite(x)

@@ -1,8 +1,7 @@
 """One-time key establishment: trusted dealer and dealer-free DKG.
 
 Dealer path: sample the key tau ~ N(0, I_d), publish a commitment,
-Shamir-share the fixed-point encoding, then discard tau (tests may keep
-it behind keep_key for oracle checks).
+Shamir-share the fixed-point encoding, then discard tau.
 
 DKG path: each client samples an additive contribution w_k ~ N(0, I_d/K),
 shares its encoding through its own degree-(t-1) polynomials and sends
@@ -15,10 +14,14 @@ setup_dkg adds each client's evaluations as they are made and keeps none
 of them; dkg_exchange also returns them all, the view the secrecy tests
 reconstruct.
 
+Both paths take (cfg, d, rng, codecs, keep_key) and draw everything from
+rng, the setup id last. keep_key retains tau (for the DKG, the sum of the
+contributions) as debug_key, for oracle checks in tests.
+
 Overhead accounting for the DKG is dkg_cost_model's closed form: K(K-1)
 point-to-point messages (self-delivery is local), each carrying d
 8-byte words, with per-client compute modeled as K*t*d field
-multiplications.
+multiplications at FIELD_MUL_NS each and communication at BANDWIDTH_BPS.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,10 @@ from .binfile import Format
 from .errors import ConfigurationError
 from .field import _MASK32, FieldParams, FieldVector, ProtocolCodecs, _fold
 from .sharing import Commitment, ShamirConfig, ShamirShare, commit, shamir_share
+
+# the DKG cost model's link bandwidth and cost of one field multiplication
+BANDWIDTH_BPS = 1e9
+FIELD_MUL_NS = 10.0
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,8 @@ class OverheadRecord:
     messages: int             # point-to-point sends, self-delivery excluded
     payload_bytes: int        # messages * d * 8
     per_client_mults: int     # field multiplications per client
-    compute_ns: float         # per-client compute time under field_mul_ns
-    comm_ns: float            # per-client communication time under bandwidth
+    compute_ns: float         # per-client compute time at FIELD_MUL_NS
+    comm_ns: float            # per-client communication time at BANDWIDTH_BPS
 
     def csv_row(self) -> str:
         return (
@@ -63,8 +70,7 @@ class SetupResult:
     setup_id: bytes = None          # 16 bytes, the setup RNG's last draw
     commitment: Commitment = None   # dealer path only
     overhead: OverheadRecord = None  # DKG path only
-    debug_key: np.ndarray = None            # real tau, debug builds only
-    debug_contributions: list = None        # DKG per-client w_k, debug only
+    debug_key: np.ndarray = None    # real tau, kept only under keep_key
 
     @property
     def d(self) -> int:
@@ -133,20 +139,17 @@ def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
     return _dkg_shares(outgoing, cfg, len(contributions_enc[0])), outgoing
 
 
-def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
-              codecs: ProtocolCodecs = None,
-              keep_contributions: bool = False) -> SetupResult:
+def setup_dkg(cfg: ShamirConfig, d: int, rng: np.random.Generator,
+              codecs: ProtocolCodecs = None, keep_key: bool = False) -> SetupResult:
     """Dealer-free setup; the key is implicitly sum_k w_k, w_k ~ N(0, I_d/K).
-    Per-client RNG streams are spawned deterministically from master_rng;
-    the overhead is dkg_cost_model(K, t, d)."""
+    Per-client RNG streams are spawned deterministically from rng; the
+    overhead is dkg_cost_model(K, t, d)."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
-    if master_rng is None:
-        raise ConfigurationError("pass master_rng")
     if codecs is None:
         codecs = ProtocolCodecs(params=cfg.params)
     K = cfg.n_clients
-    seeds = master_rng.integers(0, 2**63, size=K)
+    seeds = rng.integers(0, 2**63, size=K)
     rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
     contributions = [rngs[k].standard_normal(d) / np.sqrt(K) for k in range(K)]
     enc = [codecs.share.encode(w) for w in contributions]
@@ -155,24 +158,22 @@ def setup_dkg(cfg: ShamirConfig, d: int, master_rng: np.random.Generator = None,
         cfg=cfg,
         codecs=codecs,
         shares=shares,
-        setup_id=master_rng.bytes(16),
+        setup_id=rng.bytes(16),
         overhead=dkg_cost_model(K, cfg.threshold, d),
-        debug_contributions=contributions if keep_contributions else None,
-        debug_key=sum(contributions) if keep_contributions else None,
+        debug_key=sum(contributions) if keep_key else None,
     )
 
 
-def dkg_cost_model(K: int, t: int, d: int, bandwidth_bps: float = 1e9,
-                   field_mul_ns: float = 10.0) -> OverheadRecord:
+def dkg_cost_model(K: int, t: int, d: int) -> OverheadRecord:
     """Closed-form DKG cost: per-client O(Kd) communication, O(Ktd) compute.
 
     Communication time charges (K-1) outgoing vector shares of d 8-byte
-    words each against the bandwidth; compute charges K*t*d field
+    words each against BANDWIDTH_BPS; compute charges K*t*d field
     multiplications (one evaluation of each of d degree-(t-1) polynomials
-    at K points) at field_mul_ns each.
+    at K points) at FIELD_MUL_NS each.
     """
-    if K < 1 or t < 1 or d < 1 or bandwidth_bps <= 0 or field_mul_ns <= 0:
-        raise ConfigurationError("all cost-model arguments must be positive")
+    if K < 1 or t < 1 or d < 1:
+        raise ConfigurationError("K, t and d must be positive")
     messages = K * (K - 1)
     per_client_bits = (K - 1) * d * 8 * 8
     per_client_mults = K * t * d
@@ -183,8 +184,8 @@ def dkg_cost_model(K: int, t: int, d: int, bandwidth_bps: float = 1e9,
         messages=messages,
         payload_bytes=messages * d * 8,
         per_client_mults=per_client_mults,
-        compute_ns=per_client_mults * field_mul_ns,
-        comm_ns=per_client_bits / bandwidth_bps * 1e9,
+        compute_ns=per_client_mults * FIELD_MUL_NS,
+        comm_ns=per_client_bits / BANDWIDTH_BPS * 1e9,
     )
 
 

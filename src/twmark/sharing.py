@@ -1,8 +1,8 @@
 """Vector Shamir secret sharing, Lagrange recombination and commitments.
 
 A length-d secret is shared coordinate-by-coordinate: d independent
-uniform degree-(t-1) polynomials with common public evaluation points
-(default x_k = k). Any t shares reconstruct the secret exactly; fewer
+uniform degree-(t-1) polynomials evaluated at the public points
+x_k = k, k = 1..K. Any t shares reconstruct the secret exactly; fewer
 reveal nothing. Embedding shares w_k = lambda_k * s_k sum to the secret
 over any participant set of size >= t.
 
@@ -42,27 +42,26 @@ def public_norm(d: int) -> float:
 
 @dataclass(frozen=True)
 class ShamirConfig:
-    """(t, K) threshold configuration with public evaluation points."""
+    """(t, K) threshold configuration; client k holds the share at point k."""
 
     n_clients: int
     threshold: int
     params: FieldParams
-    points: tuple = None
 
     def __post_init__(self):
-        if self.points is None:
-            object.__setattr__(
-                self, "points", tuple(range(1, self.n_clients + 1))
-            )
         if not (1 <= self.threshold <= self.n_clients):
             raise ConfigurationError(
                 f"need 1 <= t <= K, got t={self.threshold}, K={self.n_clients}"
             )
-        if len(self.points) != self.n_clients:
-            raise ConfigurationError("need one evaluation point per client")
-        pts = [p % self.params.modulus for p in self.points]
-        if 0 in pts or len(set(pts)) != len(pts):
-            raise ConfigurationError("evaluation points must be distinct and nonzero")
+        # the points 1..K are distinct and nonzero mod q iff K < q
+        if self.n_clients >= self.params.modulus:
+            raise ConfigurationError(
+                f"need K < q, got K={self.n_clients}, q={self.params.modulus}"
+            )
+
+    @property
+    def points(self) -> tuple:
+        return tuple(range(1, self.n_clients + 1))
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,6 @@ class ShamirShare:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class EmbeddingShare:
-    """w_k = lambda_k * s_k for a specific participant set."""
-
-    point: int
-    values: FieldVector
-    lagrange: int
-    participants: tuple
 
 
 def shamir_share(secret: FieldVector, cfg: ShamirConfig, rng: np.random.Generator,
@@ -161,8 +150,9 @@ def shamir_reconstruct(shares, cfg: ShamirConfig) -> FieldVector:
     return FieldVector(_matmul_mod(row, stacked, cfg.params)[0], cfg.params)
 
 
-def derive_embedding_share(share: ShamirShare, participants, cfg: ShamirConfig) -> EmbeddingShare:
-    """w_k for the given participant set; the w_k over the set sum to the secret.
+def derive_embedding_share(share: ShamirShare, participants, cfg: ShamirConfig) -> ShamirShare:
+    """w_k = lambda_k * s_k at the share's point for the given participant
+    set; the w_k over the set sum to the secret.
 
     Raises SkipRoundError when the participant set is below threshold,
     matching the protocol's skip-the-round behavior.
@@ -175,12 +165,7 @@ def derive_embedding_share(share: ShamirShare, participants, cfg: ShamirConfig) 
     if share.point not in participants:
         raise ConfigurationError(f"share point {share.point} not in participant set")
     lam = lagrange_at_zero(participants, cfg.params)[share.point]
-    return EmbeddingShare(
-        point=share.point,
-        values=share.values.scalar_mul(lam),
-        lagrange=lam,
-        participants=participants,
-    )
+    return ShamirShare(point=share.point, values=share.values.scalar_mul(lam))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ at most 2^53: the result is exact for any q < 2^63, BLAS build and thread
 count. FieldVector.inner stays the oracle behind verify_direct.
 """
 
+import hashlib
 import re
 from dataclasses import dataclass
 
@@ -250,14 +251,17 @@ def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, calib: Calibratio
 
 
 def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
-                        cfg: ShamirConfig, f_share: int, z_star: float = Z_STAR_DEFAULT,
-                        session_seed: int = 0) -> VerificationReport:
+                        cfg: ShamirConfig, f_share: int,
+                        z_star: float = Z_STAR_DEFAULT) -> VerificationReport:
     """Combine >= t partial scalars, computed at f_share bits over cfg's
     field, into the decision report.
 
     The Lagrange-weighted scalars flow through a simulated scalar secure
     aggregation, so the only value revealed across the coalition boundary
-    is the combined statistic.
+    is the combined statistic. Its session is keyed by SHA-256 of the
+    suspect's float64 bytes and the coalition's points, so every suspect
+    gets fresh masks: two sessions under one mask stream would reveal each
+    member's difference of weighted partials.
     """
     partials = list(partials)
     if len(partials) < cfg.threshold:
@@ -275,9 +279,11 @@ def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
         raise ConfigurationError(
             f"partial points {strangers} are not evaluation points of the setup")
     lam = lagrange_at_zero(points, cfg.params)
+    digest = hashlib.sha256(np.ascontiguousarray(theta_s, dtype="<f8"))
+    digest.update(np.array(points, dtype="<u8"))
     session = SecAggSession(
-        round_id=0, participants=tuple(points), d=1,
-        params=cfg.params, session_seed=session_seed,
+        round_id=0, participants=tuple(points), d=1, params=cfg.params,
+        session_seed=int.from_bytes(digest.digest(), "little"),
     )
     weighted = {p.point: cfg.params.mul(lam[p.point], p.value) for p in partials}
     inner_enc = secagg_scalar(weighted, session)

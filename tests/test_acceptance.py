@@ -325,7 +325,7 @@ def test_criterion_09_dkg_overhead(fM61):
     d = CFG.shape().dim
     for K in (4, 8, 16):
         cfg = ShamirConfig(K, max(2, K // 2), fM61)
-        setup = setup_dkg(cfg, d, master_rng=rng_from_key("acc-9", K))
+        setup = setup_dkg(cfg, d, rng_from_key("acc-9", K))
         assert setup.overhead.messages == K * (K - 1)
         assert setup.overhead.payload_bytes == K * (K - 1) * d * 8
 

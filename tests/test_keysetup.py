@@ -48,18 +48,21 @@ class TestTrustedDealer:
 
 
 class TestDkg:
-    def test_shares_reconstruct_summed_contributions(self, fM61, rng):
+    def test_shares_reconstruct_summed_contributions(self, fM61):
         cfg = _cfg(fM61, K=4, t=2)
-        setup = setup_dkg(cfg, 16, master_rng=rng, keep_contributions=True)
+        setup = setup_dkg(cfg, 16, np.random.default_rng(5))
         rec = shamir_reconstruct(setup.shares[:2], cfg)
+        # replay each client's contribution from its stream of the setup rng
+        seeds = np.random.default_rng(5).integers(0, 2**63, size=4)
         want = FieldVector.zeros(16, fM61)
-        for w in setup.debug_contributions:
+        for s in seeds:
+            w = np.random.Generator(np.random.PCG64(int(s))).standard_normal(16) / np.sqrt(4)
             want = want.add(setup.codecs.share.encode(w))
         assert rec == want
 
     def test_decoded_key_close_to_contribution_sum(self, fM61, rng):
         cfg = _cfg(fM61, K=4, t=2)
-        setup = setup_dkg(cfg, 16, master_rng=rng, keep_contributions=True)
+        setup = setup_dkg(cfg, 16, rng, keep_key=True)
         rec = shamir_reconstruct(setup.shares, cfg)
         decoded = setup.codecs.share.decode_centered(rec)
         # per-coordinate rounding error is at most K * 2^-(f+1)
@@ -68,15 +71,11 @@ class TestDkg:
     def test_overhead_closed_forms(self, fM61, rng):
         for K in (4, 8):
             cfg = _cfg(fM61, K=K, t=K // 2)
-            setup = setup_dkg(cfg, 10, master_rng=rng)
+            setup = setup_dkg(cfg, 10, rng)
             ov = setup.overhead
             assert ov.messages == K * (K - 1)
             assert ov.payload_bytes == K * (K - 1) * 10 * 8
             assert ov.per_client_mults == K * (K // 2) * 10
-
-    def test_needs_master_rng_or_streams(self, fM61):
-        with pytest.raises(ConfigurationError):
-            setup_dkg(_cfg(fM61), 8)
 
     def test_exchange_validates_contribution_count(self, fM61, rng):
         cfg = _cfg(fM61, K=3, t=2)
@@ -86,7 +85,8 @@ class TestDkg:
 
 class TestCostModel:
     def test_fields(self):
-        rec = dkg_cost_model(8, 4, 100, bandwidth_bps=1e9, field_mul_ns=10.0)
+        assert (keysetup.BANDWIDTH_BPS, keysetup.FIELD_MUL_NS) == (1e9, 10.0)
+        rec = dkg_cost_model(8, 4, 100)
         assert rec.messages == 56
         assert rec.payload_bytes == 56 * 100 * 8
         assert rec.per_client_mults == 8 * 4 * 100
@@ -97,7 +97,7 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             dkg_cost_model(0, 1, 1)
         with pytest.raises(ConfigurationError):
-            dkg_cost_model(4, 2, 10, bandwidth_bps=0)
+            dkg_cost_model(4, 2, 0)
 
     def test_csv_row_shape(self):
         rec = dkg_cost_model(4, 2, 10)

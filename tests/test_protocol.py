@@ -19,7 +19,7 @@ from twmark.protocol import (
     run_protocol,
 )
 from twmark.rngutil import rng_from_key
-from twmark.sharing import ShamirConfig
+from twmark.sharing import ShamirConfig, derive_embedding_share
 
 SHAPE = MlpShape(input_dim=6, hidden=8, n_classes=4)  # d = 92
 
@@ -102,6 +102,33 @@ class TestEmbedRound:
         scale_total = 4 * scale_k
         predicted = v + (scale_total / 4) * setup.debug_key
         assert np.abs(nxt.theta - predicted).max() <= 1e-4
+
+    @pytest.mark.parametrize("participants", [(1, 2, 3, 4), (1, 3, 4), (2,)])
+    def test_equals_the_field_reference(self, rng, participants):
+        # bit for bit decode_model(sum_k enc_model(theta_k) + S * w_k) / n,
+        # with w_k = derive_embedding_share(s_k), and no term below t
+        steps = {k: 0.01 * rng.standard_normal(SHAPE.dim) for k in (1, 2, 3, 4)}
+        c = 0.05
+        setup, _, nxt = self._run(rng, lambda st, theta, r: theta + steps[st.client_id],
+                                  participants=participants, c=c)
+        codecs, beta = setup.codecs, ProtocolParams().ema_beta
+        total = 0
+        for k in participants:
+            norm = float(np.linalg.norm(steps[k]))
+            total += codecs.scale.encode_scalar(client_scale(norm, ema_update(0.0, norm, beta), c))
+        S = quantize_scale(codecs.scale.decode_scalar(total % codecs.params.modulus),
+                           codecs, ProtocolParams().scale_max)
+        assert S > 0
+        embed = len(participants) >= setup.cfg.threshold
+        agg = FieldVector.zeros(SHAPE.dim, codecs.params)
+        for share in setup.shares:
+            if share.point in participants:
+                agg = agg.add(codecs.model.encode(steps[share.point]))
+                if embed:
+                    w = derive_embedding_share(share, participants, setup.cfg)
+                    agg = agg.add(w.values.scalar_mul(S))
+        want = codecs.model.decode_centered(agg) / len(participants)
+        assert np.array_equal(nxt.theta, want)
 
     def test_below_threshold_embeds_nothing(self, rng):
         v = 0.01 * rng.standard_normal(SHAPE.dim)

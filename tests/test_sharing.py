@@ -37,47 +37,54 @@ def _horner(secret, coeffs, points, q):
     return evals
 
 
-def _near_q(K, q):
-    """K distinct nonzero evaluation points just below q and one above it."""
-    return tuple(q - 1 - i for i in range(K - 1)) + (q + 2,)
-
-
 class TestSharesMatchHorner:
     """Dealer and DKG shares equal Horner evaluations of the coefficients the
-    setup draws, so both the arithmetic and the RNG consumption are pinned."""
+    setup draws, so both the arithmetic and the RNG consumption are pinned;
+    keep_key retains the drawn key and changes no share."""
 
     @pytest.mark.parametrize("q", [M61, (1 << 31) - 1])
-    @pytest.mark.parametrize("K,t,near_q", [(32, 16, False), (12, 4, False), (9, 9, False),
-                                             (3, 1, False), (7, 5, True)])
-    def test_dealer(self, q, K, t, near_q):
+    @pytest.mark.parametrize("K,t,keep_key", [(32, 16, False), (12, 4, False), (9, 9, False),
+                                               (3, 1, False), (7, 5, True)])
+    def test_dealer(self, q, K, t, keep_key):
         params, d, seed = FieldParams(q), 40, 17
-        cfg = ShamirConfig(n_clients=K, threshold=t, params=params,
-                           points=_near_q(K, q) if near_q else None)
+        cfg = ShamirConfig(n_clients=K, threshold=t, params=params)
         codecs = ProtocolCodecs(params=params)
-        setup = setup_trusted_dealer(cfg, d, np.random.default_rng(seed), codecs=codecs)
+        setup = setup_trusted_dealer(cfg, d, np.random.default_rng(seed), codecs=codecs,
+                                     keep_key=keep_key)
         replay = np.random.default_rng(seed)  # the dealer's draws, in order
-        enc = codecs.share.encode(replay.standard_normal(d))
+        tau = replay.standard_normal(d)
+        enc = codecs.share.encode(tau)
         replay.bytes(32)
         coeffs = params.uniform(replay, (t - 1, d))
-        assert [s.point for s in setup.shares] == list(cfg.points)
+        assert [s.point for s in setup.shares] == list(range(1, K + 1))
         assert [s.values.values.tolist() for s in setup.shares] == \
             _horner(enc.values, coeffs, cfg.points, q)
+        assert setup.setup_id == replay.bytes(16)
+        if keep_key:
+            assert np.array_equal(setup.debug_key, tau)
+        else:
+            assert setup.debug_key is None
 
-    @pytest.mark.parametrize("K,t,near_q", [(32, 16, False), (12, 4, False), (6, 3, True)])
-    def test_dkg(self, K, t, near_q):
+    @pytest.mark.parametrize("K,t,keep_key", [(32, 16, False), (12, 4, False), (6, 3, True)])
+    def test_dkg(self, K, t, keep_key):
         params, d, seed, q = FieldParams(), 24, 23, M61
-        cfg = ShamirConfig(n_clients=K, threshold=t, params=params,
-                           points=_near_q(K, q) if near_q else None)
-        setup = setup_dkg(cfg, d, np.random.default_rng(seed))
-        seeds = np.random.default_rng(seed).integers(0, 2**63, size=K)
+        cfg = ShamirConfig(n_clients=K, threshold=t, params=params)
+        setup = setup_dkg(cfg, d, np.random.default_rng(seed), keep_key=keep_key)
+        replay = np.random.default_rng(seed)
+        seeds = replay.integers(0, 2**63, size=K)
         rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-        enc = [ProtocolCodecs().share.encode(r.standard_normal(d) / np.sqrt(K))
-               for r in rngs]
+        contributions = [r.standard_normal(d) / np.sqrt(K) for r in rngs]
+        enc = [ProtocolCodecs().share.encode(w) for w in contributions]
         coeffs = [params.uniform(r, (t - 1, d)) for r in rngs]
         outgoing = [_horner(e.values, c, cfg.points, q) for e, c in zip(enc, coeffs)]
         want = [[sum(col) % q for col in zip(*(out[i] for out in outgoing))]
                 for i in range(K)]
         assert [s.values.values.tolist() for s in setup.shares] == want
+        assert setup.setup_id == replay.bytes(16)
+        if keep_key:
+            assert np.array_equal(setup.debug_key, sum(contributions))
+        else:
+            assert setup.debug_key is None
         shares, sent = dkg_exchange(enc, cfg, [None] * K, coeffs_per_client=coeffs)
         assert [s.values.values.tolist() for s in shares] == want
         assert [[s.values.values.tolist() for s in row] for row in sent] == outgoing
@@ -94,11 +101,14 @@ class TestShamirConfig:
         with pytest.raises(ConfigurationError):
             ShamirConfig(n_clients=3, threshold=0, params=fM61)
 
-    def test_rejects_zero_or_duplicate_points(self, fM61):
-        with pytest.raises(ConfigurationError):
-            ShamirConfig(n_clients=2, threshold=2, params=fM61, points=(0, 1))
-        with pytest.raises(ConfigurationError):
-            ShamirConfig(n_clients=2, threshold=2, params=fM61, points=(1, 1))
+    def test_rejects_zero_or_duplicate_points(self):
+        # the points are 1..K: K = q puts a point at 0 mod q, K = q + 1 also
+        # repeats point 1; K = q - 1 is the largest setup
+        params = FieldParams(7)
+        assert ShamirConfig(n_clients=6, threshold=3, params=params).points[-1] == 6
+        for K in (7, 8):
+            with pytest.raises(ConfigurationError, match="K < q"):
+                ShamirConfig(n_clients=K, threshold=3, params=params)
 
 
 class TestShamirShare:

@@ -12,7 +12,9 @@ from twmark.errors import (
 from twmark.field import (F_SHARE, M61, TAU_INF_BOUND, FieldParams, FieldVector,
                           FixedPointCodec, ProtocolCodecs, verification_bound)
 from twmark.flsim import MlpShape
+from twmark import verify
 from twmark.keysetup import setup_trusted_dealer
+from twmark.secagg import secagg_scalar
 from twmark.sharing import ShamirConfig, ShamirShare
 from twmark.verify import (
     CalibrationTable,
@@ -281,6 +283,27 @@ class TestCoalitionStatistic:
         rep = coalition_statistic(partials, noise, calib, setup.cfg, codecs.f_share)
         assert isinstance(rep, VerificationReport)
 
+    def test_every_suspect_gets_fresh_masks(self, rng, codecs, monkeypatch):
+        # one mask stream for two suspects would hand the server each
+        # member's difference of weighted partials
+        sessions = []
+
+        def spy(inputs, session):
+            sessions.append(session)
+            return secagg_scalar(inputs, session)
+
+        monkeypatch.setattr(verify, "secagg_scalar", spy)
+        setup = _setup(rng)
+        coalition = Coalition.of(setup.shares[:3])
+        a, b = rng.standard_normal(64), rng.standard_normal(64)
+        for theta in (a, b, a.copy()):
+            coalition_statistic(partial_inner(coalition, theta, codecs.share), theta,
+                                _table(), setup.cfg, codecs.f_share)
+        first, other, again = sessions
+        for k in coalition.points:
+            assert first.client_mask(k) != other.client_mask(k)
+        assert [(k, v.tolist()) for k, v in first.observations] == \
+            [(k, v.tolist()) for k, v in again.observations]
 
     @pytest.mark.parametrize("point", [7, 0])
     def test_rejects_points_outside_setup(self, rng, codecs, point):
