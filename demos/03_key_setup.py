@@ -38,6 +38,8 @@ print(f"dkg overhead: {ov.messages} messages, {ov.payload_bytes} bytes "
 
 print(f"\ncost model at {BANDWIDTH_BPS:.0e} bit/s and {FIELD_MUL_NS} ns per field "
       "multiplication, t = K/2, d = 5514:")
-print(ov.CSV_HEADER)
+print("    K    t  messages         bytes  compute (ms)  comm (ms)")
 for K in (4, 8, 16, 32, 64, 128):
-    print(dkg_cost_model(K, K // 2, 5514).csv_row())
+    rec = dkg_cost_model(K, K // 2, 5514)
+    print(f"{rec.n_clients:5d} {rec.threshold:4d} {rec.messages:9d} {rec.payload_bytes:13d} "
+          f"{rec.compute_ns / 1e6:13.3f} {rec.comm_ns / 1e6:10.3f}")

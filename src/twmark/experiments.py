@@ -16,7 +16,8 @@ import numpy as np
 
 from . import attacks
 from .binfile import Format
-from .errors import ConfigurationError, DegenerateModelError, FingerprintMismatchError
+from .errors import (ConfigurationError, DegenerateModelError, FingerprintMismatchError,
+                     ThresholdError)
 from .field import FieldParams, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
 from .flsim import AdamWParams, MlpShape, evaluate, gen_dataset, init_model
 from .keysetup import (
@@ -274,7 +275,10 @@ def _coalition_verifier(shares, scfg: ShamirConfig, codec: FixedPointCodec,
     """The one coalition verification path: stack the shares once, then per
     model encode it once at the share codec, take the coalition's partial
     inner products in one call and combine them. The shares must have the
-    f_share and d the calibration table was made for."""
+    f_share and d the calibration table was made for. A coalition below t
+    is refused before any product."""
+    if len(shares) < scfg.threshold:
+        raise ThresholdError(f"coalition of {len(shares)} is below threshold {scfg.threshold}")
     if (codec.frac_bits, len(shares[0])) != (calib.f_share, calib.dim):
         raise ConfigurationError(f"shares have f_share {codec.frac_bits}, d {len(shares[0])}; "
                                  f"the calibration table {calib.f_share}, {calib.dim}")

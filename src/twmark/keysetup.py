@@ -51,14 +51,6 @@ class OverheadRecord:
     compute_ns: float         # per-client compute time at FIELD_MUL_NS
     comm_ns: float            # per-client communication time at BANDWIDTH_BPS
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.n_clients},{self.threshold},{self.d},{self.messages},"
-            f"{self.payload_bytes},{self.compute_ns:.6g},{self.comm_ns:.6g}"
-        )
-
-    CSV_HEADER = "K,t,d,messages,bytes,compute_ns,comm_ns"
-
 
 @dataclass
 class SetupResult:

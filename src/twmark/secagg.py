@@ -39,16 +39,25 @@ rejected word is replaced by a draw from a fallback stream keyed by the
 session and the pair's participant ids, which leaves every other edge's
 offset in place.
 
-Net masks are formed with numpy over rows in slot order: the 32-bit
-halves of each piece are column-summed into its sender's row and
-subtracted from the rows of its receivers, and the split sums are reduced
-mod q once at the end. All of a session's masks are drawn on the calling
-thread, in one pass over the stream.
+Net masks are formed with numpy over rows in slot order, as split sums of
+the 32-bit halves of the mask words, reduced mod q once at the end. The
+path follows d alone. A session with d > 1 walks the pieces: each piece's
+halves are column-summed into its sender's row and subtracted from the
+rows of its receivers, four numpy calls per piece. A session with d = 1
+draws all its words as one block and adds the halves to the senders and
+subtracts them from the receivers with ``np.add.at`` over per-edge slot
+arrays kept beside the graph. Wrapping uint64 sums do not depend on their
+order, so both give the same bits. The edge-wise form wins only for small d
+(at n = 128, one BLAS thread: 9x faster at d = 1, even at d = 32, 6x slower
+at d = 5514), and the program runs only d = 1 and d = model-dimension
+sessions, so d = 1 is the rule. All of a session's masks are drawn on the
+calling thread, in one pass over the stream.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
 """
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import NamedTuple
@@ -70,6 +79,8 @@ class _Graph(NamedTuple):
     reach: int      # largest circular slot distance of an edge
     later: tuple    # later[a]: slot slices [b0, b1) of a's neighbours b > a, in edge order
     starts: tuple   # starts[a]: edges of the senders before a; starts[n]: all edges
+    senders: np.ndarray     # senders[e]: lower slot of edge e, in stream order
+    receivers: np.ndarray   # receivers[e]: upper slot of edge e
 
 
 @lru_cache(maxsize=256)
@@ -77,7 +88,7 @@ def _graph(n: int) -> _Graph:
     """The mask graph of a session of n, built once per n."""
     k = mask_degree(n)
     reach = k - k // 2
-    later, starts = [], [0]
+    later, starts, senders, receivers = [], [0], [], []
     for a in range(n):
         near = min(a + reach, n - 1) + 1   # slots a+1 .. near-1: a + j
         wrap = max(n - reach + a, near)    # slots wrap .. n-1: a - j mod n
@@ -85,7 +96,11 @@ def _graph(n: int) -> _Graph:
         slices = tuple((b0, b1) for b0, b1 in slices if b0 < b1)
         later.append(slices)
         starts.append(starts[-1] + sum(b1 - b0 for b0, b1 in slices))
-    return _Graph(reach, tuple(later), tuple(starts))
+        for b0, b1 in slices:
+            senders += [a] * (b1 - b0)
+            receivers += range(b0, b1)
+    return _Graph(reach, tuple(later), tuple(starts),
+                  np.array(senders, dtype=np.intp), np.array(receivers, dtype=np.intp))
 
 
 def edge_offset(a: int, b: int, n: int) -> int:
@@ -154,7 +169,7 @@ class SecAggSession:
             limit = q
         else:
             limit = ((1 << 64) // q) * q
-        if int(raw.max()) >= limit:
+        if int(raw.max(initial=0)) >= limit:
             bad = raw >= np.uint64(limit)
             at = np.argsort(self._slot)   # position at each slot
             edges = [(a, b) for a, b0, b1 in pieces for b in range(b0, b1)]
@@ -171,11 +186,25 @@ class SecAggSession:
         """(n, d) net masks in slot order: row _slot[p] for the participant
         at position p."""
         n, d = len(self.participants), self.d
+        graph = _graph(n)
         hi = np.zeros((n, d), dtype=np.uint64)
         lo = np.zeros((n, d), dtype=np.uint64)
         stream = self._stream()
+        if d == 1:
+            # every word in one block, added edge-wise: a piece holds a few
+            # words, so per-piece numpy calls would cost more than the sums
+            pieces = [(a, b0, b1) for a, slices in enumerate(graph.later)
+                      for b0, b1 in slices]
+            block = self._rows(stream.random_raw(graph.starts[n]).reshape(-1, 1), pieces)
+            top = block >> 32
+            block &= _MASK32
+            np.add.at(hi, graph.senders, top)
+            np.add.at(lo, graph.senders, block)
+            np.subtract.at(hi, graph.receivers, top)
+            np.subtract.at(lo, graph.receivers, block)
+            return _fold(hi, lo, self.params.modulus)
         step = max(1, _BLOCK_WORDS // d)
-        for pieces in _blocks(_graph(n).later, step):
+        for pieces in _blocks(graph.later, step):
             rows = sum(b1 - b0 for _, b0, b1 in pieces)
             block = self._rows(stream.random_raw(rows * d).reshape(-1, d), pieces)
             top = block >> 32
@@ -226,31 +255,22 @@ class SecAggSession:
         return FieldVector(self._net_masks()[self._slot[self._position(k)]], self.params)
 
 
-def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
-    """Field sum of the client inputs; the log sees only masked vectors.
-
-    The output is computed by summing the masked submissions, so mask
-    cancellation is structural rather than assumed.
-    """
+def _check_participants(inputs: dict, session: SecAggSession):
     if set(inputs) != set(session.participants):
         raise ProtocolAbortError(
             f"round {session.round_id}: submissions {sorted(inputs)} do not match "
             f"participants {list(session.participants)}"
         )
-    for k in session.participants:
-        vec = inputs[k]
-        session.params._check(vec.params)
-        if len(vec) != session.d:
-            raise ProtocolAbortError(
-                f"round {session.round_id}: client {k} submitted length {len(vec)}, "
-                f"expected {session.d}"
-            )
-    q = np.uint64(session.params.modulus)
-    masked = session._net_masks()  # becomes the matrix of masked submissions
-    for k, slot in zip(session.participants, session._slot):
-        masked[slot] += inputs[k].values   # both < q < 2^63, no overflow
-        session.observations.append((k, masked[slot]))
+
+
+def _reveal(masked: np.ndarray, session: SecAggSession) -> FieldVector:
+    """Field sum of the rows of ``masked``, the (n, d) masked submissions in
+    slot order, each below 2q; logs every participant's row as its
+    observation and sets the session output."""
+    session.observations.extend(
+        (k, masked[slot]) for k, slot in zip(session.participants, session._slot))
     # one reduction for every row; the observations are views of the rows
+    q = np.uint64(session.params.modulus)
     np.subtract(masked, q, out=masked, where=masked >= q)
     acc = FieldVector.__new__(FieldVector)
     acc.values = _fold((masked >> 32).sum(axis=0), (masked & _MASK32).sum(axis=0),
@@ -260,12 +280,43 @@ def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
     return acc
 
 
+def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
+    """Field sum of the client inputs; the log sees only masked vectors.
+
+    The output is computed by summing the masked submissions, so mask
+    cancellation is structural rather than assumed.
+    """
+    _check_participants(inputs, session)
+    for k in session.participants:
+        vec = inputs[k]
+        session.params._check(vec.params)
+        if len(vec) != session.d:
+            raise ProtocolAbortError(
+                f"round {session.round_id}: client {k} submitted length {len(vec)}, "
+                f"expected {session.d}"
+            )
+    masked = session._net_masks()  # becomes the matrix of masked submissions
+    for k, slot in zip(session.participants, session._slot):
+        masked[slot] += inputs[k].values   # both < q < 2^63, no overflow
+    return _reveal(masked, session)
+
+
 def secagg_scalar(inputs: dict, session: SecAggSession) -> int:
-    """Scalar (d = 1) secure sum."""
+    """Scalar (d = 1) secure sum of integer inputs in [0, q)."""
     if session.d != 1:
         raise ConfigurationError("secagg_scalar requires a d=1 session")
-    vec_inputs = {
-        k: FieldVector(np.array([v], dtype=np.uint64), session.params)
-        for k, v in inputs.items()
-    }
-    return int(secagg_sum(vec_inputs, session).values[0])
+    _check_participants(inputs, session)
+    q = session.params.modulus
+    values = []
+    for k in session.participants:
+        try:
+            v = operator.index(inputs[k])
+        except TypeError:
+            v = None
+        if v is None or not 0 <= v < q:
+            raise ConfigurationError(f"round {session.round_id}: client {k} submitted "
+                                     f"{inputs[k]!r}, not an integer in [0, q)")
+        values.append(v)
+    masked = session._net_masks()
+    masked[session._slot, 0] += np.array(values, dtype=np.uint64)   # both < q < 2^63
+    return int(_reveal(masked, session).values[0])

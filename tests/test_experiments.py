@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twmark import cli, experiments
+from twmark import cli, experiments, verify
 from twmark.errors import ConfigurationError
 from twmark.experiments import (
     CalibrationTable,
@@ -279,6 +279,27 @@ class TestCli:
         code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
                          "--calibration", str(out / "calibration.txt")] + shares)
         assert code == 2
+
+    def test_verify_below_threshold_computes_nothing(self, cli_workspace, monkeypatch,
+                                                     capsys):
+        # t - 1 shares are refused before the coalition is stacked or any
+        # partial taken
+        cfg, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        calls = []
+        partial_inner, of = experiments.partial_inner, verify.Coalition.of
+        monkeypatch.setattr(experiments, "partial_inner",
+                            lambda *a: calls.append("partial_inner") or partial_inner(*a))
+        monkeypatch.setattr(verify.Coalition, "of",
+                            lambda shares: calls.append("of") or of(shares))
+        shares = [str(rundir / "shares" / f"client_{k}.share")
+                  for k in range(1, cfg.threshold)]
+        code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
+                         "--calibration", str(out / "calibration.txt")] + shares)
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: coalition of {cfg.threshold - 1} "
+                                           f"is below threshold {cfg.threshold}\n")
+        assert calls == []
 
     def test_verify_strict_z_star_rejects(self, cli_workspace):
         cfg, _, out = cli_workspace
@@ -592,21 +613,33 @@ class TestSweeps:
 @pytest.fixture(scope="module")
 def literal_files(cli_workspace, tmp_path_factory):
     """Copies of a saved config, a calibration table and a run's manifest,
-    each as (path, original bytes, loader)."""
+    each as (path, original bytes, loader of a file at another path)."""
     cfg, cfg_path, out = cli_workspace
     root = tmp_path_factory.mktemp("literal-files")
     shutil.copy(cfg_path, root / "config.txt")
     shutil.copy(out / "calibration.txt", root / "calibration.txt")
     shutil.copytree(out / "run_seed0", root / "run_seed0")
     files = {
-        "config": (root / "config.txt",
-                   lambda: ExperimentConfig.from_file(root / "config.txt")),
-        "calibration": (root / "calibration.txt",
-                        lambda: CalibrationTable.load(root / "calibration.txt")),
+        "config": (root / "config.txt", ExperimentConfig.from_file),
+        "calibration": (root / "calibration.txt", CalibrationTable.load),
         "manifest": (root / "run_seed0" / "manifest.txt",
-                     lambda: load_run(cfg, root / "run_seed0")),
+                     lambda path: load_run(cfg, path.parent)),
     }
     return {kind: (path, path.read_bytes(), load) for kind, (path, load) in files.items()}
+
+
+def _fresh_copy(path, data: bytes, tmp_path_factory):
+    """``data`` written under ``path``'s name in a new directory, beside
+    symlinks to every other entry of ``path``'s directory; rewriting one
+    file in place costs milliseconds on some filesystems, creating one does
+    not."""
+    root = tmp_path_factory.mktemp("damaged")
+    for entry in path.parent.iterdir():
+        if entry.name != path.name:
+            (root / entry.name).symlink_to(entry)
+    fresh = root / path.name
+    fresh.write_bytes(data)
+    return fresh
 
 
 def _damage(data: bytes, draw) -> bytes:
@@ -640,18 +673,18 @@ class TestLiteralFiles:
     @pytest.mark.parametrize("kind", ["config", "calibration", "manifest"])
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_damaged_file_loads_or_names_itself(self, literal_files, kind, data):
-        path, original, load = literal_files[kind]
-        path.write_bytes(_damage(original, data.draw))
+    def test_damaged_file_loads_or_names_itself(self, literal_files, tmp_path_factory,
+                                                kind, data):
+        original, data_bytes, load = literal_files[kind]
+        path = _fresh_copy(original, _damage(data_bytes, data.draw), tmp_path_factory)
         try:
-            load()
+            load(path)
         except ConfigurationError as exc:
             assert str(exc).startswith(str(path)), exc
 
     def test_saved_files_load(self, literal_files):
-        for path, original, load in literal_files.values():
-            path.write_bytes(original)
-            load()
+        for path, _, load in literal_files.values():
+            load(path)
 
     def test_invalid_escape_in_a_config_file_names_the_line(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -725,15 +758,17 @@ class TestBinaryFiles:
     @pytest.mark.parametrize("kind", ["model", "share"])
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_damaged_file_is_an_error_naming_it(self, verify_files, kind, data):
+    def test_damaged_file_is_an_error_naming_it(self, verify_files, tmp_path_factory,
+                                                kind, data):
         model, shares, calib = verify_files
-        path = model if kind == "model" else data.draw(st.sampled_from(shares))
-        original = path.read_bytes()
-        path.write_bytes(_corrupt(original, data.draw))
-        try:
-            code, out, err = _verify(model, shares, calib)
-        finally:
-            path.write_bytes(original)
+        original = model if kind == "model" else data.draw(st.sampled_from(shares))
+        path = _fresh_copy(original, _corrupt(original.read_bytes(), data.draw),
+                           tmp_path_factory)
+        if kind == "model":
+            model = path
+        else:
+            shares = [path if p == original else p for p in shares]
+        code, out, err = _verify(model, shares, calib)
         assert code == 2
         assert err.startswith(f"error: {path}: "), err
         assert "decision:" not in out

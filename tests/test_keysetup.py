@@ -99,10 +99,6 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             dkg_cost_model(4, 2, 0)
 
-    def test_csv_row_shape(self):
-        rec = dkg_cost_model(4, 2, 10)
-        assert len(rec.csv_row().split(",")) == len(rec.CSV_HEADER.split(","))
-
 
 class TestShareFiles:
     def test_roundtrip(self, fM61, rng, tmp_path):

@@ -509,12 +509,71 @@ class TestSplit:
             assert applied[k] == _sum_of_pair_masks(session, k)
 
 
+def _scalar_run(params, participants):
+    """(session, inputs, output) of one secagg_scalar with fixed inputs."""
+    session = _session(params, d=1, participants=participants)
+    values = params.uniform(np.random.default_rng(3), len(participants))
+    inputs = {k: int(v) for k, v in zip(participants, values)}
+    return session, inputs, secagg_scalar(inputs, session)
+
+
 class TestSecAggScalar:
     def test_matches_scalar_sum(self, fM61, rng):
         session = _session(fM61, d=1)
         inputs = {k: int(fM61.uniform(rng, 1)[0]) for k in session.participants}
         out = secagg_scalar(inputs, session)
         assert out == sum(inputs.values()) % fM61.modulus
+
+    @pytest.mark.parametrize("bad", [2.5, -1, "q", 2**64, np.float64(3.0)],
+                             ids=["float", "negative", "q", "2^64", "np.float64"])
+    def test_rejects_inputs_that_are_not_field_elements(self, fM61, bad):
+        session = _session(fM61, d=1, participants=(1, 2, 3))
+        x = fM61.modulus if bad == "q" else bad
+        with pytest.raises(ConfigurationError, match="client 3 submitted"):
+            secagg_scalar({1: 5, 2: 6, 3: x}, session)
+        assert session.observations == []
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.uint64])
+    def test_integer_types_sum_exactly(self, fM61, kind):
+        q = fM61.modulus
+        session = _session(fM61, d=1, participants=(1, 2, 3))
+        out = secagg_scalar({1: kind(q - 1), 2: kind(q - 2), 3: kind(5)}, session)
+        assert out == 2
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 10, 16, 33, 64, 100, 128])
+    @pytest.mark.parametrize("rejected", [False, True])
+    def test_edge_wise_masks_are_the_pair_masks(self, field, n, rejected, request,
+                                                monkeypatch):
+        # a d = 1 session sums its masks edge by edge; pair_mask reads each
+        # edge alone through PCG64.advance
+        params = request.getfixturevalue(field)
+        participants = tuple(range(1, n + 1))
+        plain, _, _ = _scalar_run(params, participants)
+        if rejected:
+            # the first and the last edge (= word) of several senders
+            starts = secagg._graph(n).starts
+            senders = sorted({0, 1, n // 3, n // 2, n - 3, n - 2} & set(range(n - 1)))
+            _force_words(monkeypatch, *{w for a in senders
+                                        for w in (starts[a], starts[a + 1] - 1)})
+        session, inputs, out = _scalar_run(params, participants)
+        q = params.modulus
+        assert out == sum(inputs.values()) % q
+        assert [k for k, _ in session.observations] == list(participants)
+        for k, masked in session.observations:
+            assert masked.shape == (1,) and int(masked[0]) < q
+            applied = (int(masked[0]) - inputs[k]) % q
+            assert applied == int(_sum_of_pair_masks(session, k).values[0])
+        if rejected:
+            assert ([m.tolist() for _, m in session.observations]
+                    != [m.tolist() for _, m in plain.observations])
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    def test_client_mask_is_the_sum_of_pair_masks(self, field, request):
+        params = request.getfixturevalue(field)
+        session = _session(params, d=1, participants=tuple(range(1, 41)))
+        for k in session.participants:
+            assert session.client_mask(k) == _sum_of_pair_masks(session, k)
 
     def test_requires_d1_session(self, fM61):
         session = _session(fM61, d=2)
