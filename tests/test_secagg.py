@@ -541,7 +541,7 @@ class TestSecAggScalar:
         assert out == 2
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 10, 16, 33, 64, 100, 128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 10, 16, 33, 64, 100, 128])
     @pytest.mark.parametrize("rejected", [False, True])
     def test_edge_wise_masks_are_the_pair_masks(self, field, n, rejected, request,
                                                 monkeypatch):
@@ -564,7 +564,7 @@ class TestSecAggScalar:
             assert masked.shape == (1,) and int(masked[0]) < q
             applied = (int(masked[0]) - inputs[k]) % q
             assert applied == int(_sum_of_pair_masks(session, k).values[0])
-        if rejected:
+        if rejected and n > 1:   # a session of one has no edge
             assert ([m.tolist() for _, m in session.observations]
                     != [m.tolist() for _, m in plain.observations])
 
