@@ -178,19 +178,24 @@ def attack_quantize(theta: np.ndarray, shape: MlpShape,
     )
 
 
-def _kd_grad(theta, X, y, teacher_logits, shape, T, alpha):
+def _log_probs(z):
+    return np.log(_softmax(z) + 1e-300)
+
+
+def _kd_grad(theta, X, y, teacher_log_probs, shape, T, alpha):
     """Gradient of alpha * KL(softmax(zs/T) || softmax(zt/T)) + (1-alpha) * CE,
-    from one forward pass and one backward pass of the mixed logit gradient."""
+    from one forward pass and one backward pass of the mixed logit gradient.
+    ``teacher_log_probs`` is _log_probs(zt / T) of the batch's teacher logits."""
     a, zs = forward(theta, X, shape)
     ce_loss, dz2 = cross_entropy(zs, y)
     B = len(X)
     s = _softmax(zs / T)
-    t = _softmax(teacher_logits / T)
+    log_ratio = np.log(s + 1e-300) - teacher_log_probs
     # d/dzs of mean_i KL(s_i || t_i): g = log(s/t) + 1; grad = s*(g - <s,g>)/T
-    g = np.log(s + 1e-300) - np.log(t + 1e-300) + 1.0
+    g = log_ratio + 1.0
     inner = (s * g).sum(axis=1, keepdims=True)
     dzs = s * (g - inner) / (T * B)
-    kl = float((s * (np.log(s + 1e-300) - np.log(t + 1e-300))).sum(axis=1).mean())
+    kl = float((s * log_ratio).sum(axis=1).mean())
     loss = alpha * kl + (1 - alpha) * ce_loss
     return loss, backward(theta, X, a, alpha * dzs + (1 - alpha) * dz2, shape)
 
@@ -206,8 +211,9 @@ def attack_distill(teacher_theta: np.ndarray, dataset, shape: MlpShape,
     def batch_grad(theta, Xb, yb, teacher_b):
         return _kd_grad(theta, Xb, yb, teacher_b, shape, DISTILL_TEMPERATURE, cfg.alpha)[1]
 
-    return _train_checkpoints(student, (X, y, logits(teacher_theta, X, shape)),
-                              batch_grad, "distill", cfg)
+    # the teacher's softened log-probabilities, once for the whole subset
+    teacher = _log_probs(logits(teacher_theta, X, shape) / DISTILL_TEMPERATURE)
+    return _train_checkpoints(student, (X, y, teacher), batch_grad, "distill", cfg)
 
 
 def pareto_frontier(points):

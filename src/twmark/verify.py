@@ -25,6 +25,16 @@ the default f_share (d < 2^22) takes one pass. Longer or wider inputs take
 more passes, chosen so that every partial sum is an integer of magnitude
 at most 2^53: the result is exact for any q < 2^63, BLAS build and thread
 count. FieldVector.inner stays the oracle behind verify_direct.
+
+calibrate draws each null model's keys from the caller's generator in
+blocks of about _BLOCK_WORDS words, max(1, _BLOCK_WORDS // d) keys each,
+and scores every block before it draws the next, so its memory does not
+grow with n_keys. The generator's stream yields the same keys in the same
+order as one (n_keys, d) draw. cosine_against_keys sums each key's dot
+product with einsum, not BLAS, so a key's cosine has the same bits in any
+block, at any offset and under any BLAS thread count. The pooled cosines
+are summarised by their mean, sample standard deviation, and the biased
+skewness and Fisher excess kurtosis of _moments.
 """
 
 import hashlib
@@ -32,7 +42,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConfigurationError,
@@ -40,8 +49,8 @@ from .errors import (
     FingerprintMismatchError,
     ThresholdError,
 )
-from .field import (F_SHARE, FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs,
-                    verification_bound)
+from .field import (_BLOCK_WORDS, F_SHARE, FieldParams, FieldVector, FixedPointCodec,
+                    ProtocolCodecs, verification_bound)
 from .literals import file_lines, literal_text, read_literals
 from .secagg import SecAggSession, secagg_scalar
 from .sharing import ShamirConfig, lagrange_at_zero, public_norm
@@ -310,13 +319,24 @@ def cosine_against_keys(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(theta))
     if norm == 0.0:
         raise DegenerateModelError("zero-norm model")
-    return keys @ theta / (norm * public_norm(theta.size))
+    return np.einsum("ij,j->i", keys, theta) / (norm * public_norm(theta.size))
+
+
+def _moments(x: np.ndarray) -> tuple:
+    """Biased skewness and Fisher excess kurtosis of the samples x, in the
+    operation order of scipy.stats.skew and scipy.stats.kurtosis (bias=True),
+    so equal to them bit for bit."""
+    dev = x - x.mean(keepdims=True)
+    sq = dev**2
+    m2 = sq.mean()
+    return float((sq * dev).mean() / m2**1.5), float((sq**2).mean() / m2**2.0 - 3)
 
 
 def calibrate(models, n_keys: int, rng: np.random.Generator,
               fingerprint: str = "", f_share: int = F_SHARE) -> CalibrationTable:
     """Pool cosine samples of unwatermarked models against fresh Gaussian
-    keys; records moments plus skew/kurtosis diagnostics."""
+    keys, drawn and scored in blocks; records moments plus skew/kurtosis
+    diagnostics."""
     models = [np.asarray(m, dtype=np.float64) for m in models]
     if len(models) < 2:
         raise ConfigurationError("need at least two unwatermarked models")
@@ -327,18 +347,20 @@ def calibrate(models, n_keys: int, rng: np.random.Generator,
     usable = [m for m in models if np.linalg.norm(m) != 0.0]
     if len(usable) < 2:
         raise ConfigurationError("fewer than two usable (nonzero) models")
-    samples = []
-    for m in usable:
-        keys = rng.standard_normal((n_keys, d))
-        samples.append(cosine_against_keys(m, keys))
-    pooled = np.concatenate(samples)
+    rows = max(1, _BLOCK_WORDS // d)
+    pooled = np.empty(len(usable) * n_keys)
+    for m, samples in zip(usable, pooled.reshape(len(usable), n_keys)):
+        for r0 in range(0, n_keys, rows):
+            keys = rng.standard_normal((min(rows, n_keys - r0), d))
+            samples[r0:r0 + len(keys)] = cosine_against_keys(m, keys)
+    skewness, excess_kurtosis = _moments(pooled)
     return CalibrationTable(
         mu=float(pooled.mean()),
         sigma=float(pooled.std(ddof=1)),
         n_models=len(usable),
         n_keys_per_model=n_keys,
-        skewness=float(stats.skew(pooled)),
-        excess_kurtosis=float(stats.kurtosis(pooled)),
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
         dim=d,
         f_share=f_share,
         fingerprint=fingerprint,

@@ -13,6 +13,7 @@ from twmark.attacks import (
     pareto_frontier,
     sample_attack_subset,
     _kd_grad,
+    _log_probs,
     _quantize_tensor,
 )
 from twmark.errors import ConfigurationError, DegenerateModelError
@@ -196,7 +197,7 @@ class TestDistill:
 
     def test_kd_gradient_matches_finite_differences(self, theta, dataset, rng):
         X, y = sample_attack_subset(dataset, 0.05, seed=0)
-        teacher_out = logits(theta, X, SHAPE)
+        teacher_out = _log_probs(logits(theta, X, SHAPE) / 3.0)
         student = init_model(SHAPE, np.random.default_rng(9))
         _, grad = _kd_grad(student, X, y, teacher_out, SHAPE, T=3.0, alpha=0.5)
         eps = 1e-6
@@ -282,7 +283,7 @@ class TestTrainingMatchesReference:
     def test_distill(self, theta, dataset):
         cfg = AttackConfig(data_fraction=0.2, alpha=0.5, **self.CFG)
         X, y = sample_attack_subset(dataset, 0.2, seed=0)
-        teacher_out = logits(theta, X, SHAPE)
+        teacher_out = _log_probs(logits(theta, X, SHAPE) / 3.0)
         student = init_model(SHAPE, rng_from_key(0, "student_init"))
         want = _reference_training(
             student, X, rng_from_key(0, "distill"), 3, 32, cfg.optimizer,

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
+import twmark
 from twmark.errors import (
     ConfigurationError,
     DegenerateModelError,
@@ -36,6 +43,13 @@ def _table(mu=0.0, sigma=0.01, dim=64, fingerprint=""):
                             n_keys_per_model=100, skewness=0.0,
                             excess_kurtosis=0.0, dim=dim,
                             fingerprint=fingerprint, f_share=20)
+
+
+def _child_env(**env):
+    """The environment of a child interpreter that imports this twmark."""
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(twmark.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
 
 
 def _setup(rng, K=5, t=3, d=64):
@@ -329,6 +343,16 @@ class TestCosine:
         with pytest.raises(DegenerateModelError):
             cosine_against_keys(np.zeros(8), rng.standard_normal((3, 8)))
 
+    def test_block_rows_match_whole_product(self, rng):
+        # a key's cosine has the same bits in a block of any size at any offset
+        theta = rng.standard_normal(5514)
+        keys = rng.standard_normal((110, 5514))
+        whole = cosine_against_keys(theta, keys)
+        for rows in (1, 2, 3, 5, 11, 63, 64, 65):
+            for a in (0, 37):
+                got = cosine_against_keys(theta, keys[a:a + rows])
+                assert np.array_equal(got, whole[a:a + rows]), (rows, a)
+
 
 class TestCalibrate:
     def test_moments_on_gaussian_models(self, rng):
@@ -348,6 +372,45 @@ class TestCalibrate:
         models = [np.zeros(32), rng.standard_normal(32), rng.standard_normal(32)]
         table = calibrate(models, 200, rng)
         assert table.n_models == 2
+
+    @pytest.mark.parametrize("n_keys", [1000, 1024, 2049])
+    def test_table_independent_of_blocks(self, n_keys, monkeypatch):
+        # d = 64 takes blocks of 1024 keys: n_keys below one block, equal to
+        # one, and one more than a multiple; the reference is one whole draw
+        models = [np.random.default_rng(s).standard_normal(64) for s in (1, 2)]
+        blocked = calibrate(models, n_keys, np.random.default_rng(3))
+        monkeypatch.setattr(verify, "_BLOCK_WORDS", 1 << 40)
+        assert blocked == calibrate(models, n_keys, np.random.default_rng(3))
+
+    def test_same_table_on_one_and_two_blas_threads(self):
+        script = ("import numpy as np; from twmark.verify import calibrate; "
+                  "rng = np.random.default_rng(17); "
+                  "models = [rng.standard_normal(5514) for _ in range(2)]; "
+                  "print(repr(calibrate(models, 500, rng)))")
+        tables = [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                 text=True, check=True,
+                                 env=_child_env(OPENBLAS_NUM_THREADS=threads)).stdout
+                  for threads in ("1", "2")]
+        assert tables[0] == tables[1] and tables[0].startswith("CalibrationTable(")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=300))
+    def test_moments_equal_scipy(self, values):
+        x = np.array(values)
+        assume(x.min() < x.max())
+        with warnings.catch_warnings():
+            # scipy warns on catastrophic cancellation and answers nan for a
+            # variance within rounding of zero; those samples are not compared
+            warnings.simplefilter("ignore")
+            want = (float(stats.skew(x)), float(stats.kurtosis(x)))
+        assume(np.isfinite(want).all())
+        assert verify._moments(x) == want
+
+
+def test_package_imports_no_scipy():
+    code = "import sys, twmark, twmark.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
 
 
 def test_model_fingerprint():
