@@ -160,8 +160,9 @@ def main(argv=None) -> int:
         if args.command == "scalability":
             calib = _calib(cfg, args, out)
             result = cmd_scalability(cfg, calib, outdir=out)
-            print(f"baseline decay exponent: "
-                  f"{result['baseline_decay_exponent']:.3f}")
+            slope = result["baseline_decay_exponent"]
+            print("baseline decay exponent: "
+                  + ("n/a" if slope is None else f"{slope:.3f}"))
             return 0
 
         if args.command == "fidelity":

@@ -29,10 +29,9 @@ from .keysetup import (
 )
 from .literals import file_lines, literal_text, read_literals
 from .protocol import (
-    ClientState,
+    ClientTrainer,
     GlobalModel,
     ProtocolParams,
-    default_train_fn,
     run_baseline,
     run_protocol,
 )
@@ -262,11 +261,12 @@ def run_plain_fedavg(cfg: ExperimentConfig, seed: int, rounds: int):
     """Watermark-free FedAvg in the real domain (used for calibration models);
     clients train as in run_protocol, their models are averaged with np.mean."""
     dataset = cfg.dataset(seed)
-    train = default_train_fn(dataset, cfg.shape(), cfg.protocol_params(), seed)
-    clients = [ClientState(client_id=k) for k in range(1, cfg.n_clients + 1)]
+    clients = tuple(range(1, cfg.n_clients + 1))
     theta = init_model(cfg.shape(), rng_from_key(seed, "init"))
-    for r in range(1, rounds + 1):
-        theta = np.mean([train(st, theta, r) for st in clients], axis=0)
+    with ClientTrainer(dataset, cfg.shape(), cfg.protocol_params(), seed,
+                       cfg.n_clients) as train:
+        for r in range(1, rounds + 1):
+            theta = np.mean(train(theta, clients, r), axis=0)
     return dataset, theta
 
 
@@ -377,7 +377,8 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     size held fixed, so the data volume grows with K as it would in a
     real federation. The overflow bound is checked at every K before any
     run starts. Returns a dict with per-K records and the fitted baseline
-    decay exponent of z vs K; rows carry ``cfg``'s config hash.
+    decay exponent of z vs K (None, and left out of the summary, when the
+    sweep has one K); rows carry ``cfg``'s config hash.
     """
     seeds = list(seeds if seeds is not None else cfg.seeds)
     shape = cfg.shape()
@@ -421,14 +422,16 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
             rows.append(f"{cfg.config_hash()},{K},{s},baseline,{z_best:.6g},{acc_b:.6f}")
     ks = np.array([r["K"] for r in records], dtype=float)
     zb = np.array([max(r["z_baseline"], 1e-9) for r in records])
-    slope = float(np.polyfit(np.log(ks), np.log(zb), 1)[0])
+    # a line through a single K has no meaningful slope
+    slope = (float(np.polyfit(np.log(ks), np.log(zb), 1)[0])
+             if len(set(cfg.k_sweep)) > 1 else None)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "scalability.csv"),
                   "config_hash,K,seed,method,z,test_accuracy", rows)
+        summary = [("baseline_decay_exponent", slope)] if slope is not None else []
         with open(os.path.join(outdir, "scalability_summary.txt"), "w") as fh:
-            fh.write(literal_text([("baseline_decay_exponent", slope),
-                                   ("z_star", cfg.z_star)]))
+            fh.write(literal_text(summary + [("z_star", cfg.z_star)]))
     return {"records": records, "baseline_decay_exponent": slope}
 
 

@@ -11,11 +11,24 @@ watermark drift is (scale_total / |S_r|) * tau up to fixed-point rounding.
 
 Rounds with participation below t skip the watermark term entirely.
 
+Local training runs on every CPU the process may use: a run's
+ClientTrainer forks one worker per further CPU, each round's participants
+are cut into contiguous slices, this process trains the first and each
+worker one of the others. A client's training reads only the broadcast
+theta, its shard and its stream keyed by (master_seed, client id, round),
+so theta_k, and every checkpoint after it, has the same bits whatever the
+CPU count. EMA, scales, the theta ceiling, encoding and SecAgg stay in
+this process, in participant order.
+
 The per-client baseline (run_baseline) shares this round pipeline: the
 same training, EMA, theta ceiling, model SecAgg and average, with each
 client's own S_k * enc_share(tau_k) in place of the share term.
 """
 
+import multiprocessing
+import os
+import signal
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -95,9 +108,8 @@ def _train_participants(theta: np.ndarray, clients: dict, participants: tuple,
     """Steps (1)-(2): local training, EMA and adaptive scale of every
     participant, under the theta_max ceiling. Returns (thetas, scales)."""
     local_thetas, scales = {}, {}
-    for k in participants:
+    for k, theta_k in zip(participants, train_fn(theta, participants, round_index)):
         st = clients[k]
-        theta_k = train_fn(st, theta, round_index)
         delta_norm = float(np.linalg.norm(theta_k - theta))
         st.ema = ema_update(st.ema, delta_norm, params.ema_beta)
         local_thetas[k] = theta_k
@@ -133,7 +145,8 @@ def _secure_average(local_thetas: dict, term, round_index: int,
 def embed_round(global_model: GlobalModel, clients: dict, plan: RoundPlan,
                 setup: SetupResult, params: ProtocolParams,
                 train_fn, session_seed: int) -> GlobalModel:
-    """One protocol round; train_fn(client, theta, round_index) -> new theta."""
+    """One protocol round; train_fn(theta, participants, round_index) gives
+    each participant's locally trained theta, in participant order."""
     if not plan.participants:
         raise SkipRoundError(f"round {plan.round_index}: empty participant set")
     codecs = setup.codecs
@@ -175,23 +188,136 @@ def make_plans(n_clients: int, threshold: int, rounds: int,
         else:
             n_pick = max(1, int(round(participation * n_clients)))
             rng = rng_from_key(master_seed, "participation", r)
-            chosen = tuple(sorted(rng.choice(n_clients, n_pick, replace=False) + 1))
+            picked = rng.choice(n_clients, n_pick, replace=False) + 1
+            chosen = tuple(sorted(map(int, picked)))
         plans.append(RoundPlan(round_index=r, participants=chosen,
                                threshold=threshold))
     return plans
 
 
-def default_train_fn(dataset, shape, params: ProtocolParams, master_seed: int):
+def _worker_count(n_clients: int) -> int:
+    """Workers a ClientTrainer forks beside this process: one for each
+    further CPU it may run on, at most one per further client; none where
+    fork or CPU affinity is unavailable."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 0
+    return max(min(len(os.sched_getaffinity(0)), n_clients) - 1, 0)
+
+
+def _serve(conn, train_one, d: int, rows: int, inherited: list):
+    """A training worker's loop. Each request is ((client ids, round), then
+    theta as raw bytes); the reply is None and the clients' thetas as raw
+    bytes, or the exception a client raised. The worker exits (code 0) on a
+    None request, or when the parent's end of the pipe is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
+    for c in inherited:
+        c.close()   # the parent's ends: EOF must come when the parent is gone
+    theta, out = np.empty(d), np.empty((rows, d))
+    try:
+        while (request := conn.recv()) is not None:
+            ids, round_index = request
+            conn.recv_bytes_into(theta)
+            try:
+                for i, k in enumerate(ids):
+                    out[i] = train_one(theta, k, round_index)
+            except Exception as exc:
+                conn.send(exc)
+            else:
+                conn.send(None)
+                conn.send_bytes(out[:len(ids)])
+    except (EOFError, OSError):
+        pass
+
+
+class ClientTrainer:
     """The client trainer of every run: local_train on the client's shard
-    with the stream keyed by (master_seed, client id, round)."""
-    def train(st: ClientState, theta: np.ndarray, round_index: int) -> np.ndarray:
-        X, y = dataset.shard(st.client_id - 1)
-        rng = rng_from_key(master_seed, "local_train", st.client_id, round_index)
-        return local_train(theta, X, y, shape, rng,
-                           epochs=params.local_epochs,
-                           batch_size=params.batch_size,
-                           opt=params.optimizer)
-    return train
+    with the stream keyed by (master_seed, client id, round), on every CPU.
+
+    ``trainer(theta, participants, round_index)`` returns the participants'
+    thetas, in order, as the rows of an array that the next call
+    overwrites. The participants are cut into contiguous slices: this
+    process trains the first, and each of the ``_worker_count`` workers,
+    forked when the trainer opens, one of the others. A worker inherits
+    the dataset and returns float64 bytes into the array; an exception a
+    client raises is raised here, the first in participant order. Use it
+    as a context manager: closing joins every worker.
+    """
+
+    def __init__(self, dataset, shape: MlpShape, params: ProtocolParams,
+                 master_seed: int, n_clients: int):
+        def train_one(theta, k, round_index):
+            X, y = dataset.shard(k - 1)
+            rng = rng_from_key(master_seed, "local_train", k, round_index)
+            return local_train(theta, X, y, shape, rng, epochs=params.local_epochs,
+                               batch_size=params.batch_size, opt=params.optimizer)
+
+        self._train_one = train_one
+        self._out = np.empty((n_clients, shape.dim))
+        self._workers = []      # (process, this end of its pipe)
+        n_workers = _worker_count(n_clients)
+        rows = -(-n_clients // (n_workers + 1))
+        ctx = multiprocessing.get_context("fork") if n_workers else None
+        try:
+            for _ in range(n_workers):
+                mine, theirs = ctx.Pipe()
+                inherited = [c for _, c in self._workers] + [mine]
+                proc = ctx.Process(target=_serve, daemon=True,
+                                   args=(theirs, train_one, shape.dim, rows, inherited))
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns on fork while BLAS threads exist.
+                    # No lock the worker needs is held across the fork, and
+                    # OpenBLAS stops its pool before a fork and restarts it.
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is multi-threaded",
+                        DeprecationWarning)
+                    proc.start()
+                theirs.close()
+                self._workers.append((proc, mine))
+        except BaseException:
+            self.close()
+            raise
+
+    def __call__(self, theta: np.ndarray, participants: tuple, round_index: int):
+        n, out = len(participants), self._out
+        cuts = [n * i // (len(self._workers) + 1) for i in range(len(self._workers) + 2)]
+        busy = []
+        for (_, conn), lo, hi in zip(self._workers, cuts[1:], cuts[2:]):
+            if lo < hi:
+                conn.send((participants[lo:hi], round_index))
+                conn.send_bytes(theta)
+                busy.append((conn, lo, hi))
+        errors = []
+        try:
+            for i in range(cuts[1]):
+                out[i] = self._train_one(theta, participants[i], round_index)
+        except Exception as exc:
+            errors.append(exc)
+        for conn, lo, hi in busy:
+            error = conn.recv()
+            if error is None:
+                conn.recv_bytes_into(out[lo:hi].reshape(-1))
+            else:
+                errors.append(error)
+        if errors:
+            raise errors[0]
+        return out[:n]
+
+    def close(self):
+        while self._workers:
+            proc, conn = self._workers.pop()
+            try:
+                conn.send(None)
+            except OSError:
+                pass    # the worker has exited
+            conn.close()
+            proc.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
@@ -201,12 +327,12 @@ def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
         raise ProtocolAbortError("rounds must be >= 1")
     K, t = setup.cfg.n_clients, setup.cfg.threshold
     clients = {s.point: ClientState(client_id=s.point, share=s) for s in setup.shares}
-    train_fn = default_train_fn(dataset, shape, params, master_seed)
     trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
-    for plan in make_plans(K, t, rounds, params.participation, master_seed):
-        nxt = embed_round(trajectory[-1], clients, plan, setup, params,
-                          train_fn, session_seed=master_seed * 10_000 + plan.round_index)
-        trajectory.append(nxt)
+    with ClientTrainer(dataset, shape, params, master_seed, K) as train:
+        for plan in make_plans(K, t, rounds, params.participation, master_seed):
+            trajectory.append(embed_round(
+                trajectory[-1], clients, plan, setup, params, train,
+                session_seed=master_seed * 10_000 + plan.round_index))
     return trajectory
 
 
@@ -232,13 +358,13 @@ def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
             for k in participants]
     enc_keys = {k: codecs.share.encode(keys[k - 1]) for k in participants}
     clients = {k: ClientState(client_id=k) for k in participants}
-    train_fn = default_train_fn(dataset, shape, params, master_seed)
     trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
-    for r in range(1, rounds + 1):
-        local_thetas, scales = _train_participants(
-            trajectory[-1].theta, clients, participants, r, params, train_fn)
-        S = {k: quantize_scale(scales[k], codecs, params.scale_max) for k in participants}
-        trajectory.append(_secure_average(
-            local_thetas, lambda k: enc_keys[k].scalar_mul(S[k]), r, codecs,
-            master_seed * 10_000 + r))
+    with ClientTrainer(dataset, shape, params, master_seed, n_clients) as train:
+        for r in range(1, rounds + 1):
+            local_thetas, scales = _train_participants(
+                trajectory[-1].theta, clients, participants, r, params, train)
+            S = {k: quantize_scale(scales[k], codecs, params.scale_max) for k in participants}
+            trajectory.append(_secure_average(
+                local_thetas, lambda k: enc_keys[k].scalar_mul(S[k]), r, codecs,
+                master_seed * 10_000 + r))
     return trajectory, keys

@@ -374,21 +374,27 @@ def _tree_files(root):
 
 
 def test_criterion_11_determinism(tmp_path):
-    # BLAS is the only source of threads (Shamir sharing's _matmul_mod and
-    # the flsim matmuls): the same run in two processes, on 1 and 2 BLAS threads
+    # The same run in three processes: on 1 and 2 BLAS threads with every
+    # CPU (one local-training worker per further CPU), and pinned to one CPU
+    # (no worker). BLAS (Shamir sharing's _matmul_mod and the flsim matmuls)
+    # and the training workers are the only sources of parallelism.
     path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(twmark.__file__)),
                                          os.environ.get("PYTHONPATH")]))
+    one_cpu = min(os.sched_getaffinity(0))
     dirs = []
-    for threads in ("1", "2"):
-        outdir = tmp_path / f"blas_{threads}"
+    for name, threads, pin in (("blas_1", "1", ""), ("blas_2", "2", ""),
+                               ("one_cpu", "1", f"os.sched_setaffinity(0, {{{one_cpu}}}); ")):
+        outdir = tmp_path / name
         subprocess.run(
-            [sys.executable, "-c", "import sys; from twmark.experiments import "
+            [sys.executable, "-c", f"import os, sys; {pin}from twmark.experiments import "
              "ExperimentConfig, cmd_train; cmd_train(ExperimentConfig(), sys.argv[1], seed=0)",
              str(outdir)],
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path), check=True)
         dirs.append(outdir / "run_seed0")
-    a, b = dirs
-    files_a, files_b = _tree_files(a), _tree_files(b)
-    assert files_a == files_b and files_a
-    for rel in files_a:
-        assert filecmp.cmp(a / rel, b / rel, shallow=False), f"{rel} differs"
+    a, *others = dirs
+    files_a = _tree_files(a)
+    assert files_a
+    for b in others:
+        assert _tree_files(b) == files_a
+        for rel in files_a:
+            assert filecmp.cmp(a / rel, b / rel, shallow=False), f"{b.parent.name}: {rel} differs"

@@ -609,6 +609,25 @@ class TestSweeps:
         with pytest.raises(ConfigurationError, match=f"^k_sweep K={K}: aggregate overflow"):
             experiments.cmd_scalability(cfg, calib=None)
 
+    def test_one_k_fits_no_decay_exponent(self, cli_workspace, tmp_path, capsys):
+        # a line through one K would raise RankWarning, an error under the
+        # test suite's filterwarnings, and record a meaningless slope
+        cfg, cfg_path, out = cli_workspace
+        assert cli.main(["scalability", "--config", str(cfg_path),
+                         "--calibration", str(out / "calibration.txt"),
+                         "--out", str(tmp_path), "--set", "k_sweep=(6,)",
+                         "--set", "sweep_rounds=1"]) == 0
+        assert "baseline decay exponent: n/a" in capsys.readouterr().out
+        summary = (tmp_path / "scalability_summary.txt").read_text()
+        assert "baseline_decay_exponent" not in summary and "z_star" in summary
+        calib = CalibrationTable.load(out / "calibration.txt")
+        one = experiments.cmd_scalability(
+            dataclasses.replace(cfg, k_sweep=(6, 6), sweep_rounds=1), calib)
+        assert one["baseline_decay_exponent"] is None
+        two = experiments.cmd_scalability(
+            dataclasses.replace(cfg, k_sweep=(4, 6), sweep_rounds=1), calib)
+        assert isinstance(two["baseline_decay_exponent"], float)
+
 
 @pytest.fixture(scope="module")
 def literal_files(cli_workspace, tmp_path_factory):

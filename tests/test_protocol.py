@@ -1,12 +1,18 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from twmark.errors import ConfigurationError, ProtocolAbortError, SkipRoundError
+from twmark import protocol
+from twmark.errors import ConfigurationError, NumericalError, ProtocolAbortError, SkipRoundError
+from twmark.experiments import ExperimentConfig, run_plain_fedavg, run_watermarked
 from twmark.field import FieldParams, FieldVector, ProtocolCodecs, check_aggregate_bound
 from twmark.flsim import MlpShape, gen_dataset, init_model
 from twmark.keysetup import setup_trusted_dealer
 from twmark.protocol import (
     ClientState,
+    ClientTrainer,
     GlobalModel,
     ProtocolParams,
     RoundPlan,
@@ -30,7 +36,7 @@ def _setup(rng, K=4, t=2, d=SHAPE.dim):
 
 
 def _dataset(K=4):
-    return gen_dataset(0, n=320, input_dim=6, n_classes=4, n_clients=K,
+    return gen_dataset(0, n=80 * K, input_dim=6, n_classes=4, n_clients=K,
                        n_test=80)
 
 
@@ -86,7 +92,7 @@ class TestEmbedRound:
 
     def test_zero_update_round_is_identity(self, rng):
         # no local movement -> scales are 0 -> pure average of theta_k
-        train_fn = lambda st, theta, r: theta
+        train_fn = lambda theta, ps, r: [theta for _ in ps]
         _, _, nxt = self._run(rng, train_fn)
         assert np.abs(nxt.theta).max() <= 2.0 ** -37
 
@@ -94,7 +100,7 @@ class TestEmbedRound:
         # frozen local update v: every client moves by v, so the aggregate
         # should be v + (scale_total / K) * tau up to fixed-point rounding
         v = 0.01 * rng.standard_normal(SHAPE.dim)
-        train_fn = lambda st, theta, r: theta + v
+        train_fn = lambda theta, ps, r: [theta + v for _ in ps]
         c = 0.05
         setup, clients, nxt = self._run(rng, train_fn, c=c)
         vn = float(np.linalg.norm(v))
@@ -109,7 +115,7 @@ class TestEmbedRound:
         # with w_k = derive_embedding_share(s_k), and no term below t
         steps = {k: 0.01 * rng.standard_normal(SHAPE.dim) for k in (1, 2, 3, 4)}
         c = 0.05
-        setup, _, nxt = self._run(rng, lambda st, theta, r: theta + steps[st.client_id],
+        setup, _, nxt = self._run(rng, lambda theta, ps, r: [theta + steps[k] for k in ps],
                                   participants=participants, c=c)
         codecs, beta = setup.codecs, ProtocolParams().ema_beta
         total = 0
@@ -132,7 +138,7 @@ class TestEmbedRound:
 
     def test_below_threshold_embeds_nothing(self, rng):
         v = 0.01 * rng.standard_normal(SHAPE.dim)
-        train_fn = lambda st, theta, r: theta + v
+        train_fn = lambda theta, ps, r: [theta + v for _ in ps]
         setup, clients, nxt = self._run(rng, train_fn, participants=(1,))
         assert np.abs(nxt.theta - v).max() <= 2.0 ** -37
 
@@ -146,7 +152,7 @@ class TestEmbedRound:
                         setup, ProtocolParams(), lambda *a: None, 1)
 
     def test_theta_ceiling_aborts(self, rng):
-        train_fn = lambda st, theta, r: theta + 50.0
+        train_fn = lambda theta, ps, r: [theta + 50.0 for _ in ps]
         with pytest.raises(ProtocolAbortError):
             self._run(rng, train_fn)
 
@@ -251,3 +257,153 @@ class TestRunBaseline:
         with pytest.raises(ConfigurationError):
             run_baseline(_dataset(), SHAPE, ProtocolParams(scale_max=scale_max),
                          4, 1, master_seed=1)
+
+
+# -- local training across worker processes --
+
+WORKER_COUNTS = (0, 1, 3)
+TOY = dict(n_clients=6, hidden=8, n_samples=480, n_test=80, rounds=3, batch_size=16)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Forces the trainers opened after the call to fork ``n`` workers."""
+    def force(n):
+        monkeypatch.setattr(protocol, "_worker_count", lambda n_clients: n)
+    yield force
+    assert multiprocessing.active_children() == []
+
+
+def _thetas(trajectory):
+    return [gm.theta for gm in trajectory]
+
+
+def _assert_same(runs):
+    first, *rest = runs
+    for other in rest:
+        assert len(other) == len(first)
+        for a, b in zip(first, other):
+            assert np.array_equal(a, b)
+
+
+class TestClientTrainer:
+    @pytest.mark.parametrize("cfg", [
+        dict(setup_mode="dealer", threshold=3),
+        dict(setup_mode="dkg", threshold=3),
+        dict(setup_mode="dealer", threshold=2, participation=0.5),  # 3 of 6, embeds
+        dict(setup_mode="dealer", threshold=4, participation=0.5),  # 3 of 6, skips
+    ], ids=["dealer", "dkg", "partial-embed", "partial-skip"])
+    def test_protocol_checkpoints_do_not_depend_on_workers(self, workers, cfg):
+        cfg = ExperimentConfig(**TOY, **cfg)
+        runs = []
+        for n in WORKER_COUNTS:
+            workers(n)
+            runs.append(_thetas(run_watermarked(cfg, seed=5)[2]))
+            assert multiprocessing.active_children() == []
+        _assert_same(runs)
+
+    def test_baseline_checkpoints_do_not_depend_on_workers(self, workers):
+        ds = _dataset(K=6)
+        runs = []
+        for n in WORKER_COUNTS:
+            workers(n)
+            traj, _ = run_baseline(ds, SHAPE, ProtocolParams(batch_size=16), 6, 3,
+                                   master_seed=1)
+            runs.append(_thetas(traj))
+            assert multiprocessing.active_children() == []
+        _assert_same(runs)
+
+    def test_plain_fedavg_does_not_depend_on_workers(self, workers):
+        cfg = ExperimentConfig(**TOY, threshold=3)
+        runs = []
+        for n in WORKER_COUNTS:
+            workers(n)
+            runs.append([run_plain_fedavg(cfg, seed=77, rounds=3)[1]])
+            assert multiprocessing.active_children() == []
+        _assert_same(runs)
+
+    def test_rows_are_in_participant_order(self, workers):
+        workers(3)
+        ds = _dataset(K=6)
+        params = ProtocolParams(batch_size=16)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        with ClientTrainer(ds, SHAPE, params, 7, 6) as train:
+            got = train(theta, (2, 3, 5, 6), 4).copy()
+            assert len(multiprocessing.active_children()) == 3
+        from twmark.flsim import local_train
+        for k, row in zip((2, 3, 5, 6), got):
+            X, y = ds.shard(k - 1)
+            want = local_train(theta, X, y, SHAPE, rng_from_key(7, "local_train", k, 4),
+                               batch_size=16, opt=params.optimizer)
+            assert np.array_equal(row, want)
+
+    def test_worker_error_is_raised_here(self, workers, monkeypatch):
+        # client 4 is in a worker's slice for 1 and 3 workers
+        ds = _dataset()
+        bad_X = ds.shard(3)[0]
+        real = protocol.local_train
+
+        def local_train(theta, X, y, *args, **kwargs):
+            if np.array_equal(X, bad_X):
+                raise NumericalError("divergence: loss=1.23e+04")
+            return real(theta, X, y, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_train", local_train)
+        errors = []
+        for n in WORKER_COUNTS:
+            workers(n)
+            with pytest.raises(NumericalError) as exc:
+                run_protocol(_setup(np.random.default_rng(0)), ds, SHAPE,
+                             ProtocolParams(batch_size=16), rounds=2, master_seed=7)
+            errors.append((type(exc.value), str(exc.value)))
+            assert multiprocessing.active_children() == []
+        assert errors == [(NumericalError, "divergence: loss=1.23e+04")] * 3
+
+    def test_theta_ceiling_abort_is_the_same(self, workers):
+        errors = []
+        for n in WORKER_COUNTS:
+            workers(n)
+            with pytest.raises(ProtocolAbortError) as exc:
+                run_baseline(_dataset(), SHAPE,
+                             ProtocolParams(batch_size=16, theta_max=1e-3), 4, 2,
+                             master_seed=1)
+            errors.append(str(exc.value))
+            assert multiprocessing.active_children() == []
+        assert len(set(errors)) == 1 and errors[0].startswith("round 1: |theta| reached")
+
+    def test_trainer_can_be_called_after_a_client_raised(self, workers, monkeypatch):
+        # every worker's reply is read before the error is raised, so the
+        # next round's requests and replies stay in step
+        workers(3)
+        real = protocol.local_train
+
+        def local_train(theta, *args, **kwargs):
+            if theta[0] == 123.0:
+                raise NumericalError("divergence")
+            return real(theta, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_train", local_train)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        bad = theta.copy()
+        bad[0] = 123.0
+        ds, params = _dataset(), ProtocolParams(batch_size=16)
+        with ClientTrainer(ds, SHAPE, params, 7, 4) as train:
+            with pytest.raises(NumericalError):
+                train(bad, (1, 2, 3, 4), 1)
+            got = train(theta, (1, 2, 3, 4), 1).copy()
+        workers(0)
+        with ClientTrainer(ds, SHAPE, params, 7, 4) as train:
+            assert np.array_equal(train(theta, (1, 2, 3, 4), 1), got)
+
+    def test_worker_exits_when_the_parent_end_closes(self, workers):
+        workers(1)
+        with ClientTrainer(_dataset(), SHAPE, ProtocolParams(), 7, 4) as train:
+            proc, conn = train._workers[0]
+            conn.close()            # no stop message
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+
+    def test_worker_count_is_one_per_further_cpu(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert protocol._worker_count(1) == 0
+        assert protocol._worker_count(64) == cpus - 1
