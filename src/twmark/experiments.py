@@ -351,6 +351,8 @@ def cmd_verify(model_path, share_paths, calib_path,
     """Returns (report, exit_code 0 accept / 1 reject); raises on error
     conditions (< t shares, fingerprint mismatch, a malformed file), which
     the CLI maps to exit code 2. The key norm is sqrt(d), never read from files."""
+    if not np.isfinite(z_star):
+        raise ConfigurationError(f"z* must be finite, got {z_star}")
     theta, shape, _ = load_model(model_path)
     calib = CalibrationTable.load(calib_path)
     if calib.fingerprint != model_fingerprint(shape):

@@ -228,6 +228,8 @@ def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rng: np.random.Gene
     mini-batches of a fresh permutation of the samples of ``data``, a tuple
     of equal-length arrays, per epoch; yields theta after each epoch.
     batch_grad(theta, *batch) is the gradient on one batch of those arrays."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     state = AdamWState(params=opt)
     for _ in range(epochs):
         order = rng.permutation(len(data[0]))

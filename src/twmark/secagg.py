@@ -4,9 +4,9 @@ The server-side view is modeled explicitly: a session records only the
 masked client submissions and the final sum. Pair masks are drawn only for
 the edges of a Harary graph H(k, n) over the n participants, with
 k = mask_degree(n) = 2 * ceil(log2 n) (SecAgg+, Bell et al., CCS 2020).
-For each edge the client in the lower slot adds the mask and the other
-subtracts it, so masks cancel and the sum of masked submissions equals the
-field sum of the raw inputs, bit-exactly (Bonawitz et al., CCS 2017).
+For each edge one client adds the mask and the other subtracts it, so
+masks cancel and the sum of masked submissions equals the field sum of the
+raw inputs, bit-exactly (Bonawitz et al., CCS 2017).
 
 Graph. Participants sit in circulant slots 0..n-1, and slot a is joined
 to slots a +- 1, ..., a +- k/2 mod n, so every client has exactly k
@@ -26,32 +26,27 @@ so the bound holds against a coalition chosen knowing the graph.
 Stream layout. All of a session's pair masks come from one PCG64 stream
 keyed by (session_seed, round_id); it stands in for the per-pair PRG seeds
 that a key agreement would give each pair of clients. The stream is laid
-out edge-major in sender (slot) order: edge (a, b), a < b, owns the d raw
-words starting at edge_offset(a, b, n) * d. The later neighbours of one
-sender a form at most two contiguous slot slices, so the stream is read
-in blocks of at most _BLOCK_WORDS words made of pieces, each the edges
-from one sender to one run of contiguous slots; a block may span many
-senders when d is small. A single edge's row can be read with
-``PCG64.advance``. Raw words map to field elements
-exactly: for M61 by the top 61 bits, rejecting the one value equal to q;
-for any other q by ``% q`` below the largest multiple of q under 2^64. A
-rejected word is replaced by a draw from a fallback stream keyed by the
-session and the pair's participant ids, which leaves every other edge's
-offset in place.
+out offset-major: with r = k - k // 2, the edge from slot a to slot
+(a + j) mod n, j = 1..r, owns row (j - 1) * n + a, the d raw words from
+that row times d. Slot a adds the row's mask and slot (a + j) mod n
+subtracts it. When n is even and the graph complete, offset n/2 joins each
+pair twice, so it has only the rows a < n/2; a session has n * k / 2 rows.
+A single edge's row (``_edge``) can be read with ``PCG64.advance``. Raw
+words map to field elements exactly: for M61 by the top 61 bits, rejecting
+the one value equal to q; for any other q by ``% q`` below the largest
+multiple of q under 2^64. A rejected word is replaced by a draw from a
+fallback stream keyed by the session and the pair's participant ids, which
+leaves every other edge's row in place.
 
 Net masks are formed with numpy over rows in slot order, as split sums of
 the 32-bit halves of the mask words, reduced mod q once at the end. The
-path follows d alone. A session with d > 1 walks the pieces: each piece's
-halves are column-summed into its sender's row and subtracted from the
-rows of its receivers, four numpy calls per piece. A session with d = 1
-draws all its words as one block and adds the halves to the senders and
-subtracts them from the receivers with ``np.add.at`` over per-edge slot
-arrays kept beside the graph. Wrapping uint64 sums do not depend on their
-order, so both give the same bits. The edge-wise form wins only for small d
-(at n = 128, one BLAS thread: 9x faster at d = 1, even at d = 32, 6x slower
-at d = 5514), and the program runs only d = 1 and d = model-dimension
-sessions, so d = 1 is the rule. All of a session's masks are drawn on the
-calling thread, in one pass over the stream.
+stream is read in one pass, in blocks of at most _BLOCK_WORDS words, on
+the calling thread. Within a block the rows of one offset j are a run of
+senders a0..a1-1 and receivers a0+j..a1+j-1, so each run costs four numpy
+calls whatever d is: its halves are added to the sender rows and
+subtracted from the receiver rows. Receivers past slot n - 1 land in r
+extra rows, which are folded back once. Every session, of any d, takes
+this one path.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
@@ -59,8 +54,6 @@ deliberately not modeled.
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,64 +66,24 @@ def mask_degree(n: int) -> int:
     return max(0, min(n - 1, 2 * (n - 1).bit_length()))
 
 
-class _Graph(NamedTuple):
-    """H(mask_degree(n), n) in slot order."""
-
-    reach: int      # largest circular slot distance of an edge
-    later: tuple    # later[a]: slot slices [b0, b1) of a's neighbours b > a, in edge order
-    starts: tuple   # starts[a]: edges of the senders before a; starts[n]: all edges
-    senders: np.ndarray     # senders[e]: lower slot of edge e, in stream order
-    receivers: np.ndarray   # receivers[e]: upper slot of edge e
-
-
-@lru_cache(maxsize=256)
-def _graph(n: int) -> _Graph:
-    """The mask graph of a session of n, built once per n."""
+def _reach(n: int) -> int:
+    """Largest offset r of an edge in a session of n: slot a sends to
+    slots a + 1 .. a + r mod n."""
     k = mask_degree(n)
-    reach = k - k // 2
-    later, starts, senders, receivers = [], [0], [], []
-    for a in range(n):
-        near = min(a + reach, n - 1) + 1   # slots a+1 .. near-1: a + j
-        wrap = max(n - reach + a, near)    # slots wrap .. n-1: a - j mod n
-        slices = ((a + 1, n),) if wrap == near else ((a + 1, near), (wrap, n))
-        slices = tuple((b0, b1) for b0, b1 in slices if b0 < b1)
-        later.append(slices)
-        starts.append(starts[-1] + sum(b1 - b0 for b0, b1 in slices))
-        for b0, b1 in slices:
-            senders += [a] * (b1 - b0)
-            receivers += range(b0, b1)
-    return _Graph(reach, tuple(later), tuple(starts),
-                  np.array(senders, dtype=np.intp), np.array(receivers, dtype=np.intp))
+    return k - k // 2
 
 
-def edge_offset(a: int, b: int, n: int) -> int:
-    """Position of the edge between slots a < b in the edge-major order of a
-    session of n; for a complete graph that is the pair index of (a, b)."""
-    graph = _graph(n)
-    off = graph.starts[a]
-    for b0, b1 in graph.later[a]:
-        if b0 <= b < b1:
-            return off + b - b0
-        off += b1 - b0
+def _edge(a: int, b: int, n: int) -> tuple:
+    """(row, sign) of the edge between slots a and b of a session of n: its
+    row in the stream, and +1 if slot a adds the row's mask, -1 if it
+    subtracts it."""
+    reach, rows = _reach(n), n * mask_degree(n) // 2
+    for sender, receiver, sign in ((a, b, 1), (b, a, -1)):
+        j = (receiver - sender) % n
+        row = (j - 1) * n + sender
+        if 1 <= j <= reach and row < rows:
+            return row, sign
     raise ConfigurationError(f"slots {a} and {b} of {n} share no mask edge")
-
-
-def _blocks(later, step: int):
-    """All edges in stream order, as blocks of at most ``step`` rows; a
-    block is a list of pieces (a, b0, b1), the edges from slot a to the
-    contiguous slots b0 .. b1-1."""
-    block, rows = [], 0
-    for a, slices in enumerate(later):
-        for s0, s1 in slices:
-            for b0 in range(s0, s1, step):
-                b1 = min(b0 + step, s1)
-                if rows + b1 - b0 > step:
-                    yield block
-                    block, rows = [], 0
-                block.append((a, b0, b1))
-                rows += b1 - b0
-    if block:
-        yield block
 
 
 @dataclass
@@ -160,9 +113,9 @@ class SecAggSession:
     def _stream(self) -> np.random.PCG64:
         return np.random.PCG64(np.random.SeedSequence((self.session_seed, self.round_id)))
 
-    def _rows(self, raw: np.ndarray, pieces) -> np.ndarray:
-        """Field elements, in place, from the raw words of the edges of
-        ``pieces``, each (a, b0, b1): slot a to slots b0 .. b1-1, in order."""
+    def _rows(self, raw: np.ndarray, row0: int) -> np.ndarray:
+        """Field elements, in place, from the raw words of the stream rows
+        row0, row0 + 1, ..., one per row of ``raw``."""
         q = self.params.modulus
         if q == M61:
             raw >>= np.uint64(3)     # 61 uniform bits; only the value q is rejected
@@ -171,13 +124,14 @@ class SecAggSession:
             limit = ((1 << 64) // q) * q
         if int(raw.max(initial=0)) >= limit:
             bad = raw >= np.uint64(limit)
+            n = len(self.participants)
             at = np.argsort(self._slot)   # position at each slot
-            edges = [(a, b) for a, b0, b1 in pieces for b in range(b0, b1)]
-            for r in np.flatnonzero(bad.any(axis=1)):
-                ids = sorted(self.participants[at[s]] for s in edges[r])
+            for i in np.flatnonzero(bad.any(axis=1)):
+                j, a = divmod(row0 + int(i), n)
+                ids = sorted(self.participants[at[s]] for s in (a, (a + j + 1) % n))
                 seq = np.random.SeedSequence((self.session_seed, self.round_id, *ids))
                 rng = np.random.Generator(np.random.PCG64(seq))
-                raw[r, bad[r]] = self.params.uniform(rng, int(bad[r].sum()))
+                raw[i, bad[i]] = self.params.uniform(rng, int(bad[i].sum()))
         if q != M61:
             raw %= np.uint64(q)
         return raw
@@ -186,38 +140,27 @@ class SecAggSession:
         """(n, d) net masks in slot order: row _slot[p] for the participant
         at position p."""
         n, d = len(self.participants), self.d
-        graph = _graph(n)
-        hi = np.zeros((n, d), dtype=np.uint64)
-        lo = np.zeros((n, d), dtype=np.uint64)
+        reach, rows = _reach(n), n * mask_degree(n) // 2
+        # rows n .. n + reach - 1 take the receivers past slot n - 1
+        hi = np.zeros((n + reach, d), dtype=np.uint64)
+        lo = np.zeros((n + reach, d), dtype=np.uint64)
         stream = self._stream()
-        if d == 1:
-            # every word in one block, added edge-wise: a piece holds a few
-            # words, so per-piece numpy calls would cost more than the sums
-            pieces = [(a, b0, b1) for a, slices in enumerate(graph.later)
-                      for b0, b1 in slices]
-            block = self._rows(stream.random_raw(graph.starts[n]).reshape(-1, 1), pieces)
-            top = block >> 32
-            block &= _MASK32
-            np.add.at(hi, graph.senders, top)
-            np.add.at(lo, graph.senders, block)
-            np.subtract.at(hi, graph.receivers, top)
-            np.subtract.at(lo, graph.receivers, block)
-            return _fold(hi, lo, self.params.modulus)
         step = max(1, _BLOCK_WORDS // d)
-        for pieces in _blocks(graph.later, step):
-            rows = sum(b1 - b0 for _, b0, b1 in pieces)
-            block = self._rows(stream.random_raw(rows * d).reshape(-1, d), pieces)
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            block = self._rows(stream.random_raw((r1 - r0) * d).reshape(-1, d), r0)
             top = block >> 32
             block &= _MASK32
-            r = 0
-            for a, b0, b1 in pieces:
-                r1 = r + b1 - b0
-                hi[a] += top[r:r1].sum(axis=0)
-                lo[a] += block[r:r1].sum(axis=0)
-                hi[b0:b1] -= top[r:r1]
-                lo[b0:b1] -= block[r:r1]
-                r = r1
-        return _fold(hi, lo, self.params.modulus)
+            for j in range(r0 // n, (r1 - 1) // n + 1):   # offset j + 1
+                a0, a1 = max(r0 - j * n, 0), min(r1 - j * n, n)
+                run = slice(j * n + a0 - r0, j * n + a1 - r0)
+                hi[a0:a1] += top[run]
+                lo[a0:a1] += block[run]
+                hi[a0 + j + 1:a1 + j + 1] -= top[run]
+                lo[a0 + j + 1:a1 + j + 1] -= block[run]
+        hi[:reach] += hi[n:]
+        lo[:reach] += lo[n:]
+        return _fold(hi[:n], lo[:n], self.params.modulus)
 
     def _position(self, k: int) -> int:
         try:
@@ -230,7 +173,7 @@ class SecAggSession:
         n = len(self.participants)
         dist = (self._slot - self._slot[self._position(k)]) % n
         dist = np.minimum(dist, n - dist)
-        joined = (dist > 0) & (dist <= _graph(n).reach)
+        joined = (dist > 0) & (dist <= _reach(n))
         return tuple(p for p, j in zip(self.participants, joined) if j)
 
     def pair_mask(self, i: int, j: int) -> FieldVector:
@@ -238,20 +181,20 @@ class SecAggSession:
         if i >= j:
             raise ConfigurationError("pair masks are keyed by i < j")
         si, sj = (int(self._slot[self._position(k)]) for k in (i, j))
-        a, b = min(si, sj), max(si, sj)
         try:
-            offset = edge_offset(a, b, len(self.participants))
+            row, sign = _edge(si, sj, len(self.participants))
         except ConfigurationError:
             raise ConfigurationError(f"clients {i} and {j} share no mask edge in "
                                      f"round {self.round_id}") from None
         stream = self._stream()
-        stream.advance(offset * self.d)
+        stream.advance(row * self.d)
         raw = stream.random_raw(self.d).reshape(1, -1)
-        row = FieldVector(self._rows(raw, [(a, b, b + 1)])[0], self.params)
-        return row if si < sj else FieldVector.zeros(self.d, self.params).sub(row)
+        mask = FieldVector(self._rows(raw, row)[0], self.params)
+        return mask if sign > 0 else FieldVector.zeros(self.d, self.params).sub(mask)
 
     def client_mask(self, k: int) -> FieldVector:
-        """Net mask client k applies: + for its edges to later slots, - for earlier."""
+        """Net mask client k applies: + for the rows its slot sends, - for
+        the rows it receives."""
         return FieldVector(self._net_masks()[self._slot[self._position(k)]], self.params)
 
 

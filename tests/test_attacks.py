@@ -88,6 +88,14 @@ class TestFinetune:
         assert np.array_equal(cps[0][1], theta)
         assert not np.array_equal(cps[-1][1], theta)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_refused(self, theta, dataset, batch_size):
+        # a negative size fine-tuned on no batch, and the grid counted the
+        # unchanged model as one that survived the attack
+        cfg = AttackConfig(epochs=3, batch_size=batch_size, data_fraction=0.1)
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            attack_finetune(theta, dataset, SHAPE, cfg)
+
     def test_adaptive_alpha_zero_equals_plain(self, theta, dataset, rng):
         cfg = AttackConfig(epochs=3, batch_size=32, data_fraction=0.1, alpha=0.0)
         key = estimate_key(_traj(rng))
@@ -194,6 +202,12 @@ class TestDistill:
         cps = attack_distill(theta, dataset, SHAPE, cfg)
         assert len(cps) == 3
         assert not np.array_equal(cps[0][1], theta)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_refused(self, theta, dataset, batch_size):
+        cfg = AttackConfig(epochs=2, batch_size=batch_size, data_fraction=0.2, alpha=0.5)
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            attack_distill(theta, dataset, SHAPE, cfg)
 
     def test_kd_gradient_matches_finite_differences(self, theta, dataset, rng):
         X, y = sample_attack_subset(dataset, 0.05, seed=0)

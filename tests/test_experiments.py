@@ -311,6 +311,19 @@ class TestCli:
                          "--z-star", "1e9"] + shares)
         assert code == 1
 
+    @pytest.mark.parametrize("z_star", ["nan", "inf", "-inf"])
+    def test_verify_rejects_non_finite_z_star(self, cli_workspace, capsys, z_star):
+        # a NaN threshold rejects every model and -inf accepts every model
+        cfg, _, out = cli_workspace
+        rundir = out / "run_seed0"
+        shares = [str(rundir / "shares" / f"client_{k}.share")
+                  for k in (1, 2, 3)]
+        code = cli.main(["verify", "--model", str(rundir / "model_final.bin"),
+                         "--calibration", str(out / "calibration.txt"),
+                         f"--z-star={z_star}"] + shares)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: z* must be finite, got {float(z_star)}\n"
+
     def test_verify_rejects_code_in_calibration(self, cli_workspace, tmp_path):
         cfg, _, out = cli_workspace
         rundir = out / "run_seed0"

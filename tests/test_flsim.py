@@ -150,6 +150,16 @@ class TestTraining:
                         np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_refused(self, rng, batch_size):
+        # a negative size trained on no batch at all, and 0 failed in range()
+        ds = gen_dataset(1, n=80, n_clients=1, input_dim=6, n_classes=4,
+                         n_test=80)
+        theta = init_model(SMALL, rng)
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            local_train(theta, ds.X_train, ds.y_train, SMALL,
+                        np.random.default_rng(0), batch_size=batch_size)
+
     def test_non_finite_model_aborts(self, rng):
         theta = np.full(SMALL.dim, np.nan)
         X = rng.standard_normal((8, 6))

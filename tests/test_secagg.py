@@ -98,9 +98,35 @@ def _applied_masks(session, inputs):
             for k, masked in session.observations}
 
 
-def _pair_index(a, b, n):
-    """Pair index of positions a < b in the all-pairs (complete graph) order."""
-    return a * (2 * n - a - 1) // 2 + b - a - 1
+def _edge_count(n):
+    return n * secagg.mask_degree(n) // 2
+
+
+def _sender_rows(n, a):
+    """Stream rows of the edges that slot a sends, ascending."""
+    return list(range(a, _edge_count(n), n))
+
+
+def _joined(a, b, n):
+    try:
+        secagg._edge(a, b, n)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def _block_offsets(n, rows):
+    """Rows at which the blocks of at most ``rows`` rows start, and the edge
+    count of the session after the last."""
+    return list(range(0, _edge_count(n), rows)) + [_edge_count(n)]
+
+
+def _run_words(n, d, rows):
+    """The first and the last word of every offset run and of every block of
+    at most ``rows`` rows: runs split blocks at the multiples of n."""
+    edges = _edge_count(n)
+    cuts = sorted(set(range(0, edges, rows)) | set(range(0, edges, n)) | {edges})
+    return [w for r0, r1 in zip(cuts, cuts[1:]) for w in (r0 * d, r1 * d - 1)]
 
 
 def _sum_of_pair_masks(session, k):
@@ -181,8 +207,10 @@ class TestMaskLayout:
         participants, d = (1, 2, 3, 5, 9), 8
         plain = _session(params, d=d, participants=participants)
         before = plain.pair_mask(2, 5)
-        # pair (2, 5) sits at positions (1, 3): pair index 5, coordinate 4
-        at = _pair_index(1, 3, len(participants)) * d + 4
+        # pair (2, 5) sits at slots (1, 3), which slot 1 sends: coordinate 4
+        row, sign = secagg._edge(1, 3, len(participants))
+        assert sign == 1
+        at = row * d + 4
         _force_words(monkeypatch, at)
         session = _session(params, d=d, participants=participants)
         inputs = _inputs(params, session, rng)
@@ -232,7 +260,9 @@ class TestGraph:
                                      (10, 8), (16, 8), (17, 10), (32, 10), (128, 14)])
     def test_mask_degree(self, n, k):
         assert secagg.mask_degree(n) == k
-        assert secagg._graph(n).starts[n] == n * k // 2
+        joined = [(a, b) for a, b in itertools.combinations(range(n), 2)
+                  if _joined(a, b, n)]
+        assert len(joined) == n * k // 2
 
     @pytest.mark.parametrize("n", list(range(1, 42)) + [64, 127, 128])
     def test_every_client_has_k_neighbours(self, fM61, n):
@@ -260,48 +290,61 @@ class TestGraph:
         assert len(set(nb)) == 3
         assert _session(fM61, participants=tuple(range(1, 17))).neighbours(1) == nb[0]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9])
-    def test_complete_graph_is_the_pair_order(self, n):
-        assert secagg.mask_degree(n) == n - 1
-        for a, b in itertools.combinations(range(n), 2):
-            assert secagg.edge_offset(a, b, n) == _pair_index(a, b, n)
-
-    @pytest.mark.parametrize("n", [8, 11, 40])
+    @pytest.mark.parametrize("n", list(range(1, 42)) + [64, 127, 128])
     def test_edge_offsets_enumerate_the_edges(self, n):
+        # every edge owns exactly one of rows 0 .. E-1, and a non-edge none;
+        # complete graphs (n <= 7, n = 9) join every pair
         k = secagg.mask_degree(n)
+        reach = k - k // 2
         offsets = []
         for a, b in itertools.combinations(range(n), 2):
-            if min(b - a, n - b + a) <= k // 2:
-                offsets.append(secagg.edge_offset(a, b, n))
+            if min(b - a, n - b + a) <= reach:
+                row, sign = secagg._edge(a, b, n)
+                assert secagg._edge(b, a, n) == (row, -sign)
+                # row (j - 1) * n + s: slot s sends to slot s + j mod n
+                s, t = (a, b) if sign == 1 else (b, a)
+                assert row == ((t - s) % n - 1) * n + s
+                offsets.append(row)
             else:
-                with pytest.raises(ConfigurationError):
-                    secagg.edge_offset(a, b, n)
-        assert offsets == list(range(n * k // 2))
+                assert k < n - 1
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(ConfigurationError):
+                        secagg._edge(x, y, n)
+        assert sorted(offsets) == list(range(n * k // 2))
+        for a in range(n):
+            with pytest.raises(ConfigurationError):
+                secagg._edge(a, a, n)
 
     @pytest.mark.parametrize("field,n,digest", [
-        ("f7", 2, "0b749fe5f256baaf"), ("f7", 5, "638589521ca67944"),
-        ("f7", 7, "4adc589d152cd758"), ("f7", 9, "638c280d11e88750"),
-        ("fM61", 2, "bad6731e25fd35f5"), ("fM61", 5, "c141be2348bed3bc"),
-        ("fM61", 7, "2fc30e778b0a4d11"), ("fM61", 9, "0ea1ad543bb15e5e"),
+        ("f7", 2, "0b749fe5f256baaf"), ("f7", 5, "8a04913bf284dea5"),
+        ("f7", 7, "eddd1a8ee202676b"), ("f7", 9, "07e3864f309a3386"),
+        ("fM61", 2, "bad6731e25fd35f5"), ("fM61", 5, "ce7672fba32db6b3"),
+        ("fM61", 7, "df2d873aa359adcd"), ("fM61", 9, "4f6f6866743f9fea"),
     ])
     def test_complete_graph_masks_are_pinned(self, field, n, digest, request):
-        # digests of the all-pairs protocol before the sparse graph existed
+        # digests of the offset-major layout of the all-pairs protocol, checked
+        # first against the pair masks
         params = request.getfixturevalue(field)
         session = _session(params, d=16, participants=tuple(range(1, 2 * n, 2)))
-        masks = np.stack([session.client_mask(k).values for k in session.participants])
+        masks = [session.client_mask(k) for k in session.participants]
+        assert masks == [_sum_of_pair_masks(session, k) for k in session.participants]
+        masks = np.stack([m.values for m in masks])
         assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("field,n,digest", [
-        ("f7", 11, "63b8818a8fd7db7d"), ("f7", 40, "c64c65fb31691ac3"),
-        ("f7", 128, "75f9a4b3b9ba71d7"),
-        ("fM61", 11, "13a0140d127ecf47"), ("fM61", 40, "d5f7756740692f14"),
-        ("fM61", 128, "100d4a73730d85d9"),
+        ("f7", 11, "05037abefa81f23b"), ("f7", 40, "3229c61d8f7fb5cc"),
+        ("f7", 128, "2f69d7b66ff8ca36"),
+        ("fM61", 11, "7690daa3bc137878"), ("fM61", 40, "86dc99d087dcc7fc"),
+        ("fM61", 128, "6a62b56ae5f4c864"),
     ])
     def test_sparse_graph_masks_are_pinned(self, field, n, digest, request):
-        # digests of the Harary-graph masks as first shipped
+        # digests of the Harary-graph masks in the offset-major layout,
+        # checked first against the pair masks
         params = request.getfixturevalue(field)
         session = _session(params, participants=tuple(range(1, 2 * n, 2)))
         masks = session._net_masks()[session._slot]
+        for k, mask in zip(session.participants, masks):
+            assert FieldVector(mask, params) == _sum_of_pair_masks(session, k)
         assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
@@ -331,11 +374,12 @@ class TestGraph:
         participants, d = tuple(range(1, 12)), 8
         plain = _session(params, d=d, participants=participants)
         slot = {p: int(s) for p, s in zip(participants, plain._slot)}
-        # the edge from slot 0 to slot n-1 is in slot 0's wrapped slice
+        # the edge between slots n-1 and 0 wraps around the circle
         i, j = sorted(p for p in participants if slot[p] in (0, 10))
         assert j in plain.neighbours(i)
         before = plain.pair_mask(i, j)
-        at = secagg.edge_offset(0, 10, 11) * d + 5
+        row, sign = secagg._edge(0, 10, 11)
+        at = row * d + 5
         _force_words(monkeypatch, at)
         session = _session(params, d=d, participants=participants)
         inputs = _inputs(params, session, rng)
@@ -349,7 +393,8 @@ class TestGraph:
         fallback = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 1, i, j))))
         raw = int(params.uniform(fallback, 1)[0])
         after = session.pair_mask(i, j)
-        want = raw if slot[i] == 0 else (params.modulus - raw) % params.modulus
+        sends = (slot[i] == 0) == (sign == 1)
+        want = raw if sends else (params.modulus - raw) % params.modulus
         assert int(after.values[5]) == want
         assert np.array_equal(np.delete(after.values, 5), np.delete(before.values, 5))
 
@@ -361,8 +406,9 @@ class TestGraph:
         participants, d = tuple(range(1, 41)), 8
         offsets = _block_offsets(len(participants), rows)
         assert max(np.diff(offsets)) <= rows < offsets[-1]
-        # the first word of each block and a middle word of its last edge
-        at = []
+        # the first word of each block and a middle word of its last edge,
+        # and the first and the last word of every offset run
+        at = _run_words(len(participants), d, rows)
         for r0, r1 in zip(offsets, offsets[1:]):
             at.append(r0 * d)
             at.append((r1 - 1) * d + d // 2)
@@ -390,7 +436,8 @@ def _run(params, participants, d):
 
 
 class TestSerialMasks:
-    """Masks over whole sessions, with rejected words at sender boundaries."""
+    """Masks over whole sessions, with rejected words at the first and the
+    last row of several senders and at the ends of every offset run."""
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     @pytest.mark.parametrize("n", [9, 40])
@@ -398,13 +445,13 @@ class TestSerialMasks:
                                                  monkeypatch):
         params = request.getfixturevalue(field)
         participants, d = tuple(range(1, n + 1)), 8
-        starts = secagg._graph(n).starts
         senders = [0, 1, n // 3, n // 2, n - 3, n - 2]
         # the first word of each sender and a middle word of its last edge
-        at = []
+        at = _run_words(n, d, n * d)
         for a in senders:
-            at.append(starts[a] * d)
-            at.append((starts[a + 1] - 1) * d + d // 2)
+            rows = _sender_rows(n, a)
+            at.append(rows[0] * d)
+            at.append(rows[-1] * d + d // 2)
         _force_words(monkeypatch, *at)
         session, inputs, out = _run(params, participants, d)
         assert out == _field_sum(inputs, d, params)
@@ -413,15 +460,6 @@ class TestSerialMasks:
         applied = _applied_masks(session, inputs)
         for k in participants:
             assert applied[k] == _sum_of_pair_masks(session, k)
-
-
-def _block_offsets(n, rows):
-    """Edge offsets at which the blocks of at most ``rows`` rows start, and
-    the edge count of the session after the last."""
-    offsets = [0]
-    for pieces in secagg._blocks(secagg._graph(n).later, rows):
-        offsets.append(offsets[-1] + sum(b1 - b0 for _, b0, b1 in pieces))
-    return offsets
 
 
 def _split_run(params, participants, d, rows, monkeypatch):
@@ -468,8 +506,9 @@ class TestSplit:
         participants, d = tuple(range(1, 10)), 8
         offsets = _block_offsets(len(participants), rows)
         assert max(np.diff(offsets)) <= rows < offsets[-1]
-        # the last word of each block's first edge and a middle word of its last
-        at = []
+        # the last word of each block's first edge and a middle word of its
+        # last, and the first and the last word of every offset run
+        at = _run_words(len(participants), d, rows)
         for r0, r1 in zip(offsets, offsets[1:]):
             at.append(r0 * d + d - 1)
             at.append((r1 - 1) * d + d // 2)
@@ -487,7 +526,7 @@ class TestSplit:
         # the 896 edges of K=128 at the default hidden width: 4.9 M raw words,
         # read in blocks of _BLOCK_WORDS or all at once
         participants, d = tuple(range(1, 129)), 5514
-        assert secagg._graph(128).starts[128] == 896
+        assert _edge_count(128) == 896
         split = _session(fM61, d=d, participants=participants)._net_masks()
         monkeypatch.setattr(secagg, "_BLOCK_WORDS", 1 << 40)
         serial = _session(fM61, d=d, participants=participants)._net_masks()
@@ -515,6 +554,18 @@ def _scalar_run(params, participants):
     values = params.uniform(np.random.default_rng(3), len(participants))
     inputs = {k: int(v) for k, v in zip(participants, values)}
     return session, inputs, secagg_scalar(inputs, session)
+
+
+def _width_run(params, participants, d):
+    """(session, inputs as field vectors, output as a field vector) of one
+    session of width d: secagg_scalar for d = 1, secagg_sum otherwise."""
+    if d > 1:
+        return _run(params, participants, d)
+    session, inputs, out = _scalar_run(params, participants)
+    vectors = {k: FieldVector(np.array([v], dtype=np.uint64), params)
+               for k, v in inputs.items()}
+    out = FieldVector(np.array([out], dtype=np.uint64), params)
+    return session, vectors, out
 
 
 class TestSecAggScalar:
@@ -545,28 +596,34 @@ class TestSecAggScalar:
     @pytest.mark.parametrize("rejected", [False, True])
     def test_edge_wise_masks_are_the_pair_masks(self, field, n, rejected, request,
                                                 monkeypatch):
-        # a d = 1 session sums its masks edge by edge; pair_mask reads each
-        # edge alone through PCG64.advance
+        # every session, d = 1 through secagg_scalar and wider ones through
+        # secagg_sum, applies the sums of the masks that pair_mask reads edge
+        # by edge through PCG64.advance
         params = request.getfixturevalue(field)
-        participants = tuple(range(1, n + 1))
-        plain, _, _ = _scalar_run(params, participants)
-        if rejected:
-            # the first and the last edge (= word) of several senders
-            starts = secagg._graph(n).starts
-            senders = sorted({0, 1, n // 3, n // 2, n - 3, n - 2} & set(range(n - 1)))
-            _force_words(monkeypatch, *{w for a in senders
-                                        for w in (starts[a], starts[a + 1] - 1)})
-        session, inputs, out = _scalar_run(params, participants)
         q = params.modulus
-        assert out == sum(inputs.values()) % q
-        assert [k for k, _ in session.observations] == list(participants)
-        for k, masked in session.observations:
-            assert masked.shape == (1,) and int(masked[0]) < q
-            applied = (int(masked[0]) - inputs[k]) % q
-            assert applied == int(_sum_of_pair_masks(session, k).values[0])
-        if rejected and n > 1:   # a session of one has no edge
-            assert ([m.tolist() for _, m in session.observations]
-                    != [m.tolist() for _, m in plain.observations])
+        participants = tuple(range(1, n + 1))
+        for d in (1, 2, 8, 17, 65):
+            plain = _width_run(params, participants, d)[0]
+            with monkeypatch.context() as mp:
+                if rejected:
+                    # the first and the last word of every offset run and
+                    # block, and of the first and last row of several senders
+                    at = _run_words(n, d, max(1, secagg._BLOCK_WORDS // d))
+                    for a in {0, 1, n // 3, n // 2, n - 3, n - 2} & set(range(n)):
+                        rows = _sender_rows(n, a)
+                        if rows:
+                            at += [rows[0] * d, rows[-1] * d + d - 1]
+                    _force_words(mp, *at)
+                session, inputs, out = _width_run(params, participants, d)
+                assert out == _field_sum(inputs, d, params)
+                assert [k for k, _ in session.observations] == list(participants)
+                for k, masked in session.observations:
+                    assert masked.shape == (d,) and int(masked.max()) < q
+                    applied = FieldVector(masked, params).sub(inputs[k])
+                    assert applied == _sum_of_pair_masks(session, k)
+            if rejected and n > 1:   # a session of one has no edge
+                assert ([m.tolist() for _, m in session.observations]
+                        != [m.tolist() for _, m in plain.observations])
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     def test_client_mask_is_the_sum_of_pair_masks(self, field, request):
