@@ -105,6 +105,10 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, tuple[float, ...]) and not np.isfinite(value).all():
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.threshold > self.n_clients:
             raise ConfigurationError("threshold t must not exceed K")
         if self.setup_mode not in ("dealer", "dkg"):

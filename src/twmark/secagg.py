@@ -39,19 +39,27 @@ fallback stream keyed by the session and the pair's participant ids, which
 leaves every other edge's row in place.
 
 Net masks are formed with numpy over rows in slot order, as split sums of
-the 32-bit halves of the mask words, reduced mod q once at the end. The
-stream is read in one pass, in blocks of at most _BLOCK_WORDS words, on
-the calling thread. Within a block the rows of one offset j are a run of
-senders a0..a1-1 and receivers a0+j..a1+j-1, so each run costs four numpy
-calls whatever d is: its halves are added to the sender rows and
-subtracted from the receiver rows. Receivers past slot n - 1 land in r
-extra rows, which are folded back once. Every session, of any d, takes
-this one path.
+the 32-bit halves of the mask words, reduced mod q once at the end, for
+any range of slots a0..a1-1 (``net_masks``; the whole session is 0..n-1).
+A range reads only the rows its slots send or receive: at offset j those
+that slots a0..a1-1 send and those that slots a0-j..a1-j-1 mod n send to
+them, reached with ``PCG64.advance`` and read in blocks of at most
+_BLOCK_WORDS words. Within a block the rows of one offset are a run of
+senders and of receivers j slots on, so each run costs four numpy calls
+whatever d is: its halves are added to the sender rows and subtracted
+from the receiver rows. Receivers past slot a1 - 1 land in r extra rows,
+and those past slot n - 1 are folded back once. A slot's mask sums the
+same exact integers in whichever range it is formed, so ranges give the
+rows of the whole session bit for bit. The processes that train a
+round's clients each form one range of the model session ahead of
+``secagg_sum`` (protocol.ClientTrainer), which then only adds the inputs
+and reveals. Every session, of any d, takes this one path.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
 """
 
+import functools
 import operator
 from dataclasses import dataclass, field as dc_field
 
@@ -71,6 +79,35 @@ def _reach(n: int) -> int:
     slots a + 1 .. a + r mod n."""
     k = mask_degree(n)
     return k - k // 2
+
+
+@functools.lru_cache(maxsize=64)
+def _runs(a0: int, a1: int, n: int) -> tuple:
+    """The stream rows that slots a0 .. a1 - 1 of a session of n send or
+    receive, as ascending runs (r0, r1, j, x): rows r0 .. r1 - 1 are the
+    edges at offset j sent by the slots at x, x + 1, ... counted from a0,
+    so their receivers are at x + j, .... At offset j these are the slots
+    a0 - j .. a1 - j - 1 and a0 .. a1 - 1 mod n, each once; x < 0 for
+    those below a0. Also the spans [r0, r1) of runs that follow each other
+    in the stream, merged."""
+    rows, runs = n * mask_degree(n) // 2, []
+    for j in range(1, _reach(n) + 1):
+        end = min(n, rows - (j - 1) * n)   # offset j's senders are slots below end
+        # one range of senders unless the range is narrower than j
+        senders = ((a0 - j, a1 - j), (a0, a1)) if a1 - j < a0 else ((max(a0 - j, a1 - n), a1),)
+        for v0, v1 in senders:
+            for w0, w1, wrap in ((v0, min(v1, 0), n), (max(v0, 0), v1, 0)):
+                s0, s1 = w0 + wrap, min(w1 + wrap, end)   # slots, below 0 wrapped
+                if s0 < s1:
+                    runs.append(((j - 1) * n + s0, (j - 1) * n + s1, j, w0 - a0))
+    runs.sort()
+    spans = []
+    for r0, r1, _, _ in runs:
+        if spans and spans[-1][1] == r0:
+            spans[-1][1] = r1
+        else:
+            spans.append([r0, r1])
+    return tuple(runs), tuple(map(tuple, spans))
 
 
 def _edge(a: int, b: int, n: int) -> tuple:
@@ -97,6 +134,9 @@ class SecAggSession:
     session_seed: int
     observations: list = dc_field(default_factory=list)  # (client, masked uint64 array)
     output: FieldVector = None
+    # rows formed ahead by the processes that train the clients, or None:
+    masks: np.ndarray = None      # (n, d) net masks in slot order; secagg_sum uses them once
+    encoded: np.ndarray = None    # (n, d) encoded inputs in participant order, for the caller
     _slot: np.ndarray = dc_field(init=False, repr=False, compare=False)  # slot of position p
 
     def __post_init__(self):
@@ -136,31 +176,44 @@ class SecAggSession:
             raw %= np.uint64(q)
         return raw
 
-    def _net_masks(self) -> np.ndarray:
-        """(n, d) net masks in slot order: row _slot[p] for the participant
-        at position p."""
+    def net_masks(self, a0: int = 0, a1: int = None) -> np.ndarray:
+        """(a1 - a0, d) net masks of slots a0 .. a1 - 1, in slot order: row
+        _slot[p] - a0 for the participant at position p. The whole session
+        by default; reads only the stream rows these slots send or receive."""
         n, d = len(self.participants), self.d
-        reach, rows = _reach(n), n * mask_degree(n) // 2
-        # rows n .. n + reach - 1 take the receivers past slot n - 1
-        hi = np.zeros((n + reach, d), dtype=np.uint64)
-        lo = np.zeros((n + reach, d), dtype=np.uint64)
-        stream = self._stream()
+        a1 = n if a1 is None else a1
+        m, reach, (runs, spans) = a1 - a0, _reach(n), _runs(a0, a1, n)
+        # rows m .. m + reach - 1 take the receivers past slot a1 - 1; those
+        # from row n on are slots a0, a0 + 1, ... again, folded back once
+        hi = np.zeros((m + reach, d), dtype=np.uint64)
+        lo = np.zeros((m + reach, d), dtype=np.uint64)
+        stream, at, i = self._stream(), 0, 0
         step = max(1, _BLOCK_WORDS // d)
-        for r0 in range(0, rows, step):
-            r1 = min(r0 + step, rows)
-            block = self._rows(stream.random_raw((r1 - r0) * d).reshape(-1, d), r0)
-            top = block >> 32
-            block &= _MASK32
-            for j in range(r0 // n, (r1 - 1) // n + 1):   # offset j + 1
-                a0, a1 = max(r0 - j * n, 0), min(r1 - j * n, n)
-                run = slice(j * n + a0 - r0, j * n + a1 - r0)
-                hi[a0:a1] += top[run]
-                lo[a0:a1] += block[run]
-                hi[a0 + j + 1:a1 + j + 1] -= top[run]
-                lo[a0 + j + 1:a1 + j + 1] -= block[run]
-        hi[:reach] += hi[n:]
-        lo[:reach] += lo[n:]
-        return _fold(hi[:n], lo[:n], self.params.modulus)
+        for s0, s1 in spans:
+            for b0 in range(s0, s1, step):
+                b1 = min(b0 + step, s1)
+                stream.advance((b0 - at) * d)
+                at = b1
+                block = self._rows(stream.random_raw((b1 - b0) * d).reshape(-1, d), b0)
+                top = block >> 32
+                block &= _MASK32
+                while i < len(runs) and runs[i][0] < b1:
+                    r0, r1, j, x = runs[i]
+                    c0, c1 = max(r0, b0), min(r1, b1)
+                    x += c0 - r0                  # the sender of row c0
+                    skip = max(-x, 0)             # senders below a0 are not in the range
+                    if skip < c1 - c0:
+                        hi[x + skip:x + c1 - c0] += top[c0 - b0 + skip:c1 - b0]
+                        lo[x + skip:x + c1 - c0] += block[c0 - b0 + skip:c1 - b0]
+                    hi[x + j:x + j + c1 - c0] -= top[c0 - b0:c1 - b0]
+                    lo[x + j:x + j + c1 - c0] -= block[c0 - b0:c1 - b0]
+                    if r1 > b1:
+                        break                     # the run goes on in the next block
+                    i += 1
+        wrap = max(m + reach - n, 0)
+        hi[:wrap] += hi[n:]
+        lo[:wrap] += lo[n:]
+        return _fold(hi[:m], lo[:m], self.params.modulus)
 
     def _position(self, k: int) -> int:
         try:
@@ -195,7 +248,8 @@ class SecAggSession:
     def client_mask(self, k: int) -> FieldVector:
         """Net mask client k applies: + for the rows its slot sends, - for
         the rows it receives."""
-        return FieldVector(self._net_masks()[self._slot[self._position(k)]], self.params)
+        slot = int(self._slot[self._position(k)])
+        return FieldVector(self.net_masks(slot, slot + 1)[0], self.params)
 
 
 def _check_participants(inputs: dict, session: SecAggSession):
@@ -238,7 +292,9 @@ def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
                 f"round {session.round_id}: client {k} submitted length {len(vec)}, "
                 f"expected {session.d}"
             )
-    masked = session._net_masks()  # becomes the matrix of masked submissions
+    # the net masks, formed ahead or here, become the matrix of masked submissions
+    masked = session.net_masks() if session.masks is None else session.masks
+    session.masks = None
     for k, slot in zip(session.participants, session._slot):
         masked[slot] += inputs[k].values   # both < q < 2^63, no overflow
     return _reveal(masked, session)
@@ -260,6 +316,6 @@ def secagg_scalar(inputs: dict, session: SecAggSession) -> int:
             raise ConfigurationError(f"round {session.round_id}: client {k} submitted "
                                      f"{inputs[k]!r}, not an integer in [0, q)")
         values.append(v)
-    masked = session._net_masks()
+    masked = session.net_masks()
     masked[session._slot, 0] += np.array(values, dtype=np.uint64)   # both < q < 2^63
     return int(_reveal(masked, session).values[0])

@@ -119,6 +119,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown attack kind 'banana'"):
             ExperimentConfig(attack_kinds=("finetune", "banana"))
 
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(ExperimentConfig)
+        if f.type in (float, tuple[float, ...])])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_float_is_refused(self, name, bad):
+        # a non-finite z* would decide every verification one way
+        value = (bad,) if isinstance(getattr(ExperimentConfig(), name), tuple) else bad
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            ExperimentConfig(**{name: value})
+
 
 class TestModelFiles:
     def test_model_roundtrip(self, tmp_path, rng):

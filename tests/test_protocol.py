@@ -92,7 +92,7 @@ class TestEmbedRound:
 
     def test_zero_update_round_is_identity(self, rng):
         # no local movement -> scales are 0 -> pure average of theta_k
-        train_fn = lambda theta, ps, r: [theta for _ in ps]
+        train_fn = lambda theta, ps, r, session: [theta for _ in ps]
         _, _, nxt = self._run(rng, train_fn)
         assert np.abs(nxt.theta).max() <= 2.0 ** -37
 
@@ -100,7 +100,7 @@ class TestEmbedRound:
         # frozen local update v: every client moves by v, so the aggregate
         # should be v + (scale_total / K) * tau up to fixed-point rounding
         v = 0.01 * rng.standard_normal(SHAPE.dim)
-        train_fn = lambda theta, ps, r: [theta + v for _ in ps]
+        train_fn = lambda theta, ps, r, session: [theta + v for _ in ps]
         c = 0.05
         setup, clients, nxt = self._run(rng, train_fn, c=c)
         vn = float(np.linalg.norm(v))
@@ -115,7 +115,7 @@ class TestEmbedRound:
         # with w_k = derive_embedding_share(s_k), and no term below t
         steps = {k: 0.01 * rng.standard_normal(SHAPE.dim) for k in (1, 2, 3, 4)}
         c = 0.05
-        setup, _, nxt = self._run(rng, lambda theta, ps, r: [theta + steps[k] for k in ps],
+        setup, _, nxt = self._run(rng, lambda theta, ps, r, session: [theta + steps[k] for k in ps],
                                   participants=participants, c=c)
         codecs, beta = setup.codecs, ProtocolParams().ema_beta
         total = 0
@@ -138,7 +138,7 @@ class TestEmbedRound:
 
     def test_below_threshold_embeds_nothing(self, rng):
         v = 0.01 * rng.standard_normal(SHAPE.dim)
-        train_fn = lambda theta, ps, r: [theta + v for _ in ps]
+        train_fn = lambda theta, ps, r, session: [theta + v for _ in ps]
         setup, clients, nxt = self._run(rng, train_fn, participants=(1,))
         assert np.abs(nxt.theta - v).max() <= 2.0 ** -37
 
@@ -152,7 +152,7 @@ class TestEmbedRound:
                         setup, ProtocolParams(), lambda *a: None, 1)
 
     def test_theta_ceiling_aborts(self, rng):
-        train_fn = lambda theta, ps, r: [theta + 50.0 for _ in ps]
+        train_fn = lambda theta, ps, r, session: [theta + 50.0 for _ in ps]
         with pytest.raises(ProtocolAbortError):
             self._run(rng, train_fn)
 
@@ -394,6 +394,72 @@ class TestClientTrainer:
         workers(0)
         with ClientTrainer(ds, SHAPE, params, 7, 4) as train:
             assert np.array_equal(train(theta, (1, 2, 3, 4), 1), got)
+
+    def test_model_sessions_do_not_depend_on_workers(self, workers, monkeypatch):
+        # every model session gets its encodings and net masks from the
+        # trainer, and the server's view and the sum have the same bits
+        real = protocol.secagg_sum
+
+        def secagg_sum(inputs, session):
+            formed = session.masks is not None and session.encoded is not None
+            out = real(inputs, session)
+            seen.append((formed, [(k, m.copy()) for k, m in session.observations], out))
+            return out
+
+        monkeypatch.setattr(protocol, "secagg_sum", secagg_sum)
+        cfg = ExperimentConfig(**TOY, threshold=2, participation=0.5)
+        runs = []
+        for n in WORKER_COUNTS:
+            workers(n)
+            seen = []
+            run_watermarked(cfg, seed=5)
+            run_baseline(_dataset(K=6), SHAPE, ProtocolParams(batch_size=16), 6, 2,
+                         master_seed=1)
+            assert len(seen) == 5 and all(formed for formed, _, _ in seen)
+            runs.append(seen)
+        for other in runs[1:]:
+            for (_, obs_a, out_a), (_, obs_b, out_b) in zip(runs[0], other):
+                assert out_a == out_b
+                assert [k for k, _ in obs_a] == [k for k, _ in obs_b]
+                assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(obs_a, obs_b))
+
+    def test_session_rows_are_right_after_a_worker_raised(self, workers, monkeypatch):
+        # client 3 fails in the second worker's slice; the other workers'
+        # thetas, encodings and masks are read, so the next call's are right
+        workers(3)
+        ds, params, codec = _dataset(), ProtocolParams(batch_size=16), ProtocolCodecs().model
+        bad_X = ds.shard(2)[0]
+        real = protocol.local_train
+
+        def local_train(theta, X, y, *args, **kwargs):
+            if theta[0] == 123.0 and np.array_equal(X, bad_X):
+                raise NumericalError("divergence")
+            return real(theta, X, y, *args, **kwargs)
+
+        def session(r):
+            return protocol.SecAggSession(round_id=r, participants=(1, 2, 3, 4), d=SHAPE.dim,
+                                          params=codec.params, session_seed=11)
+
+        monkeypatch.setattr(protocol, "local_train", local_train)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        bad = theta.copy()
+        bad[0] = 123.0
+        with ClientTrainer(ds, SHAPE, params, 7, 4, codec) as train:
+            failed = session(1)
+            with pytest.raises(NumericalError):
+                train(bad, (1, 2, 3, 4), 1, failed)
+            assert failed.masks is None and failed.encoded is None
+            got = session(2)
+            thetas = train(theta, (1, 2, 3, 4), 2, got).copy()
+            encoded, masks = got.encoded.copy(), got.masks.copy()
+        workers(0)
+        with ClientTrainer(ds, SHAPE, params, 7, 4, codec) as train:
+            want = session(2)
+            assert np.array_equal(train(theta, (1, 2, 3, 4), 2, want), thetas)
+            assert np.array_equal(want.encoded, encoded)
+            assert np.array_equal(want.masks, masks)
+        assert np.array_equal(masks, session(2).net_masks())
+        assert np.array_equal(encoded, np.stack([codec.encode(t).values for t in thetas]))
 
     def test_worker_exits_when_the_parent_end_closes(self, workers):
         workers(1)

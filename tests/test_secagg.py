@@ -342,7 +342,7 @@ class TestGraph:
         # checked first against the pair masks
         params = request.getfixturevalue(field)
         session = _session(params, participants=tuple(range(1, 2 * n, 2)))
-        masks = session._net_masks()[session._slot]
+        masks = session.net_masks()[session._slot]
         for k, mask in zip(session.participants, masks):
             assert FieldVector(mask, params) == _sum_of_pair_masks(session, k)
         assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
@@ -468,11 +468,11 @@ def _split_run(params, participants, d, rows, monkeypatch):
     against the same session read in one block."""
     monkeypatch.setattr(secagg, "_BLOCK_WORDS", 1 << 40)
     whole, inputs, want = _run(params, participants, d)
-    whole_masks = whole._net_masks()
+    whole_masks = whole.net_masks()
     monkeypatch.setattr(secagg, "_BLOCK_WORDS", rows * d)
     session, _, out = _run(params, participants, d)
     assert out == want
-    assert np.array_equal(session._net_masks(), whole_masks)
+    assert np.array_equal(session.net_masks(), whole_masks)
     assert [k for k, _ in session.observations] == list(session.participants)
     for (_, got), (_, ref) in zip(session.observations, whole.observations):
         assert np.array_equal(got, ref)
@@ -527,9 +527,9 @@ class TestSplit:
         # read in blocks of _BLOCK_WORDS or all at once
         participants, d = tuple(range(1, 129)), 5514
         assert _edge_count(128) == 896
-        split = _session(fM61, d=d, participants=participants)._net_masks()
+        split = _session(fM61, d=d, participants=participants).net_masks()
         monkeypatch.setattr(secagg, "_BLOCK_WORDS", 1 << 40)
-        serial = _session(fM61, d=d, participants=participants)._net_masks()
+        serial = _session(fM61, d=d, participants=participants).net_masks()
         assert np.array_equal(split, serial)
         assert not np.any(serial.sum(axis=0, dtype=object) % fM61.modulus)
 
@@ -546,6 +546,48 @@ class TestSplit:
         applied = _applied_masks(session, inputs)
         for k in participants:
             assert applied[k] == _sum_of_pair_masks(session, k)
+
+
+class TestRanges:
+    """Net masks of a range of slots are the matching rows of the whole
+    session's, for every cut into two ranges; n = 4 and 6 are even complete
+    graphs, n = 9 the odd complete one above 7."""
+
+    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("n", list(range(1, 42)) + [64, 127, 128])
+    def test_every_cut_gives_the_whole_rows(self, field, n, request, monkeypatch):
+        params = request.getfixturevalue(field)
+        participants, d = tuple(range(1, n + 1)), 2
+        plain = _session(params, d=d, participants=participants).net_masks()
+        for cut in range(n + 1):
+            # rejected words in the first word of every edge the slots on
+            # both sides of the cut send, and the last word of every edge
+            # slot n - 1 sends, which wraps around to slots 0 .. r - 1
+            at = [row * d for a in {cut - 1, cut} & set(range(n))
+                  for row in _sender_rows(n, a)]
+            at += [row * d + d - 1 for row in _sender_rows(n, n - 1)]
+            with monkeypatch.context() as mp:
+                _force_words(mp, *at)
+                session = _session(params, d=d, participants=participants)
+                whole = session.net_masks()
+                head, tail = session.net_masks(0, cut), session.net_masks(cut, n)
+            assert head.shape == (cut, d) and tail.shape == (n - cut, d)
+            assert np.array_equal(np.concatenate([head, tail]), whole)
+            assert int(whole.max(initial=0)) < params.modulus
+            if at and n > 1:
+                assert not np.array_equal(whole, plain)
+        assert not np.any(plain.sum(axis=0, dtype=object) % params.modulus)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 11, 16, 40, 128])
+    def test_runs_hold_exactly_the_edges_of_the_range(self, n):
+        for a0, a1 in [(0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3), (1, n)]:
+            want = {secagg._edge(a, b, n)[0] for a in range(a0, a1) for b in range(n)
+                    if _joined(a, b, n)}
+            runs, spans = secagg._runs(a0, a1, n)
+            assert all(r0 < r1 <= s0 for (r0, r1, _, _), (s0, _, _, _) in zip(runs, runs[1:]))
+            assert {r for r0, r1, _, _ in runs for r in range(r0, r1)} == want
+            assert {r for r0, r1 in spans for r in range(r0, r1)} == want
+            assert all(r1 < s0 for (_, r1), (s0, _) in zip(spans, spans[1:]))
 
 
 def _scalar_run(params, participants):
