@@ -645,12 +645,21 @@ def cmd_report(outdir):
         path = os.path.join(outdir, name)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, start=2)
+                    if line.strip()]
         lines.append(f"{name}: {len(rows)} rows, columns {header}")
         # export any (x, y) numeric pair ending in z vs accuracy coordinates
         if "z" in header and "test_accuracy" in header:
             zi, ai = header.index("z"), header.index("test_accuracy")
-            coords = [(float(r[ai]), float(r[zi])) for r in rows]
+            coords = []
+            for n, r in rows:
+                if len(r) != len(header):
+                    raise ConfigurationError(f"{path} line {n}: {len(r)} fields, "
+                                             f"the header has {len(header)}")
+                try:
+                    coords.append((float(r[ai]), float(r[zi])))
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path} line {n}: {exc}") from None
             export = os.path.join(outdir, name.replace(".csv", "_points.txt"))
             with open(export, "w") as fh:
                 fh.write("accuracy z\n")

@@ -310,27 +310,17 @@ class FieldVector:
             )
         return out
 
-    def mul_elementwise(self, other: "FieldVector") -> "FieldVector":
-        self._binary_check(other)
-        q = self.params.modulus
-        out = FieldVector.__new__(FieldVector)
-        out.params = self.params
-        if q == M61:
-            out.values = _mulmod_m61(self.values, other.values)
-        else:
-            out.values = np.array(
-                [int(a) * int(b) % q for a, b in zip(self.values, other.values)],
-                dtype=np.uint64,
-            )
-        return out
-
     def inner(self, other: "FieldVector") -> int:
         """<self, other> mod q, exact; the oracle behind verify_direct."""
-        prod = self.mul_elementwise(other).values
+        self._binary_check(other)
+        q = self.params.modulus
+        if q != M61:
+            return sum(int(a) * int(b) for a, b in zip(self.values, other.values)) % q
+        prod = _mulmod_m61(self.values, other.values)
         # split-sum so the accumulation never overflows uint64
         lo = int((prod & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
         hi = int((prod >> np.uint64(32)).sum(dtype=np.uint64))
-        return ((hi << 32) + lo) % self.params.modulus
+        return ((hi << 32) + lo) % q
 
     def centered(self) -> tuple:
         """The centered representatives, in [-(q-1)/2, (q-1)/2], as int64,

@@ -7,12 +7,16 @@ DKG path: each client samples an additive contribution w_k ~ N(0, I_d/K),
 shares its encoding through its own degree-(t-1) polynomials and sends
 evaluations to every other client; client i's share is the componentwise
 field sum of what it received. The implicit key tau = sum_k w_k is never
-materialized at any single party. Each client's K evaluations are one
-exact Vandermonde product (sharing.shamir_share), and the K received
-evaluations are summed as 32-bit halves in uint64 and reduced mod q once.
-setup_dkg adds each client's evaluations as they are made and keeps none
-of them; dkg_exchange also returns them all, the view the secrecy tests
-reconstruct.
+materialized at any single party. dkg_exchange runs that exchange message
+by message and returns every client's outgoing evaluations, the view the
+secrecy tests reconstruct. Sharing is linear, so the K evaluations client
+i receives sum to the value at i of one polynomial whose coefficients are
+the clients' coefficients summed: setup_dkg draws what each client draws,
+adds enc(w_k) and the coefficients into one (t x d) sum as 32-bit halves
+in uint64, reduces it mod q once and makes one Vandermonde product
+(sharing.shamir_share). Row 0 of that sum is enc(tau); it is a local of
+setup_dkg, a simulator that already holds every w_k, and no return value,
+file or log carries it.
 
 Both paths take (cfg, d, rng, codecs, keep_key) and draw everything from
 rng, the setup id last. keep_key retains tau (for the DKG, the sum of the
@@ -24,6 +28,7 @@ point-to-point messages (self-delivery is local), each carrying d
 multiplications at FIELD_MUL_NS each and communication at BANDWIDTH_BPS.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,30 +96,6 @@ def setup_trusted_dealer(cfg: ShamirConfig, d: int, rng: np.random.Generator,
     )
 
 
-def _dkg_outgoing(contributions_enc: list, cfg: ShamirConfig, rngs: list,
-                  coeffs_per_client: list = None):
-    """Each client's evaluations for every recipient (its outgoing traffic),
-    produced one client at a time."""
-    for k, contribution in enumerate(contributions_enc):
-        coeffs = None if coeffs_per_client is None else coeffs_per_client[k]
-        yield shamir_share(contribution, cfg, rngs[k], coeffs=coeffs)
-
-
-def _dkg_shares(outgoing, cfg: ShamirConfig, d: int) -> list:
-    """Recipient i's share: the field sum over senders of their evaluations
-    at i. The 32-bit halves of K < 2^31 values below 2^61 sum without
-    overflow, so each sender's rows can be released once they are added."""
-    hi = np.zeros((cfg.n_clients, d), dtype=np.uint64)
-    lo = np.zeros((cfg.n_clients, d), dtype=np.uint64)
-    for sent in outgoing:
-        evals = np.stack([s.values.values for s in sent])
-        hi += evals >> np.uint64(32)
-        lo += evals & _MASK32
-    summed = _fold(hi, lo, cfg.params.modulus)
-    return [ShamirShare(point=x, values=FieldVector(row, cfg.params))
-            for x, row in zip(cfg.points, summed)]
-
-
 def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
                  rngs: list, coeffs_per_client: list = None):
     """Core DKG exchange over already-encoded contributions.
@@ -127,42 +108,60 @@ def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
     """
     if len(contributions_enc) != cfg.n_clients:
         raise ConfigurationError("need one contribution per client")
-    outgoing = list(_dkg_outgoing(contributions_enc, cfg, rngs, coeffs_per_client))
-    return _dkg_shares(outgoing, cfg, len(contributions_enc[0])), outgoing
+    outgoing = [shamir_share(enc, cfg, rngs[k],
+                             coeffs=None if coeffs_per_client is None else coeffs_per_client[k])
+                for k, enc in enumerate(contributions_enc)]
+    shares = [ShamirShare(point=x, values=functools.reduce(
+                  FieldVector.add, (sent[i].values for sent in outgoing)))
+              for i, x in enumerate(cfg.points)]
+    return shares, outgoing
 
 
 def setup_dkg(cfg: ShamirConfig, d: int, rng: np.random.Generator,
               codecs: ProtocolCodecs = None, keep_key: bool = False) -> SetupResult:
     """Dealer-free setup; the key is implicitly sum_k w_k, w_k ~ N(0, I_d/K).
-    Per-client RNG streams are spawned deterministically from rng; the
-    overhead is dkg_cost_model(K, t, d)."""
+    Per-client RNG streams are spawned deterministically from rng, and the
+    shares equal dkg_exchange's over the same streams; the overhead is
+    dkg_cost_model(K, t, d)."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     if codecs is None:
         codecs = ProtocolCodecs(params=cfg.params)
-    K = cfg.n_clients
+    K, t = cfg.n_clients, cfg.threshold
     seeds = rng.integers(0, 2**63, size=K)
-    rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    contributions = [rngs[k].standard_normal(d) / np.sqrt(K) for k in range(K)]
-    enc = [codecs.share.encode(w) for w in contributions]
-    shares = _dkg_shares(_dkg_outgoing(enc, cfg, rngs), cfg, d)
+    # the 32-bit halves of K < 2^31 words sum without overflow in uint64
+    hi = np.zeros((t, d), dtype=np.uint64)
+    lo = np.zeros((t, d), dtype=np.uint64)
+    key = 0
+    for seed in seeds:
+        rng_k = np.random.Generator(np.random.PCG64(int(seed)))
+        w = rng_k.standard_normal(d) / np.sqrt(K)
+        poly = np.vstack([codecs.share.encode(w).values, cfg.params.uniform(rng_k, (t - 1, d))])
+        hi += poly >> np.uint64(32)
+        lo += poly & _MASK32
+        if keep_key:
+            key = key + w
+    summed = _fold(hi, lo, cfg.params.modulus)
+    shares = shamir_share(FieldVector(summed[0], cfg.params), cfg, None, coeffs=summed[1:])
     return SetupResult(
         cfg=cfg,
         codecs=codecs,
         shares=shares,
         setup_id=rng.bytes(16),
-        overhead=dkg_cost_model(K, cfg.threshold, d),
-        debug_key=sum(contributions) if keep_key else None,
+        overhead=dkg_cost_model(K, t, d),
+        debug_key=key if keep_key else None,
     )
 
 
 def dkg_cost_model(K: int, t: int, d: int) -> OverheadRecord:
-    """Closed-form DKG cost: per-client O(Kd) communication, O(Ktd) compute.
+    """Closed-form cost of the real DKG protocol: per-client O(Kd)
+    communication, O(Ktd) compute.
 
-    Communication time charges (K-1) outgoing vector shares of d 8-byte
-    words each against BANDWIDTH_BPS; compute charges K*t*d field
-    multiplications (one evaluation of each of d degree-(t-1) polynomials
-    at K points) at FIELD_MUL_NS each.
+    It charges what the message-level protocol (dkg_exchange) costs, not
+    what setup_dkg computes: communication time charges (K-1) outgoing
+    vector shares of d 8-byte words each against BANDWIDTH_BPS; compute
+    charges K*t*d field multiplications (one evaluation of each of d
+    degree-(t-1) polynomials at K points) at FIELD_MUL_NS each.
     """
     if K < 1 or t < 1 or d < 1:
         raise ConfigurationError("K, t and d must be positive")

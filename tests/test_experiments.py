@@ -539,6 +539,17 @@ class TestCli:
         assert cli.main(["report", "--out", str(out)]) == 0
         assert (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("abc,noise,sigma=0.1,0,0.5", "5 fields, the header has 7"),
+        ("abc,noise,sigma=0.1,0,0.5,abc,reject", "could not convert string to float: 'abc'"),
+    ])
+    def test_report_names_the_bad_row(self, tmp_path, capsys, row, message):
+        path = tmp_path / "robustness.csv"
+        path.write_text("run_id,attack,params,step,test_accuracy,z,decision\n"
+                        "abc,noise,sigma=0.1,0,0.5,4.2,accept\n\n" + row + "\n")
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        assert f"error: {path} line 4: {message}" in capsys.readouterr().err
+
     def test_bad_config_key_is_exit_2(self, cli_workspace, capsys):
         _, cfg_path, out = cli_workspace
         code = cli.main(["train", "--config", str(cfg_path),

@@ -83,6 +83,56 @@ class TestDkg:
             dkg_exchange([FieldVector.zeros(4, fM61)], cfg, [rng] * 3)
 
 
+def _replayed_exchange(cfg, d, seed, codecs):
+    """dkg_exchange fed the per-client streams setup_dkg spawns from seed;
+    returns its shares, the setup id drawn after them and the key."""
+    rng = np.random.default_rng(seed)
+    rngs = [np.random.Generator(np.random.PCG64(int(s)))
+            for s in rng.integers(0, 2**63, size=cfg.n_clients)]
+    contributions = [r.standard_normal(d) / np.sqrt(cfg.n_clients) for r in rngs]
+    shares, _ = dkg_exchange([codecs.share.encode(w) for w in contributions], cfg, rngs)
+    return shares, rng.bytes(16), sum(contributions)
+
+
+class TestDkgPin:
+    """setup_dkg's one product over the clients' summed polynomials gives,
+    bit for bit, what the message-level exchange gives on the same streams."""
+
+    @staticmethod
+    def _check(cfg, d, codecs, seed):
+        setup = setup_dkg(cfg, d, np.random.default_rng(seed), codecs=codecs, keep_key=True)
+        shares, setup_id, key = _replayed_exchange(cfg, d, seed, codecs)
+        assert [s.point for s in setup.shares] == [s.point for s in shares]
+        for got, want in zip(setup.shares, shares):
+            assert got.values.values.tobytes() == want.values.values.tobytes()
+        assert setup.setup_id == setup_id
+        assert setup.debug_key.tobytes() == key.tobytes()
+
+    @pytest.mark.parametrize("K, t", [(1, 1), (2, 1), (2, 2), (7, 7), (32, 16), (128, 64)])
+    def test_m61(self, fM61, K, t):
+        self._check(_cfg(fM61, K=K, t=t), 6, ProtocolCodecs(params=fM61), seed=100 * K + t)
+
+    @pytest.mark.parametrize("K, t", [(1, 1), (3, 2), (6, 6)])
+    def test_f7(self, f7, K, t):
+        # q = 7 takes the Python-int paths of _fold and _matmul_mod
+        self._check(_cfg(f7, K=K, t=t), 5, ProtocolCodecs(params=f7, f_share=0), seed=10 * K + t)
+
+    def test_full_dimension(self, fM61):
+        self._check(_cfg(fM61, K=32, t=16), 5514, ProtocolCodecs(params=fM61), seed=32)
+
+    def test_one_vandermonde_product(self, fM61, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return shamir_share(*args, **kwargs)
+
+        monkeypatch.setattr(keysetup, "shamir_share", counting)
+        cfg = _cfg(fM61, K=8, t=4)
+        setup_dkg(cfg, 16, np.random.default_rng(0))
+        assert calls == [cfg]
+
+
 class TestCostModel:
     def test_fields(self):
         assert (keysetup.BANDWIDTH_BPS, keysetup.FIELD_MUL_NS) == (1e9, 10.0)
