@@ -21,6 +21,9 @@ class EncodingOverflowError(ConfigurationError):
             f"range |x| < {limit!r}; use fewer fractional bits or a larger modulus"
         )
 
+    def __reduce__(self):   # pickled, as from a training worker, by its arguments
+        return type(self), (self.index, self.value, self.limit)
+
 
 class NonFiniteValueError(ConfigurationError):
     """A NaN or infinite value was given to the fixed-point codec."""
@@ -29,6 +32,9 @@ class NonFiniteValueError(ConfigurationError):
         self.index = index
         self.value = value
         super().__init__(f"coordinate {index} is not finite ({value!r})")
+
+    def __reduce__(self):
+        return type(self), (self.index, self.value)
 
 
 class ThresholdError(ValueError):

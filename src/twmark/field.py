@@ -83,6 +83,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def reduce_once(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, for uint64 arrays below 2q: min(x, x - q), as x - q
+    wraps above q when x < q < 2^63. Arrays only: a uint64 scalar warns."""
+    return np.minimum(x, x - np.uint64(q), out=x)
+
+
 def _mulmod_m61(a, b):
     """Elementwise (a*b) mod M61 on uint64 arrays, values < M61.
 
@@ -99,8 +105,8 @@ def _mulmod_m61(a, b):
     x = hi + (mid >> _U30) + ((mid & _MASK30) << _U31) + a0 * b0  # < 2^63
     m = np.uint64(M61)
     x = (x >> _U61) + (x & m)
-    x = (x >> _U61) + (x & m)
-    return np.where(x >= m, x - m, x)
+    x = (x >> _U61) + (x & m)   # <= M61
+    return reduce_once(x, M61)
 
 
 def _fold(hi: np.ndarray, lo: np.ndarray, q: int) -> np.ndarray:
@@ -159,7 +165,7 @@ def _matmul_m61(a_shift: np.ndarray, b: np.ndarray) -> np.ndarray:
         v = parts[k * m:(k + 1) * m]
         x += ((v << np.uint64(e)) & q) | (v >> np.uint64(61 - e))
     x = (x >> _U61) + (x & q)  # the 3 terms sum below 2^53 + 2^62
-    return np.where(x >= q, x - q, x)
+    return reduce_once(x, M61)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, params: "FieldParams") -> np.ndarray:
@@ -181,7 +187,6 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, params: "FieldParams") -> np.ndarr
         return out
     passes = [(r0, _shift_operand(a[:, r0:r0 + _EXACT_ROWS]))
               for r0 in range(0, n, _EXACT_ROWS)]
-    qq = np.uint64(q)
     for c0 in range(0, p, width):
         acc = None
         for r0, a_shift in passes:
@@ -190,7 +195,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, params: "FieldParams") -> np.ndarr
                 acc = part
             else:
                 acc += part
-                acc = np.where(acc >= qq, acc - qq, acc)
+                reduce_once(acc, q)
         out[:, c0:c0 + width] = acc
     return out
 
@@ -280,19 +285,16 @@ class FieldVector:
 
     def add(self, other: "FieldVector") -> "FieldVector":
         self._binary_check(other)
-        q = np.uint64(self.params.modulus)
-        s = self.values + other.values  # both < q < 2^61, no overflow
         out = FieldVector.__new__(FieldVector)
-        out.values = np.where(s >= q, s - q, s)
+        out.values = reduce_once(self.values + other.values, self.params.modulus)
         out.params = self.params
         return out
 
     def sub(self, other: "FieldVector") -> "FieldVector":
         self._binary_check(other)
         q = np.uint64(self.params.modulus)
-        s = self.values + (q - other.values)
         out = FieldVector.__new__(FieldVector)
-        out.values = np.where(s >= q, s - q, s)
+        out.values = reduce_once(self.values + (q - other.values), q)
         out.params = self.params
         return out
 
@@ -368,12 +370,12 @@ class FixedPointCodec:
                 raise NonFiniteValueError(i, float(x[i]))
             i = int(np.argmax(bad))
             raise EncodingOverflowError(i, float(x[i]), self.limit)
-        mag = np.floor(np.abs(x) * 2.0 ** self.frac_bits + 0.5).astype(np.int64)
+        # q + round(x 2^f), wrapping, is in [0, 2q); -0.0 gives q, reduced to 0
         q = self.params.modulus
-        vals = np.where(x < 0, np.uint64(q) - mag.astype(np.uint64), mag.astype(np.uint64))
-        vals = np.where(mag == 0, np.uint64(0), vals)  # -0.0 maps to 0
+        vals = np.copysign(np.floor(np.abs(x) * 2.0 ** self.frac_bits + 0.5), x)
+        vals = vals.astype(np.int64).view(np.uint64) + np.uint64(q)
         vec = FieldVector.__new__(FieldVector)
-        vec.values = vals
+        vec.values = reduce_once(vals, q)
         vec.params = self.params
         return vec
 

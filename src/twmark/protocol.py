@@ -8,26 +8,22 @@ enc_model(theta_k) + S * w_k under secure aggregation and the server
 averages the decoded sum. The field sum therefore carries
 enc_model(sum theta_k) + S * enc_share(tau), so the realized per-round
 watermark drift is (scale_total / |S_r|) * tau up to fixed-point rounding.
-
 Rounds with participation below t skip the watermark term entirely.
 
-Local training runs on every CPU the process may use: a run's
-ClientTrainer forks one worker per further CPU, each round's participants
-are cut into contiguous slices, this process trains the first and each
-worker one of the others. A client's training reads only the broadcast
-theta, its shard and its stream keyed by (master_seed, client id, round),
-so theta_k, and every checkpoint after it, has the same bits whatever the
-CPU count. The model SecAgg session of a round is built before training,
-and each of these processes also encodes its own theta_k and forms the
-net masks of the session's slots numbered like its slice, since neither
-depends on any client's data (in SecAgg each client forms its own masks).
-EMA, scales, the theta ceiling, the watermark terms, the sum of the
-masked submissions and the decoding stay in this process, in participant
-order; the masks cancel exactly, so none of this changes a bit.
+Clients run on every CPU the process may use: a run's ClientTrainer forks
+one worker per further CPU and cuts each round's participants into
+contiguous slices, one per process, which forms its clients' whole
+submissions, as in SecAgg. It trains and encodes them and sends only their
+update norms and largest |theta_k|. From these this process forms the
+EMAs, scales, theta ceiling, scalar SecAgg and each c_k = S * lambda_k
+while every process forms its slots' net masks; each then adds c_k * w_k
+(w_k: the client's share) and returns submissions and masks. Training
+reads only theta, the client's shard and its stream keyed by (master_seed,
+client id, round), the masks cancel and the field arithmetic is exact, so
+no bit depends on the CPU count.
 
-The per-client baseline (run_baseline) shares this round pipeline: the
-same training, EMA, theta ceiling, model SecAgg and average, with each
-client's own S_k * enc_share(tau_k) in place of the share term.
+The per-client baseline (run_baseline) shares this round pipeline, with
+c_k = S_k and w_k = enc_share(tau_k), each client's own key.
 """
 
 import multiprocessing
@@ -39,12 +35,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ProtocolAbortError, SkipRoundError
-from .field import FieldVector, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
+from .field import (FieldVector, FixedPointCodec, ProtocolCodecs, check_aggregate_bound,
+                    reduce_once)
 from .flsim import AdamWParams, MlpShape, init_model, local_train
 from .keysetup import SetupResult
 from .rngutil import rng_from_key
 from .secagg import SecAggSession, secagg_scalar, secagg_sum
-from .sharing import ShamirShare, lagrange_at_zero
+from .sharing import lagrange_at_zero
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,6 @@ class ProtocolParams:
     batch_size: int = 64
     optimizer: AdamWParams = dc_field(default_factory=AdamWParams)
     participation: float = 1.0    # fraction of clients drawn per round
-
-
-@dataclass
-class ClientState:
-    client_id: int                # 1-based; equals the Shamir point
-    share: ShamirShare = None
-    ema: float = 0.0              # EMA of local update norms, zero-init
 
 
 @dataclass(frozen=True)
@@ -108,88 +98,64 @@ def quantize_scale(scale_total: float, codecs: ProtocolCodecs,
     return int(np.floor(clamped * 2.0 ** codecs.g_scale + 0.5))
 
 
-def _train_participants(theta: np.ndarray, clients: dict, participants: tuple,
-                        round_index: int, params: ProtocolParams, train_fn,
-                        session: SecAggSession):
-    """Steps (1)-(2): local training, EMA and adaptive scale of every
-    participant, under the theta_max ceiling. Returns (thetas, scales)."""
-    local_thetas, scales = {}, {}
-    for k, theta_k in zip(participants, train_fn(theta, participants, round_index, session)):
-        st = clients[k]
-        delta_norm = float(np.linalg.norm(theta_k - theta))
-        st.ema = ema_update(st.ema, delta_norm, params.ema_beta)
-        local_thetas[k] = theta_k
-        scales[k] = client_scale(delta_norm, st.ema, params.strength_c)
-    theta_abs_max = max(float(np.abs(t).max()) for t in local_thetas.values())
+def _client_scales(ema: dict, participants: tuple, norms: list,
+                   theta_abs_max: float, params: ProtocolParams, round_index: int) -> list:
+    """Steps (1)-(2) past training: each participant's EMA of update norms
+    (``ema``, by id) and adaptive scale, under the theta_max ceiling."""
+    scales = []
+    for k, delta_norm in zip(participants, norms):
+        ema[k] = ema_update(ema[k], delta_norm, params.ema_beta)
+        scales.append(client_scale(delta_norm, ema[k], params.strength_c))
     if theta_abs_max > params.theta_max:
         raise ProtocolAbortError(
             f"round {round_index}: |theta| reached {theta_abs_max:.3g}, "
             f"above the configured ceiling {params.theta_max:.3g}"
         )
-    return local_thetas, scales
+    return scales
 
 
-def _secure_average(local_thetas: dict, term, codecs: ProtocolCodecs,
+def _secure_average(submitted: np.ndarray, codecs: ProtocolCodecs,
                     session: SecAggSession) -> GlobalModel:
-    """Steps (4)-(5): every client k submits enc_model(theta_k) plus its field
-    watermark term ``term(k)`` (none if ``term`` is None) under the
-    pairwise-mask SecAgg ``session``; the decoded field sum is divided by the
-    participant count. The encodings come from the trainer, formed ahead
-    as ``session.encoded``, or are made here if it formed none; they take
-    their terms in place, made one client at a time, so no more than one
-    term is held at once."""
-    encoded = session.encoded
-    if encoded is None:
-        encoded = [codecs.model.encode(local_thetas[k]).values for k in session.participants]
-    q = np.uint64(codecs.params.modulus)
-    submissions = {}
-    for k, u in zip(session.participants, encoded):
-        if term is not None:
-            u += term(k).values     # both < q < 2^63, no overflow
-            np.subtract(u, q, out=u, where=u >= q)
-        submissions[k] = FieldVector(u, codecs.params)
-    agg = secagg_sum(submissions, session)
-    theta_next = codecs.model.decode_centered(agg) / len(submissions)
+    """Steps (4)-(5): the rows of ``submitted``, enc_model(theta_k) plus the
+    term of each participant in order, are summed under the SecAgg
+    ``session``; the decoded field sum is divided by the participant count."""
+    agg = secagg_sum({k: FieldVector(u, codecs.params)
+                      for k, u in zip(session.participants, submitted)}, session)
+    theta_next = codecs.model.decode_centered(agg) / len(session.participants)
     return GlobalModel(theta=theta_next, round_index=session.round_id)
 
 
-def embed_round(global_model: GlobalModel, clients: dict, plan: RoundPlan,
+def embed_round(global_model: GlobalModel, ema: dict, plan: RoundPlan,
                 setup: SetupResult, params: ProtocolParams,
-                train_fn, session_seed: int) -> GlobalModel:
-    """One protocol round; train_fn(theta, participants, round_index, session)
-    gives each participant's locally trained theta, in participant order, and
-    may form the rows of the model SecAgg session ahead (see ClientTrainer)."""
+                train, session_seed: int) -> GlobalModel:
+    """One protocol round. ``ema`` maps client ids to EMAs of update norms (0.0
+    at first), updated here; ``train``, the run's ClientTrainer holding the
+    shares, forms the submissions given the S * lambda_k formed here."""
     if not plan.participants:
         raise SkipRoundError(f"round {plan.round_index}: empty participant set")
     codecs = setup.codecs
-    r = plan.round_index
-    session = SecAggSession(round_id=r, participants=plan.participants,
-                            d=len(global_model.theta), params=codecs.params,
-                            session_seed=session_seed * 2)
-    local_thetas, scales = _train_participants(
-        global_model.theta, clients, plan.participants, r, params, train_fn, session)
-    check_aggregate_bound(len(global_model.theta), len(plan.participants),
-                          params.theta_max, params.scale_max, codecs).raise_if_failed()
+    r, d = plan.round_index, len(global_model.theta)
+    session = SecAggSession(round_id=r, participants=plan.participants, d=d,
+                            params=codecs.params, session_seed=session_seed * 2)
 
-    term = None
-    if plan.embed:
+    def coefficients(norms, theta_abs_max):
+        scales = _client_scales(ema, plan.participants, norms, theta_abs_max, params, r)
+        check_aggregate_bound(d, len(plan.participants), params.theta_max,
+                              params.scale_max, codecs).raise_if_failed()
+        if not plan.embed:
+            return None
         # (3) scalar SecAgg over the encoded scales, then public re-quantization
-        scale_session = SecAggSession(
-            round_id=r, participants=plan.participants, d=1,
-            params=codecs.params, session_seed=session_seed * 2 + 1,
-        )
-        total_enc = secagg_scalar(
-            {k: codecs.scale.encode_scalar(scales[k]) for k in plan.participants},
-            scale_session,
-        )
-        S = quantize_scale(codecs.scale.decode_scalar(total_enc), codecs,
-                           params.scale_max)
+        scale_session = SecAggSession(round_id=r, participants=plan.participants, d=1,
+                                      params=codecs.params, session_seed=session_seed * 2 + 1)
+        total_enc = secagg_scalar({k: codecs.scale.encode_scalar(s)
+                                   for k, s in zip(plan.participants, scales)}, scale_session)
+        S = quantize_scale(codecs.scale.decode_scalar(total_enc), codecs, params.scale_max)
         # share-embedded terms (Lagrange map cached per participant set)
         lam = lagrange_at_zero(plan.participants, codecs.params)
+        return [S * lam[k] for k in plan.participants]
 
-        def term(k):
-            return clients[k].share.values.scalar_mul(S * lam[k])
-    return _secure_average(local_thetas, term, codecs, session)
+    submitted = train(global_model.theta, plan.participants, r, session, coefficients)
+    return _secure_average(submitted, codecs, session)
 
 
 def make_plans(n_clients: int, threshold: int, rounds: int,
@@ -220,16 +186,19 @@ def _worker_count(n_clients: int) -> int:
     return max(min(len(os.sched_getaffinity(0)), n_clients) - 1, 0)
 
 
-def _serve(conn, train_slice, d: int, rows: int, inherited: list):
-    """A training worker's loop. Each request is ((client ids, round, model
-    session or None, first slot), then theta as raw bytes); the reply is
-    None and the clients' thetas as raw bytes, then for a session their
-    encodings and the net masks of as many slots from the first, or the
-    exception a client raised and nothing more. The worker exits (code 0)
-    on a None request, or when the parent's end of the pipe is gone."""
+_ABORT = "abort"    # the coefficient message of a round that ends before any term
+
+
+def _serve(conn, work, d: int, rows: int, inherited: list):
+    """A training worker's loop over requests (client ids, round, model
+    session or None, first slot), then theta as raw bytes. It replies None
+    and the thetas, or for a session its report and, after a coefficient
+    message other than _ABORT, the submissions and masks (rows: raw bytes);
+    a client's exception replaces the reply. None or EOF ends it (code 0)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     for c in inherited:
         c.close()   # the parent's ends: EOF must come when the parent is gone
+    train, add_terms = work
     theta, out, enc = np.empty(d), np.empty((rows, d)), np.empty((rows, d), np.uint64)
     try:
         while (request := conn.recv()) is not None:
@@ -237,15 +206,18 @@ def _serve(conn, train_slice, d: int, rows: int, inherited: list):
             conn.recv_bytes_into(theta)
             n = len(ids)
             try:
-                masks = train_slice(theta, ids, round_index, session, a0, out[:n], enc[:n])
+                conn.send(train(theta, ids, round_index, session, out[:n], enc[:n]))
             except Exception as exc:
                 conn.send(exc)
-            else:
-                conn.send(None)
+                continue
+            if session is None:
                 conn.send_bytes(out[:n])
-                if session is not None:
-                    conn.send_bytes(enc[:n])
-                    conn.send_bytes(masks)
+                continue
+            masks = session.net_masks(a0, a0 + n)
+            if (coefficients := conn.recv()) != _ABORT:
+                add_terms(ids, coefficients, enc[:n])
+                conn.send_bytes(enc[:n])
+                conn.send_bytes(masks)
     except (EOFError, OSError):
         pass
 
@@ -254,35 +226,43 @@ class ClientTrainer:
     """The client trainer of every run: local_train on the client's shard
     with the stream keyed by (master_seed, client id, round), on every CPU.
 
-    ``trainer(theta, participants, round_index, session=None)`` returns the
-    participants' thetas, in order, as the rows of an array that the next
-    call overwrites. The participants are cut into contiguous slices: this
-    process trains the first, and each of the ``_worker_count`` workers,
-    forked when the trainer opens, one of the others. Given the round's
-    model SecAgg session, each process also encodes its thetas with
-    ``codec`` and forms the net masks of the slots numbered like its slice
-    (SecAggSession.net_masks); they become the session's ``encoded`` and
-    ``masks``, rows the next call overwrites too. A worker inherits the
-    dataset and returns its rows as raw bytes; an exception a client raises
-    is raised here, the first in participant order. Use it as a context
-    manager: closing joins every worker.
+    A call's participants are cut into contiguous slices: this process
+    trains the first, and each of the ``_worker_count`` workers, forked when
+    the trainer opens, one of the others. ``trainer(theta, participants,
+    round_index)`` returns their thetas. With the model SecAgg ``session``,
+    each process also encodes its thetas with ``codec`` and reports their
+    update norms and largest |theta_k|; ``coefficients(norms, theta_abs_max)``
+    maps the reports to each c_k (None: no term) while the processes form
+    their slots' net masks, then each adds c_k * w_k, w_k the client's entry
+    of ``vectors``. The call sets ``session.masks`` and returns the
+    submissions: rows, in participant order, that the next call overwrites.
+    Every process that reported takes one coefficient message, even if
+    ``coefficients`` raises, so the trainer stays in step after any error;
+    a client's exception is raised here, the first in participant order.
+    Use it as a context manager: closing joins every worker.
     """
 
     def __init__(self, dataset, shape: MlpShape, params: ProtocolParams,
-                 master_seed: int, n_clients: int, codec: FixedPointCodec = None):
-        def train_slice(theta, ids, round_index, session, a0, out, enc):
+                 master_seed: int, n_clients: int, codec: FixedPointCodec = None,
+                 vectors: dict = None):
+        def train(theta, ids, round_index, session, out, enc):
             for i, k in enumerate(ids):
                 X, y = dataset.shard(k - 1)
                 rng = rng_from_key(master_seed, "local_train", k, round_index)
                 out[i] = local_train(theta, X, y, shape, rng, epochs=params.local_epochs,
                                      batch_size=params.batch_size, opt=params.optimizer)
-            if session is None:
-                return None
-            for i in range(len(ids)):
-                enc[i] = codec.encode(out[i]).values
-            return session.net_masks(a0, a0 + len(ids))
+            if session is not None:     # the encodings, and the report
+                for i, row in enumerate(out):
+                    enc[i] = codec.encode(row).values
+                return ([float(np.linalg.norm(row - theta)) for row in out],
+                        float(np.abs(out).max(initial=0.0)))
 
-        self._train_slice = train_slice
+        def add_terms(ids, coefficients, enc):
+            for u, k, c in zip(enc, ids, coefficients or ()):
+                u += vectors[k].scalar_mul(c).values   # both < q < 2^63
+                reduce_once(u, codec.params.modulus)
+
+        self._work = (train, add_terms)
         self._out = np.empty((n_clients, shape.dim))
         self._enc = np.empty((n_clients, shape.dim), np.uint64)
         self._masks = np.empty((n_clients, shape.dim), np.uint64)
@@ -295,7 +275,7 @@ class ClientTrainer:
                 mine, theirs = ctx.Pipe()
                 inherited = [c for _, c in self._workers] + [mine]
                 proc = ctx.Process(target=_serve, daemon=True,
-                                   args=(theirs, train_slice, shape.dim, rows, inherited))
+                                   args=(theirs, self._work, shape.dim, rows, inherited))
                 with warnings.catch_warnings():
                     # Python >= 3.12 warns on fork while BLAS threads exist.
                     # No lock the worker needs is held across the fork, and
@@ -311,35 +291,48 @@ class ClientTrainer:
             raise
 
     def __call__(self, theta: np.ndarray, participants: tuple, round_index: int,
-                 session: SecAggSession = None):
+                 session: SecAggSession = None, coefficients=None):
         n, out, enc, masks = len(participants), self._out, self._enc, self._masks
         cuts = [n * i // (len(self._workers) + 1) for i in range(len(self._workers) + 2)]
-        busy = []
+        busy, errors, reports, reporters = [], [], [], []
         for (_, conn), lo, hi in zip(self._workers, cuts[1:], cuts[2:]):
             if lo < hi:
                 conn.send((participants[lo:hi], round_index, session, lo))
                 conn.send_bytes(theta)
                 busy.append((conn, lo, hi))
-        errors = []
+        (train, add_terms), m = self._work, cuts[1]
         try:
-            mine = self._train_slice(theta, participants[:cuts[1]], round_index, session, 0,
-                                     out[:cuts[1]], enc[:cuts[1]])
-            if session is not None:
-                masks[:cuts[1]] = mine
+            reports.append(train(theta, participants[:m], round_index, session, out[:m],
+                                 enc[:m]))
         except Exception as exc:
             errors.append(exc)
         for conn, lo, hi in busy:
-            error = conn.recv()
-            if error is not None:
-                errors.append(error)
-                continue
-            for rows in (out, enc, masks) if session is not None else (out,):
-                conn.recv_bytes_into(rows[lo:hi].reshape(-1))
-        if errors:
-            raise errors[0]
-        if session is not None:
-            session.encoded, session.masks = enc[:n], masks[:n]
-        return out[:n]
+            reply = conn.recv()
+            if isinstance(reply, Exception):
+                errors.append(reply)
+            elif session is None:
+                conn.recv_bytes_into(out[lo:hi].reshape(-1))
+            else:
+                reports.append(reply)
+                reporters.append((conn, lo, hi))
+        c = _ABORT
+        try:
+            if errors:
+                raise errors[0]
+            if session is None:
+                return out[:n]
+            c = coefficients([x for norms, _ in reports for x in norms],
+                             max(top for _, top in reports))
+        finally:    # every process that reported takes one coefficient message
+            for conn, lo, hi in reporters:
+                conn.send(c if c is None or c is _ABORT else c[lo:hi])
+        masks[:m] = session.net_masks(0, m)
+        add_terms(participants[:m], c, enc[:m])
+        for conn, lo, hi in reporters:
+            conn.recv_bytes_into(enc[lo:hi].reshape(-1))
+            conn.recv_bytes_into(masks[lo:hi].reshape(-1))
+        session.masks = masks[:n]
+        return enc[:n]
 
     def close(self):
         while self._workers:
@@ -364,12 +357,13 @@ def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
     if rounds < 1:
         raise ProtocolAbortError("rounds must be >= 1")
     K, t = setup.cfg.n_clients, setup.cfg.threshold
-    clients = {s.point: ClientState(client_id=s.point, share=s) for s in setup.shares}
+    ema = {s.point: 0.0 for s in setup.shares}
     trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
-    with ClientTrainer(dataset, shape, params, master_seed, K, setup.codecs.model) as train:
+    with ClientTrainer(dataset, shape, params, master_seed, K, setup.codecs.model,
+                       {s.point: s.values for s in setup.shares}) as train:
         for plan in make_plans(K, t, rounds, params.participation, master_seed):
             trajectory.append(embed_round(
-                trajectory[-1], clients, plan, setup, params, train,
+                trajectory[-1], ema, plan, setup, params, train,
                 session_seed=master_seed * 10_000 + plan.round_index))
     return trajectory
 
@@ -395,16 +389,17 @@ def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
     keys = [rng_from_key(master_seed, "baseline_key", k).standard_normal(shape.dim)
             for k in participants]
     enc_keys = {k: codecs.share.encode(keys[k - 1]) for k in participants}
-    clients = {k: ClientState(client_id=k) for k in participants}
+    ema = dict.fromkeys(participants, 0.0)
     trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
-    with ClientTrainer(dataset, shape, params, master_seed, n_clients, codecs.model) as train:
+    with ClientTrainer(dataset, shape, params, master_seed, n_clients, codecs.model,
+                       enc_keys) as train:
         for r in range(1, rounds + 1):
+            def coefficients(norms, theta_abs_max):     # S_k of each client
+                scales = _client_scales(ema, participants, norms, theta_abs_max, params, r)
+                return [quantize_scale(s, codecs, params.scale_max) for s in scales]
+
             session = SecAggSession(round_id=r, participants=participants, d=shape.dim,
-                                    params=codecs.params,
-                                    session_seed=master_seed * 10_000 + r)
-            local_thetas, scales = _train_participants(
-                trajectory[-1].theta, clients, participants, r, params, train, session)
-            S = {k: quantize_scale(scales[k], codecs, params.scale_max) for k in participants}
-            trajectory.append(_secure_average(
-                local_thetas, lambda k: enc_keys[k].scalar_mul(S[k]), codecs, session))
+                                    params=codecs.params, session_seed=master_seed * 10_000 + r)
+            submitted = train(trajectory[-1].theta, participants, r, session, coefficients)
+            trajectory.append(_secure_average(submitted, codecs, session))
     return trajectory, keys

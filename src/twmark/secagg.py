@@ -51,9 +51,9 @@ from the receiver rows. Receivers past slot a1 - 1 land in r extra rows,
 and those past slot n - 1 are folded back once. A slot's mask sums the
 same exact integers in whichever range it is formed, so ranges give the
 rows of the whole session bit for bit. The processes that train a
-round's clients each form one range of the model session ahead of
-``secagg_sum`` (protocol.ClientTrainer), which then only adds the inputs
-and reveals. Every session, of any d, takes this one path.
+round's clients form the model session's ranges and their submissions
+ahead of ``secagg_sum`` (protocol.ClientTrainer), which adds the two and
+reveals with one branch-free reduction. Every session takes this path.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolAbortError
-from .field import _BLOCK_WORDS, _MASK32, M61, FieldParams, FieldVector, _fold
+from .field import _BLOCK_WORDS, _MASK32, M61, FieldParams, FieldVector, _fold, reduce_once
 
 def mask_degree(n: int) -> int:
     """Neighbours k of each client in a session of n: 2 * ceil(log2 n),
@@ -134,9 +134,7 @@ class SecAggSession:
     session_seed: int
     observations: list = dc_field(default_factory=list)  # (client, masked uint64 array)
     output: FieldVector = None
-    # rows formed ahead by the processes that train the clients, or None:
-    masks: np.ndarray = None      # (n, d) net masks in slot order; secagg_sum uses them once
-    encoded: np.ndarray = None    # (n, d) encoded inputs in participant order, for the caller
+    masks: np.ndarray = None      # (n, d) net masks in slot order formed ahead, used once
     _slot: np.ndarray = dc_field(init=False, repr=False, compare=False)  # slot of position p
 
     def __post_init__(self):
@@ -267,8 +265,7 @@ def _reveal(masked: np.ndarray, session: SecAggSession) -> FieldVector:
     session.observations.extend(
         (k, masked[slot]) for k, slot in zip(session.participants, session._slot))
     # one reduction for every row; the observations are views of the rows
-    q = np.uint64(session.params.modulus)
-    np.subtract(masked, q, out=masked, where=masked >= q)
+    reduce_once(masked, session.params.modulus)
     acc = FieldVector.__new__(FieldVector)
     acc.values = _fold((masked >> 32).sum(axis=0), (masked & _MASK32).sum(axis=0),
                        session.params.modulus)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from twmark.field import (
     _matmul_mod,
     _mulmod_m61,
     check_aggregate_bound,
+    reduce_once,
 )
 
 
@@ -89,6 +92,30 @@ class TestMulmodM61:
             got = _mulmod_m61(ext, np.full_like(ext, x))
             want = [(int(v) * int(x)) % M61 for v in ext]
             assert [int(v) for v in got] == want
+
+
+class TestReduceOnce:
+    SHAPES = {"0-d": (), "(1,)": (1,), "(n, 1)": (-1, 1), "(n,)": (-1,)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_mod_q_below_2q(self, data):
+        # warnings are errors, so no shape may warn as x - q wraps
+        q = data.draw(st.sampled_from([7, M61, (1 << 62) - 57, (1 << 63) - 25]), label="q")
+        shape = data.draw(st.sampled_from(sorted(self.SHAPES)), label="shape")
+        edge = st.sampled_from([0, q - 1, q, 2 * q - 1])
+        xs = data.draw(st.lists(st.one_of(edge, st.integers(0, 2 * q - 1)),
+                                min_size=1, max_size=1 if shape in ("0-d", "(1,)") else 40),
+                       label="xs")
+        x = np.array(xs, dtype=np.uint64).reshape(self.SHAPES[shape])
+        got = reduce_once(x, q)
+        assert got is x and got.dtype == np.uint64
+        assert [int(v) for v in got.reshape(-1)] == [v % q for v in xs]
+
+    def test_every_edge_at_once(self):
+        for q in (7, M61, (1 << 62) - 57):
+            x = np.array([0, q - 1, q, 2 * q - 1], dtype=np.uint64)
+            assert reduce_once(x, q).tolist() == [0, q - 1, 0, q - 1]
 
 
 class TestMatmulMod:
@@ -205,6 +232,14 @@ class TestFixedPointCodec:
         with pytest.raises(EncodingOverflowError) as exc:
             codec.encode(x)
         assert exc.value.index == 3
+
+    @pytest.mark.parametrize("exc", [EncodingOverflowError(3, 2e9, 16.0),
+                                     NonFiniteValueError(2, float("nan"))])
+    def test_codec_errors_survive_pickling(self, exc):
+        # a training worker sends its client's error to the parent pickled
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert back.index == exc.index
 
     @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, fM61, bad):

@@ -1,17 +1,19 @@
+import hashlib
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from twmark import protocol
-from twmark.errors import ConfigurationError, NumericalError, ProtocolAbortError, SkipRoundError
+from twmark.errors import (ConfigurationError, EncodingOverflowError, NumericalError,
+                           ProtocolAbortError, SkipRoundError)
 from twmark.experiments import ExperimentConfig, run_plain_fedavg, run_watermarked
 from twmark.field import FieldParams, FieldVector, ProtocolCodecs, check_aggregate_bound
 from twmark.flsim import MlpShape, gen_dataset, init_model
 from twmark.keysetup import setup_trusted_dealer
 from twmark.protocol import (
-    ClientState,
     ClientTrainer,
     GlobalModel,
     ProtocolParams,
@@ -77,32 +79,46 @@ class TestRoundPlan:
         assert all(len(p.participants) == 4 for p in a)
 
 
+def _stepping(monkeypatch, ds, step):
+    """Makes local_train move client k from theta by ``step(k)``, in this
+    process and in the workers of trainers opened after the call."""
+    shards = {k: ds.shard(k - 1)[0] for k in range(1, ds.n_clients + 1)}
+
+    def local_train(theta, X, y, *args, **kwargs):
+        (k,) = [k for k, Xk in shards.items() if np.array_equal(X, Xk)]
+        return theta + step(k)
+
+    monkeypatch.setattr(protocol, "local_train", local_train)
+
+
 class TestEmbedRound:
-    def _run(self, rng, train_fn, participants=(1, 2, 3, 4), c=0.05):
-        setup = _setup(rng)
-        clients = {s.point: ClientState(client_id=s.point, share=s)
-                   for s in setup.shares}
+    """One round through a real ClientTrainer, whose local_train moves
+    client k from theta by ``step(k)``."""
+
+    def _run(self, rng, monkeypatch, step, participants=(1, 2, 3, 4), c=0.05):
+        setup, ds = _setup(rng), _dataset()
+        _stepping(monkeypatch, ds, step)
+        ema = {s.point: 0.0 for s in setup.shares}
         params = ProtocolParams(strength_c=c)
         plan = RoundPlan(round_index=1, participants=tuple(participants),
                          threshold=setup.cfg.threshold)
         gm = GlobalModel(theta=np.zeros(SHAPE.dim), round_index=0)
-        nxt = embed_round(gm, clients, plan, setup, params, train_fn,
-                          session_seed=99)
-        return setup, clients, nxt
+        with ClientTrainer(ds, SHAPE, params, 0, 4, setup.codecs.model,
+                           {s.point: s.values for s in setup.shares}) as train:
+            nxt = embed_round(gm, ema, plan, setup, params, train, session_seed=99)
+        return setup, ema, nxt
 
-    def test_zero_update_round_is_identity(self, rng):
+    def test_zero_update_round_is_identity(self, rng, monkeypatch):
         # no local movement -> scales are 0 -> pure average of theta_k
-        train_fn = lambda theta, ps, r, session: [theta for _ in ps]
-        _, _, nxt = self._run(rng, train_fn)
+        _, _, nxt = self._run(rng, monkeypatch, lambda k: 0.0)
         assert np.abs(nxt.theta).max() <= 2.0 ** -37
 
-    def test_watermark_drift_oracle(self, rng):
+    def test_watermark_drift_oracle(self, rng, monkeypatch):
         # frozen local update v: every client moves by v, so the aggregate
         # should be v + (scale_total / K) * tau up to fixed-point rounding
         v = 0.01 * rng.standard_normal(SHAPE.dim)
-        train_fn = lambda theta, ps, r, session: [theta + v for _ in ps]
         c = 0.05
-        setup, clients, nxt = self._run(rng, train_fn, c=c)
+        setup, ema, nxt = self._run(rng, monkeypatch, lambda k: v, c=c)
         vn = float(np.linalg.norm(v))
         scale_k = c * vn * (0.1 * vn)      # ema after one round from zero init
         scale_total = 4 * scale_k
@@ -110,13 +126,12 @@ class TestEmbedRound:
         assert np.abs(nxt.theta - predicted).max() <= 1e-4
 
     @pytest.mark.parametrize("participants", [(1, 2, 3, 4), (1, 3, 4), (2,)])
-    def test_equals_the_field_reference(self, rng, participants):
+    def test_equals_the_field_reference(self, rng, monkeypatch, participants):
         # bit for bit decode_model(sum_k enc_model(theta_k) + S * w_k) / n,
         # with w_k = derive_embedding_share(s_k), and no term below t
         steps = {k: 0.01 * rng.standard_normal(SHAPE.dim) for k in (1, 2, 3, 4)}
         c = 0.05
-        setup, _, nxt = self._run(rng, lambda theta, ps, r, session: [theta + steps[k] for k in ps],
-                                  participants=participants, c=c)
+        setup, _, nxt = self._run(rng, monkeypatch, steps.get, participants=participants, c=c)
         codecs, beta = setup.codecs, ProtocolParams().ema_beta
         total = 0
         for k in participants:
@@ -136,25 +151,22 @@ class TestEmbedRound:
         want = codecs.model.decode_centered(agg) / len(participants)
         assert np.array_equal(nxt.theta, want)
 
-    def test_below_threshold_embeds_nothing(self, rng):
+    def test_below_threshold_embeds_nothing(self, rng, monkeypatch):
         v = 0.01 * rng.standard_normal(SHAPE.dim)
-        train_fn = lambda theta, ps, r, session: [theta + v for _ in ps]
-        setup, clients, nxt = self._run(rng, train_fn, participants=(1,))
+        setup, ema, nxt = self._run(rng, monkeypatch, lambda k: v, participants=(1,))
         assert np.abs(nxt.theta - v).max() <= 2.0 ** -37
 
     def test_empty_round_skips(self, rng):
         setup = _setup(rng)
-        clients = {s.point: ClientState(client_id=s.point, share=s)
-                   for s in setup.shares}
+        ema = {s.point: 0.0 for s in setup.shares}
         plan = RoundPlan(round_index=1, participants=(), threshold=2)
         with pytest.raises(SkipRoundError):
-            embed_round(GlobalModel(np.zeros(SHAPE.dim), 0), clients, plan,
+            embed_round(GlobalModel(np.zeros(SHAPE.dim), 0), ema, plan,
                         setup, ProtocolParams(), lambda *a: None, 1)
 
-    def test_theta_ceiling_aborts(self, rng):
-        train_fn = lambda theta, ps, r, session: [theta + 50.0 for _ in ps]
+    def test_theta_ceiling_aborts(self, rng, monkeypatch):
         with pytest.raises(ProtocolAbortError):
-            self._run(rng, train_fn)
+            self._run(rng, monkeypatch, lambda k: 50.0)
 
 
 class TestRunProtocol:
@@ -272,6 +284,17 @@ def workers(monkeypatch):
         monkeypatch.setattr(protocol, "_worker_count", lambda n_clients: n)
     yield force
     assert multiprocessing.active_children() == []
+
+
+def _vectors(codec):
+    """A fixed field vector for each of clients 1-4, as a share or an encoded key is."""
+    return {k: codec.encode(rng_from_key(3, "vector", k).standard_normal(SHAPE.dim))
+            for k in (1, 2, 3, 4)}
+
+
+def _session(r, codec):
+    return protocol.SecAggSession(round_id=r, participants=(1, 2, 3, 4), d=SHAPE.dim,
+                                  params=codec.params, session_seed=11)
 
 
 def _thetas(trajectory):
@@ -396,12 +419,12 @@ class TestClientTrainer:
             assert np.array_equal(train(theta, (1, 2, 3, 4), 1), got)
 
     def test_model_sessions_do_not_depend_on_workers(self, workers, monkeypatch):
-        # every model session gets its encodings and net masks from the
+        # every model session gets its submissions and net masks from the
         # trainer, and the server's view and the sum have the same bits
         real = protocol.secagg_sum
 
         def secagg_sum(inputs, session):
-            formed = session.masks is not None and session.encoded is not None
+            formed = session.masks is not None
             out = real(inputs, session)
             seen.append((formed, [(k, m.copy()) for k, m in session.observations], out))
             return out
@@ -425,7 +448,8 @@ class TestClientTrainer:
 
     def test_session_rows_are_right_after_a_worker_raised(self, workers, monkeypatch):
         # client 3 fails in the second worker's slice; the other workers'
-        # thetas, encodings and masks are read, so the next call's are right
+        # reports are read and each takes its abort, so the next call's
+        # submissions and masks are right
         workers(3)
         ds, params, codec = _dataset(), ProtocolParams(batch_size=16), ProtocolCodecs().model
         bad_X = ds.shard(2)[0]
@@ -436,30 +460,30 @@ class TestClientTrainer:
                 raise NumericalError("divergence")
             return real(theta, X, y, *args, **kwargs)
 
-        def session(r):
-            return protocol.SecAggSession(round_id=r, participants=(1, 2, 3, 4), d=SHAPE.dim,
-                                          params=codec.params, session_seed=11)
-
         monkeypatch.setattr(protocol, "local_train", local_train)
         theta = init_model(SHAPE, rng_from_key(0, "init"))
         bad = theta.copy()
         bad[0] = 123.0
-        with ClientTrainer(ds, SHAPE, params, 7, 4, codec) as train:
-            failed = session(1)
+        vectors, coefficients = _vectors(codec), lambda norms, top: [3, 5, 7, 11]
+        with ClientTrainer(ds, SHAPE, params, 7, 4, codec, vectors) as train:
+            failed = _session(1, codec)
             with pytest.raises(NumericalError):
-                train(bad, (1, 2, 3, 4), 1, failed)
-            assert failed.masks is None and failed.encoded is None
-            got = session(2)
-            thetas = train(theta, (1, 2, 3, 4), 2, got).copy()
-            encoded, masks = got.encoded.copy(), got.masks.copy()
+                train(bad, (1, 2, 3, 4), 1, failed, coefficients)
+            assert failed.masks is None
+            got = _session(2, codec)
+            submitted = train(theta, (1, 2, 3, 4), 2, got, coefficients).copy()
+            masks = got.masks.copy()
+            thetas = train(theta, (1, 2, 3, 4), 2).copy()
         workers(0)
-        with ClientTrainer(ds, SHAPE, params, 7, 4, codec) as train:
-            want = session(2)
-            assert np.array_equal(train(theta, (1, 2, 3, 4), 2, want), thetas)
-            assert np.array_equal(want.encoded, encoded)
+        with ClientTrainer(ds, SHAPE, params, 7, 4, codec, vectors) as train:
+            want = _session(2, codec)
+            assert np.array_equal(train(theta, (1, 2, 3, 4), 2, want, coefficients), submitted)
             assert np.array_equal(want.masks, masks)
-        assert np.array_equal(masks, session(2).net_masks())
-        assert np.array_equal(encoded, np.stack([codec.encode(t).values for t in thetas]))
+            assert np.array_equal(train(theta, (1, 2, 3, 4), 2), thetas)
+        assert np.array_equal(masks, _session(2, codec).net_masks())
+        assert np.array_equal(submitted, np.stack([
+            codec.encode(t).add(vectors[k].scalar_mul(c)).values
+            for k, t, c in zip((1, 2, 3, 4), thetas, (3, 5, 7, 11))]))
 
     def test_worker_exits_when_the_parent_end_closes(self, workers):
         workers(1)
@@ -473,3 +497,169 @@ class TestClientTrainer:
         cpus = len(os.sched_getaffinity(0))
         assert protocol._worker_count(1) == 0
         assert protocol._worker_count(64) == cpus - 1
+
+
+class TestTwoPhaseExchange:
+    """A round with a session: every process reports its norms, takes one
+    coefficient message, then returns its submissions and masks."""
+
+    PARTICIPANTS = (1, 2, 3, 4)
+
+    @staticmethod
+    def _trainer(setup, params=ProtocolParams(batch_size=16)):
+        return ClientTrainer(_dataset(), SHAPE, params, 7, 4, setup.codecs.model,
+                             {s.point: s.values for s in setup.shares})
+
+    def _round(self, train, setup, params, threshold=2):
+        ema = dict.fromkeys(self.PARTICIPANTS, 0.0)
+        plan = RoundPlan(1, self.PARTICIPANTS, threshold)
+        gm = GlobalModel(init_model(SHAPE, rng_from_key(0, "init")), 0)
+        return embed_round(gm, ema, plan, setup, params, train, session_seed=99).theta
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    @pytest.mark.parametrize("abort", ["theta-ceiling", "aggregate-bound", "raising-callback"])
+    def test_an_abort_leaves_the_trainer_usable(self, workers, rng, n_workers, abort):
+        setup, params = _setup(rng), ProtocolParams(batch_size=16)
+        workers(0)
+        with self._trainer(setup) as train:
+            want = self._round(train, setup, params)
+        workers(n_workers)
+        with self._trainer(setup) as train:
+            if abort == "raising-callback":
+                def coefficients(norms, theta_abs_max):
+                    raise RuntimeError("no scale")
+
+                theta = init_model(SHAPE, rng_from_key(0, "init"))
+                with pytest.raises(RuntimeError, match="no scale"):
+                    train(theta, self.PARTICIPANTS, 1, _session(1, setup.codecs.model),
+                          coefficients)
+            elif abort == "theta-ceiling":
+                with pytest.raises(ProtocolAbortError, match="above the configured ceiling"):
+                    self._round(train, setup, replace(params, theta_max=1e-3))
+            else:
+                with pytest.raises(ConfigurationError, match="aggregate overflow bound"):
+                    self._round(train, setup, replace(params, scale_max=1e9))
+            assert np.array_equal(self._round(train, setup, params), want)
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    def test_below_threshold_adds_no_term_in_any_process(self, workers, rng, monkeypatch,
+                                                         n_workers):
+        # 1 worker: two clients in each process; 3 workers: one in each
+        real, seen = protocol.secagg_sum, []
+
+        def secagg_sum(inputs, session):
+            seen.append(np.stack([inputs[k].values for k in session.participants]))
+            return real(inputs, session)
+
+        monkeypatch.setattr(protocol, "secagg_sum", secagg_sum)
+        workers(n_workers)
+        setup = _setup(rng)
+        codec = setup.codecs.model
+        with self._trainer(setup, ProtocolParams(batch_size=16, strength_c=5.0)) as train:
+            self._round(train, setup, ProtocolParams(strength_c=5.0), threshold=5)
+            thetas = train(init_model(SHAPE, rng_from_key(0, "init")), self.PARTICIPANTS, 1)
+            assert np.array_equal(seen[0], np.stack([codec.encode(t).values for t in thetas]))
+            self._round(train, setup, ProtocolParams(strength_c=5.0), threshold=4)
+            assert not (seen[1] == seen[0]).all(axis=1).any()    # every client adds a term
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    def test_an_encoding_error_in_a_worker_is_raised_here(self, workers, monkeypatch,
+                                                          n_workers):
+        # client 4, in a worker's slice, moves past the encodable range; the
+        # error comes in place of that worker's report, the others take an
+        # abort, and the next call is right
+        ds, codec = _dataset(), ProtocolCodecs().model
+        bad_X = ds.shard(3)[0]
+        real = protocol.local_train
+
+        def local_train(theta, X, y, *args, **kwargs):
+            out = real(theta, X, y, *args, **kwargs)
+            return out + 1e9 if theta[0] == 123.0 and np.array_equal(X, bad_X) else out
+
+        monkeypatch.setattr(protocol, "local_train", local_train)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        bad = theta.copy()
+        bad[0] = 123.0
+        vectors, coefficients = _vectors(codec), lambda norms, top: [3, 5, 7, 11]
+        runs = []
+        for n in (0, n_workers):
+            workers(n)
+            with ClientTrainer(ds, SHAPE, ProtocolParams(batch_size=16), 7, 4, codec,
+                               vectors) as train:
+                if n:
+                    with pytest.raises(EncodingOverflowError):
+                        train(bad, self.PARTICIPANTS, 1, _session(1, codec), coefficients)
+                session = _session(2, codec)
+                runs.append((train(theta, self.PARTICIPANTS, 2, session, coefficients).copy(),
+                             session.masks.copy()))
+        _assert_same(runs)
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    def test_close_joins_every_worker_after_an_abort(self, workers, rng, n_workers):
+        workers(n_workers)
+        setup = _setup(rng)
+        with self._trainer(setup) as train:
+            procs = [proc for proc, _ in train._workers]
+            assert len(procs) == n_workers
+            with pytest.raises(ProtocolAbortError):
+                self._round(train, setup, ProtocolParams(theta_max=1e-3))
+        assert all(not proc.is_alive() and proc.exitcode == 0 for proc in procs)
+
+
+class TestPinnedDigests:
+    """SHA-256 digests of toy runs, computed at commit e5c29c9, before the
+    clients formed their own submissions: the theta of every checkpoint,
+    and every SecAgg session's observations and output, model and scale
+    sessions alike, in the order they are summed. Each client's local
+    training is a fixed step drawn from its own training stream, so the
+    digests do not depend on how a BLAS build sums; the field arithmetic
+    is exact, so no bit may move whatever the worker count."""
+
+    PINNED = {
+        "embed": ("a4b41a451b1eaed2681deb88ee7469f34b33dfae56538ef276ec72f36ddc4547",
+                  "bc263fe47ccf667b38779f011d9a4e1927783c00101a8340e9ff5dbf34b7ee6d"),
+        "skip": ("a02e55df6a7a4a9592c6efca97de8045dc6eeaf3cd48e555ea301f84d442e68e",
+                 "2d7e18a147ed8dc50ccb0d4ccde4b34d2adea9f6a64c581e949a0360a8c8ba98"),
+        "baseline": ("ba889582392547f1e9d8dda5d74aa4950079fe1437e564b5321540b4272b3b38",
+                     "f24dc4f27e8697f46854e0a64636d17c22ed1783cf9fe6bb6a866e2b6aa43d98"),
+    }
+
+    @staticmethod
+    def _digests(monkeypatch, run):
+        theta, sessions = hashlib.sha256(), hashlib.sha256()
+
+        def logged(real):
+            def secure_sum(inputs, session):
+                out = real(inputs, session)
+                sessions.update(f"{session.round_id} {session.d};".encode())
+                for k, row in session.observations:
+                    sessions.update(f"{k}:".encode() + np.asarray(row, "<u8").tobytes())
+                sessions.update(session.output.values.astype("<u8").tobytes())
+                return out
+            return secure_sum
+
+        def local_train(theta, X, y, shape, rng, **kwargs):
+            return theta + 0.1 * rng.standard_normal(theta.size)
+
+        for name in ("secagg_sum", "secagg_scalar"):
+            monkeypatch.setattr(protocol, name, logged(getattr(protocol, name)))
+        monkeypatch.setattr(protocol, "local_train", local_train)
+        for gm in run():
+            theta.update(np.asarray(gm.theta, "<f8").tobytes())
+        return theta.hexdigest(), sessions.hexdigest()
+
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("name", ["embed", "skip", "baseline"])
+    def test_runs_keep_their_bits(self, workers, monkeypatch, name, n_workers):
+        workers(n_workers)
+        if name == "baseline":
+            def run():
+                return run_baseline(_dataset(K=6), SHAPE, ProtocolParams(strength_c=1.0),
+                                    6, 3, master_seed=1)[0]
+        else:
+            cfg = ExperimentConfig(**TOY, setup_mode="dkg", participation=0.5, strength_c=1.0,
+                                   threshold=3 if name == "embed" else 4)
+
+            def run():
+                return run_watermarked(cfg, seed=5)[2]
+        assert self._digests(monkeypatch, run) == self.PINNED[name]
