@@ -33,8 +33,6 @@ for c, masked in session.observations:
     print(f"client {c}: {len(session.neighbours(c))} neighbours, server sees a "
           f"masked vector (raw hidden: {hidden})")
 
-# the net masks cancel structurally
-total = FieldVector.zeros(d, params)
-for c in participants:
-    total = total.add(session.client_mask(c))
-print("net masks sum to zero:", total == FieldVector.zeros(d, params))
+# the net masks, one row per slot, cancel structurally
+total = session.net_masks().sum(axis=0, dtype=object) % params.modulus
+print("net masks sum to zero:", not total.any())

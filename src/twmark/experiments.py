@@ -313,6 +313,14 @@ def make_coalition_verifier(cfg: ExperimentConfig, setup, calib: CalibrationTabl
 
 # -- commands --
 
+def _check_embeds(participation: float, K: int, t: int):
+    """Refuses a run whose rounds draw max(1, round(participation * K))
+    clients, below t, as no round of it could embed the watermark."""
+    if (drawn := max(1, int(round(participation * K)))) < t:
+        raise ConfigurationError(f"participation {participation} draws {drawn} of {K} "
+                                 f"clients a round, below t = {t}: no round would embed")
+
+
 def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     """Train unwatermarked models, pool cosine null samples, persist table."""
     if cfg.calib_models < 2:
@@ -332,6 +340,7 @@ def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
 def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
     """Watermarked runs for each seed; persists trajectory, shares, config,
     manifest, metrics CSV. Returns per-seed (setup, dataset, trajectory)."""
+    _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
     seeds = [seed] if seed is not None else list(cfg.seeds)
     shape = cfg.shape()
     results = {}
@@ -389,8 +398,9 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
 
     Sweep runs use the reduced sweep_* budget with the per-client shard
     size held fixed, so the data volume grows with K as it would in a
-    real federation. The overflow bound is checked at every K before any
-    run starts. Returns a dict with per-K records and the fitted baseline
+    real federation. The overflow bound, and that a round draws at least
+    t = max(2, K // 2) clients, are checked at every K before any run
+    starts. Returns a dict with per-K records and the fitted baseline
     decay exponent of z vs K (None, and left out of the summary, when the
     sweep has one K); rows carry ``cfg``'s config hash.
     """
@@ -402,6 +412,7 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
         try:
             check_aggregate_bound(shape.dim, K, cfg.theta_max, K * cfg.scale_max,
                                   cfg.codecs()).raise_if_failed()
+            _check_embeds(cfg.participation, K, max(2, K // 2))
         except ConfigurationError as exc:
             raise ConfigurationError(f"k_sweep K={K}: {exc}") from None
     sweep = replace(cfg, batch_size=cfg.sweep_batch)
@@ -453,6 +464,7 @@ def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
                  sweep_budget: bool = False):
     """Accuracy and z across the watermark-strength sweep: ``cfg`` at each c (with
     sweep_budget, at the sweep_* rounds, samples and batch); rows carry its hash."""
+    _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
     shape = cfg.shape()
     rows, records = [], []
     budget = dict(rounds=cfg.sweep_rounds, n_samples=cfg.sweep_samples,

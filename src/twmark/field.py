@@ -277,6 +277,13 @@ class FieldVector:
         self.values = arr
         self.params = params
 
+    @staticmethod
+    def _of(values: np.ndarray, params: FieldParams) -> "FieldVector":
+        """A vector of uint64 ``values`` already in [0, q), taken unchecked."""
+        out = FieldVector.__new__(FieldVector)
+        out.values, out.params = values, params
+        return out
+
     def __len__(self):
         return self.values.size
 
@@ -297,32 +304,22 @@ class FieldVector:
 
     def add(self, other: "FieldVector") -> "FieldVector":
         self._binary_check(other)
-        out = FieldVector.__new__(FieldVector)
-        out.values = reduce_once(self.values + other.values, self.params.modulus)
-        out.params = self.params
-        return out
+        return FieldVector._of(reduce_once(self.values + other.values, self.params.modulus),
+                               self.params)
 
     def sub(self, other: "FieldVector") -> "FieldVector":
         self._binary_check(other)
         q = np.uint64(self.params.modulus)
-        out = FieldVector.__new__(FieldVector)
-        out.values = reduce_once(self.values + (q - other.values), q)
-        out.params = self.params
-        return out
+        return FieldVector._of(reduce_once(self.values + (q - other.values), q), self.params)
 
     def scalar_mul(self, s: int) -> "FieldVector":
         """Multiply every coordinate by the public integer s (mod q)."""
         q = self.params.modulus
         s = s % q
-        out = FieldVector.__new__(FieldVector)
-        out.params = self.params
         if q == M61:
-            out.values = _mulmod_m61(self.values, np.uint64(s))
-        else:
-            out.values = np.array(
-                [s * int(v) % q for v in self.values], dtype=np.uint64
-            )
-        return out
+            return FieldVector._of(_mulmod_m61(self.values, np.uint64(s)), self.params)
+        return FieldVector._of(np.array([s * int(v) % q for v in self.values], dtype=np.uint64),
+                               self.params)
 
     def inner(self, other: "FieldVector") -> int:
         """<self, other> mod q, exact; the oracle behind verify_direct."""
@@ -386,10 +383,7 @@ class FixedPointCodec:
         q = self.params.modulus
         vals = np.copysign(np.floor(np.abs(x) * 2.0 ** self.frac_bits + 0.5), x)
         vals = vals.astype(np.int64).view(np.uint64) + np.uint64(q)
-        vec = FieldVector.__new__(FieldVector)
-        vec.values = reduce_once(vals, q)
-        vec.params = self.params
-        return vec
+        return FieldVector._of(reduce_once(vals, q), self.params)
 
     def encode_scalar(self, x: float) -> int:
         return int(self.encode(np.array([x])).values[0])

@@ -11,16 +11,17 @@ watermark drift is (scale_total / |S_r|) * tau up to fixed-point rounding.
 Rounds with participation below t skip the watermark term entirely.
 
 Clients run on every CPU the process may use: a run's ClientTrainer forks
-one worker per further CPU and cuts each round's participants into
-contiguous slices, one per process, which forms its clients' whole
-submissions, as in SecAgg. It trains and encodes them and sends only their
-update norms and largest |theta_k|. From these this process forms the
-EMAs, scales, theta ceiling, scalar SecAgg and each c_k = S * lambda_k
-while every process forms its slots' net masks; each then adds c_k * w_k
-(w_k: the client's share) and returns submissions and masks. Training
-reads only theta, the client's shard and its stream keyed by (master_seed,
-client id, round), the masks cancel and the field arithmetic is exact, so
-no bit depends on the CPU count.
+one worker per further CPU and cuts each round's slots of the SecAgg
+session into contiguous ranges, one per process, which forms its clients'
+whole masked submissions, as in SecAgg. It trains and encodes them and
+sends only their update norms and largest |theta_k|. From these this
+process forms the EMAs, scales, theta ceiling, scalar SecAgg and each
+c_k = S * lambda_k while every process adds its slots' net masks; each then
+adds c_k * w_k (w_k: the client's share) and returns one masked row per
+slot, whose sum the server reveals. Training reads only theta, the
+client's shard and its stream keyed by (master_seed, client id, round),
+the masks cancel and the field arithmetic is exact, so no bit depends on
+the CPU count.
 
 The per-client baseline (run_baseline) shares this round pipeline, with
 c_k = S_k and w_k = enc_share(tau_k), each client's own key.
@@ -35,12 +36,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolAbortError, SkipRoundError
-from .field import (FieldVector, FixedPointCodec, ProtocolCodecs, check_aggregate_bound,
-                    reduce_once)
+from .field import FixedPointCodec, ProtocolCodecs, check_aggregate_bound, reduce_once
 from .flsim import AdamWParams, MlpShape, init_model, local_train
 from .keysetup import SetupResult
 from .rngutil import rng_from_key
-from .secagg import SecAggSession, secagg_scalar, secagg_sum
+from .secagg import SecAggSession, reveal, secagg_scalar
 from .sharing import lagrange_at_zero
 
 
@@ -114,14 +114,12 @@ def _client_scales(ema: dict, participants: tuple, norms: list,
     return scales
 
 
-def _secure_average(submitted: np.ndarray, codecs: ProtocolCodecs,
+def _secure_average(masked: np.ndarray, codecs: ProtocolCodecs,
                     session: SecAggSession) -> GlobalModel:
-    """Steps (4)-(5): the rows of ``submitted``, enc_model(theta_k) plus the
-    term of each participant in order, are summed under the SecAgg
-    ``session``; the decoded field sum is divided by the participant count."""
-    agg = secagg_sum({k: FieldVector(u, codecs.params)
-                      for k, u in zip(session.participants, submitted)}, session)
-    theta_next = codecs.model.decode_centered(agg) / len(session.participants)
+    """Steps (4)-(5): the server reveals the field sum of ``masked``, each
+    participant's enc_model(theta_k) plus its term and net mask, in slot
+    order; the decoded sum is divided by the participant count."""
+    theta_next = codecs.model.decode_centered(reveal(masked, session)) / len(masked)
     return GlobalModel(theta=theta_next, round_index=session.round_id)
 
 
@@ -147,15 +145,15 @@ def embed_round(global_model: GlobalModel, ema: dict, plan: RoundPlan,
         # (3) scalar SecAgg over the encoded scales, then public re-quantization
         scale_session = SecAggSession(round_id=r, participants=plan.participants, d=1,
                                       params=codecs.params, session_seed=session_seed * 2 + 1)
-        total_enc = secagg_scalar({k: codecs.scale.encode_scalar(s)
-                                   for k, s in zip(plan.participants, scales)}, scale_session)
+        encoded = map(int, codecs.scale.encode(scales).values)
+        total_enc = secagg_scalar(dict(zip(plan.participants, encoded)), scale_session)
         S = quantize_scale(codecs.scale.decode_scalar(total_enc), codecs, params.scale_max)
         # share-embedded terms (Lagrange map cached per participant set)
         lam = lagrange_at_zero(plan.participants, codecs.params)
         return [S * lam[k] for k in plan.participants]
 
-    submitted = train(global_model.theta, plan.participants, r, session, coefficients)
-    return _secure_average(submitted, codecs, session)
+    masked = train(global_model.theta, plan.participants, r, session, coefficients)
+    return _secure_average(masked, codecs, session)
 
 
 def make_plans(n_clients: int, threshold: int, rounds: int,
@@ -195,8 +193,9 @@ def _serve(conn, work, d: int, rows: int, inherited: list):
     """A training worker's loop over requests (client ids, round, model
     session or None, first slot), then theta as raw bytes. It replies None
     and the thetas, or for a session its report and, after a coefficient
-    message other than _ABORT, the submissions and masks (rows: raw bytes);
-    a client's exception replaces the reply. None or EOF ends it (code 0)."""
+    message other than _ABORT, the masked submissions of its slots (rows:
+    raw bytes); a client's exception replaces the reply. None or EOF ends
+    it (code 0)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     for c in inherited:
         c.close()   # the parent's ends: EOF must come when the parent is gone
@@ -215,11 +214,10 @@ def _serve(conn, work, d: int, rows: int, inherited: list):
             if session is None:
                 conn.send_bytes(out[:n])
                 continue
-            masks = session.net_masks(a0, a0 + n)
+            session.mask(enc[:n], a0)
             if (coefficients := conn.recv()) != _ABORT:
                 add_terms(ids, coefficients, enc[:n])
                 conn.send_bytes(enc[:n])
-                conn.send_bytes(masks)
     except (EOFError, OSError):
         pass
 
@@ -228,20 +226,21 @@ class ClientTrainer:
     """The client trainer of every run: local_train on the client's shard
     with the stream keyed by (master_seed, client id, round), on every CPU.
 
-    A call's participants are cut into contiguous slices: this process
-    trains the first, and each of the ``_worker_count`` workers, forked when
-    the trainer opens, one of the others. ``trainer(theta, participants,
-    round_index)`` returns their thetas. With the model SecAgg ``session``,
-    each process also encodes its thetas with ``codec`` and reports their
-    update norms and largest |theta_k|; ``coefficients(norms, theta_abs_max)``
-    maps the reports to each c_k (None: no term) while the processes form
-    their slots' net masks, then each adds c_k * w_k, w_k the client's entry
-    of ``vectors``. The call sets ``session.masks`` and returns the
-    submissions: rows, in participant order, that the next call overwrites.
-    Every process that reported takes one coefficient message, even if
-    ``coefficients`` raises, so the trainer stays in step after any error;
-    a client's exception is raised here, the first in participant order.
-    Use it as a context manager: closing joins every worker.
+    A call is cut into contiguous ranges: this process trains the first,
+    each of the ``_worker_count`` workers, forked when the trainer opens,
+    one of the others. ``trainer(theta, participants, round_index)``
+    returns the thetas in participant order. With the model SecAgg
+    ``session`` of these participants the ranges are of its slots: each
+    process encodes its clients' thetas with ``codec`` and reports their
+    update norms and largest |theta_k| to ``coefficients(norms,
+    theta_abs_max)`` (norms in participant order), which gives each c_k
+    (None: no term) while the processes add their slots' net masks; each
+    then adds c_k * w_k, w_k the client's entry of ``vectors``, and the call
+    returns the masked submissions in slot order, rows the next call
+    overwrites. Every process that reported takes one coefficient message,
+    even if ``coefficients`` raises, so the trainer stays in step after
+    any error; a client's exception is raised here, the first in range
+    order. Use it as a context manager: closing joins every worker.
     """
 
     def __init__(self, dataset, shape: MlpShape, params: ProtocolParams,
@@ -267,7 +266,6 @@ class ClientTrainer:
         self._work = (train, add_terms)
         self._out = np.empty((n_clients, shape.dim))
         self._enc = np.empty((n_clients, shape.dim), np.uint64)
-        self._masks = np.empty((n_clients, shape.dim), np.uint64)
         self._workers = []      # (process, this end of its pipe)
         n_workers = _worker_count(n_clients)
         rows = -(-n_clients // (n_workers + 1))
@@ -294,18 +292,19 @@ class ClientTrainer:
 
     def __call__(self, theta: np.ndarray, participants: tuple, round_index: int,
                  session: SecAggSession = None, coefficients=None):
-        n, out, enc, masks = len(participants), self._out, self._enc, self._masks
+        n, out, enc = len(participants), self._out, self._enc
         cuts = [n * i // (len(self._workers) + 1) for i in range(len(self._workers) + 2)]
+        order = range(n) if session is None else np.argsort(session._slot)
+        ids = tuple(participants[p] for p in order)     # the client of each row
         busy, errors, reports, reporters = [], [], [], []
         for (_, conn), lo, hi in zip(self._workers, cuts[1:], cuts[2:]):
             if lo < hi:
-                conn.send((participants[lo:hi], round_index, session, lo))
+                conn.send((ids[lo:hi], round_index, session, lo))
                 conn.send_bytes(theta)
                 busy.append((conn, lo, hi))
         (train, add_terms), m = self._work, cuts[1]
         try:
-            reports.append(train(theta, participants[:m], round_index, session, out[:m],
-                                 enc[:m]))
+            reports.append(train(theta, ids[:m], round_index, session, out[:m], enc[:m]))
         except Exception as exc:
             errors.append(exc)
         for conn, lo, hi in busy:
@@ -323,17 +322,17 @@ class ClientTrainer:
                 raise errors[0]
             if session is None:
                 return out[:n]
-            c = coefficients([x for norms, _ in reports for x in norms],
-                             max(top for _, top in reports))
+            norms = [x for report, _ in reports for x in report]    # in slot order
+            terms = coefficients([norms[a] for a in session._slot],
+                                 max(top for _, top in reports))
+            c = None if terms is None else [terms[p] for p in order]
         finally:    # every process that reported takes one coefficient message
             for conn, lo, hi in reporters:
                 conn.send(c if c is None or c is _ABORT else c[lo:hi])
-        masks[:m] = session.net_masks(0, m)
-        add_terms(participants[:m], c, enc[:m])
+        session.mask(enc[:m])
+        add_terms(ids[:m], c, enc[:m])
         for conn, lo, hi in reporters:
             conn.recv_bytes_into(enc[lo:hi].reshape(-1))
-            conn.recv_bytes_into(masks[lo:hi].reshape(-1))
-        session.masks = masks[:n]
         return enc[:n]
 
     def close(self):
@@ -402,6 +401,6 @@ def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
 
             session = SecAggSession(round_id=r, participants=participants, d=shape.dim,
                                     params=codecs.params, session_seed=master_seed * 10_000 + r)
-            submitted = train(trajectory[-1].theta, participants, r, session, coefficients)
-            trajectory.append(_secure_average(submitted, codecs, session))
+            masked = train(trajectory[-1].theta, participants, r, session, coefficients)
+            trajectory.append(_secure_average(masked, codecs, session))
     return trajectory, keys

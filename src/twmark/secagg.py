@@ -38,22 +38,23 @@ multiple of q under 2^64. A rejected word is replaced by a draw from a
 fallback stream keyed by the session and the pair's participant ids, which
 leaves every other edge's row in place.
 
-Net masks are formed with numpy over rows in slot order, as split sums of
-the 32-bit halves of the mask words, reduced mod q once at the end, for
-any range of slots a0..a1-1 (``net_masks``; the whole session is 0..n-1).
-A range reads only the rows its slots send or receive: at offset j those
-that slots a0..a1-1 send and those that slots a0-j..a1-j-1 mod n send to
-them, reached with ``PCG64.advance`` and read in blocks of at most
-_BLOCK_WORDS words. Within a block the rows of one offset are a run of
-senders and of receivers j slots on, so each run costs four numpy calls
-whatever d is: its halves are added to the sender rows and subtracted
-from the receiver rows. Receivers past slot a1 - 1 land in r extra rows,
-and those past slot n - 1 are folded back once. A slot's mask sums the
-same exact integers in whichever range it is formed, so ranges give the
-rows of the whole session bit for bit. The processes that train a
-round's clients form the model session's ranges and their submissions
-ahead of ``secagg_sum`` (protocol.ClientTrainer), which adds the two and
-reveals with one branch-free reduction. Every session takes this path.
+Net masks are formed with numpy over rows in slot order, for any range
+of slots a0..a1-1 (``net_masks``; the whole session is 0..n-1). A range
+reads only the rows its slots send or receive: at offset j those that
+slots a0..a1-1 send and those that slots a0-j..a1-j-1 mod n send to them,
+reached with ``PCG64.advance`` and read in blocks of at most _BLOCK_WORDS
+words. Within a block each offset's rows are a run of senders and of
+receivers j slots on (wrapped past slot n - 1), added in two or three
+numpy calls whatever d is to a plain uint64 sum of the rows each slot
+sends and one of those it receives. A slot sends and receives at most
+one row per offset, so the sums are reduced only when one more offset
+could pass 2^64 (M61: before the ninth, n > 256; q near 2^63: before each
+from the third), and (sent - received) mod q is formed once, for M61 by
+the fold (x & q) + (x >> 61). A slot's mask is the same residue in any
+range, so ranges give the whole session's rows bit for bit. The
+processes that train a round's clients each ``mask`` the submissions of
+a range of the model session's slots (protocol.ClientTrainer), and the
+server step ``reveal`` only sums them. Every session takes this path.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
@@ -123,6 +124,17 @@ def _edge(a: int, b: int, n: int) -> tuple:
     raise ConfigurationError(f"slots {a} and {b} of {n} share no mask edge")
 
 
+def _mod(x: np.ndarray, q: int, spare: np.ndarray):
+    """x mod q in place; for M61 only down to at most q + 7, as the fold
+    (x & q) + (x >> 61), since 2^61 = 1 mod q. ``spare``: scratch of x's shape."""
+    if q != M61:
+        np.remainder(x, np.uint64(q), out=x)
+        return
+    np.bitwise_and(x, np.uint64(q), out=spare)
+    x >>= np.uint64(61)
+    x += spare
+
+
 @dataclass
 class SecAggSession:
     """One aggregation round: fixed participants, logged observations."""
@@ -134,7 +146,6 @@ class SecAggSession:
     session_seed: int
     observations: list = dc_field(default_factory=list)  # (client, masked uint64 array)
     output: FieldVector = None
-    masks: np.ndarray = None      # (n, d) net masks in slot order formed ahead, used once
     _slot: np.ndarray = dc_field(init=False, repr=False, compare=False)  # slot of position p
 
     def __post_init__(self):
@@ -178,13 +189,14 @@ class SecAggSession:
         """(a1 - a0, d) net masks of slots a0 .. a1 - 1, in slot order: row
         _slot[p] - a0 for the participant at position p. The whole session
         by default; reads only the stream rows these slots send or receive."""
-        n, d = len(self.participants), self.d
+        n, d, q = len(self.participants), self.d, self.params.modulus
         a1 = n if a1 is None else a1
-        m, reach, (runs, spans) = a1 - a0, _reach(n), _runs(a0, a1, n)
-        # rows m .. m + reach - 1 take the receivers past slot a1 - 1; those
-        # from row n on are slots a0, a0 + 1, ... again, folded back once
-        hi = np.zeros((m + reach, d), dtype=np.uint64)
-        lo = np.zeros((m + reach, d), dtype=np.uint64)
+        m, (runs, spans) = a1 - a0, _runs(a0, a1, n)
+        sent, (got, spare) = np.zeros((m, d), np.uint64), np.zeros((2, m, d), np.uint64)
+        # a slot sends and receives at most one row below q per offset, and
+        # `room` such rows sum below 2^64; a reduced sum counts as one row
+        # (for M61 one row plus 8: 8q < 2^64 still)
+        room, held, offset = (2**64 - 1) // (q - 1), 0, 0
         stream, at, i = self._stream(), 0, 0
         step = max(1, _BLOCK_WORDS // d)
         for s0, s1 in spans:
@@ -193,61 +205,50 @@ class SecAggSession:
                 stream.advance((b0 - at) * d)
                 at = b1
                 block = self._rows(stream.random_raw((b1 - b0) * d).reshape(-1, d), b0)
-                top = block >> 32
-                block &= _MASK32
                 while i < len(runs) and runs[i][0] < b1:
                     r0, r1, j, x = runs[i]
+                    if j > offset:
+                        if held == room:
+                            _mod(sent, q, spare)
+                            _mod(got, q, spare)
+                            held = 1
+                        held, offset = held + 1, j
                     c0, c1 = max(r0, b0), min(r1, b1)
                     x += c0 - r0                  # the sender of row c0
-                    skip = max(-x, 0)             # senders below a0 are not in the range
-                    if skip < c1 - c0:
-                        hi[x + skip:x + c1 - c0] += top[c0 - b0 + skip:c1 - b0]
-                        lo[x + skip:x + c1 - c0] += block[c0 - b0 + skip:c1 - b0]
-                    hi[x + j:x + j + c1 - c0] -= top[c0 - b0:c1 - b0]
-                    lo[x + j:x + j + c1 - c0] -= block[c0 - b0:c1 - b0]
+                    rows = block[c0 - b0:c1 - b0]
+                    # senders from a0 on, and their receivers j slots on,
+                    # those past slot n - 1 wrapped back to slot 0
+                    for acc, y in ((sent, x), (got, x + j), (got, x + j - n)):
+                        lo, hi = max(y, 0), min(y + c1 - c0, m)
+                        if lo < hi:
+                            acc[lo:hi] += rows[lo - y:hi - y]
                     if r1 > b1:
                         break                     # the run goes on in the next block
                     i += 1
-        wrap = max(m + reach - n, 0)
-        hi[:wrap] += hi[n:]
-        lo[:wrap] += lo[n:]
-        return _fold(hi[:m], lo[:m], self.params.modulus)
+        _mod(sent, q, spare)        # below q, for M61 at most q + 7
+        _mod(got, q, spare)
+        sent += np.uint64(2 * q if q == M61 else q)
+        sent -= got
+        if q == M61:
+            _mod(sent, q, spare)    # from at most 3q + 7 to q + 3
+        # reduce_once, with spare as its scratch
+        return np.minimum(sent, np.subtract(sent, np.uint64(q), out=spare), out=sent)
 
-    def _position(self, k: int) -> int:
-        try:
-            return self.participants.index(k)
-        except ValueError:
-            raise ConfigurationError(f"{k} is not a participant") from None
+    def mask(self, rows: np.ndarray, a0: int = 0) -> np.ndarray:
+        """``rows``, the field elements of slots a0, a0 + 1, ..., plus their
+        net masks mod q, in place: the submissions those clients send."""
+        rows += self.net_masks(a0, a0 + len(rows))   # both < q < 2^63
+        return reduce_once(rows, self.params.modulus)
 
     def neighbours(self, k: int) -> tuple:
         """The participants client k shares a pair mask with, ascending."""
+        if k not in self.participants:
+            raise ConfigurationError(f"{k} is not a participant")
         n = len(self.participants)
-        dist = (self._slot - self._slot[self._position(k)]) % n
+        dist = (self._slot - self._slot[self.participants.index(k)]) % n
         dist = np.minimum(dist, n - dist)
         joined = (dist > 0) & (dist <= _reach(n))
         return tuple(p for p, j in zip(self.participants, joined) if j)
-
-    def pair_mask(self, i: int, j: int) -> FieldVector:
-        """Mask client i adds for its edge to client j, i < j; j subtracts it."""
-        if i >= j:
-            raise ConfigurationError("pair masks are keyed by i < j")
-        si, sj = (int(self._slot[self._position(k)]) for k in (i, j))
-        try:
-            row, sign = _edge(si, sj, len(self.participants))
-        except ConfigurationError:
-            raise ConfigurationError(f"clients {i} and {j} share no mask edge in "
-                                     f"round {self.round_id}") from None
-        stream = self._stream()
-        stream.advance(row * self.d)
-        raw = stream.random_raw(self.d).reshape(1, -1)
-        mask = FieldVector(self._rows(raw, row)[0], self.params)
-        return mask if sign > 0 else FieldVector.zeros(self.d, self.params).sub(mask)
-
-    def client_mask(self, k: int) -> FieldVector:
-        """Net mask client k applies: + for the rows its slot sends, - for
-        the rows it receives."""
-        slot = int(self._slot[self._position(k)])
-        return FieldVector(self.net_masks(slot, slot + 1)[0], self.params)
 
 
 def _check_participants(inputs: dict, session: SecAggSession):
@@ -258,20 +259,16 @@ def _check_participants(inputs: dict, session: SecAggSession):
         )
 
 
-def _reveal(masked: np.ndarray, session: SecAggSession) -> FieldVector:
-    """Field sum of the rows of ``masked``, the (n, d) masked submissions in
-    slot order, each below 2q; logs every participant's row as its
-    observation and sets the session output."""
+def reveal(masked: np.ndarray, session: SecAggSession) -> FieldVector:
+    """The server's step: the field sum of the rows of ``masked``, the (n, d)
+    masked submissions in slot order, each in [0, q). Logs every
+    participant's row, a view, as its observation and sets the output."""
     session.observations.extend(
         (k, masked[slot]) for k, slot in zip(session.participants, session._slot))
-    # one reduction for every row; the observations are views of the rows
-    reduce_once(masked, session.params.modulus)
-    acc = FieldVector.__new__(FieldVector)
-    acc.values = _fold((masked >> 32).sum(axis=0), (masked & _MASK32).sum(axis=0),
-                       session.params.modulus)
-    acc.params = session.params
-    session.output = acc
-    return acc
+    session.output = FieldVector._of(_fold((masked >> 32).sum(axis=0),
+                                           (masked & _MASK32).sum(axis=0),
+                                           session.params.modulus), session.params)
+    return session.output
 
 
 def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
@@ -289,12 +286,10 @@ def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
                 f"round {session.round_id}: client {k} submitted length {len(vec)}, "
                 f"expected {session.d}"
             )
-    # the net masks, formed ahead or here, become the matrix of masked submissions
-    masked = session.net_masks() if session.masks is None else session.masks
-    session.masks = None
+    rows = np.empty((len(inputs), session.d), dtype=np.uint64)
     for k, slot in zip(session.participants, session._slot):
-        masked[slot] += inputs[k].values   # both < q < 2^63, no overflow
-    return _reveal(masked, session)
+        rows[slot] = inputs[k].values
+    return reveal(session.mask(rows), session)
 
 
 def secagg_scalar(inputs: dict, session: SecAggSession) -> int:
@@ -313,6 +308,6 @@ def secagg_scalar(inputs: dict, session: SecAggSession) -> int:
             raise ConfigurationError(f"round {session.round_id}: client {k} submitted "
                                      f"{inputs[k]!r}, not an integer in [0, q)")
         values.append(v)
-    masked = session.net_masks()
-    masked[session._slot, 0] += np.array(values, dtype=np.uint64)   # both < q < 2^63
-    return int(_reveal(masked, session).values[0])
+    rows = np.empty((len(values), 1), dtype=np.uint64)
+    rows[session._slot, 0] = values
+    return int(reveal(session.mask(rows), session).values[0])

@@ -16,6 +16,12 @@ def fM61():
 
 
 @pytest.fixture
+def fQ63():
+    """The largest prime below 2^63: two field elements fill a uint64."""
+    return FieldParams(2**63 - 25)
+
+
+@pytest.fixture
 def codecs():
     return ProtocolCodecs()
 

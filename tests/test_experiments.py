@@ -26,7 +26,7 @@ from twmark.experiments import (
 from twmark.field import FieldParams, FixedPointCodec
 from twmark.keysetup import SetupResult, save_share, setup_trusted_dealer
 from twmark.flsim import MlpShape, init_model
-from twmark.protocol import GlobalModel
+from twmark.protocol import GlobalModel, make_plans
 from twmark.rngutil import rng_from_key
 from twmark.sharing import ShamirConfig
 
@@ -504,6 +504,16 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_train_refuses_participation_below_t(self, tmp_path, capsys):
+        # K=4, t=3: participation 0.4 draws round(1.6) = 2 clients a round,
+        # so every round would skip the watermark; such a run once exited 0
+        code = cli.main(["train", *self.TINY, "--set", "threshold=3",
+                         "--set", "participation=0.4", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("error: participation 0.4 draws 2 of 4 clients a round, below t = 3: "
+                "no round would embed") in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/run_seed*"))
+
     def test_verify_rejects_calibration_with_empty_fingerprint(self, cli_workspace,
                                                                tmp_path, capsys):
         # an empty fingerprint once skipped the architecture check, so the
@@ -659,6 +669,23 @@ class TestSweeps:
                             lambda *a, **kw: pytest.fail("run_setup was called"))
         with pytest.raises(ConfigurationError, match=f"^k_sweep K={K}: aggregate overflow"):
             experiments.cmd_scalability(cfg, calib=None)
+
+    def test_sweeps_refuse_participation_below_t(self, monkeypatch):
+        # K=32, t=16: participation 0.4 draws 13 clients a round; in the K
+        # sweep t is max(2, K // 2), and K=8 draws 3 of 8, below 4
+        for name in ("run_setup", "run_watermarked"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, **kw: pytest.fail("a run was started"))
+        cfg = ExperimentConfig(participation=0.4, seeds=(0,))
+        with pytest.raises(ConfigurationError,
+                           match=r"^participation 0.4 draws 13 of 32 clients a round, "
+                                 r"below t = 16"):
+            experiments.cmd_fidelity(cfg, calib=None)
+        with pytest.raises(ConfigurationError,
+                           match=r"^k_sweep K=8: participation 0.4 draws 3 of 8 clients"):
+            experiments.cmd_scalability(dataclasses.replace(cfg, k_sweep=(8, 16)), calib=None)
+        # the count make_plans draws
+        assert len(make_plans(8, 4, 1, 0.4, master_seed=0)[0].participants) == 3
 
     def test_one_k_fits_no_decay_exponent(self, cli_workspace, tmp_path, capsys):
         # a line through one K would raise RankWarning, an error under the

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import multiprocessing
 import os
 from dataclasses import replace
@@ -302,6 +303,26 @@ def _session(r, codec):
                                   params=codec.params, session_seed=11)
 
 
+class _Recorder:
+    """The parent's end of a worker's pipe, keeping every reply and row
+    set the worker sends it."""
+
+    def __init__(self, conn):
+        self.conn, self.replies, self.rows = conn, [], []
+
+    def recv(self):
+        reply = self.conn.recv()
+        self.replies.append(reply)
+        return reply
+
+    def recv_bytes_into(self, buf):
+        self.conn.recv_bytes_into(buf)
+        self.rows.extend(np.frombuffer(buf, np.uint64).reshape(-1, SHAPE.dim).copy())
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
 def _thetas(trajectory):
     return [gm.theta for gm in trajectory]
 
@@ -424,29 +445,37 @@ class TestClientTrainer:
             assert np.array_equal(train(theta, (1, 2, 3, 4), 1), got)
 
     def test_model_sessions_do_not_depend_on_workers(self, workers, monkeypatch):
-        # every model session gets its submissions and net masks from the
-        # trainer, and the server's view and the sum have the same bits
-        real = protocol.secagg_sum
+        # every model session gets its masked rows from the trainer, each
+        # process forms the net masks of its own slots only, and the
+        # server's view and the sum have the same bits
+        real_reveal, real_masks = protocol.reveal, protocol.SecAggSession.net_masks
 
-        def secagg_sum(inputs, session):
-            formed = session.masks is not None
-            out = real(inputs, session)
-            seen.append((formed, [(k, m.copy()) for k, m in session.observations], out))
+        def reveal(masked, session):
+            out = real_reveal(masked, session)
+            seen.append(([(k, m.copy()) for k, m in session.observations], out))
             return out
 
-        monkeypatch.setattr(protocol, "secagg_sum", secagg_sum)
+        def net_masks(session, a0=0, a1=None):
+            if session.d > 1:
+                ranges.append((len(session.participants), a0, a1))
+            return real_masks(session, a0, a1)
+
+        monkeypatch.setattr(protocol, "reveal", reveal)
+        monkeypatch.setattr(protocol.SecAggSession, "net_masks", net_masks)
         cfg = ExperimentConfig(**TOY, threshold=2, participation=0.5)
         runs = []
         for n in WORKER_COUNTS:
             workers(n)
-            seen = []
+            seen, ranges = [], []
             run_watermarked(cfg, seed=5)
             run_baseline(_dataset(K=6), SHAPE, ProtocolParams(batch_size=16), 6, 2,
                          master_seed=1)
-            assert len(seen) == 5 and all(formed for formed, _, _ in seen)
+            assert len(seen) == 5
+            # this process's calls: its own first range of each model session
+            assert ranges == [(k, 0, k // (n + 1)) for k in (3, 3, 3, 6, 6)]
             runs.append(seen)
         for other in runs[1:]:
-            for (_, obs_a, out_a), (_, obs_b, out_b) in zip(runs[0], other):
+            for (obs_a, out_a), (obs_b, out_b) in zip(runs[0], other):
                 assert out_a == out_b
                 assert [k for k, _ in obs_a] == [k for k, _ in obs_b]
                 assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(obs_a, obs_b))
@@ -454,7 +483,7 @@ class TestClientTrainer:
     def test_session_rows_are_right_after_a_worker_raised(self, workers, monkeypatch):
         # client 3 fails in the second worker's slice; the other workers'
         # reports are read and each takes its abort, so the next call's
-        # submissions and masks are right
+        # masked submissions are right
         workers(3)
         ds, params, codec = _dataset(), ProtocolParams(batch_size=16), ProtocolCodecs().model
         bad_X = ds.shard(2)[0]
@@ -474,21 +503,20 @@ class TestClientTrainer:
             failed = _session(1, codec)
             with pytest.raises(NumericalError):
                 train(bad, (1, 2, 3, 4), 1, failed, coefficients)
-            assert failed.masks is None
-            got = _session(2, codec)
-            submitted = train(theta, (1, 2, 3, 4), 2, got, coefficients).copy()
-            masks = got.masks.copy()
+            assert failed == _session(1, codec)     # left as it was
+            masked = train(theta, (1, 2, 3, 4), 2, _session(2, codec), coefficients).copy()
             thetas = train(theta, (1, 2, 3, 4), 2).copy()
         workers(0)
         with ClientTrainer(ds, SHAPE, params, 7, 4, codec, vectors) as train:
-            want = _session(2, codec)
-            assert np.array_equal(train(theta, (1, 2, 3, 4), 2, want, coefficients), submitted)
-            assert np.array_equal(want.masks, masks)
+            assert np.array_equal(train(theta, (1, 2, 3, 4), 2, _session(2, codec),
+                                        coefficients), masked)
             assert np.array_equal(train(theta, (1, 2, 3, 4), 2), thetas)
-        assert np.array_equal(masks, _session(2, codec).net_masks())
-        assert np.array_equal(submitted, np.stack([
-            codec.encode(t).add(vectors[k].scalar_mul(c)).values
-            for k, t, c in zip((1, 2, 3, 4), thetas, (3, 5, 7, 11))]))
+        session = _session(2, codec)
+        masks = session.net_masks()
+        assert np.array_equal(masked[session._slot], np.stack([
+            codec.encode(t).add(vectors[k].scalar_mul(c)).add(
+                FieldVector(masks[a], codec.params)).values
+            for k, t, c, a in zip((1, 2, 3, 4), thetas, (3, 5, 7, 11), session._slot)]))
 
     def test_worker_exits_when_the_parent_end_closes(self, workers):
         workers(1)
@@ -506,7 +534,7 @@ class TestClientTrainer:
 
 class TestTwoPhaseExchange:
     """A round with a session: every process reports its norms, takes one
-    coefficient message, then returns its submissions and masks."""
+    coefficient message, then returns its masked submissions."""
 
     PARTICIPANTS = (1, 2, 3, 4)
 
@@ -549,14 +577,16 @@ class TestTwoPhaseExchange:
     @pytest.mark.parametrize("n_workers", (1, 3))
     def test_below_threshold_adds_no_term_in_any_process(self, workers, rng, monkeypatch,
                                                          n_workers):
-        # 1 worker: two clients in each process; 3 workers: one in each
-        real, seen = protocol.secagg_sum, []
+        # 1 worker: two clients in each process; 3 workers: one in each. The
+        # server's rows less the net masks are the submissions
+        real, seen = protocol.reveal, []
 
-        def secagg_sum(inputs, session):
-            seen.append(np.stack([inputs[k].values for k in session.participants]))
-            return real(inputs, session)
+        def reveal(masked, session):
+            q = np.uint64(session.params.modulus)
+            seen.append(((masked + q - session.net_masks()) % q)[session._slot])
+            return real(masked, session)
 
-        monkeypatch.setattr(protocol, "secagg_sum", secagg_sum)
+        monkeypatch.setattr(protocol, "reveal", reveal)
         workers(n_workers)
         setup = _setup(rng)
         codec = setup.codecs.model
@@ -594,10 +624,56 @@ class TestTwoPhaseExchange:
                 if n:
                     with pytest.raises(EncodingOverflowError):
                         train(bad, self.PARTICIPANTS, 1, _session(1, codec), coefficients)
-                session = _session(2, codec)
-                runs.append((train(theta, self.PARTICIPANTS, 2, session, coefficients).copy(),
-                             session.masks.copy()))
+                runs.append([train(theta, self.PARTICIPANTS, 2, _session(2, codec),
+                                   coefficients).copy()])
         _assert_same(runs)
+
+    @pytest.mark.parametrize("n_workers", (0, 1, 3))
+    def test_workers_send_only_masked_rows(self, workers, n_workers):
+        # a sparse graph (K = 10), so that slots are not in participant
+        # order: every row a worker sends is its client's observation, and
+        # none is the client's encoding or its encoding plus its term
+        K, d = 10, SHAPE.dim
+        workers(n_workers)
+        ds, codec = _dataset(K=K), ProtocolCodecs().model
+        vectors = {k: codec.encode(rng_from_key(3, "vector", k).standard_normal(d))
+                   for k in range(1, K + 1)}
+        terms = [3 + 2 * k for k in range(1, K + 1)]
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        session = protocol.SecAggSession(round_id=2, participants=tuple(range(1, K + 1)),
+                                         d=d, params=codec.params, session_seed=11)
+        assert not np.array_equal(session._slot, np.arange(K))
+        reports = []
+        with ClientTrainer(ds, SHAPE, ProtocolParams(batch_size=16), 7, K, codec,
+                           vectors) as train:
+            train._workers = [(proc, _Recorder(conn)) for proc, conn in train._workers]
+            masked = train(theta, session.participants, 2, session,
+                           lambda norms, top: reports.append(norms) or terms).copy()
+            sent = [(conn.replies[:], conn.rows[:]) for _, conn in train._workers]
+            thetas = train(theta, session.participants, 2).copy()
+        # the norms reach the callback, and the terms the clients, in
+        # participant order
+        assert reports == [[float(np.linalg.norm(t - theta)) for t in thetas]]
+        want = FieldVector.zeros(d, codec.params)
+        for k, t, c in zip(session.participants, thetas, terms):
+            want = want.add(codec.encode(t).add(vectors[k].scalar_mul(c)))
+        assert protocol.reveal(masked, session) == want
+        observed = dict(session.observations)
+        at = np.argsort(session._slot)      # the position at each slot
+        m = K // (n_workers + 1)
+        assert sum(len(rows) for _, rows in sent) == K - m
+        for (replies, rows), a0 in zip(sent, itertools.accumulate(
+                [m] + [len(rows) for _, rows in sent])):
+            # the report holds only update norms and the largest |theta_k|
+            assert [type(x) for r in replies for x in (*r[0], r[1])] == \
+                [float] * (len(rows) + 1)
+            for a, row in enumerate(rows, a0):
+                p = at[a]
+                k = session.participants[p]
+                assert np.array_equal(row, observed[k])
+                enc = codec.encode(thetas[p])
+                assert not np.array_equal(row, enc.values)
+                assert not np.array_equal(row, enc.add(vectors[k].scalar_mul(terms[p])).values)
 
     @pytest.mark.parametrize("n_workers", (1, 3))
     def test_close_joins_every_worker_after_an_abort(self, workers, rng, n_workers):
@@ -627,6 +703,11 @@ class TestPinnedDigests:
                  "2d7e18a147ed8dc50ccb0d4ccde4b34d2adea9f6a64c581e949a0360a8c8ba98"),
         "baseline": ("ba889582392547f1e9d8dda5d74aa4950079fe1437e564b5321540b4272b3b38",
                      "f24dc4f27e8697f46854e0a64636d17c22ed1783cf9fe6bb6a866e2b6aa43d98"),
+        # K = 10: a sparse mask graph, whose slots are not in participant
+        # order; computed at commit fdfb00f, before the processes took
+        # ranges of slots
+        "sparse": ("9c3a87fa9748ed8ce5258a3e820df06a01a98cb8ce2f206255122c403b4c04b9",
+                   "14d01ba45ea9fe5e6c2a0450e9b3daa107c0b66523683917a2e6d2b4831a00e2"),
     }
 
     @staticmethod
@@ -634,8 +715,8 @@ class TestPinnedDigests:
         theta, sessions = hashlib.sha256(), hashlib.sha256()
 
         def logged(real):
-            def secure_sum(inputs, session):
-                out = real(inputs, session)
+            def secure_sum(values, session):
+                out = real(values, session)
                 sessions.update(f"{session.round_id} {session.d};".encode())
                 for k, row in session.observations:
                     sessions.update(f"{k}:".encode() + np.asarray(row, "<u8").tobytes())
@@ -646,7 +727,7 @@ class TestPinnedDigests:
         def local_train(theta, X, y, shape, rng, **kwargs):
             return theta + 0.1 * rng.standard_normal(theta.size)
 
-        for name in ("secagg_sum", "secagg_scalar"):
+        for name in ("reveal", "secagg_scalar"):
             monkeypatch.setattr(protocol, name, logged(getattr(protocol, name)))
         monkeypatch.setattr(protocol, "local_train", local_train)
         for gm in run():
@@ -654,13 +735,19 @@ class TestPinnedDigests:
         return theta.hexdigest(), sessions.hexdigest()
 
     @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("name", ["embed", "skip", "baseline"])
+    @pytest.mark.parametrize("name", ["embed", "skip", "baseline", "sparse"])
     def test_runs_keep_their_bits(self, workers, monkeypatch, name, n_workers):
         workers(n_workers)
         if name == "baseline":
             def run():
                 return run_baseline(_dataset(K=6), SHAPE, ProtocolParams(strength_c=1.0),
                                     6, 3, master_seed=1)[0]
+        elif name == "sparse":
+            cfg = ExperimentConfig(n_clients=10, threshold=5, hidden=8, n_samples=800,
+                                   n_test=80, rounds=3, batch_size=16, strength_c=1.0)
+
+            def run():
+                return run_watermarked(cfg, seed=5)[2]
         else:
             cfg = ExperimentConfig(**TOY, setup_mode="dkg", participation=0.5, strength_c=1.0,
                                    threshold=3 if name == "embed" else 4)

@@ -27,7 +27,7 @@ def _inputs(params, session, rng):
 
 
 class TestSecAggSum:
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("field", ["f7", "fM61", "fQ63"])
     def test_output_equals_plain_sum(self, field, rng, request):
         params = request.getfixturevalue(field)
         session = _session(params)
@@ -43,7 +43,7 @@ class TestSecAggSum:
         session = _session(fM61, participants=(1, 2, 3, 5, 9))
         total = FieldVector.zeros(session.d, fM61)
         for k in session.participants:
-            total = total.add(session.client_mask(k))
+            total = total.add(_client_mask(session, k))
         assert total == FieldVector.zeros(session.d, fM61)
 
     def test_observations_are_masked(self, fM61, rng):
@@ -86,11 +86,6 @@ class TestSecAggSum:
         with pytest.raises(ConfigurationError):
             _session(fM61, participants=(1, 1, 2))
 
-    def test_pair_mask_requires_ordered_pair(self, fM61):
-        session = _session(fM61)
-        with pytest.raises(ConfigurationError):
-            session.pair_mask(2, 2)
-
 
 def _applied_masks(session, inputs):
     """observation_k - input_k for every client k of a finished session."""
@@ -129,14 +124,34 @@ def _run_words(n, d, rows):
     return [w for r0, r1 in zip(cuts, cuts[1:]) for w in (r0 * d, r1 * d - 1)]
 
 
+def _client_mask(session, k):
+    """Net mask client k applies: the one-slot range of its slot."""
+    slot = int(session._slot[session.participants.index(k)])
+    return FieldVector(session.net_masks(slot, slot + 1)[0], session.params)
+
+
+def _pair_mask(session, i, j):
+    """The per-edge reference: the mask client i adds for its edge to client
+    j, i < j, which j subtracts; the edge's one stream row, reached with
+    PCG64.advance."""
+    assert i < j
+    si, sj = (int(session._slot[session.participants.index(k)]) for k in (i, j))
+    row, sign = secagg._edge(si, sj, len(session.participants))
+    stream = session._stream()
+    stream.advance(row * session.d)
+    raw = stream.random_raw(session.d).reshape(1, -1)
+    mask = FieldVector(session._rows(raw, row)[0], session.params)
+    return mask if sign > 0 else FieldVector.zeros(session.d, session.params).sub(mask)
+
+
 def _sum_of_pair_masks(session, k):
-    """Reference net mask of client k, built edge by edge from pair_mask."""
+    """Reference net mask of client k, built edge by edge from _pair_mask."""
     mask = FieldVector.zeros(session.d, session.params)
     for other in session.neighbours(k):
         if k < other:
-            mask = mask.add(session.pair_mask(k, other))
+            mask = mask.add(_pair_mask(session, k, other))
         elif other < k:
-            mask = mask.sub(session.pair_mask(other, k))
+            mask = mask.sub(_pair_mask(session, other, k))
     return mask
 
 
@@ -175,7 +190,7 @@ class TestMaskLayout:
         secagg_sum(inputs, session)
         applied = _applied_masks(session, inputs)
         for k in session.participants:
-            assert applied[k] == session.client_mask(k)
+            assert applied[k] == _client_mask(session, k)
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
     def test_pair_masks_are_the_applied_rows(self, field, rng, request):
@@ -187,26 +202,21 @@ class TestMaskLayout:
         for k in session.participants:
             assert applied[k] == _sum_of_pair_masks(session, k)
 
-    def test_pair_mask_requires_participants(self, fM61):
-        session = _session(fM61, participants=(1, 2, 3, 5, 9))
-        with pytest.raises(ConfigurationError):
-            session.pair_mask(3, 4)
-
     @pytest.mark.parametrize("block_rows", [1, 3])
     def test_block_size_does_not_change_masks(self, fM61, monkeypatch, block_rows):
         d = 16
         want_session = _session(fM61, d=d, participants=tuple(range(1, 12)))
-        want = [want_session.client_mask(k) for k in want_session.participants]
+        want = [_client_mask(want_session, k) for k in want_session.participants]
         monkeypatch.setattr(secagg, "_BLOCK_WORDS", block_rows * d)
         session = _session(fM61, d=d, participants=tuple(range(1, 12)))
-        assert [session.client_mask(k) for k in session.participants] == want
+        assert [_client_mask(session, k) for k in session.participants] == want
 
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("field", ["f7", "fM61", "fQ63"])
     def test_rejected_word_is_replaced(self, field, rng, request, monkeypatch):
         params = request.getfixturevalue(field)
         participants, d = (1, 2, 3, 5, 9), 8
         plain = _session(params, d=d, participants=participants)
-        before = plain.pair_mask(2, 5)
+        before = _pair_mask(plain, 2, 5)
         # pair (2, 5) sits at slots (1, 3), which slot 1 sends: coordinate 4
         row, sign = secagg._edge(1, 3, len(participants))
         assert sign == 1
@@ -226,11 +236,11 @@ class TestMaskLayout:
             assert applied[k] == _sum_of_pair_masks(session, k)
         # only the rejected word changes, to the pair's first fallback draw
         fallback = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 1, 2, 5))))
-        after = session.pair_mask(2, 5)
+        after = _pair_mask(session, 2, 5)
         assert int(after.values[4]) == int(params.uniform(fallback, 1)[0])
         assert np.array_equal(np.delete(after.values, 4), np.delete(before.values, 4))
-        assert session.pair_mask(1, 2) == plain.pair_mask(1, 2)
-        assert session.pair_mask(5, 9) == plain.pair_mask(5, 9)
+        assert _pair_mask(session, 1, 2) == _pair_mask(plain, 1, 2)
+        assert _pair_mask(session, 5, 9) == _pair_mask(plain, 5, 9)
 
     def test_masks_cancel_at_k128_d1(self, fM61, rng):
         session = _session(fM61, d=1, participants=tuple(range(1, 129)))
@@ -326,7 +336,7 @@ class TestGraph:
         # first against the pair masks
         params = request.getfixturevalue(field)
         session = _session(params, d=16, participants=tuple(range(1, 2 * n, 2)))
-        masks = [session.client_mask(k) for k in session.participants]
+        masks = [_client_mask(session, k) for k in session.participants]
         assert masks == [_sum_of_pair_masks(session, k) for k in session.participants]
         masks = np.stack([m.values for m in masks])
         assert hashlib.sha256(masks.tobytes()).hexdigest()[:16] == digest
@@ -356,19 +366,21 @@ class TestGraph:
         assert secagg_sum(inputs, session) == _field_sum(inputs, session.d, params)
         applied = _applied_masks(session, inputs)
         for k in session.participants:
-            assert applied[k] == session.client_mask(k)
+            assert applied[k] == _client_mask(session, k)
             assert applied[k] == _sum_of_pair_masks(session, k)
 
-    def test_pair_mask_of_a_non_edge_raises(self, fM61):
+    def test_edge_of_a_non_neighbour_raises(self, fM61):
         session = _session(fM61, participants=tuple(range(1, 12)))
         strangers = [p for p in session.participants
                      if p != 1 and p not in session.neighbours(1)]
         assert len(strangers) == 10 - secagg.mask_degree(11)
+        slot = dict(zip(session.participants, map(int, session._slot)))
         for p in strangers:
-            with pytest.raises(ConfigurationError, match="no mask edge"):
-                session.pair_mask(1, p)
+            for a, b in ((1, p), (p, 1)):
+                with pytest.raises(ConfigurationError, match="no mask edge"):
+                    secagg._edge(slot[a], slot[b], 11)
 
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("field", ["f7", "fM61", "fQ63"])
     def test_rejected_word_in_a_sparse_edge(self, field, rng, request, monkeypatch):
         params = request.getfixturevalue(field)
         participants, d = tuple(range(1, 12)), 8
@@ -377,7 +389,7 @@ class TestGraph:
         # the edge between slots n-1 and 0 wraps around the circle
         i, j = sorted(p for p in participants if slot[p] in (0, 10))
         assert j in plain.neighbours(i)
-        before = plain.pair_mask(i, j)
+        before = _pair_mask(plain, i, j)
         row, sign = secagg._edge(0, 10, 11)
         at = row * d + 5
         _force_words(monkeypatch, at)
@@ -392,7 +404,7 @@ class TestGraph:
         # only the rejected word changes, to the pair's first fallback draw
         fallback = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 1, i, j))))
         raw = int(params.uniform(fallback, 1)[0])
-        after = session.pair_mask(i, j)
+        after = _pair_mask(session, i, j)
         sends = (slot[i] == 0) == (sign == 1)
         want = raw if sends else (params.modulus - raw) % params.modulus
         assert int(after.values[5]) == want
@@ -439,7 +451,7 @@ class TestSerialMasks:
     """Masks over whole sessions, with rejected words at the first and the
     last row of several senders and at the ends of every offset run."""
 
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("field", ["f7", "fM61", "fQ63"])
     @pytest.mark.parametrize("n", [9, 40])
     def test_rejected_words_at_sender_boundaries(self, field, n, request,
                                                  monkeypatch):
@@ -495,7 +507,7 @@ class TestSplit:
         assert out == _field_sum(inputs, 8, params)
         applied = _applied_masks(session, inputs)
         for k in participants:
-            assert applied[k] == session.client_mask(k)
+            assert applied[k] == _client_mask(session, k)
             assert applied[k] == _sum_of_pair_masks(session, k)
 
     @pytest.mark.parametrize("field", ["f7", "fM61"])
@@ -553,7 +565,7 @@ class TestRanges:
     session's, for every cut into two ranges; n = 4 and 6 are even complete
     graphs, n = 9 the odd complete one above 7."""
 
-    @pytest.mark.parametrize("field", ["f7", "fM61"])
+    @pytest.mark.parametrize("field", ["f7", "fM61", "fQ63"])
     @pytest.mark.parametrize("n", list(range(1, 42)) + [64, 127, 128])
     def test_every_cut_gives_the_whole_rows(self, field, n, request, monkeypatch):
         params = request.getfixturevalue(field)
@@ -588,6 +600,56 @@ class TestRanges:
             assert {r for r0, r1, _, _ in runs for r in range(r0, r1)} == want
             assert {r for r0, r1 in spans for r in range(r0, r1)} == want
             assert all(r1 < s0 for (_, r1), (s0, _) in zip(spans, spans[1:]))
+
+
+class _HighWords:
+    """A session stream whose raw words have their top four bits set in the
+    rows that even slots send: an even slot's sent rows are all near q
+    (M61) or near 2^63 (q near 2^63), its received rows only in part, so a
+    left-out reduction wraps the two sums a different number of times."""
+
+    def __init__(self, stream, n, d):
+        self.stream, self.n, self.d, self.pos = stream, n, d, 0
+
+    def advance(self, delta):
+        self.stream.advance(delta)
+        self.pos += delta
+
+    def random_raw(self, size):
+        out = self.stream.random_raw(size)
+        senders = np.arange(self.pos, self.pos + size) // self.d % self.n
+        out[senders % 2 == 0] |= np.uint64(0xF << 60)
+        self.pos += size
+        return out
+
+
+class TestFoldCadence:
+    """The plain sums of the rows a slot sends and receives are reduced
+    only when one more offset could pass 2^64: at q = 2^63 - 25 before
+    every offset from the third, for M61 before the ninth, which sessions
+    of n > 256 reach (r = 9). With high words an even slot's sum of sent
+    rows passes 2^64 where a reduction is left out."""
+
+    @pytest.mark.parametrize("field,n", [("fQ63", 2), ("fQ63", 9), ("fQ63", 11),
+                                         ("fQ63", 40), ("fQ63", 128), ("fM61", 128),
+                                         ("fM61", 257), ("fM61", 300)])
+    @pytest.mark.parametrize("high", [False, True])
+    def test_ranges_cancel_and_match_the_edges(self, field, n, high, request,
+                                               monkeypatch):
+        params = request.getfixturevalue(field)
+        if high:
+            stream = SecAggSession._stream
+            monkeypatch.setattr(SecAggSession, "_stream", lambda self: _HighWords(
+                stream(self), len(self.participants), self.d))
+        participants = tuple(range(1, n + 1))
+        session = _session(params, d=2, participants=participants)
+        whole = session.net_masks()
+        assert int(whole.max()) < params.modulus
+        for a0, a1 in {(0, 1), (0, n // 3), (n // 3, n - 1), (n - 1, n), (1, n)}:
+            assert np.array_equal(session.net_masks(a0, a1), whole[a0:a1])
+        assert not np.any(whole.sum(axis=0, dtype=object) % params.modulus)
+        for k, mask in zip(participants, whole[session._slot]):
+            assert FieldVector(mask, params) == _sum_of_pair_masks(session, k)
 
 
 def _scalar_run(params, participants):
@@ -639,7 +701,7 @@ class TestSecAggScalar:
     def test_edge_wise_masks_are_the_pair_masks(self, field, n, rejected, request,
                                                 monkeypatch):
         # every session, d = 1 through secagg_scalar and wider ones through
-        # secagg_sum, applies the sums of the masks that pair_mask reads edge
+        # secagg_sum, applies the sums of the masks that _pair_mask reads edge
         # by edge through PCG64.advance
         params = request.getfixturevalue(field)
         q = params.modulus
@@ -672,7 +734,7 @@ class TestSecAggScalar:
         params = request.getfixturevalue(field)
         session = _session(params, d=1, participants=tuple(range(1, 41)))
         for k in session.participants:
-            assert session.client_mask(k) == _sum_of_pair_masks(session, k)
+            assert _client_mask(session, k) == _sum_of_pair_masks(session, k)
 
     def test_requires_d1_session(self, fM61):
         session = _session(fM61, d=2)

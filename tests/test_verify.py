@@ -316,8 +316,8 @@ class TestCoalitionStatistic:
             coalition_statistic(partial_inner(coalition, theta, codecs.share), theta,
                                 _table(), setup.cfg, codecs.f_share)
         first, other, again = sessions
-        for k in coalition.points:
-            assert first.client_mask(k) != other.client_mask(k)
+        # every member's net mask differs between the two suspects
+        assert (first.net_masks() != other.net_masks()).all()
         assert [(k, v.tolist()) for k, v in first.observations] == \
             [(k, v.tolist()) for k, v in again.observations]
 
