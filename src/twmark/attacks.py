@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateModelError
-from .flsim import (AdamWParams, MlpShape, _softmax, adamw_epochs, backward, cross_entropy,
-                    forward, forward_backward, init_model, logits)
+from .flsim import (AdamWParams, MlpShape, _loss_error, _softmax, adamw_epochs, backward,
+                    cross_entropy, forward, forward_backward, init_model, logits)
 from .rngutil import rng_from_key
 
 ATTACK_SEED = 0               # the attacker's subset, student init and batch order
@@ -188,6 +188,8 @@ def _kd_grad(theta, X, y, teacher_log_probs, shape, T, alpha):
     ``teacher_log_probs`` is _log_probs(zt / T) of the batch's teacher logits."""
     a, zs = forward(theta, X, shape)
     ce_loss, dz2 = cross_entropy(zs, y)
+    if not np.isfinite(ce_loss):
+        raise _loss_error(ce_loss, zs)
     B = len(X)
     s = _softmax(zs / T)
     log_ratio = np.log(s + 1e-300) - teacher_log_probs

@@ -17,6 +17,9 @@ from .errors import ConfigurationError
 from .experiments import (
     CalibrationTable,
     ExperimentConfig,
+    _attack,
+    _check_embeds,
+    _check_sweep,
     cmd_attack,
     cmd_calibrate,
     cmd_fidelity,
@@ -146,18 +149,21 @@ def main(argv=None) -> int:
             print(f"runs written under {out}")
             return 0
 
+        # each command checks its inputs before _calib may train the null models
         if args.command == "attack":
+            _attack(args.kind)
+            run = read_run(args.run)
             calib = _calib(cfg, args, out)
             params = {name: getattr(args, name) for name in _ATTACK_PARAMS
                       if getattr(args, name) is not None}
-            records = cmd_attack(cfg, args.run, calib, args.kind,
-                                 outdir=out, **params)
+            records = cmd_attack(cfg, run, calib, args.kind, outdir=out, **params)
             final = records[-1]
             print(f"{args.kind}: final accuracy {final['accuracy']:.4f}, "
                   f"z {final['z']:.4g}")
             return 0
 
         if args.command == "scalability":
+            _check_sweep(cfg)
             calib = _calib(cfg, args, out)
             result = cmd_scalability(cfg, calib, outdir=out)
             slope = result["baseline_decay_exponent"]
@@ -166,6 +172,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "fidelity":
+            _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
             calib = _calib(cfg, args, out)
             result = cmd_fidelity(cfg, calib, outdir=out,
                                   sweep_budget=args.sweep_budget)
@@ -175,8 +182,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "robustness":
-            calib = _calib(cfg, args, out)
             run_cfg, setup, dataset, trajectory = read_run(args.run)
+            calib = _calib(cfg, args, out)
             cmd_robustness(cfg, setup, dataset, trajectory, calib, outdir=out,
                            run_id=run_cfg.config_hash())
             print(f"robustness grid written under {out}")

@@ -321,6 +321,20 @@ def _check_embeds(participation: float, K: int, t: int):
                                  f"clients a round, below t = {t}: no round would embed")
 
 
+def _check_sweep(cfg: ExperimentConfig):
+    """Refuses a K sweep if, at any K, the baseline's overflow bound fails
+    or a round draws fewer than t = max(2, K // 2) clients."""
+    for K in cfg.k_sweep:
+        # the baseline adds K keys at up to scale_max each, a stricter bound
+        # than the threshold run's one scale_max term
+        try:
+            check_aggregate_bound(cfg.shape().dim, K, cfg.theta_max, K * cfg.scale_max,
+                                  cfg.codecs()).raise_if_failed()
+            _check_embeds(cfg.participation, K, max(2, K // 2))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"k_sweep K={K}: {exc}") from None
+
+
 def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     """Train unwatermarked models, pool cosine null samples, persist table."""
     if cfg.calib_models < 2:
@@ -406,15 +420,7 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     """
     seeds = list(seeds if seeds is not None else cfg.seeds)
     shape = cfg.shape()
-    for K in cfg.k_sweep:
-        # the baseline adds K keys at up to scale_max each, a stricter bound
-        # than the threshold run's one scale_max term
-        try:
-            check_aggregate_bound(shape.dim, K, cfg.theta_max, K * cfg.scale_max,
-                                  cfg.codecs()).raise_if_failed()
-            _check_embeds(cfg.participation, K, max(2, K // 2))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"k_sweep K={K}: {exc}") from None
+    _check_sweep(cfg)
     sweep = replace(cfg, batch_size=cfg.sweep_batch)
     params = sweep.protocol_params()
     base_params = replace(sweep, strength_c=cfg.baseline_c).protocol_params()
@@ -614,8 +620,10 @@ def read_run(rundir):
     The run's config.txt, checked against the share headers, rebuilds the
     dataset and the codecs. The commitment and the DKG overhead record are
     not persisted."""
-    shares, hdr, scfg = load_shares(
-        sorted(glob.glob(os.path.join(rundir, "shares", "*.share"))))
+    paths = sorted(glob.glob(os.path.join(rundir, "shares", "*.share")))
+    if not paths:
+        raise ConfigurationError(f"{rundir}: no share files")
+    shares, hdr, scfg = load_shares(paths)
     config = os.path.join(rundir, "config.txt")
     run_cfg = ExperimentConfig.from_file(config)
     for key in ("modulus", "f_share", "n_clients", "threshold"):
@@ -638,12 +646,12 @@ def load_run(cfg: ExperimentConfig, rundir):
     return read_run(rundir)[1:]
 
 
-def cmd_attack(cfg: ExperimentConfig, rundir, calib: CalibrationTable,
+def cmd_attack(cfg: ExperimentConfig, run, calib: CalibrationTable,
                kind: str, outdir=None, **params):
-    """One attack job against a persisted run, verified via the coalition
-    path; rows carry the hash of the run's own config."""
-    _attack(kind)
-    run_cfg, setup, dataset, trajectory = read_run(rundir)
+    """One attack job against a persisted run, ``run`` as read_run returns
+    it, verified via the coalition path; rows carry the hash of the run's
+    own config."""
+    run_cfg, setup, dataset, trajectory = run
     verifier = make_coalition_verifier(cfg, setup, calib)
     records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset,
                                        run_cfg.config_hash())

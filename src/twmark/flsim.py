@@ -2,7 +2,9 @@
 
 Synthetic Gaussian-blob classification data (its attacker pool drawn only
 when first read), a one-hidden-layer tanh MLP with exact manual gradients,
-AdamW local training, and top-1 accuracy evaluation. The model's
+AdamW local training, and top-1 accuracy evaluation. The model, its
+gradients and AdamW also run on a stack of models, theta (n, d), which
+local_train uses to train clients in lockstep. The model's
 parameters live in one flat vector theta; the flattening order is W1 (h x m,
 row-major), b1 (h), W2 (G x h, row-major), b2 (G), so
 d = h*m + h + G*h + G = (m+1)h + (h+1)G.
@@ -120,16 +122,20 @@ class MlpShape:
         return h * m + h + G * h + G
 
     def unpack(self, theta: np.ndarray):
+        """W1 (h, m), b1 (h), W2 (G, h) and b2 (G) as views of theta, each
+        behind theta's leading stack axes."""
         m, h, G = self.input_dim, self.hidden, self.n_classes
+        lead = theta.shape[:-1]
         o = 0
-        W1 = theta[o:o + h * m].reshape(h, m); o += h * m
-        b1 = theta[o:o + h]; o += h
-        W2 = theta[o:o + G * h].reshape(G, h); o += G * h
-        b2 = theta[o:o + G]
+        W1 = theta[..., o:o + h * m].reshape(*lead, h, m); o += h * m
+        b1 = theta[..., o:o + h]; o += h
+        W2 = theta[..., o:o + G * h].reshape(*lead, G, h); o += G * h
+        b2 = theta[..., o:o + G]
         return W1, b1, W2, b2
 
     def pack(self, W1, b1, W2, b2) -> np.ndarray:
-        return np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
+        lead = b1.shape[:-1]
+        return np.concatenate([W1.reshape(*lead, -1), b1, W2.reshape(*lead, -1), b2], axis=-1)
 
 
 def init_model(shape: MlpShape, rng: np.random.Generator) -> np.ndarray:
@@ -143,10 +149,16 @@ def init_model(shape: MlpShape, rng: np.random.Generator) -> np.ndarray:
 
 
 def forward(theta: np.ndarray, X: np.ndarray, shape: MlpShape):
-    """Hidden activations a = tanh(X W1^T + b1) (B, h) and logits (B, G)."""
+    """Hidden activations a = tanh(X W1^T + b1) (..., B, h) and logits
+    (..., B, G). A stack of n models, theta (n, d), takes a batch per model,
+    X (n, B, m): each matrix product is one BLAS call per model."""
     W1, b1, W2, b2 = shape.unpack(theta)
-    a = np.tanh(X @ W1.T + b1)
-    return a, a @ W2.T + b2
+    a = X @ W1.swapaxes(-1, -2)
+    a += b1[..., None, :]
+    np.tanh(a, out=a)
+    z2 = a @ W2.swapaxes(-1, -2)
+    z2 += b2[..., None, :]
+    return a, z2
 
 
 def logits(theta: np.ndarray, X: np.ndarray, shape: MlpShape) -> np.ndarray:
@@ -154,46 +166,59 @@ def logits(theta: np.ndarray, X: np.ndarray, shape: MlpShape) -> np.ndarray:
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(z2: np.ndarray, y: np.ndarray):
-    """Mean softmax cross-entropy of logits z2 (B, G) against labels y, and
-    its gradient w.r.t. z2."""
-    B = len(y)
+    """Mean softmax cross-entropy of logits z2 (..., B, G) against labels y
+    (..., B), one per stack row, and its gradient w.r.t. z2. The loss is not
+    checked: see _loss_error."""
+    B, G = z2.shape[-2:]
     dz2 = _softmax(z2)
-    loss = float(-np.log(dz2[np.arange(B), y] + 1e-300).mean())
-    if not np.isfinite(loss):
-        raise NumericalError(f"non-finite loss {loss}; |logits|_max={np.abs(z2).max()}")
-    dz2[np.arange(B), y] -= 1.0
+    flat = dz2.reshape(-1, G)           # a view, one row per sample
+    pick = (np.arange(len(flat)), y.reshape(-1))
+    loss = -np.log(flat[pick] + 1e-300).reshape(y.shape).mean(axis=-1)
+    flat[pick] -= 1.0
     dz2 /= B
     return loss, dz2
+
+
+def _loss_error(loss, z2: np.ndarray) -> NumericalError:
+    """The error of a model whose loss on a batch with logits z2 is not
+    finite, or is finite and diverged."""
+    if not np.isfinite(loss):
+        return NumericalError(f"non-finite loss {loss}; |logits|_max={np.abs(z2).max()}")
+    return NumericalError(f"divergence: loss={loss:.3g}")
 
 
 def backward(theta: np.ndarray, X: np.ndarray, a: np.ndarray, dz2: np.ndarray,
              shape: MlpShape) -> np.ndarray:
     """Gradient w.r.t. theta of a loss whose gradient w.r.t. the logits is
-    dz2, given the hidden activations a of forward(theta, X)."""
+    dz2, given the hidden activations a of forward(theta, X), for a model
+    or a stack of them (sums over the batch axis, -2)."""
     W2 = shape.unpack(theta)[2]
-    dW2 = dz2.T @ a
-    db2 = dz2.sum(axis=0)
+    dW2 = dz2.swapaxes(-1, -2) @ a
+    db2 = dz2.sum(axis=-2)
     da = dz2 @ W2
     dz1 = da * (1.0 - a * a)
-    dW1 = dz1.T @ X
-    db1 = dz1.sum(axis=0)
+    dW1 = dz1.swapaxes(-1, -2) @ X
+    db1 = dz1.sum(axis=-2)
     return shape.pack(dW1, db1, dW2, db2)
 
 
 def forward_backward(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                      shape: MlpShape):
-    """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta."""
+    """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta;
+    a loss that is not finite raises NumericalError."""
     if len(X) == 0:
         raise ConfigurationError("empty batch")
     a, z2 = forward(theta, X, shape)
     loss, dz2 = cross_entropy(z2, y)
-    return loss, backward(theta, X, a, dz2, shape)
+    if not np.isfinite(loss):
+        raise _loss_error(loss, z2)
+    return float(loss), backward(theta, X, a, dz2, shape)
 
 
 @dataclass
@@ -217,10 +242,14 @@ class AdamWState:
     def update(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """theta after one step, as a new array. The moments are updated in
         place and the step runs in two buffers, in the operation order of
-        theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta)."""
+        theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta).
+        A stack of models (theta (n, d)) steps in lockstep; a stack shorter
+        than the moments keeps their first rows."""
         if self.m is None:
-            self.m = np.zeros_like(theta)
-            self.v = np.zeros_like(theta)
+            self.m = np.zeros(theta.shape)
+            self.v = np.zeros(theta.shape)
+        elif len(self.m) > len(theta):      # models left the stack
+            self.m, self.v = self.m[:len(theta)], self.v[:len(theta)]
         p = self.params
         self.step += 1
         a = np.multiply(grad, 1 - p.beta1)
@@ -240,40 +269,76 @@ class AdamWState:
         return np.subtract(theta, a, out=a)
 
 
-def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rng: np.random.Generator,
-                 epochs: int, batch_size: int, opt: AdamWParams):
+def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rng, epochs: int,
+                 batch_size: int, opt: AdamWParams):
     """The one training loop: AdamW from fresh optimizer state over
     mini-batches of a fresh permutation of the samples of ``data``, a tuple
     of equal-length arrays, per epoch; yields theta after each epoch.
-    batch_grad(theta, *batch) is the gradient on one batch of those arrays."""
+    batch_grad(theta, *batch) is the gradient on one batch of those arrays.
+
+    A stack of n models, theta (n, d), trains in lockstep: each array of
+    ``data`` then holds one row of samples per model, ``rng`` is n streams,
+    each permuting its model's row, and a batch takes each model's picks
+    from its row. batch_grad may return the gradients of only the first
+    models of the stack; the others leave it."""
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     state = AdamWState(params=opt)
+    stacked = theta.ndim == 2
+    size = data[0].shape[stacked]
+    rows = np.arange(len(theta))[:, None] if stacked else None
     for _ in range(epochs):
-        order = rng.permutation(len(data[0]))
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            theta = state.update(theta, batch_grad(theta, *(a[idx] for a in data)))
+        if stacked:
+            order = np.stack([r.permutation(size) for r in rng[:len(theta)]])
+        else:
+            order = rng.permutation(size)
+        for start in range(0, size, batch_size):
+            if stacked:
+                idx = rows[:len(theta)], order[:len(theta), start:start + batch_size]
+            else:
+                idx = order[start:start + batch_size]
+            grad = batch_grad(theta, *(a[idx] for a in data))
+            if len(grad) < len(theta):
+                theta = theta[:len(grad)]
+            theta = state.update(theta, grad)
         yield theta
 
 
-def local_train(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
-                shape: MlpShape, rng: np.random.Generator,
-                epochs: int = 1, batch_size: int = 64,
+def local_train(theta: np.ndarray, X: np.ndarray, y: np.ndarray, shards: np.ndarray,
+                shape: MlpShape, rngs, epochs: int = 1, batch_size: int = 64,
                 opt: AdamWParams = None) -> np.ndarray:
-    """A client's local step: adamw_epochs on its data, so the optimizer
-    state is fresh per call (stateless clients across rounds)."""
+    """Local training of a stack of clients in lockstep from the broadcast
+    theta: adamw_epochs with optimizer state fresh per call (stateless
+    clients across rounds). Row i of ``shards``, an (n, S) index array,
+    holds client i's samples of (X, y), and rngs[i] is its stream; returns
+    the (n, d) thetas. Each operation is one BLAS call per client,
+    elementwise or a per-client reduction, so row i has the bits of client
+    i trained alone, as a stack of one.
+
+    A client whose batch loss is not finite or above 1e3 leaves the stack
+    with the clients after it, and the others train on; then the error of
+    the first client that failed is raised, as training the clients one by
+    one in order would raise it."""
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
+    failed = []
 
-    def batch_grad(th, Xb, yb):
-        loss, grad = forward_backward(th, Xb, yb, shape)
-        if loss > 1e3:
-            raise NumericalError(f"divergence: loss={loss:.3g}")
-        return grad
+    def batch_grad(th, idx):
+        Xb = X[idx]
+        a, z2 = forward(th, Xb, shape)
+        loss, dz2 = cross_entropy(z2, y[idx])
+        if (bad := ~(loss <= 1e3)).any():       # not finite, or diverged
+            i = int(bad.argmax())
+            failed.append(_loss_error(loss[i], z2[i]))
+            if i == 0:
+                raise failed[-1]
+            th, Xb, a, dz2 = th[:i], Xb[:i], a[:i], dz2[:i]
+        return backward(th, Xb, a, dz2, shape)
 
-    *_, theta = adamw_epochs(theta, (X, y), batch_grad, rng, epochs, batch_size,
-                             opt or AdamWParams())
+    *_, theta = adamw_epochs(np.broadcast_to(theta, (len(shards), len(theta))), (shards,),
+                             batch_grad, rngs, epochs, batch_size, opt or AdamWParams())
+    if failed:
+        raise failed[-1]
     return theta
 
 

@@ -264,8 +264,8 @@ class TestTrainingMatchesReference:
     def test_local_train(self, theta, dataset):
         X, y = dataset.shard(1)
         opt = self.CFG["optimizer"]
-        got = local_train(theta, X, y, SHAPE, np.random.default_rng(5), epochs=3,
-                          batch_size=32, opt=opt)
+        (got,) = local_train(theta, X, y, np.arange(len(y))[None], SHAPE,
+                             [np.random.default_rng(5)], epochs=3, batch_size=32, opt=opt)
         want = _reference_training(
             theta, X, np.random.default_rng(5), 3, 32, opt,
             lambda th, idx: forward_backward(th, X[idx], y[idx], SHAPE)[1])

@@ -514,6 +514,28 @@ class TestCli:
                 "no round would embed") in capsys.readouterr().err
         assert not list(tmp_path.glob("**/run_seed*"))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["robustness", "--run", "{missing}"], "{missing}: no share files"),
+        (["attack", "--run", "{missing}", "--kind", "finetune"], "{missing}: no share files"),
+        (["attack", "--run", "{missing}", "--kind", "bogus"], "unknown attack kind 'bogus'"),
+        (["fidelity", "--set", "threshold=3", "--set", "participation=0.4"],
+         "participation 0.4 draws 2 of 4 clients a round, below t = 3"),
+        (["scalability", "--set", "participation=0.4", "--set", "k_sweep=(8,)"],
+         "k_sweep K=8: participation 0.4 draws 3 of 8 clients a round, below t = 4"),
+    ], ids=["robustness-missing-run", "attack-missing-run", "attack-bogus-kind",
+            "fidelity-below-t", "scalability-below-t"])
+    def test_commands_check_their_inputs_before_calibrating(self, tmp_path, capsys, argv,
+                                                            message):
+        # without --calibration each command calibrates first when it needs
+        # to; these once trained the null models and wrote calibration.txt
+        # before they exited 2
+        missing = str(tmp_path / "missing")
+        argv = [a.format(missing=missing) for a in argv]
+        code = cli.main([argv[0], *self.TINY, *argv[1:], "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message.format(missing=missing)}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/calibration.txt"))
+
     def test_verify_rejects_calibration_with_empty_fingerprint(self, cli_workspace,
                                                                tmp_path, capsys):
         # an empty fingerprint once skipped the architecture check, so the
@@ -617,6 +639,16 @@ class TestRunDirectory:
                          "--out", str(tmp_path / "out"), "--run", str(rundir),
                          "--calibration", str(out / "calibration.txt")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {config}")
+
+    def test_no_share_files_is_an_error_naming_the_run(self, cli_workspace, tmp_path):
+        # it once failed with "no share files given", naming no directory
+        _, _, out = cli_workspace
+        rundir = tmp_path / "run_seed0"
+        shutil.copytree(out / "run_seed0", rundir)
+        shutil.rmtree(rundir / "shares")
+        with pytest.raises(ConfigurationError,
+                           match="^" + re.escape(f"{rundir}: no share files") + "$"):
+            experiments.read_run(rundir)
 
     def test_attack_under_another_f_share_is_refused(self, cli_workspace, tmp_path,
                                                      capsys):

@@ -1,7 +1,9 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twmark import flsim
 from twmark.errors import ConfigurationError, NumericalError
@@ -10,6 +12,7 @@ from twmark.flsim import (
     AdamWParams,
     AdamWState,
     MlpShape,
+    adamw_epochs,
     evaluate,
     forward_backward,
     gen_dataset,
@@ -17,6 +20,7 @@ from twmark.flsim import (
     local_train,
     logits,
 )
+from twmark.rngutil import rng_from_key
 
 SMALL = MlpShape(input_dim=6, hidden=10, n_classes=4)
 
@@ -180,8 +184,8 @@ class TestTraining:
         ds = gen_dataset(1, n=400, n_clients=1, input_dim=6, n_classes=4,
                          n_test=400)
         theta = init_model(SMALL, rng)
-        trained = local_train(theta, ds.X_train, ds.y_train, SMALL,
-                              np.random.default_rng(0), epochs=30)
+        (trained,) = local_train(theta, ds.X_train, ds.y_train, ds.shards[0][None], SMALL,
+                                 [np.random.default_rng(0)], epochs=30)
         before = evaluate(theta, ds.X_test, ds.y_test, SMALL)
         after = evaluate(trained, ds.X_test, ds.y_test, SMALL)
         assert after > before
@@ -191,10 +195,10 @@ class TestTraining:
         ds = gen_dataset(1, n=80, n_clients=1, input_dim=6, n_classes=4,
                          n_test=80)
         theta = init_model(SMALL, rng)
-        a = local_train(theta, ds.X_train, ds.y_train, SMALL,
-                        np.random.default_rng(5))
-        b = local_train(theta, ds.X_train, ds.y_train, SMALL,
-                        np.random.default_rng(5))
+        a = local_train(theta, ds.X_train, ds.y_train, ds.shards[0][None], SMALL,
+                        [np.random.default_rng(5)])
+        b = local_train(theta, ds.X_train, ds.y_train, ds.shards[0][None], SMALL,
+                        [np.random.default_rng(5)])
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
@@ -204,8 +208,8 @@ class TestTraining:
                          n_test=80)
         theta = init_model(SMALL, rng)
         with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
-            local_train(theta, ds.X_train, ds.y_train, SMALL,
-                        np.random.default_rng(0), batch_size=batch_size)
+            local_train(theta, ds.X_train, ds.y_train, ds.shards[0][None], SMALL,
+                        [np.random.default_rng(0)], batch_size=batch_size)
 
     def test_non_finite_model_aborts(self, rng):
         theta = np.full(SMALL.dim, np.nan)
@@ -223,3 +227,67 @@ class TestTraining:
         theta = init_model(SMALL, rng)
         with pytest.raises(ConfigurationError):
             evaluate(theta, np.empty((0, 6)), np.empty(0, dtype=int), SMALL)
+
+
+class TestLockstep:
+    """Clients trained as one stack have, row by row, the bits of each
+    client trained alone through the unstacked path, the one the attacks
+    take."""
+
+    SHAPE = MlpShape(input_dim=6, hidden=13, n_classes=4)     # h not a multiple of 8
+    OPT = AdamWParams(lr=0.01, weight_decay=0.1)
+
+    def _alone(self, theta, X, y, idx, rng, epochs, batch_size):
+        *_, theta = adamw_epochs(
+            theta, (X[idx], y[idx]),
+            lambda th, Xb, yb: forward_backward(th, Xb, yb, self.SHAPE)[1],
+            rng, epochs, batch_size, self.OPT)
+        return theta
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 13), batch_size=st.integers(2, 9), batches=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_rows_equal_clients_trained_alone(self, n, batch_size, batches, seed):
+        size = batch_size * batches + 1         # the last batch holds one sample
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal((120, 6)), rng.integers(0, 4, 120)
+        shards = np.stack([rng.choice(120, size, replace=False) for _ in range(n)])
+        theta = init_model(self.SHAPE, rng)
+        got = local_train(theta, X, y, shards, self.SHAPE,
+                          [rng_from_key(seed, "client", i) for i in range(n)],
+                          epochs=2, batch_size=batch_size, opt=self.OPT)
+        assert got.shape == (n, self.SHAPE.dim)
+        for i, idx in enumerate(shards):
+            want = self._alone(theta, X, y, idx, rng_from_key(seed, "client", i), 2,
+                               batch_size)
+            assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize("fail, sizes, loss", [
+        ({0: 3, 2: 1}, [3, 2, 2], "1e+04"),
+        ({2: 1}, [3, 2, 2, 2, 2, 2], "3e+04"),
+        ({0: 1, 1: 1}, [3], "1e+04"),
+    ], ids=["earlier-later", "last-only", "same-step"])
+    def test_a_failing_client_leaves_with_those_after_it(self, monkeypatch, fail, sizes,
+                                                         loss):
+        # ``fail`` maps a stack row to the step at which its loss diverges.
+        # The rows before the first failing one train on, the stack's size
+        # at each step is ``sizes`` (2 epochs of 3 steps), and the error is
+        # that of the first row that failed
+        X, y = np.random.default_rng(0).standard_normal((60, 6)), np.arange(60) % 4
+        theta = init_model(self.SHAPE, np.random.default_rng(1))
+        real, steps, seen = flsim.cross_entropy, [0] * 3, []
+
+        def cross_entropy(z2, y):
+            loss, dz2 = real(z2, y)
+            seen.append(len(loss))
+            for i in range(len(loss)):
+                steps[i] += 1
+                if fail.get(i) == steps[i]:
+                    loss[i] = 1e4 * (i + 1)
+            return loss, dz2
+
+        monkeypatch.setattr(flsim, "cross_entropy", cross_entropy)
+        with pytest.raises(NumericalError, match=f"^divergence: loss={re.escape(loss)}$"):
+            local_train(theta, X, y, np.arange(60).reshape(3, 20), self.SHAPE,
+                        [np.random.default_rng(i) for i in range(3)], epochs=2, batch_size=8)
+        assert seen == sizes

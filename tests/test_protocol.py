@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twmark import protocol
+from twmark import flsim, protocol
 from twmark.errors import (ConfigurationError, EncodingOverflowError, NumericalError,
                            ProtocolAbortError, SkipRoundError)
 from twmark.experiments import ExperimentConfig, run_plain_fedavg, run_watermarked
 from twmark.field import FieldParams, FieldVector, ProtocolCodecs, check_aggregate_bound
-from twmark.flsim import MlpShape, gen_dataset, init_model
+from twmark.flsim import (AdamWParams, MlpShape, adamw_epochs, forward_backward, gen_dataset,
+                          init_model)
 from twmark.keysetup import setup_trusted_dealer
 from twmark.protocol import (
     ClientTrainer,
@@ -85,14 +86,17 @@ class TestRoundPlan:
         assert all(len(p.participants) == 4 for p in a)
 
 
+def _clients(ds, shards):
+    """The client id of each row of a stack's shard indices."""
+    return [next(k for k, idx in enumerate(ds.shards, 1) if np.array_equal(row, idx))
+            for row in shards]
+
+
 def _stepping(monkeypatch, ds, step):
     """Makes local_train move client k from theta by ``step(k)``, in this
     process and in the workers of trainers opened after the call."""
-    shards = {k: ds.shard(k - 1)[0] for k in range(1, ds.n_clients + 1)}
-
-    def local_train(theta, X, y, *args, **kwargs):
-        (k,) = [k for k, Xk in shards.items() if np.array_equal(X, Xk)]
-        return theta + step(k)
+    def local_train(theta, X, y, shards, *args, **kwargs):
+        return np.array([theta + step(k) for k in _clients(ds, shards)])
 
     monkeypatch.setattr(protocol, "local_train", local_train)
 
@@ -199,10 +203,10 @@ class TestRunProtocol:
         for r in (1, 2):
             locals_ = []
             for k in range(1, 5):
-                X, y = ds.shard(k - 1)
                 locals_.append(local_train(
-                    theta, X, y, SHAPE, rng_from_key(7, "local_train", k, r),
-                    epochs=1, batch_size=16, opt=params.optimizer))
+                    theta, ds.X_train, ds.y_train, ds.shards[k - 1][None], SHAPE,
+                    [rng_from_key(7, "local_train", k, r)],
+                    epochs=1, batch_size=16, opt=params.optimizer)[0])
             theta = np.mean(locals_, axis=0)
         assert np.abs(traj[-1].theta - theta).max() <= 1e-8
 
@@ -246,10 +250,9 @@ class TestRunBaseline:
         for r in (1, 2):
             acc = FieldVector.zeros(SHAPE.dim, codecs.params)
             for k in range(1, 5):
-                X, y = ds.shard(k - 1)
-                theta_k = local_train(theta, X, y, SHAPE,
-                                      rng_from_key(1, "local_train", k, r),
-                                      epochs=1, batch_size=16, opt=params.optimizer)
+                (theta_k,) = local_train(theta, ds.X_train, ds.y_train, ds.shards[k - 1][None],
+                                         SHAPE, [rng_from_key(1, "local_train", k, r)],
+                                         epochs=1, batch_size=16, opt=params.optimizer)
                 delta = float(np.linalg.norm(theta_k - theta))
                 ema[k - 1] = ema_update(ema[k - 1], delta, params.ema_beta)
                 S_k = quantize_scale(client_scale(delta, ema[k - 1], params.strength_c),
@@ -381,21 +384,20 @@ class TestClientTrainer:
             assert len(multiprocessing.active_children()) == 3
         from twmark.flsim import local_train
         for k, row in zip((2, 3, 5, 6), got):
-            X, y = ds.shard(k - 1)
-            want = local_train(theta, X, y, SHAPE, rng_from_key(7, "local_train", k, 4),
-                               batch_size=16, opt=params.optimizer)
+            (want,) = local_train(theta, ds.X_train, ds.y_train, ds.shards[k - 1][None], SHAPE,
+                                  [rng_from_key(7, "local_train", k, 4)],
+                                  batch_size=16, opt=params.optimizer)
             assert np.array_equal(row, want)
 
     def test_worker_error_is_raised_here(self, workers, monkeypatch):
         # client 4 is in a worker's slice for 1 and 3 workers
         ds = _dataset()
-        bad_X = ds.shard(3)[0]
         real = protocol.local_train
 
-        def local_train(theta, X, y, *args, **kwargs):
-            if np.array_equal(X, bad_X):
+        def local_train(theta, X, y, shards, *args, **kwargs):
+            if 4 in _clients(ds, shards):
                 raise NumericalError("divergence: loss=1.23e+04")
-            return real(theta, X, y, *args, **kwargs)
+            return real(theta, X, y, shards, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "local_train", local_train)
         errors = []
@@ -486,13 +488,12 @@ class TestClientTrainer:
         # masked submissions are right
         workers(3)
         ds, params, codec = _dataset(), ProtocolParams(batch_size=16), ProtocolCodecs().model
-        bad_X = ds.shard(2)[0]
         real = protocol.local_train
 
-        def local_train(theta, X, y, *args, **kwargs):
-            if theta[0] == 123.0 and np.array_equal(X, bad_X):
+        def local_train(theta, X, y, shards, *args, **kwargs):
+            if theta[0] == 123.0 and 3 in _clients(ds, shards):
                 raise NumericalError("divergence")
-            return real(theta, X, y, *args, **kwargs)
+            return real(theta, X, y, shards, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "local_train", local_train)
         theta = init_model(SHAPE, rng_from_key(0, "init"))
@@ -517,6 +518,70 @@ class TestClientTrainer:
             codec.encode(t).add(vectors[k].scalar_mul(c)).add(
                 FieldVector(masks[a], codec.params)).values
             for k, t, c, a in zip((1, 2, 3, 4), thetas, (3, 5, 7, 11), session._slot)]))
+
+    @pytest.mark.parametrize("block", [None, 1, 2 * 146], ids=["whole-runs", "one", "two"])
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    def test_lockstep_groups_equal_clients_trained_alone(self, workers, monkeypatch,
+                                                         n_workers, block):
+        # K = 6 and n = 390 deal shards of 70 (clients 1-3) and 60 (4-6), so
+        # a range holds runs of two lengths; a lockstep group is at most
+        # _BLOCK_WORDS // d clients (d = 146), here all of a run, one or two
+        workers(n_workers)
+        if block is not None:
+            monkeypatch.setattr(protocol, "_BLOCK_WORDS", block)
+        shape = MlpShape(input_dim=6, hidden=8, n_classes=10)
+        ds = gen_dataset(2, n=390, input_dim=6, n_classes=10, n_clients=6, n_test=40)
+        assert [len(s) for s in ds.shards] == [70] * 3 + [60] * 3
+        params = ProtocolParams(batch_size=16, local_epochs=2,
+                                optimizer=AdamWParams(lr=0.01, weight_decay=0.1))
+        theta = init_model(shape, rng_from_key(0, "init"))
+        plans = make_plans(6, 2, 3, 0.7, master_seed=7)
+        with ClientTrainer(ds, shape, params, 7, 6) as train:
+            for plan in plans:
+                got = train(theta, plan.participants, plan.round_index).copy()
+                for k, row in zip(plan.participants, got):
+                    X, y = ds.shard(k - 1)
+                    *_, want = adamw_epochs(
+                        theta, (X, y), lambda th, Xb, yb: forward_backward(th, Xb, yb, shape)[1],
+                        rng_from_key(7, "local_train", k, plan.round_index), 2, 16,
+                        params.optimizer)
+                    assert np.array_equal(row, want)
+        # participation 0.7 draws 4 of the 6 clients, of both lengths
+        assert {len({len(ds.shards[k - 1]) for k in p.participants}) for p in plans} == {2}
+
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    def test_the_first_failing_client_in_range_order_is_raised(self, workers, monkeypatch,
+                                                               n_workers):
+        # clients 7 and 8 train in one lockstep group for every worker count.
+        # Client 7 diverges at its third step and client 8 at its first, so
+        # client 7's error is raised, as training one by one raises it
+        workers(n_workers)
+        ds = _dataset(K=8)
+        owner = {row.tobytes(): k for k in range(1, 9) for row in ds.shard(k - 1)[0]}
+        real_forward, real_xent = flsim.forward, flsim.cross_entropy
+        batch, steps, groups = [], dict.fromkeys(range(1, 9), 0), []
+
+        def forward(theta, X, shape):
+            batch[:] = [owner[Xi[0].tobytes()] for Xi in X]
+            groups.append(tuple(batch))
+            return real_forward(theta, X, shape)
+
+        def cross_entropy(z2, y):
+            loss, dz2 = real_xent(z2, y)
+            for i, k in enumerate(batch):
+                steps[k] += 1
+                if (k, steps[k]) in ((7, 3), (8, 1)):
+                    loss[i] = 1e3 * k
+            return loss, dz2
+
+        monkeypatch.setattr(flsim, "forward", forward)
+        monkeypatch.setattr(flsim, "cross_entropy", cross_entropy)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        with ClientTrainer(ds, SHAPE, ProtocolParams(batch_size=16), 7, 8) as train:
+            with pytest.raises(NumericalError, match=r"^divergence: loss=7e\+03$"):
+                train(theta, tuple(range(1, 9)), 1)
+        if n_workers == 0:
+            assert groups[:3] == [tuple(range(1, 9)), tuple(range(1, 8)), tuple(range(1, 8))]
 
     def test_worker_exits_when_the_parent_end_closes(self, workers):
         workers(1)
@@ -604,12 +669,13 @@ class TestTwoPhaseExchange:
         # error comes in place of that worker's report, the others take an
         # abort, and the next call is right
         ds, codec = _dataset(), ProtocolCodecs().model
-        bad_X = ds.shard(3)[0]
         real = protocol.local_train
 
-        def local_train(theta, X, y, *args, **kwargs):
-            out = real(theta, X, y, *args, **kwargs)
-            return out + 1e9 if theta[0] == 123.0 and np.array_equal(X, bad_X) else out
+        def local_train(theta, X, y, shards, *args, **kwargs):
+            out = real(theta, X, y, shards, *args, **kwargs)
+            if theta[0] == 123.0:
+                out[np.equal(_clients(ds, shards), 4)] += 1e9
+            return out
 
         monkeypatch.setattr(protocol, "local_train", local_train)
         theta = init_model(SHAPE, rng_from_key(0, "init"))
@@ -724,8 +790,8 @@ class TestPinnedDigests:
                 return out
             return secure_sum
 
-        def local_train(theta, X, y, shape, rng, **kwargs):
-            return theta + 0.1 * rng.standard_normal(theta.size)
+        def local_train(theta, X, y, shards, shape, rngs, **kwargs):
+            return np.array([theta + 0.1 * rng.standard_normal(theta.size) for rng in rngs])
 
         for name in ("reveal", "secagg_scalar"):
             monkeypatch.setattr(protocol, name, logged(getattr(protocol, name)))
