@@ -385,9 +385,6 @@ class FixedPointCodec:
         vals = vals.astype(np.int64).view(np.uint64) + np.uint64(q)
         return FieldVector._of(reduce_once(vals, q), self.params)
 
-    def encode_scalar(self, x: float) -> int:
-        return int(self.encode(np.array([x])).values[0])
-
     def decode_centered(self, v: FieldVector) -> np.ndarray:
         """Interpret each element as its centered representative and rescale."""
         self.params._check(v.params)

@@ -60,10 +60,6 @@ class SyntheticDataset:
     def y_aux(self) -> np.ndarray:
         return self._aux[1]
 
-    def shard(self, k: int):
-        idx = self.shards[k]
-        return self.X_train[idx], self.y_train[idx]
-
 
 def _sample_blobs(rng, means, noise, per_class):
     G, m = means.shape

@@ -13,12 +13,13 @@ Rounds with participation below t skip the watermark term entirely.
 Clients run on every CPU the process may use: a run's ClientTrainer forks
 one worker per further CPU and cuts each round's slots of the SecAgg
 session into contiguous ranges, one per process, which forms its clients'
-whole masked submissions, as in SecAgg. It trains and encodes them and
-sends only their update norms and largest |theta_k|. From these this
-process forms the EMAs, scales, theta ceiling, scalar SecAgg and each
-c_k = S * lambda_k while every process adds its slots' net masks; each then
-adds c_k * w_k (w_k: the client's share) and returns one masked row per
-slot, whose sum the server reveals. Training reads only theta, the
+whole masked submissions, as in SecAgg, in two request/reply steps. In
+the first it trains and encodes them, adds its slots' net masks and sends
+only their update norms and largest |theta_k|. From these this process
+forms the EMAs, scales, theta ceiling, scalar SecAgg and each
+c_k = S * lambda_k. In the second each process adds c_k * w_k (w_k: the
+client's share) and returns one masked row per slot, whose sum the server
+reveals. Training reads only theta, the
 client's shard and its stream keyed by (master_seed, client id, round),
 the masks cancel and the field arithmetic is exact, so no bit depends on
 the CPU count.
@@ -197,115 +198,45 @@ def _worker_count(n_clients: int) -> int:
     return max(min(len(os.sched_getaffinity(0)), n_clients) - 1, 0)
 
 
-_ABORT = "abort"    # the coefficient message of a round that ends before any term
-
-
-def _serve(conn, work, d: int, rows: int, inherited: list):
-    """A training worker's loop over requests (client ids, round, model
-    session or None, first slot), then theta as raw bytes. It replies None
-    and the thetas, or for a session its report and, after a coefficient
-    message other than _ABORT, the masked submissions of its slots (rows:
-    raw bytes); a client's exception replaces the reply. None or EOF ends
-    it (code 0)."""
+def _serve(conn, work: tuple, inherited: list):
+    """A worker's loop over requests (i, args): it runs work[i](*args), which
+    returns a result and rows (an array, or None), and replies with the
+    result, then the rows as raw bytes, or with the exception it raised.
+    None or EOF ends it (code 0)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     for c in inherited:
         c.close()   # the parent's ends: EOF must come when the parent is gone
-    train, add_terms = work
-    theta, out, enc = np.empty(d), np.empty((rows, d)), np.empty((rows, d), np.uint64)
     try:
         while (request := conn.recv()) is not None:
-            ids, round_index, session, a0 = request
-            conn.recv_bytes_into(theta)
-            n = len(ids)
+            i, args = request
             try:
-                conn.send(train(theta, ids, round_index, session, out[:n], enc[:n]))
+                result, rows = work[i](*args)
             except Exception as exc:
                 conn.send(exc)
                 continue
-            if session is None:
-                conn.send_bytes(out[:n])
-                continue
-            session.mask(enc[:n], a0)
-            if (coefficients := conn.recv()) != _ABORT:
-                add_terms(ids, coefficients, enc[:n])
-                conn.send_bytes(enc[:n])
+            conn.send(result)
+            if rows is not None:
+                conn.send_bytes(rows)
     except (EOFError, OSError):
         pass
 
 
-class ClientTrainer:
-    """The client trainer of every run: local_train on the client's shard
-    with the stream keyed by (master_seed, client id, round), on every CPU.
+class _ForkPool:
+    """Forked workers that inherit ``work``, functions fn(*args) -> (result,
+    rows), and all they reach. ``step`` sends each worker one request, runs
+    this process's call meanwhile and reads every reply before it raises
+    the first exception in process order; a worker whose pipe fails, as when
+    it dies, raises ProtocolAbortError naming its pid and exit code. Use it
+    as a context manager: closing joins every worker."""
 
-    A call is cut into contiguous ranges: this process trains the first,
-    each of the ``_worker_count`` workers, forked when the trainer opens,
-    one of the others. Each process cuts its range into lockstep groups:
-    each run of consecutive clients with equal shard lengths into the
-    fewest groups of at most max(1, _BLOCK_WORDS // d) clients, their
-    sizes as equal as can be (a group of one trains slower), and trains
-    each group with one local_train call, whose batches are gathered from
-    the dataset through the shard indices.
-    ``trainer(theta, participants, round_index)``
-    returns the thetas in participant order. With the model SecAgg
-    ``session`` of these participants the ranges are of its slots: each
-    process encodes its clients' thetas with ``codec`` and reports their
-    update norms and largest |theta_k| to ``coefficients(norms,
-    theta_abs_max)`` (norms in participant order), which gives each c_k
-    (None: no term) while the processes add their slots' net masks; each
-    then adds c_k * w_k, w_k the client's entry of ``vectors``, and the call
-    returns the masked submissions in slot order, rows the next call
-    overwrites. Every process that reported takes one coefficient message,
-    even if ``coefficients`` raises, so the trainer stays in step after
-    any error; a client's exception is raised here, the first in range
-    order (a group that fails trains on only its clients before the first
-    that failed, so an earlier client's later failure is the one raised).
-    Use it as a context manager: closing joins every worker.
-    """
-
-    def __init__(self, dataset, shape: MlpShape, params: ProtocolParams,
-                 master_seed: int, n_clients: int, codec: FixedPointCodec = None,
-                 vectors: dict = None):
-        width = max(1, _BLOCK_WORDS // shape.dim)   # clients in a lockstep group
-
-        def train(theta, ids, round_index, session, out, enc):
-            lo = 0
-            for _, run in itertools.groupby(ids, lambda k: len(dataset.shards[k - 1])):
-                run = list(run)
-                n = -(-len(run) // width)   # groups of as equal sizes as can be
-                for g in range(n):
-                    group = run[len(run) * g // n:len(run) * (g + 1) // n]
-                    out[lo:lo + len(group)] = local_train(
-                        theta, dataset.X_train, dataset.y_train,
-                        np.stack([dataset.shards[k - 1] for k in group]), shape,
-                        [rng_from_key(master_seed, "local_train", k, round_index)
-                         for k in group],
-                        epochs=params.local_epochs, batch_size=params.batch_size,
-                        opt=params.optimizer)
-                    lo += len(group)
-            if session is not None:     # the encodings, and the report
-                for i, row in enumerate(out):
-                    enc[i] = codec.encode(row).values
-                return ([float(np.linalg.norm(row - theta)) for row in out],
-                        float(np.abs(out).max(initial=0.0)))
-
-        def add_terms(ids, coefficients, enc):
-            for u, k, c in zip(enc, ids, coefficients or ()):
-                u += vectors[k].scalar_mul(c).values   # both < q < 2^63
-                reduce_once(u, codec.params.modulus)
-
-        self._work = (train, add_terms)
-        self._out = np.empty((n_clients, shape.dim))
-        self._enc = np.empty((n_clients, shape.dim), np.uint64)
-        self._workers = []      # (process, this end of its pipe)
-        n_workers = _worker_count(n_clients)
-        rows = -(-n_clients // (n_workers + 1))
+    def __init__(self, work: tuple, n_workers: int):
+        self._work, self._workers = work, []    # (process, this end of its pipe)
         ctx = multiprocessing.get_context("fork") if n_workers else None
         try:
             for _ in range(n_workers):
                 mine, theirs = ctx.Pipe()
                 inherited = [c for _, c in self._workers] + [mine]
-                proc = ctx.Process(target=_serve, daemon=True,
-                                   args=(theirs, self._work, shape.dim, rows, inherited))
+                proc = ctx.Process(target=_serve, daemon=True, args=(theirs, work, inherited))
                 with warnings.catch_warnings():
                     # Python >= 3.12 warns on fork while BLAS threads exist.
                     # No lock the worker needs is held across the fork, and
@@ -320,50 +251,35 @@ class ClientTrainer:
             self.close()
             raise
 
-    def __call__(self, theta: np.ndarray, participants: tuple, round_index: int,
-                 session: SecAggSession = None, coefficients=None):
-        n, out, enc = len(participants), self._out, self._enc
-        cuts = [n * i // (len(self._workers) + 1) for i in range(len(self._workers) + 2)]
-        order = range(n) if session is None else np.argsort(session._slot)
-        ids = tuple(participants[p] for p in order)     # the client of each row
-        busy, errors, reports, reporters = [], [], [], []
-        for (_, conn), lo, hi in zip(self._workers, cuts[1:], cuts[2:]):
-            if lo < hi:
-                conn.send((ids[lo:hi], round_index, session, lo))
-                conn.send_bytes(theta)
-                busy.append((conn, lo, hi))
-        (train, add_terms), m = self._work, cuts[1]
+    def step(self, calls: list) -> list:
+        """Runs ``calls``, one (i, args, rows) per process, this one first:
+        work[i](*args), whose rows, returned in a worker exactly when
+        ``rows`` is given, are received into ``rows``. Returns the results in
+        process order."""
+        for (_, conn), (i, args, _) in zip(self._workers, calls[1:]):
+            try:
+                conn.send((i, args))
+            except OSError:
+                pass    # the worker has ended: reading its reply fails below
+        i, args, _ = calls[0]
         try:
-            reports.append(train(theta, ids[:m], round_index, session, out[:m], enc[:m]))
+            results = [self._work[i](*args)[0]]
         except Exception as exc:
-            errors.append(exc)
-        for conn, lo, hi in busy:
-            reply = conn.recv()
-            if isinstance(reply, Exception):
-                errors.append(reply)
-            elif session is None:
-                conn.recv_bytes_into(out[lo:hi].reshape(-1))
-            else:
-                reports.append(reply)
-                reporters.append((conn, lo, hi))
-        c = _ABORT
-        try:
-            if errors:
-                raise errors[0]
-            if session is None:
-                return out[:n]
-            norms = [x for report, _ in reports for x in report]    # in slot order
-            terms = coefficients([norms[a] for a in session._slot],
-                                 max(top for _, top in reports))
-            c = None if terms is None else [terms[p] for p in order]
-        finally:    # every process that reported takes one coefficient message
-            for conn, lo, hi in reporters:
-                conn.send(c if c is None or c is _ABORT else c[lo:hi])
-        session.mask(enc[:m])
-        add_terms(ids[:m], c, enc[:m])
-        for conn, lo, hi in reporters:
-            conn.recv_bytes_into(enc[lo:hi].reshape(-1))
-        return enc[:n]
+            results = [exc]
+        for (proc, conn), (_, _, rows) in zip(self._workers, calls[1:]):
+            try:
+                reply = conn.recv()
+                if rows is not None and not isinstance(reply, Exception):
+                    conn.recv_bytes_into(rows.reshape(-1))
+            except (EOFError, OSError):
+                proc.join()
+                reply = ProtocolAbortError(f"worker process {proc.pid} ended with exit "
+                                           f"code {proc.exitcode}")
+            results.append(reply)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return results
 
     def close(self):
         while self._workers:
@@ -380,6 +296,89 @@ class ClientTrainer:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class ClientTrainer(_ForkPool):
+    """The client trainer of every run: local_train on the client's shard
+    with the stream keyed by (master_seed, client id, round), on every CPU.
+
+    A call is cut into contiguous ranges: this process trains the first,
+    each of the ``_worker_count`` workers, forked when the trainer opens,
+    one of the others. Each process cuts its range into lockstep groups:
+    each run of consecutive clients with equal shard lengths into the
+    fewest groups of at most max(1, _BLOCK_WORDS // d) clients, their
+    sizes as equal as can be (a group of one trains slower), and trains
+    each group with one local_train call, whose batches are gathered from
+    the dataset through the shard indices.
+    ``trainer(theta, participants, round_index)`` is one step returning the
+    thetas in participant order. With the model SecAgg ``session`` of these
+    participants the ranges are of its slots and a call is two steps: each
+    process trains, encodes with ``codec``, adds its slots' net masks and
+    reports update norms and the largest |theta_k| to ``coefficients(norms,
+    theta_abs_max)`` (norms in participant order), which gives each c_k
+    (None: no term); then each adds c_k * w_k, w_k the client's entry of
+    ``vectors``, and the call returns the masked submissions in slot order,
+    rows the next call overwrites. Nothing is pending between steps. A step
+    raises the first client's exception in range order (a group that fails
+    trains on only its clients before the first that failed, so an earlier
+    client's later failure is the one raised).
+    """
+
+    def __init__(self, dataset, shape: MlpShape, params: ProtocolParams,
+                 master_seed: int, n_clients: int, codec: FixedPointCodec = None,
+                 vectors: dict = None):
+        width = max(1, _BLOCK_WORDS // shape.dim)   # clients in a lockstep group
+        out = self._out = np.empty((n_clients, shape.dim))
+        enc = self._enc = np.empty((n_clients, shape.dim), np.uint64)
+
+        def train(theta, ids, round_index, lo, session):
+            hi = lo
+            for _, run in itertools.groupby(ids, lambda k: len(dataset.shards[k - 1])):
+                run = list(run)
+                n = -(-len(run) // width)   # groups of as equal sizes as can be
+                for g in range(n):
+                    group = run[len(run) * g // n:len(run) * (g + 1) // n]
+                    out[hi:hi + len(group)] = local_train(
+                        theta, dataset.X_train, dataset.y_train,
+                        np.stack([dataset.shards[k - 1] for k in group]), shape,
+                        [rng_from_key(master_seed, "local_train", k, round_index)
+                         for k in group],
+                        epochs=params.local_epochs, batch_size=params.batch_size,
+                        opt=params.optimizer)
+                    hi += len(group)
+            if session is None:
+                return None, out[lo:hi]
+            for i in range(lo, hi):
+                enc[i] = codec.encode(out[i]).values
+            session.mask(enc[lo:hi], lo)
+            return ([float(np.linalg.norm(row - theta)) for row in out[lo:hi]],
+                    float(np.abs(out[lo:hi]).max(initial=0.0))), None
+
+        def add_terms(ids, coefficients, lo):
+            for u, k, c in zip(enc[lo:], ids, coefficients):
+                u += vectors[k].scalar_mul(c).values   # both < q < 2^63
+                reduce_once(u, codec.params.modulus)
+            return None, enc[lo:lo + len(ids)]
+
+        super().__init__((train, add_terms), _worker_count(n_clients))
+
+    def __call__(self, theta: np.ndarray, participants: tuple, round_index: int,
+                 session: SecAggSession = None, coefficients=None):
+        n, k = len(participants), len(self._workers) + 1
+        ranges = [(n * i // k, n * (i + 1) // k) for i in range(k)]
+        order = range(n) if session is None else np.argsort(session._slot)
+        ids = tuple(participants[p] for p in order)     # the client of each row
+        reports = self.step([(0, (theta, ids[lo:hi], round_index, lo, session),
+                              self._out[lo:hi] if session is None else None)
+                             for lo, hi in ranges])
+        if session is None:
+            return self._out[:n]
+        norms = [x for report, _ in reports for x in report]    # in slot order
+        terms = coefficients([norms[a] for a in session._slot],
+                             max(top for _, top in reports))
+        c = [] if terms is None else [terms[p] for p in order]
+        self.step([(1, (ids[lo:hi], c[lo:hi], lo), self._enc[lo:hi]) for lo, hi in ranges])
+        return self._enc[:n]
 
 
 def run_protocol(setup: SetupResult, dataset, shape: MlpShape,

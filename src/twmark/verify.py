@@ -38,6 +38,7 @@ skewness and Fisher excess kurtosis of _moments.
 """
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ Z_STAR_DEFAULT = 4.0
 
 SKEW_WARN = 0.3
 KURTOSIS_WARN = 0.5
+
+_MIN_MODELS, _MIN_KEYS = 2, 100     # calibrate's floors, which a loaded table must meet
+_NULL_SE = 6.0      # standard errors a loaded table's mu and sigma may lie from the null
 
 
 # the fields of a saved calibration table, in file order, with their types
@@ -99,15 +103,35 @@ class CalibrationTable:
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":
-        """Parse a saved table; values are literals, never evaluated code."""
+        """Parse a saved table; values are literals, never evaluated code.
+
+        The table is refused unless it is near the closed-form null. Pooled
+        null cosines are i.i.d. N(0, 1/d) whatever the models, so over
+        N = n_models * n_keys_per_model of them mu * sqrt(dN) and
+        (sigma * sqrt(d) - 1) * sqrt(2(N - 1)) are about N(0, 1); either
+        beyond _NULL_SE is refused, as are tables below calibrate's floors
+        (an honest table fails with probability about 4e-9)."""
         fields = read_literals(file_lines(path), _CALIB_TYPES)
         missing = sorted(set(_CALIB_TYPES) - set(fields))
         if missing:
             raise ConfigurationError(f"{path}: calibration table lacks {missing}")
         try:
-            return cls(**fields)
-        except ConfigurationError as exc:
+            table = cls(**fields)
+            for name, floor in (("n_models", _MIN_MODELS), ("n_keys_per_model", _MIN_KEYS),
+                                ("dim", 1)):
+                if fields[name] < floor:
+                    raise ConfigurationError(f"{name} = {fields[name]} is below {floor}")
+            d, n = table.dim, table.n_models * table.n_keys_per_model
+            for name, se in (("mu", abs(table.mu) * math.sqrt(d * n)),
+                             ("sigma", abs(table.sigma * math.sqrt(d) - 1)
+                              * math.sqrt(2 * n - 2))):
+                if not se <= _NULL_SE:
+                    raise ConfigurationError(
+                        f"{name} = {fields[name]!r} lies {se:.3g} standard errors from the "
+                        f"null of {n} cosines at d = {d}, more than {_NULL_SE:g}")
+        except (ConfigurationError, OverflowError) as exc:   # counts past any float
             raise ConfigurationError(f"{path}: {exc}") from None
+        return table
 
 
 @dataclass(frozen=True)
@@ -338,14 +362,14 @@ def calibrate(models, n_keys: int, rng: np.random.Generator,
     keys, drawn and scored in blocks; records moments plus skew/kurtosis
     diagnostics."""
     models = [np.asarray(m, dtype=np.float64) for m in models]
-    if len(models) < 2:
+    if len(models) < _MIN_MODELS:
         raise ConfigurationError("need at least two unwatermarked models")
-    if n_keys < 100:
+    if n_keys < _MIN_KEYS:
         raise ConfigurationError("need at least 100 keys per model")
     d = models[0].size
     # zero-norm models are left out; n_models records how many were used
     usable = [m for m in models if np.linalg.norm(m) != 0.0]
-    if len(usable) < 2:
+    if len(usable) < _MIN_MODELS:
         raise ConfigurationError("fewer than two usable (nonzero) models")
     rows = max(1, _BLOCK_WORDS // d)
     pooled = np.empty(len(usable) * n_keys)

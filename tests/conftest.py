@@ -1,8 +1,18 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from twmark import keysetup
 from twmark.field import FieldParams, ProtocolCodecs
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fails any test after which a child process is still alive: workers
+    are joined on every path, error paths included."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

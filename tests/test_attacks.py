@@ -262,7 +262,7 @@ class TestTrainingMatchesReference:
     CFG = dict(epochs=3, batch_size=32, optimizer=AdamWParams(lr=0.01, weight_decay=0.1))
 
     def test_local_train(self, theta, dataset):
-        X, y = dataset.shard(1)
+        X, y = dataset.X_train[dataset.shards[1]], dataset.y_train[dataset.shards[1]]
         opt = self.CFG["optimizer"]
         (got,) = local_train(theta, X, y, np.arange(len(y))[None], SHAPE,
                              [np.random.default_rng(5)], epochs=3, batch_size=32, opt=opt)

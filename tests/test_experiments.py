@@ -979,6 +979,30 @@ class TestBinaryFiles:
         assert err.startswith(f"error: {other}: fingerprint 'mlp-1x2x3' is not the ")
         assert err.endswith(f" of {model}\n")
 
+    @pytest.mark.parametrize("edits, message", [
+        ({"sigma": "1e-05"}, "sigma = 1e-05 lies "),       # once z = 805.7, accepted
+        ({"mu": "-1.0"}, "mu = -1.0 lies "),               # once z = 77.7, accepted
+        ({"n_models": "1", "n_keys_per_model": "1"}, "n_models = 1 is below 2"),
+    ], ids=["sigma", "mu", "one-cosine"])
+    def test_calibration_far_from_the_null_is_an_error(self, cli_workspace, verify_files,
+                                                        tmp_path, edits, message):
+        # an unwatermarked model, rejected under the honest table
+        cfg, _, _ = cli_workspace
+        _, shares, calib = verify_files
+        _, theta = experiments.run_plain_fedavg(cfg, seed=7, rounds=cfg.rounds)
+        model = tmp_path / "plain.bin"
+        save_model(theta, cfg.shape(), cfg.rounds, model)
+        code, out, _ = _verify(model, shares, calib)
+        assert code == 1 and "decision: reject" in out
+        forged = tmp_path / "calibration.txt"
+        forged.write_text("".join(
+            f"{ln.split(' = ')[0]} = {edits[ln.split(' = ')[0]]}\n"
+            if ln.split(" = ")[0] in edits else ln
+            for ln in calib.read_text().splitlines(keepends=True)))
+        code, out, err = _verify(model, shares, forged)
+        assert code == 2 and "decision:" not in out
+        assert err.startswith(f"error: {forged}: {message}"), err
+
     @pytest.mark.parametrize("weight, message", [
         (np.nan, "coordinate 7 is not finite"), (0.0, "zero-norm suspect model"),
         (1e9, "verification bound"),

@@ -272,23 +272,23 @@ class TestFieldVector:
 class TestFixedPointCodec:
     def test_worked_examples(self, fM61):
         codec = FixedPointCodec(20, fM61)
-        assert codec.encode_scalar(0.5) == 524288
-        assert codec.encode_scalar(-1.0) == M61 - (1 << 20)
-        assert codec.encode_scalar(0.0) == 0
+        assert codec.encode(0.5).values[0] == 524288
+        assert codec.encode(-1.0).values[0] == M61 - (1 << 20)
+        assert codec.encode(0.0).values[0] == 0
         assert codec.decode_scalar(524288) == 0.5
         assert codec.decode_scalar(M61 - (1 << 20)) == -1.0
 
     def test_half_away_from_zero_rounding(self, fM61):
         codec = FixedPointCodec(1, fM61)
-        assert codec.encode_scalar(0.25) == 1      # 0.5 rounds up
-        assert codec.encode_scalar(-0.25) == M61 - 1  # -0.5 rounds away
+        assert codec.encode(0.25).values[0] == 1      # 0.5 rounds up
+        assert codec.encode(-0.25).values[0] == M61 - 1  # -0.5 rounds away
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-1e6, max_value=1e6,
                      allow_nan=False, allow_infinity=False))
     def test_roundtrip_error_bound(self, x):
         codec = FixedPointCodec(F_SHARE)
-        back = codec.decode_scalar(codec.encode_scalar(x))
+        back = codec.decode_scalar(codec.encode(x).values[0])
         assert abs(back - x) <= 2.0 ** -(F_SHARE + 1)
 
     def test_overflow_names_coordinate(self, fM61):
@@ -316,7 +316,7 @@ class TestFixedPointCodec:
             codec.encode(x)
         assert exc.value.index == 2
         with pytest.raises(ConfigurationError):
-            codec.encode_scalar(bad)
+            codec.encode(bad)
 
     def test_negative_frac_bits(self, fM61):
         with pytest.raises(ConfigurationError):
@@ -325,7 +325,7 @@ class TestFixedPointCodec:
     @pytest.mark.parametrize("q, most", [(M61, 59), (7, 1), (2**31 - 1, 29)])
     def test_frac_bits_leave_room_below_q_half(self, q, most):
         # 2^f < q/2, so that 1.0 encodes; 1100 bits once overflowed a float
-        assert FixedPointCodec(most, FieldParams(q)).encode_scalar(1.0) == 1 << most
+        assert FixedPointCodec(most, FieldParams(q)).encode(1.0).values[0] == 1 << most
         for bits in (most + 1, 1100):
             with pytest.raises(ConfigurationError, match=f"^{bits} fractional bits: .* {q}$"):
                 FixedPointCodec(bits, FieldParams(q))

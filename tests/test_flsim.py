@@ -40,7 +40,7 @@ class TestDataset:
         assert len(all_idx) == 640
         assert len(set(all_idx.tolist())) == 640
         for k in range(8):
-            X, y = ds.shard(k)
+            X, y = ds.X_train[ds.shards[k]], ds.y_train[ds.shards[k]]
             assert len(X) == 80
             counts = np.bincount(y, minlength=10)
             assert counts.max() - counts.min() <= 1

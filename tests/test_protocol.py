@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import re
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twmark import flsim, protocol
+from twmark import cli, flsim, protocol
 from twmark.errors import (ConfigurationError, EncodingOverflowError, NumericalError,
                            ProtocolAbortError, SkipRoundError)
 from twmark.experiments import ExperimentConfig, run_plain_fedavg, run_watermarked
@@ -146,7 +148,8 @@ class TestEmbedRound:
         total = 0
         for k in participants:
             norm = float(np.linalg.norm(steps[k]))
-            total += codecs.scale.encode_scalar(client_scale(norm, ema_update(0.0, norm, beta), c))
+            total += int(codecs.scale.encode(
+                client_scale(norm, ema_update(0.0, norm, beta), c)).values[0])
         S = quantize_scale(codecs.scale.decode_scalar(total % codecs.params.modulus),
                            codecs, ProtocolParams().scale_max)
         assert S > 0
@@ -288,11 +291,11 @@ TOY = dict(n_clients=6, hidden=8, n_samples=480, n_test=80, rounds=3, batch_size
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Forces the trainers opened after the call to fork ``n`` workers."""
+    """Forces the trainers opened after the call to fork ``n`` workers (the
+    autouse fixture of conftest.py checks that none is left alive)."""
     def force(n):
         monkeypatch.setattr(protocol, "_worker_count", lambda n_clients: n)
-    yield force
-    assert multiprocessing.active_children() == []
+    return force
 
 
 def _vectors(codec):
@@ -540,7 +543,7 @@ class TestClientTrainer:
             for plan in plans:
                 got = train(theta, plan.participants, plan.round_index).copy()
                 for k, row in zip(plan.participants, got):
-                    X, y = ds.shard(k - 1)
+                    X, y = ds.X_train[ds.shards[k - 1]], ds.y_train[ds.shards[k - 1]]
                     *_, want = adamw_epochs(
                         theta, (X, y), lambda th, Xb, yb: forward_backward(th, Xb, yb, shape)[1],
                         rng_from_key(7, "local_train", k, plan.round_index), 2, 16,
@@ -557,7 +560,7 @@ class TestClientTrainer:
         # client 7's error is raised, as training one by one raises it
         workers(n_workers)
         ds = _dataset(K=8)
-        owner = {row.tobytes(): k for k in range(1, 9) for row in ds.shard(k - 1)[0]}
+        owner = {row.tobytes(): k for k in range(1, 9) for row in ds.X_train[ds.shards[k - 1]]}
         real_forward, real_xent = flsim.forward, flsim.cross_entropy
         batch, steps, groups = [], dict.fromkeys(range(1, 9), 0), []
 
@@ -598,8 +601,8 @@ class TestClientTrainer:
 
 
 class TestTwoPhaseExchange:
-    """A round with a session: every process reports its norms, takes one
-    coefficient message, then returns its masked submissions."""
+    """A round with a session takes two steps: every process reports its
+    norms, then returns its masked submissions."""
 
     PARTICIPANTS = (1, 2, 3, 4)
 
@@ -730,9 +733,11 @@ class TestTwoPhaseExchange:
         assert sum(len(rows) for _, rows in sent) == K - m
         for (replies, rows), a0 in zip(sent, itertools.accumulate(
                 [m] + [len(rows) for _, rows in sent])):
-            # the report holds only update norms and the largest |theta_k|
-            assert [type(x) for r in replies for x in (*r[0], r[1])] == \
-                [float] * (len(rows) + 1)
+            # one reply a step: the first step's report holds only update
+            # norms and the largest |theta_k|; the second's is None, then rows
+            report, second = replies
+            assert second is None
+            assert [type(x) for x in (*report[0], report[1])] == [float] * (len(rows) + 1)
             for a, row in enumerate(rows, a0):
                 p = at[a]
                 k = session.participants[p]
@@ -740,6 +745,60 @@ class TestTwoPhaseExchange:
                 enc = codec.encode(thetas[p])
                 assert not np.array_equal(row, enc.values)
                 assert not np.array_equal(row, enc.add(vectors[k].scalar_mul(terms[p])).values)
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    @pytest.mark.parametrize("failure", ["client-here", "client-in-a-worker",
+                                         "encoding-in-a-worker", "raising-callback",
+                                         "theta-ceiling"])
+    def test_a_failed_step_leaves_no_reply_unread(self, workers, rng, monkeypatch,
+                                                   n_workers, failure):
+        # client 1 trains in this process and client 4 in a worker, for 1
+        # and 3 workers; a marked theta makes one of them fail in the first
+        # step, or the callback or the theta ceiling ends the round between
+        # the steps. Either way no worker has a reply left to read, and the
+        # next round is a fresh trainer's
+        ds, real = _dataset(), protocol.local_train
+
+        def local_train(theta, X, y, shards, *args, **kwargs):
+            out = real(theta, X, y, shards, *args, **kwargs)
+            clients = _clients(ds, shards)
+            if theta[0] == 123.0 and failure == "client-here" and 1 in clients:
+                raise NumericalError("divergence: client 1")
+            if theta[0] == 123.0 and failure == "client-in-a-worker" and 4 in clients:
+                raise NumericalError("divergence: client 4")
+            if theta[0] == 123.0 and failure == "encoding-in-a-worker":
+                out[np.equal(clients, 4)] += 1e9
+            return out
+
+        monkeypatch.setattr(protocol, "local_train", local_train)
+        setup, params = _setup(rng), ProtocolParams(batch_size=16)
+        workers(0)
+        with self._trainer(setup) as train:
+            want = self._round(train, setup, params)
+        workers(n_workers)
+        with self._trainer(setup) as train:
+            if failure == "theta-ceiling":
+                with pytest.raises(ProtocolAbortError, match="above the configured ceiling"):
+                    self._round(train, setup, replace(params, theta_max=1e-3))
+            else:
+                def coefficients(norms, theta_abs_max):
+                    if failure == "raising-callback":
+                        raise RuntimeError("no scale")
+                    return [3, 5, 7, 11]
+
+                error, message = {
+                    "client-here": (NumericalError, "client 1"),
+                    "client-in-a-worker": (NumericalError, "client 4"),
+                    "encoding-in-a-worker": (EncodingOverflowError, "exceeds encodable range"),
+                    "raising-callback": (RuntimeError, "no scale")}[failure]
+                bad = init_model(SHAPE, rng_from_key(0, "init"))
+                bad[0] = 123.0
+                with pytest.raises(error, match=message):
+                    train(bad, self.PARTICIPANTS, 1, _session(1, setup.codecs.model),
+                          coefficients)
+            assert len(train._workers) == n_workers
+            assert not any(conn.poll() for _, conn in train._workers)
+            assert np.array_equal(self._round(train, setup, params), want)
 
     @pytest.mark.parametrize("n_workers", (1, 3))
     def test_close_joins_every_worker_after_an_abort(self, workers, rng, n_workers):
@@ -751,6 +810,70 @@ class TestTwoPhaseExchange:
             with pytest.raises(ProtocolAbortError):
                 self._round(train, setup, ProtocolParams(theta_max=1e-3))
         assert all(not proc.is_alive() and proc.exitcode == 0 for proc in procs)
+
+
+class TestDeadWorker:
+    """A worker that dies is named: a call raises ProtocolAbortError with its
+    pid and exit code, and closing still joins every worker."""
+
+    @staticmethod
+    def _killing(monkeypatch, ds, parent=os.getpid()):
+        """Makes a worker that trains client 4 kill itself there."""
+        real = protocol.local_train
+
+        def local_train(theta, X, y, shards, *args, **kwargs):
+            if os.getpid() != parent and 4 in _clients(ds, shards):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(theta, X, y, shards, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "local_train", local_train)
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    def test_a_worker_killed_before_a_call(self, workers, rng, n_workers):
+        workers(n_workers)
+        setup = _setup(rng)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        with TestTwoPhaseExchange._trainer(setup) as train:
+            procs = [proc for proc, _ in train._workers]
+            os.kill(procs[-1].pid, signal.SIGKILL)
+            procs[-1].join()
+            for session in (None, _session(1, setup.codecs.model)):
+                with pytest.raises(ProtocolAbortError, match=(
+                        f"^worker process {procs[-1].pid} ended with exit code -9$")):
+                    train(theta, (1, 2, 3, 4), 1, session, lambda norms, top: None)
+        assert all(not proc.is_alive() for proc in procs)
+        assert [proc.exitcode for proc in procs] == [0] * (n_workers - 1) + [-9]
+
+    @pytest.mark.parametrize("n_workers", (1, 3))
+    @pytest.mark.parametrize("with_session", [False, True], ids=["plain", "session"])
+    def test_a_worker_that_dies_during_a_call(self, workers, rng, monkeypatch, n_workers,
+                                              with_session):
+        # client 4 trains in the last worker, for 1 and 3 workers
+        workers(n_workers)
+        setup = _setup(rng)
+        self._killing(monkeypatch, _dataset())
+        session = _session(1, setup.codecs.model) if with_session else None
+        with TestTwoPhaseExchange._trainer(setup) as train:
+            procs = [proc for proc, _ in train._workers]
+            with pytest.raises(ProtocolAbortError, match=(
+                    f"^worker process {procs[-1].pid} ended with exit code -9$")):
+                train(init_model(SHAPE, rng_from_key(0, "init")), (1, 2, 3, 4), 1, session,
+                      lambda norms, top: None)
+            # the others replied: none has a message left to read
+            assert not any(conn.poll() for _, conn in train._workers[:-1])
+        assert all(not proc.is_alive() for proc in procs)
+        assert [proc.exitcode for proc in procs] == [0] * (n_workers - 1) + [-9]
+
+    def test_the_cli_names_the_dead_worker(self, workers, monkeypatch, tmp_path, capsys):
+        # once `twmark train` printed "error: " with nothing after it
+        items = ["n_clients=4", "threshold=2", "n_samples=400", "rounds=1", "seeds=(0,)"]
+        workers(1)
+        self._killing(monkeypatch, ExperimentConfig.with_overrides({}, items).dataset(0))
+        code = cli.main(["train", *(a for item in items for a in ("--set", item)),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert re.fullmatch(r"error: worker process \d+ ended with exit code -9\n",
+                            capsys.readouterr().err)
 
 
 class TestPinnedDigests:

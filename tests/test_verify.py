@@ -1,7 +1,10 @@
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +96,57 @@ class TestCalibrationTable:
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(ConfigurationError):
             CalibrationTable.load(path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d, n_models, n_keys", [(92, 2, 100), (92, 5, 2000),
+                                                     (500, 3, 250), (5514, 2, 100)])
+    def test_tables_from_calibrate_load(self, tmp_path, seed, d, n_models, n_keys):
+        # the null is N(0, 1/d) for any fixed models, so random ones will do
+        rng = np.random.default_rng(seed)
+        models = [(k + 1) * rng.standard_normal(d) for k in range(n_models)]
+        table = calibrate(models, n_keys, rng, fingerprint=f"mlp-test-d{d}")
+        path = tmp_path / "calibration.txt"
+        table.save(path)
+        assert CalibrationTable.load(path) == table
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_models", 1, "n_models = 1 is below 2"),
+        ("n_keys_per_model", 99, "n_keys_per_model = 99 is below 100"),
+        ("dim", 0, "dim = 0 is below 1"),
+    ])
+    def test_load_refuses_tables_below_the_floors(self, tmp_path, field, value, message):
+        path = tmp_path / "calibration.txt"
+        replace(_table(sigma=0.125), **{field: value}).save(path)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            CalibrationTable.load(path)
+
+    def test_load_refuses_a_count_past_any_float(self, tmp_path):
+        path = tmp_path / "calibration.txt"
+        replace(_table(sigma=0.125), n_keys_per_model=10**400).save(path)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: int too large"):
+            CalibrationTable.load(path)
+
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_load_allows_six_standard_errors_from_the_null(self, tmp_path, field):
+        # N = 10,000 cosines at d = 64: one standard error of mu is
+        # 1/sqrt(dN) and of sigma 1/sqrt(2d(N - 1)), each about the null's
+        n, d = 10_000, 64
+        se = 1 / math.sqrt(d * n) if field == "mu" else 1 / math.sqrt(2 * d * (n - 1))
+        centre = 0.0 if field == "mu" else 1 / math.sqrt(d)
+        path = tmp_path / "calibration.txt"
+        for sign in (1, -1):
+            for k, loads in ((5.99, True), (6.01, False)):
+                table = replace(_table(sigma=0.125), n_models=4, n_keys_per_model=n // 4,
+                                **{field: centre + sign * k * se})
+                table.save(path)
+                if loads:
+                    assert CalibrationTable.load(path) == table
+                else:
+                    with pytest.raises(ConfigurationError,
+                                       match=f"^{re.escape(f'{path}: {field} = ')}.* lies 6.01 "
+                                             "standard errors from the null of 10000 "
+                                             "cosines at d = 64, more than 6$"):
+                        CalibrationTable.load(path)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ConfigurationError):
