@@ -18,8 +18,8 @@ from .experiments import (
     CalibrationTable,
     ExperimentConfig,
     _attack,
-    _check_embeds,
     _check_sweep,
+    _fidelity_points,
     cmd_attack,
     cmd_calibrate,
     cmd_fidelity,
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "fidelity":
-            _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
+            _fidelity_points(cfg, args.sweep_budget)
             calib = _calib(cfg, args, out)
             result = cmd_fidelity(cfg, calib, outdir=out,
                                   sweep_budget=args.sweep_budget)

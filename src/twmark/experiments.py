@@ -32,6 +32,8 @@ from .protocol import (
     ClientTrainer,
     GlobalModel,
     ProtocolParams,
+    _cpus,
+    _ForkPool,
     run_baseline,
     run_protocol,
 )
@@ -311,6 +313,39 @@ def make_coalition_verifier(cfg: ExperimentConfig, setup, calib: CalibrationTabl
                                setup.codecs.share, calib, cfg.z_star)
 
 
+def _run_units(unit, units: list, *args) -> list:
+    """unit(cfg, seed, *args) for each (ExperimentConfig, seed) of ``units``,
+    a command's independent runs; returns the results in unit order.
+
+    Units run in waves of one per CPU this process may run on, through a
+    _ForkPool whose workers inherit ``unit`` and ``args``: each process,
+    this one first, pins itself to its own CPU for its unit, so the unit's
+    ClientTrainer forks no worker. A last lone unit runs here on every CPU,
+    as does every unit on one CPU or of a command with one unit. A wave
+    raises the first failing unit's error, once every unit of it has ended.
+    """
+    cpus = _cpus()
+    width = min(len(cpus), len(units))
+    if width < 2:
+        return [unit(*u, *args) for u in units]
+    # a last lone unit runs here on every CPU, with its trainer's workers
+    pinned = len(units) - 1 if len(units) % width == 1 else len(units)
+
+    def run(i):
+        os.sched_setaffinity(0, {cpus[i % width]})
+        return unit(*units[i], *args), None
+
+    results, mask = [], os.sched_getaffinity(0)
+    try:
+        with _ForkPool((run,), width - 1) as pool:
+            for lo in range(0, pinned, width):
+                wave = range(lo, min(lo + width, pinned))
+                results += pool.step([(0, (i,), None) for i in wave])
+    finally:
+        os.sched_setaffinity(0, mask)
+    return results + [unit(*u, *args) for u in units[pinned:]]
+
+
 # -- commands --
 
 def _check_embeds(participation: float, K: int, t: int):
@@ -321,9 +356,21 @@ def _check_embeds(participation: float, K: int, t: int):
                                  f"clients a round, below t = {t}: no round would embed")
 
 
+def _check_dataset(cfg: ExperimentConfig, field: str, n: int, K: int):
+    """Refuses a dataset of n samples over K clients that gen_dataset would
+    refuse, naming ``field``, the config field n is made from, and K."""
+    for name, value, by, divisor in ((field, n, "K", K),
+                                     (field, n, "n_classes", cfg.n_classes),
+                                     ("n_test", cfg.n_test, "n_classes", cfg.n_classes)):
+        if value % divisor:
+            raise ConfigurationError(f"{name} gives {value} samples at K = {K}, "
+                                     f"not divisible by {by} = {divisor}")
+
+
 def _check_sweep(cfg: ExperimentConfig):
-    """Refuses a K sweep if, at any K, the baseline's overflow bound fails
-    or a round draws fewer than t = max(2, K // 2) clients."""
+    """Refuses a K sweep if, at any K, the baseline's overflow bound fails,
+    a round draws fewer than t = max(2, K // 2) clients or gen_dataset
+    would refuse the sweep_samples_per_client * K samples."""
     for K in cfg.k_sweep:
         # the baseline adds K keys at up to scale_max each, a stricter bound
         # than the threshold run's one scale_max term
@@ -331,18 +378,33 @@ def _check_sweep(cfg: ExperimentConfig):
             check_aggregate_bound(cfg.shape().dim, K, cfg.theta_max, K * cfg.scale_max,
                                   cfg.codecs()).raise_if_failed()
             _check_embeds(cfg.participation, K, max(2, K // 2))
+            _check_dataset(cfg, "sweep_samples_per_client", cfg.sweep_samples_per_client * K, K)
         except ConfigurationError as exc:
             raise ConfigurationError(f"k_sweep K={K}: {exc}") from None
+
+
+def _fidelity_points(cfg: ExperimentConfig, sweep_budget: bool) -> list:
+    """The (config, seed) units of cmd_fidelity, in row order, once every
+    point is checked: ``cfg`` at each c, with sweep_budget at the sweep_*
+    rounds, samples and batch."""
+    _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
+    field = "sweep_samples" if sweep_budget else "n_samples"
+    _check_dataset(cfg, field, getattr(cfg, field), cfg.n_clients)
+    budget = dict(rounds=cfg.sweep_rounds, n_samples=cfg.sweep_samples,
+                  batch_size=cfg.sweep_batch) if sweep_budget else {}
+    return [(replace(cfg, strength_c=c, **budget), s) for c in cfg.c_sweep for s in cfg.seeds]
+
+
+def _null_model(cfg: ExperimentConfig, seed: int) -> np.ndarray:
+    """One unit of cmd_calibrate: the theta of an unwatermarked FedAvg run."""
+    return run_plain_fedavg(cfg, seed, rounds=cfg.calib_rounds)[1]
 
 
 def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     """Train unwatermarked models, pool cosine null samples, persist table."""
     if cfg.calib_models < 2:
         raise ConfigurationError("calibration needs at least 2 models")
-    models = []
-    for i in range(cfg.calib_models):
-        _, theta = run_plain_fedavg(cfg, seed=10_000 + i, rounds=cfg.calib_rounds)
-        models.append(theta)
+    models = _run_units(_null_model, [(cfg, 10_000 + i) for i in range(cfg.calib_models)])
     table = calibrate(models, cfg.calib_keys, rng_from_key("calibration-keys"),
                       fingerprint=model_fingerprint(cfg.shape()), f_share=cfg.f_share)
     if outdir:
@@ -351,34 +413,38 @@ def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     return table
 
 
+def _write_run(cfg: ExperimentConfig, seed: int, outdir):
+    """One unit of cmd_train: the watermarked run of ``seed`` and its
+    run_seed<seed> directory under ``outdir``; returns (setup, dataset,
+    trajectory)."""
+    shape = cfg.shape()
+    setup, dataset, trajectory = run_watermarked(cfg, seed)
+    rundir = os.path.join(outdir, f"run_seed{seed}")
+    os.makedirs(os.path.join(rundir, "shares"), exist_ok=True)
+    save_trajectory(trajectory, shape, os.path.join(rundir, "trajectory"))
+    save_model(trajectory[-1].theta, shape, trajectory[-1].round_index,
+               os.path.join(rundir, "model_final.bin"))
+    for share in setup.shares:
+        save_share(share, setup,
+                   os.path.join(rundir, "shares", f"client_{share.point}.share"))
+    cfg.save(os.path.join(rundir, "config.txt"))
+    write_manifest(seed, setup, os.path.join(rundir, "manifest.txt"))
+    rows = [
+        f"{cfg.config_hash()},{seed},{gm.round_index},"
+        f"{evaluate(gm.theta, dataset.X_test, dataset.y_test, shape):.6f}"
+        for gm in trajectory
+    ]
+    write_csv(os.path.join(rundir, "metrics.csv"),
+              "config_hash,seed,round,test_accuracy", rows)
+    return setup, dataset, trajectory
+
+
 def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
     """Watermarked runs for each seed; persists trajectory, shares, config,
     manifest, metrics CSV. Returns per-seed (setup, dataset, trajectory)."""
     _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
     seeds = [seed] if seed is not None else list(cfg.seeds)
-    shape = cfg.shape()
-    results = {}
-    for s in seeds:
-        setup, dataset, trajectory = run_watermarked(cfg, s)
-        rundir = os.path.join(outdir, f"run_seed{s}")
-        os.makedirs(os.path.join(rundir, "shares"), exist_ok=True)
-        save_trajectory(trajectory, shape, os.path.join(rundir, "trajectory"))
-        save_model(trajectory[-1].theta, shape, trajectory[-1].round_index,
-                   os.path.join(rundir, "model_final.bin"))
-        for share in setup.shares:
-            save_share(share, setup,
-                       os.path.join(rundir, "shares", f"client_{share.point}.share"))
-        cfg.save(os.path.join(rundir, "config.txt"))
-        write_manifest(s, setup, os.path.join(rundir, "manifest.txt"))
-        rows = [
-            f"{cfg.config_hash()},{s},{gm.round_index},"
-            f"{evaluate(gm.theta, dataset.X_test, dataset.y_test, shape):.6f}"
-            for gm in trajectory
-        ]
-        write_csv(os.path.join(rundir, "metrics.csv"),
-                  "config_hash,seed,round,test_accuracy", rows)
-        results[s] = (setup, dataset, trajectory)
-    return results
+    return dict(zip(seeds, _run_units(_write_run, [(cfg, s) for s in seeds], outdir)))
 
 
 def cmd_verify(model_path, share_paths, calib_path,
@@ -466,24 +532,24 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     return {"records": records, "baseline_decay_exponent": slope}
 
 
+def _fidelity_point(point: ExperimentConfig, seed: int, calib: CalibrationTable) -> tuple:
+    """One unit of cmd_fidelity: (z, test accuracy) of the final model of
+    the watermarked run of ``point``."""
+    setup, dataset, trajectory = run_watermarked(point, seed)
+    rep = make_coalition_verifier(point, setup, calib)(trajectory[-1].theta)
+    return rep.z, evaluate(trajectory[-1].theta, dataset.X_test, dataset.y_test, point.shape())
+
+
 def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
                  sweep_budget: bool = False):
     """Accuracy and z across the watermark-strength sweep: ``cfg`` at each c (with
     sweep_budget, at the sweep_* rounds, samples and batch); rows carry its hash."""
-    _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
-    shape = cfg.shape()
+    units = _fidelity_points(cfg, sweep_budget)
     rows, records = [], []
-    budget = dict(rounds=cfg.sweep_rounds, n_samples=cfg.sweep_samples,
-                  batch_size=cfg.sweep_batch) if sweep_budget else {}
-    for c in cfg.c_sweep:
-        point = replace(cfg, strength_c=c, **budget)
-        for s in cfg.seeds:
-            setup, dataset, trajectory = run_watermarked(point, s)
-            verifier = make_coalition_verifier(cfg, setup, calib)
-            rep = verifier(trajectory[-1].theta)
-            acc = evaluate(trajectory[-1].theta, dataset.X_test, dataset.y_test, shape)
-            records.append({"c": c, "seed": s, "z": rep.z, "accuracy": acc})
-            rows.append(f"{cfg.config_hash()},{c},{s},{rep.z:.6g},{acc:.6f}")
+    for (point, s), (z, acc) in zip(units, _run_units(_fidelity_point, units, calib)):
+        c = point.strength_c
+        records.append({"c": c, "seed": s, "z": z, "accuracy": acc})
+        rows.append(f"{cfg.config_hash()},{c},{s},{z:.6g},{acc:.6f}")
     summary = {}
     for c in cfg.c_sweep:
         zs = [r["z"] for r in records if r["c"] == c]

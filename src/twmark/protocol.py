@@ -188,14 +188,19 @@ def make_plans(n_clients: int, threshold: int, rounds: int,
     return plans
 
 
-def _worker_count(n_clients: int) -> int:
-    """Workers a ClientTrainer forks beside this process: one for each
-    further CPU it may run on, at most one per further client; none where
-    fork or CPU affinity is unavailable."""
+def _cpus() -> list:
+    """The CPUs this process may run on, in order; none where fork or CPU
+    affinity is unavailable."""
     if (not hasattr(os, "sched_getaffinity")
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return 0
-    return max(min(len(os.sched_getaffinity(0)), n_clients) - 1, 0)
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _worker_count(n_clients: int) -> int:
+    """Workers a ClientTrainer forks beside this process: one for each
+    further CPU it may run on, at most one per further client."""
+    return max(min(len(_cpus()), n_clients) - 1, 0)
 
 
 def _serve(conn, work: tuple, inherited: list):
@@ -227,10 +232,14 @@ class _ForkPool:
     this process's call meanwhile and reads every reply before it raises
     the first exception in process order; a worker whose pipe fails, as when
     it dies, raises ProtocolAbortError naming its pid and exit code. Use it
-    as a context manager: closing joins every worker."""
+    as a context manager: closing joins every worker. A pool opened in a
+    daemonic process, which may not fork, as in another pool's worker, runs
+    every call in that process."""
 
     def __init__(self, work: tuple, n_workers: int):
         self._work, self._workers = work, []    # (process, this end of its pipe)
+        if multiprocessing.current_process().daemon:
+            n_workers = 0
         ctx = multiprocessing.get_context("fork") if n_workers else None
         try:
             for _ in range(n_workers):

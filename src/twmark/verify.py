@@ -58,8 +58,10 @@ from .sharing import ShamirConfig, lagrange_at_zero, public_norm
 
 Z_STAR_DEFAULT = 4.0
 
-SKEW_WARN = 0.3
-KURTOSIS_WARN = 0.5
+# calibrate warns when the skewness or excess kurtosis of its N pooled
+# cosines lies more than this many of a normal sample's standard errors,
+# sqrt(6/N) and sqrt(24/N), from 0
+_NORMALITY_SE = 4.0
 
 _MIN_MODELS, _MIN_KEYS = 2, 100     # calibrate's floors, which a loaded table must meet
 _NULL_SE = 6.0      # standard errors a loaded table's mu and sigma may lie from the null
@@ -95,7 +97,9 @@ class CalibrationTable:
 
     @property
     def normality_warning(self) -> bool:
-        return abs(self.skewness) > SKEW_WARN or abs(self.excess_kurtosis) > KURTOSIS_WARN
+        n = self.n_models * self.n_keys_per_model
+        return (abs(self.skewness) > _NORMALITY_SE * math.sqrt(6 / n)
+                or abs(self.excess_kurtosis) > _NORMALITY_SE * math.sqrt(24 / n))
 
     def save(self, path):
         with open(path, "w") as fh:

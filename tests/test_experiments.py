@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import multiprocessing
 import os
 import re
 import shutil
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twmark import cli, experiments, verify
-from twmark.errors import ConfigurationError
+from twmark import cli, experiments, protocol, verify
+from twmark.errors import ConfigurationError, ProtocolAbortError
 from twmark.experiments import (
     CalibrationTable,
     ExperimentConfig,
@@ -522,8 +523,25 @@ class TestCli:
          "participation 0.4 draws 2 of 4 clients a round, below t = 3"),
         (["scalability", "--set", "participation=0.4", "--set", "k_sweep=(8,)"],
          "k_sweep K=8: participation 0.4 draws 3 of 8 clients a round, below t = 4"),
+        (["scalability", "--set", "k_sweep=(4, 5)", "--set", "sweep_samples_per_client=14"],
+         "k_sweep K=4: sweep_samples_per_client gives 56 samples at K = 4, "
+         "not divisible by n_classes = 10"),
+        (["scalability", "--set", "k_sweep=(4, 5)", "--set", "sweep_samples_per_client=5"],
+         "k_sweep K=5: sweep_samples_per_client gives 25 samples at K = 5, "
+         "not divisible by n_classes = 10"),
+        (["scalability", "--set", "k_sweep=(4,)", "--set", "n_test=205"],
+         "k_sweep K=4: n_test gives 205 samples at K = 4, not divisible by n_classes = 10"),
+        (["fidelity", "--sweep-budget", "--set", "n_clients=32", "--set", "threshold=16",
+          "--set", "sweep_samples=5000"],
+         "sweep_samples gives 5000 samples at K = 32, not divisible by K = 32"),
+        (["fidelity", "--sweep-budget", "--set", "sweep_samples=404"],
+         "sweep_samples gives 404 samples at K = 4, not divisible by n_classes = 10"),
+        (["fidelity", "--set", "n_samples=402"],
+         "n_samples gives 402 samples at K = 4, not divisible by K = 4"),
     ], ids=["robustness-missing-run", "attack-missing-run", "attack-bogus-kind",
-            "fidelity-below-t", "scalability-below-t"])
+            "fidelity-below-t", "scalability-below-t", "scalability-classes-first-k",
+            "scalability-classes-later-k", "scalability-n-test", "fidelity-budget-k",
+            "fidelity-budget-classes", "fidelity-k"])
     def test_commands_check_their_inputs_before_calibrating(self, tmp_path, capsys, argv,
                                                             message):
         # without --calibration each command calibrates first when it needs
@@ -737,6 +755,135 @@ class TestSweeps:
         two = experiments.cmd_scalability(
             dataclasses.replace(cfg, k_sweep=(4, 6), sweep_rounds=1), calib)
         assert isinstance(two["baseline_decay_exponent"], float)
+
+
+class TestUnitRunner:
+    """A command's independent (config, seed) units run in waves of one per
+    CPU, each process pinned to its own; a last lone unit, one CPU or one
+    unit runs here."""
+
+    @pytest.fixture
+    def processes(self, monkeypatch):
+        """Makes the runner take ``n`` CPUs, the real ones in turn."""
+        cpus = sorted(os.sched_getaffinity(0))
+
+        def force(n):
+            forced = [cpus[i % len(cpus)] for i in range(n)]
+            monkeypatch.setattr(experiments, "_cpus", lambda: forced)
+            return forced
+        return force
+
+    @staticmethod
+    def _where(_, seed):
+        return (seed, os.getpid(), os.sched_getaffinity(0),
+                multiprocessing.current_process().daemon)
+
+    @pytest.mark.parametrize("n, count", [(2, 7), (3, 7), (3, 5), (3, 2), (2, 6)])
+    def test_units_run_one_per_cpu_and_return_in_order(self, processes, n, count):
+        cpus, mask = processes(n), os.sched_getaffinity(0)
+        got = experiments._run_units(self._where, [(None, i) for i in range(count)])
+        assert [seed for seed, *_ in got] == list(range(count))
+        width = min(n, count)
+        pinned = count - 1 if count % width == 1 else count
+        for i, (_, pid, affinity, daemon) in enumerate(got):
+            if i < pinned:
+                assert affinity == {cpus[i % width]}
+                assert (pid == os.getpid()) is (i % width == 0) is (not daemon)
+            else:   # the last lone unit, here on every CPU
+                assert (pid, affinity, daemon) == (os.getpid(), mask, False)
+        assert len({pid for _, pid, *_ in got}) == width
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (3, 1), (3, 0)])
+    def test_one_cpu_or_one_unit_runs_here(self, processes, monkeypatch, n, count):
+        processes(n)
+        monkeypatch.setattr(experiments, "_ForkPool",
+                            lambda *a, **kw: pytest.fail("a pool was opened"))
+        got = experiments._run_units(self._where, [(None, i) for i in range(count)])
+        assert got == [(i, os.getpid(), os.sched_getaffinity(0), False)
+                       for i in range(count)]
+
+    @pytest.mark.parametrize("n, count, failing, first", [
+        (2, 4, {0, 1}, 0), (2, 3, {1, 2}, 1), (2, 3, {2}, 2), (3, 5, {2, 4}, 2),
+        (3, 5, {4}, 4), (3, 7, {5, 6}, 5)])
+    def test_the_first_failing_unit_error_is_raised(self, processes, n, count, failing,
+                                                    first):
+        processes(n)
+        mask = os.sched_getaffinity(0)
+
+        def unit(_, seed):
+            if seed in failing:
+                raise ValueError(f"unit {seed}")
+            return seed
+
+        with pytest.raises(ValueError, match=f"^unit {first}$"):
+            experiments._run_units(unit, [(None, i) for i in range(count)])
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_a_dead_unit_worker_is_named(self, processes, n):
+        processes(n)
+
+        def unit(_, seed):
+            if seed == 1:
+                os._exit(3)
+            return seed
+
+        with pytest.raises(ProtocolAbortError,
+                           match=r"^worker process \d+ ended with exit code 3$"):
+            experiments._run_units(unit, [(None, i) for i in range(4)])
+
+    def test_a_trainer_in_a_unit_worker_forks_no_worker(self, processes, monkeypatch):
+        # a daemonic process may not fork, even where the worker count is forced
+        processes(3)
+        monkeypatch.setattr(protocol, "_worker_count", lambda n_clients: 2)
+        cfg = ExperimentConfig(n_clients=4, threshold=2, n_samples=400, hidden=8)
+
+        def unit(cfg, seed):
+            with protocol.ClientTrainer(cfg.dataset(seed), cfg.shape(), cfg.protocol_params(),
+                                        seed, cfg.n_clients) as train:
+                return multiprocessing.current_process().daemon, len(train._workers)
+
+        got = experiments._run_units(unit, [(cfg, s) for s in range(4)])
+        assert got == [(False, 2), (True, 0), (True, 0), (False, 2)]
+
+    TOY = ["--set", "n_clients=4", "--set", "threshold=2", "--set", "n_samples=400",
+           "--set", "hidden=16", "--set", "n_test=200", "--set", "rounds=3",
+           "--set", "calib_models=4", "--set", "calib_rounds=1", "--set", "calib_keys=100",
+           "--set", "seeds=(0, 1, 2)", "--set", "c_sweep=(0.0, 0.1)",
+           "--set", "sweep_rounds=2", "--set", "sweep_samples=400"]
+
+    def _outputs(self, out) -> dict:
+        for argv in (["calibrate"], ["train"], ["fidelity", "--sweep-budget"]):
+            assert cli.main([*argv, *self.TOY, "--out", str(out)]) == 0
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    @pytest.fixture(scope="class")
+    def pinned_outputs(self, tmp_path_factory):
+        """The files of one CPU, this process pinned as `taskset -c 0` would."""
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            return self._outputs(tmp_path_factory.mktemp("one_cpu"))
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    @pytest.mark.parametrize("mode", ["default", "three", "three_forced_trainer"])
+    def test_outputs_do_not_depend_on_the_processes(self, pinned_outputs, processes,
+                                                    monkeypatch, tmp_path, mode):
+        # calibrate's 4 models, train's 3 seeds and fidelity's 6 points, one
+        # pinned CPU against every CPU (2: waves of 2, then a lone unit) and
+        # 3 processes (a wave and a lone unit; 2 waves), with and without
+        # forked trainer workers
+        if mode != "default":
+            processes(3)
+        if mode == "three_forced_trainer":
+            monkeypatch.setattr(protocol, "_worker_count", lambda n_clients: 2)
+        got = self._outputs(tmp_path)
+        assert {"calibration.txt", "fidelity.csv", "fidelity_summary.txt",
+                "run_seed2/metrics.csv"} <= set(map(str, got))
+        assert got == pinned_outputs
 
 
 @pytest.fixture(scope="module")

@@ -153,13 +153,27 @@ class TestCalibrationTable:
             _table(sigma=0.0)
 
     def test_normality_warning_thresholds(self):
-        ok = _table()
-        assert not ok.normality_warning
-        skewed = CalibrationTable(mu=0, sigma=1, n_models=2,
-                                  n_keys_per_model=100, skewness=0.4,
-                                  excess_kurtosis=0.0, dim=4, fingerprint="",
-                                  f_share=20)
-        assert skewed.normality_warning
+        # the bound is 4 standard errors of a normal sample of N cosines,
+        # sqrt(6/N) for skewness and sqrt(24/N) for excess kurtosis
+        assert not _table().normality_warning
+        for n_models, n_keys in ((2, 100), (2, 200), (5, 2000)):
+            for moment, se in (("skewness", 6), ("excess_kurtosis", 24)):
+                bound = 4 * math.sqrt(se / (n_models * n_keys))
+                for value, warns in ((0.99 * bound, False), (1.01 * bound, True)):
+                    for sign in (1, -1):
+                        table = replace(_table(), n_models=n_models, n_keys_per_model=n_keys,
+                                        **{moment: sign * value})
+                        assert table.normality_warning is warns, (n_models, n_keys, moment)
+
+    def test_normality_warning_scales_with_the_cosine_count(self):
+        # an honest N = 400 table once read skewness 0.339 and warned at the
+        # fixed bound 0.3; at N = 10,000 a skewness of 0.12 is 4.9 standard errors
+        at = lambda n_keys, **moments: replace(
+            _table(), n_keys_per_model=n_keys, **moments).normality_warning
+        assert not at(200, skewness=0.339)
+        assert at(5000, skewness=0.12)
+        assert not at(200, excess_kurtosis=0.6)
+        assert at(5000, excess_kurtosis=0.25)
 
 
 class TestPartialInner:
