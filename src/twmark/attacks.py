@@ -2,14 +2,14 @@
 
 Every attack is a deterministic function of (model or trajectory, config):
 the attacker's subset and streams are drawn at ATTACK_SEED. Training
-attacks run flsim.adamw_epochs and return per-epoch checkpoints so callers
-can log (accuracy, z) trajectories; pruning and quantization are one-shot
-transforms evaluated without retraining.
+attacks train a stack of one model through flsim.adamw_epochs and return
+per-epoch checkpoints so callers can log (accuracy, z) trajectories;
+pruning and quantization are one-shot transforms without retraining.
 
 The adaptive fine-tuning objective is (1 - alpha) * task loss +
 alpha * |<theta, tau_hat>|: an alignment-suppression penalty against a
-key estimated from the released training trajectory. With alpha = 0 it
-reduces exactly to plain fine-tuning.
+key tau_hat, a unit-norm direction estimated from the released training
+trajectory. With alpha = 0 it reduces exactly to plain fine-tuning.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateModelError
-from .flsim import (AdamWParams, MlpShape, _loss_error, _softmax, adamw_epochs, backward,
+from .flsim import (AdamWParams, MlpShape, _check_finite, _softmax, adamw_epochs, backward,
                     cross_entropy, forward, forward_backward, init_model, logits)
 from .rngutil import rng_from_key
 
@@ -36,13 +36,6 @@ class AttackConfig:
     quant_scheme: str = "static8"
 
 
-@dataclass(frozen=True)
-class EstimatedKey:
-    """Unit-norm direction estimated from the released trajectory."""
-
-    direction: np.ndarray
-
-
 def sample_attack_subset(dataset, fraction: float, seed: int):
     """Uniform subset of the attacker's auxiliary pool; the fraction is
     measured against the FL training-set size, with fixed seeds."""
@@ -56,12 +49,12 @@ def sample_attack_subset(dataset, fraction: float, seed: int):
     return dataset.X_aux[idx], dataset.y_aux[idx]
 
 
-def estimate_key(trajectory) -> EstimatedKey:
+def estimate_key(trajectory) -> np.ndarray:
     """Default estimator: the normalized net displacement theta_T - theta_0."""
     return estimate_key_insider(trajectory, ())
 
 
-def estimate_key_insider(trajectory, own_updates) -> EstimatedKey:
+def estimate_key_insider(trajectory, own_updates) -> np.ndarray:
     """Insider variant: subtract the attacker client's own cumulative local
     updates from the net displacement before normalizing."""
     if len(trajectory) < 2:
@@ -72,15 +65,16 @@ def estimate_key_insider(trajectory, own_updates) -> EstimatedKey:
     norm = np.linalg.norm(delta)
     if norm == 0.0:
         raise DegenerateModelError("zero residual displacement in trajectory")
-    return EstimatedKey(direction=delta / norm)
+    return delta / norm
 
 
 def _train_checkpoints(theta0, data, batch_grad, stream: str, cfg: AttackConfig):
-    """[(0, theta0), (1, theta after epoch 1), ...] of adamw_epochs on
-    ``data``, with the batch order drawn from the attacker's ``stream``."""
-    return [(0, theta0.copy())] + list(enumerate(adamw_epochs(
-        theta0, data, batch_grad, rng_from_key(ATTACK_SEED, stream), cfg.epochs,
-        cfg.batch_size, cfg.optimizer), 1))
+    """[(0, theta0), (1, theta after epoch 1), ...] of adamw_epochs on ``data``
+    for theta0 as a stack of one, its batch order drawn from ``stream``."""
+    epochs = adamw_epochs(theta0[None], tuple(a[None] for a in data), batch_grad,
+                          [rng_from_key(ATTACK_SEED, stream)], cfg.epochs, cfg.batch_size,
+                          cfg.optimizer)
+    return [(0, theta0.copy())] + [(e, theta[0]) for e, theta in enumerate(epochs, 1)]
 
 
 def _finetune(theta0, dataset, shape, cfg: AttackConfig, penalty_dir=None,
@@ -90,8 +84,8 @@ def _finetune(theta0, dataset, shape, cfg: AttackConfig, penalty_dir=None,
     def batch_grad(theta, X, y):
         _, grad = forward_backward(theta, X, y, shape)
         if alpha > 0.0:
-            align = float(theta @ penalty_dir)
-            grad = (1.0 - alpha) * grad + alpha * np.sign(align) * penalty_dir
+            signs = np.sign([float(row @ penalty_dir) for row in theta])[:, None]
+            grad = (1.0 - alpha) * grad + alpha * signs * penalty_dir
         return grad
 
     data = sample_attack_subset(dataset, cfg.data_fraction, ATTACK_SEED)
@@ -105,12 +99,11 @@ def attack_finetune(theta: np.ndarray, dataset, shape: MlpShape,
 
 
 def attack_adaptive_finetune(theta: np.ndarray, dataset, shape: MlpShape,
-                             key: EstimatedKey, cfg: AttackConfig):
+                             key: np.ndarray, cfg: AttackConfig):
     """Fine-tuning with the alignment-suppression penalty at weight alpha."""
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ConfigurationError("alpha must be in [0, 1]")
-    return _finetune(theta, dataset, shape, cfg, penalty_dir=key.direction,
-                     alpha=cfg.alpha)
+    return _finetune(theta, dataset, shape, cfg, penalty_dir=key, alpha=cfg.alpha)
 
 
 def attack_prune(theta: np.ndarray, shape: MlpShape, ratio: float,
@@ -184,20 +177,19 @@ def _log_probs(z):
 
 def _kd_grad(theta, X, y, teacher_log_probs, shape, T, alpha):
     """Gradient of alpha * KL(softmax(zs/T) || softmax(zt/T)) + (1-alpha) * CE,
-    from one forward pass and one backward pass of the mixed logit gradient.
-    ``teacher_log_probs`` is _log_probs(zt / T) of the batch's teacher logits."""
+    of a model or a stack, from one forward and one backward pass of the mixed
+    logit gradient. ``teacher_log_probs`` is _log_probs(zt / T) of the batch."""
     a, zs = forward(theta, X, shape)
     ce_loss, dz2 = cross_entropy(zs, y)
-    if not np.isfinite(ce_loss):
-        raise _loss_error(ce_loss, zs)
-    B = len(X)
+    _check_finite(ce_loss, zs)
+    B = X.shape[-2]
     s = _softmax(zs / T)
     log_ratio = np.log(s + 1e-300) - teacher_log_probs
     # d/dzs of mean_i KL(s_i || t_i): g = log(s/t) + 1; grad = s*(g - <s,g>)/T
     g = log_ratio + 1.0
-    inner = (s * g).sum(axis=1, keepdims=True)
+    inner = (s * g).sum(axis=-1, keepdims=True)
     dzs = s * (g - inner) / (T * B)
-    kl = float((s * log_ratio).sum(axis=1).mean())
+    kl = (s * log_ratio).sum(axis=-1).mean(axis=-1)
     loss = alpha * kl + (1 - alpha) * ce_loss
     return loss, backward(theta, X, a, alpha * dzs + (1 - alpha) * dz2, shape)
 

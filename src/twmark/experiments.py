@@ -34,12 +34,15 @@ from .protocol import (
     ProtocolParams,
     _cpus,
     _ForkPool,
+    clients_drawn,
     run_baseline,
     run_protocol,
 )
 from .rngutil import rng_from_key
 from .sharing import ShamirConfig
 from .verify import (
+    _MIN_KEYS,
+    _MIN_MODELS,
     Z_STAR_DEFAULT,
     CalibrationTable,
     Coalition,
@@ -118,6 +121,14 @@ class ExperimentConfig:
         # way no round would embed the watermark
         if not 0 < self.participation <= 1:
             raise ConfigurationError(f"participation must lie in (0, 1], got {self.participation}")
+        if not 0 <= self.ema_beta < 1:
+            raise ConfigurationError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
+        for name, floor in (("rounds", 1), ("sweep_rounds", 1), ("calib_rounds", 1),
+                            ("batch_size", 1), ("sweep_batch", 1), ("attack_batch", 1),
+                            ("local_epochs", 1), ("attack_epochs", 1),
+                            ("calib_models", _MIN_MODELS), ("calib_keys", _MIN_KEYS)):
+            if getattr(self, name) < floor:
+                raise ConfigurationError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         for name in ("strength_c", "baseline_c", "c_sweep"):
             if (np.asarray(getattr(self, name)) < 0).any():
                 raise ConfigurationError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -349,9 +360,8 @@ def _run_units(unit, units: list, *args) -> list:
 # -- commands --
 
 def _check_embeds(participation: float, K: int, t: int):
-    """Refuses a run whose rounds draw max(1, round(participation * K))
-    clients, below t, as no round of it could embed the watermark."""
-    if (drawn := max(1, int(round(participation * K)))) < t:
+    """Refuses a run whose rounds draw fewer than t of its K clients: none could embed."""
+    if (drawn := clients_drawn(participation, K)) < t:
         raise ConfigurationError(f"participation {participation} draws {drawn} of {K} "
                                  f"clients a round, below t = {t}: no round would embed")
 
@@ -402,8 +412,6 @@ def _null_model(cfg: ExperimentConfig, seed: int) -> np.ndarray:
 
 def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     """Train unwatermarked models, pool cosine null samples, persist table."""
-    if cfg.calib_models < 2:
-        raise ConfigurationError("calibration needs at least 2 models")
     models = _run_units(_null_model, [(cfg, 10_000 + i) for i in range(cfg.calib_models)])
     table = calibrate(models, cfg.calib_keys, rng_from_key("calibration-keys"),
                       fingerprint=model_fingerprint(cfg.shape()), f_share=cfg.f_share)
@@ -415,8 +423,7 @@ def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
 
 def _write_run(cfg: ExperimentConfig, seed: int, outdir):
     """One unit of cmd_train: the watermarked run of ``seed`` and its
-    run_seed<seed> directory under ``outdir``; returns (setup, dataset,
-    trajectory)."""
+    run_seed<seed> directory under ``outdir``, which it returns."""
     shape = cfg.shape()
     setup, dataset, trajectory = run_watermarked(cfg, seed)
     rundir = os.path.join(outdir, f"run_seed{seed}")
@@ -436,12 +443,12 @@ def _write_run(cfg: ExperimentConfig, seed: int, outdir):
     ]
     write_csv(os.path.join(rundir, "metrics.csv"),
               "config_hash,seed,round,test_accuracy", rows)
-    return setup, dataset, trajectory
+    return rundir
 
 
 def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
     """Watermarked runs for each seed; persists trajectory, shares, config,
-    manifest, metrics CSV. Returns per-seed (setup, dataset, trajectory)."""
+    manifest, metrics CSV. Returns {seed: run directory} (see read_run)."""
     _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
     seeds = [seed] if seed is not None else list(cfg.seeds)
     return dict(zip(seeds, _run_units(_write_run, [(cfg, s) for s in seeds], outdir)))

@@ -2,12 +2,11 @@
 
 Synthetic Gaussian-blob classification data (its attacker pool drawn only
 when first read), a one-hidden-layer tanh MLP with exact manual gradients,
-AdamW local training, and top-1 accuracy evaluation. The model, its
-gradients and AdamW also run on a stack of models, theta (n, d), which
-local_train uses to train clients in lockstep. The model's
-parameters live in one flat vector theta; the flattening order is W1 (h x m,
-row-major), b1 (h), W2 (G x h, row-major), b2 (G), so
-d = h*m + h + G*h + G = (m+1)h + (h+1)G.
+AdamW training, and top-1 accuracy evaluation. Models train only as a
+stack, theta (n, d), in lockstep through adamw_epochs: clients as a stack
+of many, each attack as a stack of one. A model's parameters live in one
+flat vector; the flattening order is W1 (h x m, row-major), b1 (h),
+W2 (G x h, row-major), b2 (G), so d = h*m + h + G*h + G = (m+1)h + (h+1)G.
 
 Each "output channel" of a weight matrix is one row: hidden unit j owns
 row j of W1 and column j of W2.
@@ -204,17 +203,24 @@ def backward(theta: np.ndarray, X: np.ndarray, a: np.ndarray, dz2: np.ndarray,
     return shape.pack(dW1, db1, dW2, db2)
 
 
+def _check_finite(loss, z2: np.ndarray):
+    """Raises the error of the first model of a stack (or the one model)
+    whose loss on a batch with logits z2 is not finite."""
+    if not (finite := np.isfinite(loss)).all():
+        i = int(np.ravel(finite).argmin())
+        raise _loss_error(np.ravel(loss)[i], z2.reshape(-1, *z2.shape[-2:])[i])
+
+
 def forward_backward(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                      shape: MlpShape):
-    """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta;
-    a loss that is not finite raises NumericalError."""
-    if len(X) == 0:
+    """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta of
+    a model or a stack; a loss that is not finite raises NumericalError."""
+    if X.shape[-2] == 0:
         raise ConfigurationError("empty batch")
     a, z2 = forward(theta, X, shape)
     loss, dz2 = cross_entropy(z2, y)
-    if not np.isfinite(loss):
-        raise _loss_error(loss, z2)
-    return float(loss), backward(theta, X, a, dz2, shape)
+    _check_finite(loss, z2)
+    return loss, backward(theta, X, a, dz2, shape)
 
 
 @dataclass
@@ -265,34 +271,24 @@ class AdamWState:
         return np.subtract(theta, a, out=a)
 
 
-def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rng, epochs: int,
+def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rngs, epochs: int,
                  batch_size: int, opt: AdamWParams):
-    """The one training loop: AdamW from fresh optimizer state over
-    mini-batches of a fresh permutation of the samples of ``data``, a tuple
-    of equal-length arrays, per epoch; yields theta after each epoch.
-    batch_grad(theta, *batch) is the gradient on one batch of those arrays.
-
-    A stack of n models, theta (n, d), trains in lockstep: each array of
-    ``data`` then holds one row of samples per model, ``rng`` is n streams,
-    each permuting its model's row, and a batch takes each model's picks
-    from its row. batch_grad may return the gradients of only the first
-    models of the stack; the others leave it."""
+    """The one training loop: AdamW from fresh optimizer state over a stack
+    of n models, theta (n, d), in lockstep; yields theta after each epoch.
+    Each array of ``data`` holds one row of samples per model, and rngs[i]
+    draws a fresh permutation of row i per epoch, whose mini-batches model i
+    takes in turn. batch_grad(theta, *batch) is the gradient on one batch of
+    those arrays; it may return the gradients of only the first models of
+    the stack, and the others leave it."""
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     state = AdamWState(params=opt)
-    stacked = theta.ndim == 2
-    size = data[0].shape[stacked]
-    rows = np.arange(len(theta))[:, None] if stacked else None
+    size = data[0].shape[1]
+    rows = np.arange(len(theta))[:, None]
     for _ in range(epochs):
-        if stacked:
-            order = np.stack([r.permutation(size) for r in rng[:len(theta)]])
-        else:
-            order = rng.permutation(size)
+        order = np.stack([r.permutation(size) for r in rngs[:len(theta)]])
         for start in range(0, size, batch_size):
-            if stacked:
-                idx = rows[:len(theta)], order[:len(theta), start:start + batch_size]
-            else:
-                idx = order[start:start + batch_size]
+            idx = rows[:len(theta)], order[:len(theta), start:start + batch_size]
             grad = batch_grad(theta, *(a[idx] for a in data))
             if len(grad) < len(theta):
                 theta = theta[:len(grad)]

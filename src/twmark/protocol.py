@@ -168,18 +168,22 @@ def embed_round(global_model: GlobalModel, ema: dict, plan: RoundPlan,
     return _secure_average(masked, codecs, session)
 
 
+def clients_drawn(participation: float, n_clients: int) -> int:
+    """How many of n_clients a round draws at ``participation``."""
+    return max(1, int(round(participation * n_clients)))
+
+
 def make_plans(n_clients: int, threshold: int, rounds: int,
                participation: float, master_seed: int) -> list:
     """Participant schedule; full participation unless participation < 1."""
     if not 0 < participation <= 1:
         raise ConfigurationError(f"participation must lie in (0, 1], got {participation}")
     plans = []
-    all_clients = tuple(range(1, n_clients + 1))
     for r in range(1, rounds + 1):
         if participation >= 1.0:
-            chosen = all_clients
+            chosen = tuple(range(1, n_clients + 1))
         else:
-            n_pick = max(1, int(round(participation * n_clients)))
+            n_pick = clients_drawn(participation, n_clients)
             rng = rng_from_key(master_seed, "participation", r)
             picked = rng.choice(n_clients, n_pick, replace=False) + 1
             chosen = tuple(sorted(map(int, picked)))

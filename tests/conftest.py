@@ -5,6 +5,23 @@ import pytest
 
 from twmark import keysetup
 from twmark.field import FieldParams, ProtocolCodecs
+from twmark.flsim import AdamWState
+
+
+def reference_training(theta, size, rng, epochs, batch_size, opt, batch_grad):
+    """AdamW over shuffled mini-batches of ``size`` samples written out as
+    one loop for one model, with theta after every epoch: the reference for
+    every training procedure. batch_grad(theta, idx) is the gradient on the
+    samples ``idx``."""
+    state = AdamWState(params=opt)
+    out = [theta.copy()]
+    for _ in range(epochs):
+        order = rng.permutation(size)
+        for start in range(0, size, batch_size):
+            idx = order[start:start + batch_size]
+            theta = state.update(theta, batch_grad(theta, idx))
+        out.append(theta.copy())
+    return out
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import reference_training
 
 from twmark.attacks import (
     AttackConfig,
@@ -17,8 +20,9 @@ from twmark.attacks import (
     _quantize_tensor,
 )
 from twmark.errors import ConfigurationError, DegenerateModelError
-from twmark.flsim import (AdamWParams, AdamWState, MlpShape, forward_backward, gen_dataset,
-                          init_model, local_train, logits)
+from twmark.experiments import ExperimentConfig, cmd_calibrate, cmd_robustness, run_watermarked
+from twmark.flsim import (AdamWParams, MlpShape, forward_backward, gen_dataset, init_model,
+                          local_train, logits)
 from twmark.protocol import GlobalModel
 from twmark.rngutil import rng_from_key
 
@@ -64,7 +68,7 @@ class TestKeyEstimation:
         key = estimate_key(traj)
         want = traj[-1].theta - traj[0].theta
         want /= np.linalg.norm(want)
-        assert np.allclose(key.direction, want)
+        assert np.allclose(key, want)
 
     def test_insider_subtracts_own_updates(self, rng):
         traj = _traj(rng)
@@ -72,7 +76,7 @@ class TestKeyEstimation:
         key = estimate_key_insider(traj, [upd])
         want = traj[-1].theta - traj[0].theta - upd
         want /= np.linalg.norm(want)
-        assert np.allclose(key.direction, want)
+        assert np.allclose(key, want)
 
     def test_degenerate_trajectory(self, rng):
         t0 = init_model(SHAPE, rng)
@@ -108,11 +112,8 @@ class TestFinetune:
         direction = rng.standard_normal(SHAPE.dim)
         direction /= np.linalg.norm(direction)
         theta = theta + 0.5 * direction
-        from twmark.attacks import EstimatedKey
-
         cfg = AttackConfig(epochs=5, batch_size=32, data_fraction=0.1, alpha=0.7)
-        cps = attack_adaptive_finetune(theta, dataset, SHAPE,
-                                       EstimatedKey(direction), cfg)
+        cps = attack_adaptive_finetune(theta, dataset, SHAPE, direction, cfg)
         before = abs(theta @ direction)
         after = abs(cps[-1][1] @ direction)
         assert after < before
@@ -235,20 +236,6 @@ class TestPareto:
         assert pareto_frontier([(0.5, 3.0)]) == [(0.5, 3.0)]
 
 
-def _reference_training(theta, X, rng, epochs, batch_size, opt, batch_grad):
-    """AdamW over shuffled mini-batches written out as one loop, with
-    theta after every epoch: the reference for every training procedure."""
-    state = AdamWState(params=opt)
-    out = [theta.copy()]
-    for _ in range(epochs):
-        order = rng.permutation(len(X))
-        for start in range(0, len(X), batch_size):
-            idx = order[start:start + batch_size]
-            theta = state.update(theta, batch_grad(theta, idx))
-        out.append(theta.copy())
-    return out
-
-
 def _assert_checkpoints(got, want):
     assert [step for step, _ in got] == list(range(len(want)))
     for (_, a), b in zip(got, want):
@@ -266,16 +253,16 @@ class TestTrainingMatchesReference:
         opt = self.CFG["optimizer"]
         (got,) = local_train(theta, X, y, np.arange(len(y))[None], SHAPE,
                              [np.random.default_rng(5)], epochs=3, batch_size=32, opt=opt)
-        want = _reference_training(
-            theta, X, np.random.default_rng(5), 3, 32, opt,
+        want = reference_training(
+            theta, len(X), np.random.default_rng(5), 3, 32, opt,
             lambda th, idx: forward_backward(th, X[idx], y[idx], SHAPE)[1])
         assert np.array_equal(got, want[-1])
 
     def test_finetune(self, theta, dataset):
         cfg = AttackConfig(data_fraction=0.1, **self.CFG)
         X, y = sample_attack_subset(dataset, 0.1, seed=0)
-        want = _reference_training(
-            theta, X, rng_from_key(0, "finetune"), 3, 32, cfg.optimizer,
+        want = reference_training(
+            theta, len(X), rng_from_key(0, "finetune"), 3, 32, cfg.optimizer,
             lambda th, idx: forward_backward(th, X[idx], y[idx], SHAPE)[1])
         _assert_checkpoints(attack_finetune(theta, dataset, SHAPE, cfg), want)
 
@@ -286,11 +273,11 @@ class TestTrainingMatchesReference:
 
         def grad(th, idx):
             g = forward_backward(th, X[idx], y[idx], SHAPE)[1]
-            align = float(th @ key.direction)
-            return 0.7 * g + 0.3 * np.sign(align) * key.direction
+            align = float(th @ key)
+            return 0.7 * g + 0.3 * np.sign(align) * key
 
-        want = _reference_training(theta, X, rng_from_key(0, "finetune"), 3, 32,
-                                   cfg.optimizer, grad)
+        want = reference_training(theta, len(X), rng_from_key(0, "finetune"), 3, 32,
+                                  cfg.optimizer, grad)
         _assert_checkpoints(attack_adaptive_finetune(theta, dataset, SHAPE, key, cfg),
                             want)
 
@@ -299,8 +286,23 @@ class TestTrainingMatchesReference:
         X, y = sample_attack_subset(dataset, 0.2, seed=0)
         teacher_out = _log_probs(logits(theta, X, SHAPE) / 3.0)
         student = init_model(SHAPE, rng_from_key(0, "student_init"))
-        want = _reference_training(
-            student, X, rng_from_key(0, "distill"), 3, 32, cfg.optimizer,
+        want = reference_training(
+            student, len(X), rng_from_key(0, "distill"), 3, 32, cfg.optimizer,
             lambda th, idx: _kd_grad(th, X[idx], y[idx], teacher_out[idx], SHAPE,
                                      T=3.0, alpha=0.5)[1])
         _assert_checkpoints(attack_distill(theta, dataset, SHAPE, cfg), want)
+
+
+def test_grid_bytes_are_pinned(tmp_path):
+    """SHA-256 of robustness.csv for a toy grid of all six kinds, computed
+    at commit 47acf1c, when the attacks trained one unstacked model."""
+    cfg = ExperimentConfig(n_clients=4, threshold=2, rounds=4, n_samples=400, input_dim=6,
+                           hidden=8, n_classes=4, n_test=80, strength_c=20.0, ema_beta=0.5,
+                           calib_models=2, calib_rounds=1, calib_keys=100, attack_epochs=12,
+                           attack_batch=16, attack_fractions=(0.05, 0.2),
+                           attack_alphas=(0.3, 0.7), prune_ratios=(0.5,),
+                           quant_schemes=("static4", "dynamic8"))
+    setup, dataset, trajectory = run_watermarked(cfg, seed=3)
+    cmd_robustness(cfg, setup, dataset, trajectory, cmd_calibrate(cfg), outdir=tmp_path)
+    assert hashlib.sha256((tmp_path / "robustness.csv").read_bytes()).hexdigest() == (
+        "366d79f16608c31cbfc662eba4150f10c2eef1f58d27a79c4bbb5c02052269a4")

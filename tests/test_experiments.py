@@ -209,8 +209,8 @@ class TestCli:
         cfg = ExperimentConfig(**{**SMALL_CFG, "n_clients": 12, "threshold": 4,
                                   "rounds": 1})
         calib = CalibrationTable.load(out / "calibration.txt")
-        mem_setup, _, trajectory = cmd_train(cfg, tmp_path, seed=0)[0]
-        setup, _, _ = load_run(cfg, tmp_path / "run_seed0")
+        setup, _, trajectory = load_run(cfg, cmd_train(cfg, tmp_path, seed=0)[0])
+        mem_setup = experiments.run_setup(cfg, 0)
         assert [s.point for s in setup.shares] == list(range(1, 13))
         calls = []
         partial_inner = experiments.partial_inner
@@ -504,6 +504,36 @@ class TestCli:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fidelity", "--set", "ema_beta=1.0"], "ema_beta must lie in [0, 1), got 1.0"),
+        (["train", "--set", "ema_beta=-0.5"], "ema_beta must lie in [0, 1), got -0.5"),
+        (["calibrate", "--set", "calib_keys=50"], "calib_keys must be >= 100, got 50"),
+        (["calibrate", "--set", "calib_models=1"], "calib_models must be >= 2, got 1"),
+        (["calibrate", "--set", "calib_rounds=0"], "calib_rounds must be >= 1, got 0"),
+        (["train", "--set", "rounds=0"], "rounds must be >= 1, got 0"),
+        (["fidelity", "--sweep-budget", "--set", "sweep_rounds=0"],
+         "sweep_rounds must be >= 1, got 0"),
+        (["train", "--set", "batch_size=0"], "batch_size must be >= 1, got 0"),
+        (["scalability", "--set", "sweep_batch=-1"], "sweep_batch must be >= 1, got -1"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_batch=0"],
+         "attack_batch must be >= 1, got 0"),
+        (["train", "--set", "local_epochs=0"], "local_epochs must be >= 1, got 0"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_epochs=-3"],
+         "attack_epochs must be >= 1, got -3"),
+    ], ids=["ema-beta-one", "ema-beta-negative", "calib-keys", "calib-models", "calib-rounds",
+            "rounds", "sweep-rounds", "batch-size", "sweep-batch", "attack-batch",
+            "local-epochs", "attack-epochs"])
+    def test_commands_refuse_bad_counts_before_any_work(self, tmp_path, capsys, argv,
+                                                        message):
+        # each once failed only after work had started (fidelity wrote
+        # calibration.txt and calibrate trained every null model first) or
+        # not at all: calibrate fitted untrained models at calib_rounds=0,
+        # and a negative attack_epochs scored every attack as the victim
+        code = cli.main([argv[0], *self.TINY, *argv[1:], "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_train_refuses_participation_below_t(self, tmp_path, capsys):
         # K=4, t=3: participation 0.4 draws round(1.6) = 2 clients a round,

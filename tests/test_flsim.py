@@ -3,16 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from conftest import reference_training
 from hypothesis import given, settings, strategies as st
 
 from twmark import flsim
 from twmark.errors import ConfigurationError, NumericalError
-from twmark.experiments import ExperimentConfig, cmd_train
+from twmark.experiments import ExperimentConfig, cmd_train, read_run
 from twmark.flsim import (
     AdamWParams,
     AdamWState,
     MlpShape,
-    adamw_epochs,
     evaluate,
     forward_backward,
     gen_dataset,
@@ -85,10 +85,19 @@ class TestDataset:
         assert draws == [32]
         assert ds.X_aux is X and ds.y_aux is y and draws == [32]
 
-    def test_training_run_never_draws_the_aux_pool(self, tmp_path):
+    def test_training_run_never_draws_the_aux_pool(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(n_clients=4, threshold=2, rounds=2, n_samples=400,
                                hidden=8, n_test=80, seeds=(0,))
-        (_, ds, _), = cmd_train(cfg, tmp_path).values()
+        sample_blobs, draws = flsim._sample_blobs, []
+
+        def counting(rng, means, noise, per_class):
+            draws.append(per_class)
+            return sample_blobs(rng, means, noise, per_class)
+
+        monkeypatch.setattr(flsim, "_sample_blobs", counting)
+        rundir, = cmd_train(cfg, tmp_path).values()
+        assert draws == [40, 8]                 # the training and test splits
+        _, _, ds, _ = read_run(rundir)
         assert "_aux" not in vars(ds)
         assert len(ds.X_aux) == 400 and "_aux" in vars(ds)  # where the pool is kept
 
@@ -231,18 +240,15 @@ class TestTraining:
 
 class TestLockstep:
     """Clients trained as one stack have, row by row, the bits of each
-    client trained alone through the unstacked path, the one the attacks
-    take."""
+    client trained alone through the written-out reference loop."""
 
     SHAPE = MlpShape(input_dim=6, hidden=13, n_classes=4)     # h not a multiple of 8
     OPT = AdamWParams(lr=0.01, weight_decay=0.1)
 
     def _alone(self, theta, X, y, idx, rng, epochs, batch_size):
-        *_, theta = adamw_epochs(
-            theta, (X[idx], y[idx]),
-            lambda th, Xb, yb: forward_backward(th, Xb, yb, self.SHAPE)[1],
-            rng, epochs, batch_size, self.OPT)
-        return theta
+        return reference_training(
+            theta, len(idx), rng, epochs, batch_size, self.OPT,
+            lambda th, b: forward_backward(th, X[idx[b]], y[idx[b]], self.SHAPE)[1])[-1]
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 13), batch_size=st.integers(2, 9), batches=st.integers(1, 3),
