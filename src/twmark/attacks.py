@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateModelError
-from .flsim import (AdamWParams, MlpShape, _check_finite, _softmax, adamw_epochs, backward,
+from .flsim import (AdamWParams, MlpShape, _check_loss, _softmax, adamw_epochs, backward,
                     cross_entropy, forward, forward_backward, init_model, logits)
 from .rngutil import rng_from_key
 
@@ -25,8 +25,15 @@ ATTACK_SEED = 0               # the attacker's subset, student init and batch or
 DISTILL_TEMPERATURE = 3.0     # distillation softening
 
 
+# quantization scheme -> (bits, per output channel)
+_SCHEMES = {"static8": (8, False), "static4": (4, False), "dynamic8": (8, True)}
+
+
 @dataclass
 class AttackConfig:
+    """One attack job's settings; a field value outside its range is
+    refused when the config is built."""
+
     data_fraction: float = 0.05
     epochs: int = 100
     batch_size: int = 128
@@ -34,6 +41,15 @@ class AttackConfig:
     alpha: float = 0.5          # adaptive penalty weight or distill mix
     prune_ratio: float = 0.5
     quant_scheme: str = "static8"
+
+    def __post_init__(self):
+        for name, ok, bounds in (("data_fraction", 0 < self.data_fraction <= 1, "(0, 1]"),
+                                 ("alpha", 0 <= self.alpha <= 1, "[0, 1]"),
+                                 ("prune_ratio", 0 < self.prune_ratio < 1, "(0, 1)")):
+            if not ok:
+                raise ConfigurationError(f"{name} must lie in {bounds}, got {getattr(self, name)}")
+        if self.quant_scheme not in _SCHEMES:
+            raise ConfigurationError(f"unknown quantization scheme {self.quant_scheme!r}")
 
 
 def sample_attack_subset(dataset, fraction: float, seed: int):
@@ -101,8 +117,6 @@ def attack_finetune(theta: np.ndarray, dataset, shape: MlpShape,
 def attack_adaptive_finetune(theta: np.ndarray, dataset, shape: MlpShape,
                              key: np.ndarray, cfg: AttackConfig):
     """Fine-tuning with the alignment-suppression penalty at weight alpha."""
-    if not 0.0 <= cfg.alpha <= 1.0:
-        raise ConfigurationError("alpha must be in [0, 1]")
     return _finetune(theta, dataset, shape, cfg, penalty_dir=key, alpha=cfg.alpha)
 
 
@@ -156,15 +170,10 @@ def attack_quantize(theta: np.ndarray, shape: MlpShape,
 
     static8/static4: per-tensor symmetric; dynamic8: per-output-channel
     (per-row) symmetric 8-bit."""
-    W1, b1, W2, b2 = shape.unpack(theta)
-    if scheme == "static8":
-        bits, per_channel = 8, False
-    elif scheme == "static4":
-        bits, per_channel = 4, False
-    elif scheme == "dynamic8":
-        bits, per_channel = 8, True
-    else:
+    if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown quantization scheme {scheme!r}")
+    bits, per_channel = _SCHEMES[scheme]
+    W1, b1, W2, b2 = shape.unpack(theta)
     return shape.pack(
         _quantize_tensor(W1, bits, per_channel), b1.copy(),
         _quantize_tensor(W2, bits, per_channel), b2.copy(),
@@ -181,7 +190,7 @@ def _kd_grad(theta, X, y, teacher_log_probs, shape, T, alpha):
     logit gradient. ``teacher_log_probs`` is _log_probs(zt / T) of the batch."""
     a, zs = forward(theta, X, shape)
     ce_loss, dz2 = cross_entropy(zs, y)
-    _check_finite(ce_loss, zs)
+    _check_loss(ce_loss, zs)
     B = X.shape[-2]
     s = _softmax(zs / T)
     log_ratio = np.log(s + 1e-300) - teacher_log_probs

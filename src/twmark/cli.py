@@ -17,7 +17,7 @@ from .errors import ConfigurationError
 from .experiments import (
     CalibrationTable,
     ExperimentConfig,
-    _attack,
+    _attack_config,
     _check_sweep,
     _fidelity_points,
     cmd_attack,
@@ -151,11 +151,11 @@ def main(argv=None) -> int:
 
         # each command checks its inputs before _calib may train the null models
         if args.command == "attack":
-            _attack(args.kind)
-            run = read_run(args.run)
-            calib = _calib(cfg, args, out)
             params = {name: getattr(args, name) for name in _ATTACK_PARAMS
                       if getattr(args, name) is not None}
+            _attack_config(cfg, args.kind, params)
+            run = read_run(args.run)
+            calib = _calib(cfg, args, out)
             records = cmd_attack(cfg, run, calib, args.kind, outdir=out, **params)
             final = records[-1]
             print(f"{args.kind}: final accuracy {final['accuracy']:.4f}, "

@@ -134,8 +134,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.setup_mode not in ("dealer", "dkg"):
             raise ConfigurationError("setup_mode must be 'dealer' or 'dkg'")
-        for kind in self.attack_kinds:
-            _attack(kind)
+        for kind, params in _attack_jobs(self):
+            _attack_config(self, kind, params)
         check_aggregate_bound(
             self.shape().dim, self.n_clients, self.theta_max, self.scale_max,
             self.codecs(),
@@ -607,6 +607,21 @@ def _attack(kind: str):
     return _ATTACKS[kind]
 
 
+def _reads(kind: str) -> tuple:
+    """The AttackConfig fields an attack of ``kind`` reads: those of its
+    grid, and distill's mix weight alpha."""
+    return (*_attack(kind)[0], *(("alpha",) if kind == "distill" else ()))
+
+
+def _attack_config(cfg: ExperimentConfig, kind: str, params: dict) -> attacks.AttackConfig:
+    """The AttackConfig of a job of ``kind`` that sets ``params``; refuses a
+    field the kind does not read, and every value AttackConfig refuses."""
+    if unread := sorted(set(params) - set(_reads(kind))):
+        raise ConfigurationError(f"attack kind {kind!r} does not read {', '.join(unread)}")
+    return attacks.AttackConfig(epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
+                                optimizer=cfg.optimizer(), **params)
+
+
 def _attack_jobs(cfg: ExperimentConfig):
     """The attack grid as (kind, params dict) jobs, deterministic order."""
     jobs = []
@@ -630,12 +645,8 @@ def _attack_and_verify(cfg: ExperimentConfig, verifier, kind: str, params: dict,
     Returns (records, CSV rows), the rows tagged ``run_id``, the hash of
     the run's config."""
     shape = cfg.shape()
-    acfg = attacks.AttackConfig(
-        epochs=cfg.attack_epochs, batch_size=cfg.attack_batch,
-        optimizer=cfg.optimizer(), **params,
-    )
-    checkpoints = run_attack_job(kind, acfg, trajectory[-1].theta, trajectory,
-                                 dataset, shape)
+    checkpoints = run_attack_job(kind, _attack_config(cfg, kind, params),
+                                 trajectory[-1].theta, trajectory, dataset, shape)
     keep = [cp for i, cp in enumerate(checkpoints)
             if i % _EPOCH_STRIDE == 0 or i == len(checkpoints) - 1]
     param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
@@ -723,7 +734,10 @@ def cmd_attack(cfg: ExperimentConfig, run, calib: CalibrationTable,
                kind: str, outdir=None, **params):
     """One attack job against a persisted run, ``run`` as read_run returns
     it, verified via the coalition path; rows carry the hash of the run's
-    own config."""
+    own config, and their params every field ``kind`` reads, given in
+    ``params`` or AttackConfig's default."""
+    acfg = _attack_config(cfg, kind, params)
+    params = {name: getattr(acfg, name) for name in _reads(kind)}
     run_cfg, setup, dataset, trajectory = run
     verifier = make_coalition_verifier(cfg, setup, calib)
     records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset,

@@ -169,7 +169,7 @@ def _softmax(z):
 def cross_entropy(z2: np.ndarray, y: np.ndarray):
     """Mean softmax cross-entropy of logits z2 (..., B, G) against labels y
     (..., B), one per stack row, and its gradient w.r.t. z2. The loss is not
-    checked: see _loss_error."""
+    checked: see _check_loss."""
     B, G = z2.shape[-2:]
     dz2 = _softmax(z2)
     flat = dz2.reshape(-1, G)           # a view, one row per sample
@@ -180,12 +180,15 @@ def cross_entropy(z2: np.ndarray, y: np.ndarray):
     return loss, dz2
 
 
-def _loss_error(loss, z2: np.ndarray) -> NumericalError:
-    """The error of a model whose loss on a batch with logits z2 is not
-    finite, or is finite and diverged."""
-    if not np.isfinite(loss):
-        return NumericalError(f"non-finite loss {loss}; |logits|_max={np.abs(z2).max()}")
-    return NumericalError(f"divergence: loss={loss:.3g}")
+def _check_loss(loss, z2: np.ndarray, limit: float = np.inf):
+    """Raises the error of the first model of a stack (or the one model)
+    whose loss on a batch with logits z2 is not finite or above ``limit``."""
+    if not (ok := np.isfinite(loss) & (loss <= limit)).all():
+        i = int(np.ravel(ok).argmin())
+        loss, z2 = np.ravel(loss)[i], z2.reshape(-1, *z2.shape[-2:])[i]
+        if not np.isfinite(loss):
+            raise NumericalError(f"non-finite loss {loss}; |logits|_max={np.abs(z2).max()}")
+        raise NumericalError(f"divergence: loss={loss:.3g}")
 
 
 def backward(theta: np.ndarray, X: np.ndarray, a: np.ndarray, dz2: np.ndarray,
@@ -203,23 +206,16 @@ def backward(theta: np.ndarray, X: np.ndarray, a: np.ndarray, dz2: np.ndarray,
     return shape.pack(dW1, db1, dW2, db2)
 
 
-def _check_finite(loss, z2: np.ndarray):
-    """Raises the error of the first model of a stack (or the one model)
-    whose loss on a batch with logits z2 is not finite."""
-    if not (finite := np.isfinite(loss)).all():
-        i = int(np.ravel(finite).argmin())
-        raise _loss_error(np.ravel(loss)[i], z2.reshape(-1, *z2.shape[-2:])[i])
-
-
 def forward_backward(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     shape: MlpShape):
+                     shape: MlpShape, limit: float = np.inf):
     """Mean softmax cross-entropy loss and its exact gradient w.r.t. theta of
-    a model or a stack; a loss that is not finite raises NumericalError."""
+    a model or a stack; a loss that is not finite or above ``limit`` raises
+    NumericalError (_check_loss)."""
     if X.shape[-2] == 0:
         raise ConfigurationError("empty batch")
     a, z2 = forward(theta, X, shape)
     loss, dz2 = cross_entropy(z2, y)
-    _check_finite(loss, z2)
+    _check_loss(loss, z2, limit)
     return loss, backward(theta, X, a, dz2, shape)
 
 
@@ -245,13 +241,10 @@ class AdamWState:
         """theta after one step, as a new array. The moments are updated in
         place and the step runs in two buffers, in the operation order of
         theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta).
-        A stack of models (theta (n, d)) steps in lockstep; a stack shorter
-        than the moments keeps their first rows."""
+        A stack of models (theta (n, d)) steps in lockstep."""
         if self.m is None:
             self.m = np.zeros(theta.shape)
             self.v = np.zeros(theta.shape)
-        elif len(self.m) > len(theta):      # models left the stack
-            self.m, self.v = self.m[:len(theta)], self.v[:len(theta)]
         p = self.params
         self.step += 1
         a = np.multiply(grad, 1 - p.beta1)
@@ -278,21 +271,17 @@ def adamw_epochs(theta: np.ndarray, data: tuple, batch_grad, rngs, epochs: int,
     Each array of ``data`` holds one row of samples per model, and rngs[i]
     draws a fresh permutation of row i per epoch, whose mini-batches model i
     takes in turn. batch_grad(theta, *batch) is the gradient on one batch of
-    those arrays; it may return the gradients of only the first models of
-    the stack, and the others leave it."""
+    those arrays."""
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     state = AdamWState(params=opt)
     size = data[0].shape[1]
     rows = np.arange(len(theta))[:, None]
     for _ in range(epochs):
-        order = np.stack([r.permutation(size) for r in rngs[:len(theta)]])
+        order = np.stack([r.permutation(size) for r in rngs])
         for start in range(0, size, batch_size):
-            idx = rows[:len(theta)], order[:len(theta), start:start + batch_size]
-            grad = batch_grad(theta, *(a[idx] for a in data))
-            if len(grad) < len(theta):
-                theta = theta[:len(grad)]
-            theta = state.update(theta, grad)
+            idx = rows, order[:, start:start + batch_size]
+            theta = state.update(theta, batch_grad(theta, *(a[idx] for a in data)))
         yield theta
 
 
@@ -305,32 +294,14 @@ def local_train(theta: np.ndarray, X: np.ndarray, y: np.ndarray, shards: np.ndar
     holds client i's samples of (X, y), and rngs[i] is its stream; returns
     the (n, d) thetas. Each operation is one BLAS call per client,
     elementwise or a per-client reduction, so row i has the bits of client
-    i trained alone, as a stack of one.
-
-    A client whose batch loss is not finite or above 1e3 leaves the stack
-    with the clients after it, and the others train on; then the error of
-    the first client that failed is raised, as training the clients one by
-    one in order would raise it."""
+    i trained alone, as a stack of one. A batch loss that is not finite or
+    above 1e3 raises the error of the first client of the stack with such a
+    loss, at that step."""
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
-    failed = []
-
-    def batch_grad(th, idx):
-        Xb = X[idx]
-        a, z2 = forward(th, Xb, shape)
-        loss, dz2 = cross_entropy(z2, y[idx])
-        if (bad := ~(loss <= 1e3)).any():       # not finite, or diverged
-            i = int(bad.argmax())
-            failed.append(_loss_error(loss[i], z2[i]))
-            if i == 0:
-                raise failed[-1]
-            th, Xb, a, dz2 = th[:i], Xb[:i], a[:i], dz2[:i]
-        return backward(th, Xb, a, dz2, shape)
-
     *_, theta = adamw_epochs(np.broadcast_to(theta, (len(shards), len(theta))), (shards,),
-                             batch_grad, rngs, epochs, batch_size, opt or AdamWParams())
-    if failed:
-        raise failed[-1]
+                             lambda th, idx: forward_backward(th, X[idx], y[idx], shape, 1e3)[1],
+                             rngs, epochs, batch_size, opt or AdamWParams())
     return theta
 
 

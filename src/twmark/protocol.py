@@ -31,7 +31,9 @@ call that takes one forward, backward and AdamW step for the whole
 group. A group's temporaries, about _BLOCK_WORDS words each, stay in
 cache; those of a stack of all K would not, which gives back close to
 half of the gain. Every step is one BLAS call per client, elementwise or a
-per-client reduction, so a client has the same bits in any group.
+per-client reduction, so a client has the same bits in any group, and a
+group that fails trains again one client at a time, so that the first
+client that fails alone raises.
 
 The per-client baseline (run_baseline) shares this round pipeline, with
 c_k = S_k and w_k = enc_share(tau_k), each client's own key.
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolAbortError, SkipRoundError
+from .errors import ConfigurationError, NumericalError, ProtocolAbortError, SkipRoundError
 from .field import (_BLOCK_WORDS, FixedPointCodec, ProtocolCodecs, check_aggregate_bound,
                     reduce_once)
 from .flsim import AdamWParams, MlpShape, init_model, local_train
@@ -332,9 +334,11 @@ class ClientTrainer(_ForkPool):
     (None: no term); then each adds c_k * w_k, w_k the client's entry of
     ``vectors``, and the call returns the masked submissions in slot order,
     rows the next call overwrites. Nothing is pending between steps. A step
-    raises the first client's exception in range order (a group that fails
-    trains on only its clients before the first that failed, so an earlier
-    client's later failure is the one raised).
+    raises the first client's exception in range order: a group whose
+    local_train raises NumericalError trains its clients again one at a
+    time, in order, in the same process, and the first that fails alone
+    raises. Each row has the bits of its client trained alone, so that is
+    the error training one by one raises.
     """
 
     def __init__(self, dataset, shape: MlpShape, params: ProtocolParams,
@@ -344,6 +348,14 @@ class ClientTrainer(_ForkPool):
         out = self._out = np.empty((n_clients, shape.dim))
         enc = self._enc = np.empty((n_clients, shape.dim), np.uint64)
 
+        def fit(theta, group, round_index):
+            return local_train(
+                theta, dataset.X_train, dataset.y_train,
+                np.stack([dataset.shards[k - 1] for k in group]), shape,
+                [rng_from_key(master_seed, "local_train", k, round_index) for k in group],
+                epochs=params.local_epochs, batch_size=params.batch_size,
+                opt=params.optimizer)
+
         def train(theta, ids, round_index, lo, session):
             hi = lo
             for _, run in itertools.groupby(ids, lambda k: len(dataset.shards[k - 1])):
@@ -351,13 +363,12 @@ class ClientTrainer(_ForkPool):
                 n = -(-len(run) // width)   # groups of as equal sizes as can be
                 for g in range(n):
                     group = run[len(run) * g // n:len(run) * (g + 1) // n]
-                    out[hi:hi + len(group)] = local_train(
-                        theta, dataset.X_train, dataset.y_train,
-                        np.stack([dataset.shards[k - 1] for k in group]), shape,
-                        [rng_from_key(master_seed, "local_train", k, round_index)
-                         for k in group],
-                        epochs=params.local_epochs, batch_size=params.batch_size,
-                        opt=params.optimizer)
+                    try:
+                        out[hi:hi + len(group)] = fit(theta, group, round_index)
+                    except NumericalError:
+                        for k in group:     # the first client that fails alone raises
+                            fit(theta, (k,), round_index)
+                        raise
                     hi += len(group)
             if session is None:
                 return None, out[lo:hi]

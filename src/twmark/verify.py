@@ -147,14 +147,6 @@ class VerificationReport:
     coalition_size: int
 
 
-@dataclass(frozen=True)
-class PartialVerification:
-    """One client's scalar <enc(theta_s), s_i> mod q."""
-
-    point: int
-    value: int
-
-
 def model_fingerprint(shape) -> str:
     return f"mlp-{shape.input_dim}x{shape.hidden}x{shape.n_classes}-d{shape.dim}"
 
@@ -235,10 +227,10 @@ class Coalition:
         return cls(tuple(s.point for s in shares), limbs.reshape(-1, d), params)
 
 
-def partial_inner(coalition: Coalition, theta_s, codec: FixedPointCodec) -> list:
-    """Exact field inner products of the encoded suspect with every share
-    of ``coalition``, as one PartialVerification per share in coalition
-    order.
+def partial_inner(coalition: Coalition, theta_s, codec: FixedPointCodec) -> dict:
+    """Exact field inner products <enc(theta_s), s_i> mod q of the encoded
+    suspect with every share of ``coalition``, as {point: value} in
+    coalition order.
 
     ``theta_s`` is the real model, a field vector such as its ``codec``
     encoding, or that encoding as an EncodedSuspect. Partial j is
@@ -264,8 +256,7 @@ def partial_inner(coalition: Coalition, theta_s, codec: FixedPointCodec) -> list
             for j, (l0, l1, l2, l3) in enumerate(rows):
                 totals[j] += (l0 + (l1 << 16) + (l2 << 32) + (l3 << 48)) << (x.bits * m)
     q = x.params.modulus
-    return [PartialVerification(point=p, value=v % q)
-            for p, v in zip(coalition.points, totals)]
+    return {p: v % q for p, v in zip(coalition.points, totals)}
 
 
 def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, calib: CalibrationTable,
@@ -290,8 +281,8 @@ def _statistic_from_inner(inner_enc: int, theta_s: np.ndarray, calib: Calibratio
 def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
                         cfg: ShamirConfig, f_share: int,
                         z_star: float = Z_STAR_DEFAULT) -> VerificationReport:
-    """Combine >= t partial scalars, computed at f_share bits over cfg's
-    field, into the decision report.
+    """Combine >= t partial scalars, {point: value} computed at f_share bits
+    over cfg's field, into the decision report.
 
     The Lagrange-weighted scalars flow through a simulated scalar secure
     aggregation, so the only value revealed across the coalition boundary
@@ -300,7 +291,6 @@ def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
     gets fresh masks: two sessions under one mask stream would reveal each
     member's difference of weighted partials.
     """
-    partials = list(partials)
     if len(partials) < cfg.threshold:
         raise ThresholdError(
             f"coalition of {len(partials)} is below threshold {cfg.threshold}"
@@ -310,7 +300,7 @@ def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
     if not bound < cfg.params.modulus / 2.0:
         raise ConfigurationError(f"verification bound {bound:.3e} reaches q/2; "
                                  "reduce f_share or dimension d")
-    points = [p.point for p in partials]
+    points = list(partials)
     strangers = sorted(set(points) - set(cfg.points))
     if strangers:
         raise ConfigurationError(
@@ -322,7 +312,7 @@ def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
         round_id=0, participants=tuple(points), d=1, params=cfg.params,
         session_seed=int.from_bytes(digest.digest(), "little"),
     )
-    weighted = {p.point: cfg.params.mul(lam[p.point], p.value) for p in partials}
+    weighted = {p: cfg.params.mul(lam[p], v) for p, v in partials.items()}
     inner_enc = secagg_scalar(weighted, session)
     return _statistic_from_inner(
         inner_enc, theta_s, calib, cfg.params, f_share, z_star, len(partials)

@@ -521,15 +521,27 @@ class TestCli:
         (["train", "--set", "local_epochs=0"], "local_epochs must be >= 1, got 0"),
         (["robustness", "--run", "run_seed0", "--set", "attack_epochs=-3"],
          "attack_epochs must be >= 1, got -3"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_alphas=(0.1, 2.0)"],
+         "alpha must lie in [0, 1], got 2.0"),
+        (["robustness", "--run", "run_seed0", "--set", "prune_ratios=(0.5, 1.5)"],
+         "prune_ratio must lie in (0, 1), got 1.5"),
+        (["robustness", "--run", "run_seed0", "--set", "quant_schemes=('static8', 'bogus')"],
+         "unknown quantization scheme 'bogus'"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_fractions=(0.05, 0.0)"],
+         "data_fraction must lie in (0, 1], got 0.0"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_fractions=(0.05, 5.0)"],
+         "data_fraction must lie in (0, 1], got 5.0"),
     ], ids=["ema-beta-one", "ema-beta-negative", "calib-keys", "calib-models", "calib-rounds",
             "rounds", "sweep-rounds", "batch-size", "sweep-batch", "attack-batch",
-            "local-epochs", "attack-epochs"])
+            "local-epochs", "attack-epochs", "attack-alphas", "prune-ratios", "quant-schemes",
+            "attack-fractions-zero", "attack-fractions-above-one"])
     def test_commands_refuse_bad_counts_before_any_work(self, tmp_path, capsys, argv,
                                                         message):
         # each once failed only after work had started (fidelity wrote
-        # calibration.txt and calibrate trained every null model first) or
-        # not at all: calibrate fitted untrained models at calib_rounds=0,
-        # and a negative attack_epochs scored every attack as the victim
+        # calibration.txt and calibrate trained every null model first;
+        # robustness ran the grid jobs before a bad attack value) or not at
+        # all: calibrate fitted untrained models at calib_rounds=0, and a
+        # negative attack_epochs scored every attack as the victim
         code = cli.main([argv[0], *self.TINY, *argv[1:], "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -568,10 +580,29 @@ class TestCli:
          "sweep_samples gives 404 samples at K = 4, not divisible by n_classes = 10"),
         (["fidelity", "--set", "n_samples=402"],
          "n_samples gives 402 samples at K = 4, not divisible by K = 4"),
+        (["attack", "--run", "{missing}", "--kind", "adaptive_finetune", "--alpha", "2"],
+         "alpha must lie in [0, 1], got 2.0"),
+        (["attack", "--run", "{missing}", "--kind", "finetune", "--data-fraction", "0"],
+         "data_fraction must lie in (0, 1], got 0.0"),
+        (["attack", "--run", "{missing}", "--kind", "distill", "--data-fraction", "-0.5"],
+         "data_fraction must lie in (0, 1], got -0.5"),
+        (["attack", "--run", "{missing}", "--kind", "prune_magnitude", "--prune-ratio", "1.5"],
+         "prune_ratio must lie in (0, 1), got 1.5"),
+        (["attack", "--run", "{missing}", "--kind", "quantize", "--quant-scheme", "bogus"],
+         "unknown quantization scheme 'bogus'"),
+        (["attack", "--run", "{missing}", "--kind", "quantize", "--alpha", "0.3"],
+         "attack kind 'quantize' does not read alpha"),
+        (["attack", "--run", "{missing}", "--kind", "finetune", "--alpha", "0.3"],
+         "attack kind 'finetune' does not read alpha"),
+        (["attack", "--run", "{missing}", "--kind", "prune_structured",
+          "--data-fraction", "0.1", "--quant-scheme", "static4"],
+         "attack kind 'prune_structured' does not read data_fraction, quant_scheme"),
     ], ids=["robustness-missing-run", "attack-missing-run", "attack-bogus-kind",
             "fidelity-below-t", "scalability-below-t", "scalability-classes-first-k",
             "scalability-classes-later-k", "scalability-n-test", "fidelity-budget-k",
-            "fidelity-budget-classes", "fidelity-k"])
+            "fidelity-budget-classes", "fidelity-k", "attack-alpha", "attack-fraction-zero",
+            "attack-fraction-negative", "attack-prune-ratio", "attack-quant-scheme",
+            "attack-unread-alpha", "attack-finetune-alpha", "attack-unread-options"])
     def test_commands_check_their_inputs_before_calibrating(self, tmp_path, capsys, argv,
                                                             message):
         # without --calibration each command calibrates first when it needs
@@ -583,6 +614,7 @@ class TestCli:
         assert code == 2
         assert f"error: {message.format(missing=missing)}" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/calibration.txt"))
+        assert not list(tmp_path.glob("**/*.csv"))
 
     def test_verify_rejects_calibration_with_empty_fingerprint(self, cli_workspace,
                                                                tmp_path, capsys):
@@ -729,13 +761,44 @@ class TestRunDirectory:
                   "--kind", "prune_magnitude", "--prune-ratio", "0.5"]
         grid = ["robustness", *common, "--out", str(tmp_path / "grid"),
                 "--set", "attack_kinds=('prune_magnitude',)", "--set", "prune_ratios=(0.5,)"]
+        written = []
         for argv, csv in ((attack, tmp_path / "attack" / "attack_prune_magnitude.csv"),
                           (grid, tmp_path / "grid" / "robustness.csv")):
             assert cli.main(argv) == 0
             rows = csv.read_text().splitlines()[1:]
             assert rows and {row.split(",")[0] for row in rows} == {run_cfg.config_hash()}
+            written.append(rows)
         assert run_cfg.config_hash() != dataclasses.replace(
             cfg, n_samples=3840, noise=0.5).config_hash()
+        # the one job's row is the grid's row of the same ratio
+        assert written[0] == written[1] and written[0][0].split(",")[2] == "prune_ratio=0.5"
+
+    @pytest.mark.parametrize("kind, options, params", [
+        ("prune_magnitude", [], "prune_ratio=0.5"),
+        ("quantize", [], "quant_scheme=static8"),
+        ("quantize", ["--quant-scheme", "dynamic8"], "quant_scheme=dynamic8"),
+        ("distill", ["--data-fraction", "0.1"], "alpha=0.5;data_fraction=0.1"),
+        ("adaptive_finetune", ["--alpha", "0.3"], "alpha=0.3;data_fraction=0.05"),
+    ])
+    def test_attack_params_record_every_field_its_kind_reads(
+            self, cli_workspace, tmp_path, monkeypatch, kind, options, params):
+        # a field left out once went unrecorded although its default ran
+        _, cfg_path, out = cli_workspace
+        jobs = []
+
+        def run_attack_job(kind, acfg, theta, *args):
+            jobs.append(acfg)
+            return [(0, theta)]     # the victim: no attack training
+
+        monkeypatch.setattr(experiments, "run_attack_job", run_attack_job)
+        assert cli.main(["attack", "--config", str(cfg_path), "--out", str(tmp_path),
+                         "--run", str(out / "run_seed0"),
+                         "--calibration", str(out / "calibration.txt"),
+                         "--kind", kind, *options]) == 0
+        [row] = (tmp_path / f"attack_{kind}.csv").read_text().splitlines()[1:]
+        assert row.split(",")[2] == params
+        assert all(str(getattr(jobs[0], name)) == value
+                   for name, value in (item.split("=") for item in params.split(";")))
 
 
 class TestSweeps:

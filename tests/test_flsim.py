@@ -268,27 +268,28 @@ class TestLockstep:
                                batch_size)
             assert np.array_equal(got[i], want)
 
-    @pytest.mark.parametrize("fail, sizes, loss", [
-        ({0: 3, 2: 1}, [3, 2, 2], "1e+04"),
-        ({2: 1}, [3, 2, 2, 2, 2, 2], "3e+04"),
-        ({0: 1, 1: 1}, [3], "1e+04"),
-    ], ids=["earlier-later", "last-only", "same-step"])
-    def test_a_failing_client_leaves_with_those_after_it(self, monkeypatch, fail, sizes,
-                                                         loss):
+    @pytest.mark.parametrize("fail, steps, loss", [
+        ({0: 3, 2: 1}, 1, "3e+04"),
+        ({2: 1}, 1, "3e+04"),
+        ({0: 1, 1: 1}, 1, "1e+04"),
+        ({1: 5, 2: 4}, 4, "3e+04"),
+    ], ids=["earlier-later", "last-only", "same-step", "later-step"])
+    def test_a_step_raises_the_error_of_its_first_failing_row(self, monkeypatch, fail, steps,
+                                                              loss):
         # ``fail`` maps a stack row to the step at which its loss diverges.
-        # The rows before the first failing one train on, the stack's size
-        # at each step is ``sizes`` (2 epochs of 3 steps), and the error is
-        # that of the first row that failed
+        # The whole stack trains until the first step at which a row fails
+        # (2 epochs of 3 steps), and that step raises the error of the first
+        # row that failed there; ClientTrainer replays a failed stack to
+        # raise the first failing client's error
         X, y = np.random.default_rng(0).standard_normal((60, 6)), np.arange(60) % 4
         theta = init_model(self.SHAPE, np.random.default_rng(1))
-        real, steps, seen = flsim.cross_entropy, [0] * 3, []
+        real, seen = flsim.cross_entropy, []
 
         def cross_entropy(z2, y):
             loss, dz2 = real(z2, y)
             seen.append(len(loss))
             for i in range(len(loss)):
-                steps[i] += 1
-                if fail.get(i) == steps[i]:
+                if fail.get(i) == len(seen):
                     loss[i] = 1e4 * (i + 1)
             return loss, dz2
 
@@ -296,4 +297,4 @@ class TestLockstep:
         with pytest.raises(NumericalError, match=f"^divergence: loss={re.escape(loss)}$"):
             local_train(theta, X, y, np.arange(60).reshape(3, 20), self.SHAPE,
                         [np.random.default_rng(i) for i in range(3)], epochs=2, batch_size=8)
-        assert seen == sizes
+        assert seen == [3] * steps

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import reference_training
+from hypothesis import given, settings, strategies as st
 
 from twmark import cli, flsim, protocol
 from twmark.errors import (ConfigurationError, EncodingOverflowError, NumericalError,
@@ -92,6 +93,50 @@ def _clients(ds, shards):
     """The client id of each row of a stack's shard indices."""
     return [next(k for k, idx in enumerate(ds.shards, 1) if np.array_equal(row, idx))
             for row in shards]
+
+
+def _batches(ds, theta, params, ids, round_index, seed=7):
+    """{(client, step): the first sample's bytes of the batch the client
+    trains on at that step} in a ClientTrainer call without failures."""
+    owner = {row.tobytes(): k for k, idx in enumerate(ds.shards, 1) for row in ds.X_train[idx]}
+    keys, steps, real = {}, dict.fromkeys(range(1, len(ds.shards) + 1), 0), flsim.forward
+
+    def forward(theta, X, shape):
+        for Xi in X:
+            k = owner[Xi[0].tobytes()]
+            steps[k] += 1
+            keys[k, steps[k]] = Xi[0].tobytes()
+        return real(theta, X, shape)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flsim, "forward", forward)
+        mp.setattr(protocol, "_worker_count", lambda n_clients: 0)
+        with ClientTrainer(ds, SHAPE, params, seed, len(ds.shards)) as train:
+            train(theta, ids, round_index)
+    return keys
+
+
+def _diverging(mp, losses):
+    """Sets the loss of every batch whose first sample's bytes are a key of
+    ``losses`` to its value, in this process and in the workers of trainers
+    opened after the call: keyed on the batch, a failure meets a client
+    trained again at the same step."""
+    real_forward, real_xent = flsim.forward, flsim.cross_entropy
+    batch = []
+
+    def forward(theta, X, shape):
+        batch[:] = [losses.get(Xi[0].tobytes()) for Xi in X]
+        return real_forward(theta, X, shape)
+
+    def cross_entropy(z2, y):
+        loss, dz2 = real_xent(z2, y)
+        for i, value in enumerate(batch):
+            if value is not None:
+                loss[i] = value
+        return loss, dz2
+
+    mp.setattr(flsim, "forward", forward)
+    mp.setattr(flsim, "cross_entropy", cross_entropy)
 
 
 def _stepping(monkeypatch, ds, step):
@@ -558,33 +603,64 @@ class TestClientTrainer:
         # clients 7 and 8 train in one lockstep group for every worker count.
         # Client 7 diverges at its third step and client 8 at its first, so
         # client 7's error is raised, as training one by one raises it
-        workers(n_workers)
-        ds = _dataset(K=8)
-        owner = {row.tobytes(): k for k in range(1, 9) for row in ds.X_train[ds.shards[k - 1]]}
-        real_forward, real_xent = flsim.forward, flsim.cross_entropy
-        batch, steps, groups = [], dict.fromkeys(range(1, 9), 0), []
+        ds, params = _dataset(K=8), ProtocolParams(batch_size=16)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        ids = tuple(range(1, 9))
+        keys = _batches(ds, theta, params, ids, 1)
+        _diverging(monkeypatch, {keys[7, 3]: 7e3, keys[8, 1]: 8e3})
+        owner = {key: k for (k, _), key in keys.items()}
+        groups, real = [], flsim.forward
 
         def forward(theta, X, shape):
-            batch[:] = [owner[Xi[0].tobytes()] for Xi in X]
-            groups.append(tuple(batch))
-            return real_forward(theta, X, shape)
-
-        def cross_entropy(z2, y):
-            loss, dz2 = real_xent(z2, y)
-            for i, k in enumerate(batch):
-                steps[k] += 1
-                if (k, steps[k]) in ((7, 3), (8, 1)):
-                    loss[i] = 1e3 * k
-            return loss, dz2
+            groups.append(tuple(owner[Xi[0].tobytes()] for Xi in X))
+            return real(theta, X, shape)
 
         monkeypatch.setattr(flsim, "forward", forward)
-        monkeypatch.setattr(flsim, "cross_entropy", cross_entropy)
-        theta = init_model(SHAPE, rng_from_key(0, "init"))
-        with ClientTrainer(ds, SHAPE, ProtocolParams(batch_size=16), 7, 8) as train:
+        workers(n_workers)
+        with ClientTrainer(ds, SHAPE, params, 7, 8) as train:
             with pytest.raises(NumericalError, match=r"^divergence: loss=7e\+03$"):
-                train(theta, tuple(range(1, 9)), 1)
+                train(theta, ids, 1)
         if n_workers == 0:
-            assert groups[:3] == [tuple(range(1, 9)), tuple(range(1, 8)), tuple(range(1, 8))]
+            # the group fails at its first step, then trains again client by
+            # client (5 steps each) until client 7 fails alone at its third
+            assert groups == [ids] + [(k,) for k in range(1, 7) for _ in range(5)] + [(7,)] * 3
+
+    @pytest.mark.parametrize("fail, loss", [
+        ({1: 3, 3: 1}, "1e+04"),
+        ({3: 1}, "3e+04"),
+        ({1: 1, 2: 1}, "1e+04"),
+    ], ids=["earlier-later", "last-only", "same-step"])
+    def test_the_first_client_that_fails_alone_is_raised(self, monkeypatch, fail, loss):
+        # ``fail`` maps a client of one lockstep group of three to the step
+        # at which its loss diverges, to 1e4 * k; an earlier client's later
+        # failure is the one raised
+        ds, params = _dataset(K=3), ProtocolParams(batch_size=16, local_epochs=2)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        keys = _batches(ds, theta, params, (1, 2, 3), 1)
+        _diverging(monkeypatch, {keys[k, step]: 1e4 * k for k, step in fail.items()})
+        monkeypatch.setattr(protocol, "_worker_count", lambda n_clients: 0)
+        with ClientTrainer(ds, SHAPE, params, 7, 3) as train:
+            with pytest.raises(NumericalError, match=f"^divergence: loss={re.escape(loss)}$"):
+                train(theta, (1, 2, 3), 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(fail=st.dictionaries(st.integers(1, 6), st.integers(1, 5), min_size=1),
+           width=st.integers(1, 6), n_workers=st.sampled_from(WORKER_COUNTS))
+    def test_a_round_raises_the_lowest_failing_clients_error(self, fail, width, n_workers):
+        # ``fail`` maps a client to the step (of 5) at which its loss
+        # diverges, to 1e3 * (k + 1); lockstep groups hold ``width`` clients
+        ds, params = _dataset(K=6), ProtocolParams(batch_size=16)
+        theta = init_model(SHAPE, rng_from_key(0, "init"))
+        ids = tuple(range(1, 7))
+        keys = _batches(ds, theta, params, ids, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            _diverging(mp, {keys[k, step]: 1e3 * (k + 1) for k, step in fail.items()})
+            mp.setattr(protocol, "_BLOCK_WORDS", width * SHAPE.dim)
+            mp.setattr(protocol, "_worker_count", lambda n_clients: n_workers)
+            with ClientTrainer(ds, SHAPE, params, 7, 6) as train:
+                with pytest.raises(NumericalError) as exc:
+                    train(theta, ids, 1)
+        assert str(exc.value) == f"divergence: loss={1e3 * (min(fail) + 1):.3g}"
 
     def test_worker_exits_when_the_parent_end_closes(self, workers):
         workers(1)

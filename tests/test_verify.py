@@ -34,7 +34,6 @@ from twmark.verify import (
     calibrate,
     coalition_statistic,
     cosine_against_keys,
-    PartialVerification,
     model_fingerprint,
     partial_inner,
     verify_direct,
@@ -182,11 +181,11 @@ class TestPartialInner:
         theta = rng.standard_normal(16)
         enc = codecs.share.encode(theta)
         share = setup.shares[0]
-        [got] = partial_inner(Coalition.of([share]), theta, codecs.share)
+        got = partial_inner(Coalition.of([share]), theta, codecs.share)
         want = sum(
             int(a) * int(b) for a, b in zip(enc.values, share.values.values)
         ) % codecs.params.modulus
-        assert got.point == 1 and got.value == want
+        assert got == {1: want}
 
     def test_accepts_encoded_model(self, rng, codecs):
         setup = _setup(rng, d=16)
@@ -255,10 +254,11 @@ class TestPartialInnerKernel:
                   for j in range(1, t + 1)]
         enc = theta if isinstance(theta, FieldVector) else codec.encode(theta)
         first = sum(int(a) * int(b) for a, b in zip(enc.values, shares[0].values.values)) % q
-        want = [PartialVerification(point=s.point, value=enc.inner(s.values)) for s in shares]
-        assert want[0].value == first
-        assert partial_inner(Coalition.of(shares), theta, codec) == want
-        assert partial_inner(Coalition.of(shares), EncodedSuspect.of(enc), codec) == want
+        want = {s.point: enc.inner(s.values) for s in shares}
+        assert want[1] == first
+        for suspect in (theta, EncodedSuspect.of(enc)):
+            got = partial_inner(Coalition.of(shares), suspect, codec)
+            assert list(got.items()) == list(want.items())     # in coalition order
 
     def test_default_codec_takes_one_product_per_share(self, codecs):
         # the largest model the verification bound lets through at d = 5514
@@ -276,7 +276,7 @@ class TestPartialInnerKernel:
         share = ShamirShare(point=1, values=FieldVector(_elements(rng, M61, 20000),
                                                         codec.params))
         want = codec.encode(theta).inner(share.values)
-        assert partial_inner(Coalition.of([share]), x, codec)[0].value == want
+        assert partial_inner(Coalition.of([share]), x, codec) == {1: want}
 
     @pytest.mark.parametrize("bits", [24, 48])
     def test_worst_case_sums_stay_exact(self, bits):
@@ -289,9 +289,9 @@ class TestPartialInnerKernel:
         share = ShamirShare(point=1, values=FieldVector(np.full(20001, q - 1), params))
         want = 20001 * c * (q - 1) % q
         for sign in (1, -1):
-            [got] = partial_inner(Coalition.of([share]), enc if sign == 1 else FieldVector(
+            got = partial_inner(Coalition.of([share]), enc if sign == 1 else FieldVector(
                 np.full(20001, q - c, dtype=np.uint64), params), None)
-            assert got.value == sign * want % q
+            assert got == {1: sign * want % q}
 
     def test_mismatches_raise_before_any_product(self, rng, codecs):
         class NoProducts(np.ndarray):
@@ -394,7 +394,7 @@ class TestCoalitionStatistic:
         setup = _setup(rng)
         theta = rng.standard_normal(64)
         partials = partial_inner(Coalition.of(setup.shares[:3]), theta, codecs.share)
-        partials[2] = PartialVerification(point=point, value=partials[2].value)
+        partials[point] = partials.pop(3)
         with pytest.raises(ConfigurationError):
             coalition_statistic(partials, theta, _table(), setup.cfg, codecs.f_share)
 
