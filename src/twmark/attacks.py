@@ -52,12 +52,20 @@ class AttackConfig:
             raise ConfigurationError(f"unknown quantization scheme {self.quant_scheme!r}")
 
 
+def subset_size(fraction: float, n_samples: int) -> int:
+    """Samples an attack at data fraction ``fraction`` takes against an FL
+    training set of n_samples; a fraction that takes none is refused."""
+    n_take = int(round(fraction * n_samples))
+    if n_take < 1:
+        raise ConfigurationError(f"data fraction {fraction} yields an empty subset "
+                                 f"of n_samples = {n_samples}")
+    return n_take
+
+
 def sample_attack_subset(dataset, fraction: float, seed: int):
     """Uniform subset of the attacker's auxiliary pool; the fraction is
     measured against the FL training-set size, with fixed seeds."""
-    n_take = int(round(fraction * dataset.n))
-    if n_take < 1:
-        raise ConfigurationError(f"data fraction {fraction} yields an empty subset")
+    n_take = subset_size(fraction, dataset.n)
     if n_take > len(dataset.X_aux):
         raise ConfigurationError("auxiliary pool smaller than the requested subset")
     rng = rng_from_key(seed, "attack_subset")

@@ -18,8 +18,10 @@ from .experiments import (
     CalibrationTable,
     ExperimentConfig,
     _attack_config,
+    _attack_jobs,
     _check_sweep,
     _fidelity_points,
+    _for_run,
     cmd_attack,
     cmd_calibrate,
     cmd_fidelity,
@@ -61,7 +63,10 @@ def _calib(cfg, args, out):
     path = args.calibration or os.path.join(out, "calibration.txt")
     if os.path.exists(path):
         return CalibrationTable.load(path)
-    return cmd_calibrate(cfg, outdir=os.path.dirname(path) or ".")
+    table = cmd_calibrate(cfg)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    table.save(path)
+    return table
 
 
 def main(argv=None) -> int:
@@ -155,6 +160,7 @@ def main(argv=None) -> int:
                       if getattr(args, name) is not None}
             _attack_config(cfg, args.kind, params)
             run = read_run(args.run)
+            cfg = _for_run(cfg, args.run, run[0], [(args.kind, params)])
             calib = _calib(cfg, args, out)
             records = cmd_attack(cfg, run, calib, args.kind, outdir=out, **params)
             final = records[-1]
@@ -183,6 +189,7 @@ def main(argv=None) -> int:
 
         if args.command == "robustness":
             run_cfg, setup, dataset, trajectory = read_run(args.run)
+            cfg = _for_run(cfg, args.run, run_cfg, _attack_jobs(cfg))
             calib = _calib(cfg, args, out)
             cmd_robustness(cfg, setup, dataset, trajectory, calib, outdir=out,
                            run_id=run_cfg.config_hash())

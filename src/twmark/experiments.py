@@ -725,6 +725,22 @@ def read_run(rundir):
     return run_cfg, setup, dataset, trajectory
 
 
+def _for_run(cfg: ExperimentConfig, rundir, run_cfg: ExperimentConfig,
+             jobs) -> ExperimentConfig:
+    """``cfg`` with the model shape of the run in ``rundir``, trained with
+    ``run_cfg``; refuses a (kind, params) job of ``jobs`` whose data
+    fraction takes none of the run's n_samples."""
+    for kind, params in jobs:
+        if "data_fraction" in _reads(kind):
+            try:
+                attacks.subset_size(_attack_config(cfg, kind, params).data_fraction,
+                                    run_cfg.n_samples)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{os.path.join(rundir, 'config.txt')}: {exc}") from None
+    return replace(cfg, **{name: getattr(run_cfg, name)
+                           for name in ("input_dim", "hidden", "n_classes")})
+
+
 def load_run(cfg: ExperimentConfig, rundir):
     """(SetupResult, dataset, trajectory) of read_run; ``cfg`` is not read."""
     return read_run(rundir)[1:]

@@ -7,10 +7,9 @@ fast path (products are reduced via the 2^61 = 1 congruence). Any odd
 prime 3 <= q < 2^63 works, so that the sum of two elements fits in uint64;
 tiny primes (e.g. 7) enable exhaustive secrecy tests.
 Matrix products mod M61 (_matmul_mod, behind Shamir sharing) run exactly
-on float64 BLAS over 21-bit limbs. FieldVector.centered gives a vector's
-centered integers and their largest magnitude, from which verification
-takes its partial inner products (see verify); FieldVector.inner is the
-exact uint64 oracle.
+on float64 BLAS over 21-bit limbs. _centered gives elements as their
+centered integers, from which verification takes its partial inner
+products (see verify); FieldVector.inner is the exact uint64 oracle.
 
 Real vectors enter the field through a centered fixed-point codec:
 encode(x) = round(x * 2^f) mod q with round-half-away-from-zero, decoded
@@ -332,12 +331,6 @@ class FieldVector:
         lo = int((prod & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
         hi = int((prod >> np.uint64(32)).sum(dtype=np.uint64))
         return ((hi << 32) + lo) % q
-
-    def centered(self) -> tuple:
-        """The centered representatives, in [-(q-1)/2, (q-1)/2], as int64,
-        and their largest magnitude as an int (below 2^62)."""
-        c = _centered(self.values, self.params.modulus)
-        return c, int(np.abs(c).max(initial=0))
 
     def words(self) -> bytes:
         """The elements as little-endian 8-byte words."""

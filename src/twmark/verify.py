@@ -16,7 +16,7 @@ stays within q/2 at larger d; the bound check is a hard precondition.
 The partials <enc(theta_s), s_i> mod q of a whole coalition are computed
 from the suspect's small centered integers c, not from its 61-bit field
 words: c is split once per model into signed float64 limbs of at most 24
-bits (EncodedSuspect), and the coalition's t shares are read once per
+bits (_suspect_limbs), and the coalition's t shares are read once per
 verifier as four 16-bit limbs per word, written share by share into one
 (4t, d) float64 matrix (Coalition, 32*d*t bytes). All t partials are then
 one float64 product per pass over d, and partial j is
@@ -50,8 +50,8 @@ from .errors import (
     FingerprintMismatchError,
     ThresholdError,
 )
-from .field import (_BLOCK_WORDS, F_SHARE, FieldParams, FieldVector, FixedPointCodec,
-                    ProtocolCodecs, verification_bound)
+from .field import (_BLOCK_WORDS, _centered, F_SHARE, FieldParams, FieldVector,
+                    FixedPointCodec, ProtocolCodecs, verification_bound)
 from .literals import file_lines, literal_text, read_literals
 from .secagg import SecAggSession, secagg_scalar
 from .sharing import ShamirConfig, lagrange_at_zero, public_norm
@@ -158,39 +158,28 @@ _SHARE_LIMB_MAX = (1 << 16) - 1
 _SUSPECT_LIMB_BITS = 24
 
 
-@dataclass(frozen=True)
-class EncodedSuspect:
-    """The encoded suspect, prepared once for all the coalition's partials.
+def _suspect_limbs(enc: FieldVector) -> tuple:
+    """The encoded suspect as (limbs, bits, rows) for partial_inner.
 
     Its centered integers c are split in integer arithmetic into k limbs of
     ``bits`` <= 24 bits, each carrying the sign of its c, so that
-    c = sum_m 2^(bits*m) * limbs[m], and held as float64. ``rows`` is the
-    most coordinates one float64 product sums exactly: a term is a limb
-    times a 16-bit share limb, and ``rows`` terms stay within 2^53 in
-    magnitude. At the default f_share every model within the verification
-    bound, d * max|c| < 2^37 + d/2, takes one pass for d < 2^22.
+    c = sum_m 2^(bits*m) * limbs[m], held as one (k, d) float64 array.
+    ``rows`` is the most coordinates one float64 product sums exactly: a
+    term is a limb times a 16-bit share limb, and ``rows`` terms stay within
+    2^53 in magnitude. At the default f_share every model within the
+    verification bound, d * max|c| < 2^37 + d/2, takes one pass for d < 2^22.
     """
-
-    limbs: np.ndarray   # (k, d) float64
-    bits: int
-    rows: int
-    params: FieldParams
-
-    def __len__(self):
-        return self.limbs.shape[1]
-
-    @classmethod
-    def of(cls, enc: FieldVector) -> "EncodedSuspect":
-        c, top = enc.centered()
-        k = -(-top.bit_length() // _SUSPECT_LIMB_BITS) or 1
-        bits = -(-top.bit_length() // k)
-        mag = np.abs(c)
-        limbs = np.empty((k, len(c)))
-        for m in range(k):
-            limb = (mag >> (bits * m)) & ((1 << bits) - 1)
-            limbs[m] = np.where(c < 0, -limb, limb)
-        widest = min(top, (1 << bits) - 1)  # the largest limb magnitude
-        return cls(limbs, bits, _EXACT // (max(widest, 1) * _SHARE_LIMB_MAX), enc.params)
+    c = _centered(enc.values, enc.params.modulus)
+    mag = np.abs(c)
+    top = int(mag.max(initial=0))
+    k = -(-top.bit_length() // _SUSPECT_LIMB_BITS) or 1
+    bits = -(-top.bit_length() // k)
+    limbs = np.empty((k, len(c)))
+    for m in range(k):
+        limb = (mag >> (bits * m)) & ((1 << bits) - 1)
+        limbs[m] = np.where(c < 0, -limb, limb)
+    widest = min(top, (1 << bits) - 1)  # the largest limb magnitude
+    return limbs, bits, _EXACT // (max(widest, 1) * _SHARE_LIMB_MAX)
 
 
 @dataclass(frozen=True)
@@ -232,30 +221,28 @@ def partial_inner(coalition: Coalition, theta_s, codec: FixedPointCodec) -> dict
     suspect with every share of ``coalition``, as {point: value} in
     coalition order.
 
-    ``theta_s`` is the real model, a field vector such as its ``codec``
-    encoding, or that encoding as an EncodedSuspect. Partial j is
-    sum over suspect limbs m and share limbs l of
-    2^(bits*m + 16*l) * P[m, 4j+l], P = x.limbs @ coalition.limbs.T, one
-    float64 product per pass of x.rows coordinates. Every partial sum is an
-    integer of at most 2^53 in magnitude, so BLAS sums it exactly in any
-    order.
+    ``theta_s`` is the real model or a field vector such as its ``codec``
+    encoding. Partial j is sum over suspect limbs m and share limbs l of
+    2^(bits*m + 16*l) * P[m, 4j+l], P = limbs @ coalition.limbs.T, one
+    float64 product per pass of ``rows`` coordinates (_suspect_limbs).
+    Every partial sum is an integer of at most 2^53 in magnitude, so BLAS
+    sums it exactly in any order.
     """
     if len(theta_s) != len(coalition):
         raise ConfigurationError(
             f"length mismatch: model {len(theta_s)}, share {len(coalition)}"
         )
-    if not isinstance(theta_s, EncodedSuspect):
-        enc = theta_s if isinstance(theta_s, FieldVector) else codec.encode(theta_s)
-        theta_s = EncodedSuspect.of(enc)
-    coalition.params._check(theta_s.params)
-    x, t = theta_s, len(coalition.points)
+    enc = theta_s if isinstance(theta_s, FieldVector) else codec.encode(theta_s)
+    coalition.params._check(enc.params)
+    limbs, bits, rows = _suspect_limbs(enc)
+    t = len(coalition.points)
     totals = [0] * t
-    for r0 in range(0, len(x), x.rows):
-        part = x.limbs[:, r0:r0 + x.rows] @ coalition.limbs[:, r0:r0 + x.rows].T
-        for m, rows in enumerate(part.astype(np.int64).reshape(-1, t, 4).tolist()):
-            for j, (l0, l1, l2, l3) in enumerate(rows):
-                totals[j] += (l0 + (l1 << 16) + (l2 << 32) + (l3 << 48)) << (x.bits * m)
-    q = x.params.modulus
+    for r0 in range(0, len(enc), rows):
+        part = limbs[:, r0:r0 + rows] @ coalition.limbs[:, r0:r0 + rows].T
+        for m, sums in enumerate(part.astype(np.int64).reshape(-1, t, 4).tolist()):
+            for j, (l0, l1, l2, l3) in enumerate(sums):
+                totals[j] += (l0 + (l1 << 16) + (l2 << 32) + (l3 << 48)) << (bits * m)
+    q = enc.params.modulus
     return {p: v % q for p, v in zip(coalition.points, totals)}
 
 

@@ -178,6 +178,15 @@ def cli_workspace(tmp_path_factory):
     return cfg, cfg_path, out
 
 
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """A one-round K=4 run over 400 samples, of hidden width 16 (d = 698)."""
+    out = tmp_path_factory.mktemp("toy")
+    cmd_train(ExperimentConfig(n_clients=4, threshold=2, n_samples=400, rounds=1, hidden=16,
+                               seeds=(0,)), out)
+    return out / "run_seed0"
+
+
 class TestCli:
     def test_train_artifacts(self, cli_workspace):
         cfg, _, out = cli_workspace
@@ -597,22 +606,31 @@ class TestCli:
         (["attack", "--run", "{missing}", "--kind", "prune_structured",
           "--data-fraction", "0.1", "--quant-scheme", "static4"],
          "attack kind 'prune_structured' does not read data_fraction, quant_scheme"),
+        (["attack", "--run", "{run}", "--kind", "finetune", "--data-fraction", "0.001"],
+         "{run}/config.txt: data fraction 0.001 yields an empty subset of n_samples = 400"),
+        (["attack", "--run", "{run}", "--set", "n_samples=4000", "--kind", "distill",
+          "--data-fraction", "0.001"],
+         "{run}/config.txt: data fraction 0.001 yields an empty subset of n_samples = 400"),
+        (["robustness", "--run", "{run}", "--set", "attack_fractions=(0.05, 0.001)"],
+         "{run}/config.txt: data fraction 0.001 yields an empty subset of n_samples = 400"),
     ], ids=["robustness-missing-run", "attack-missing-run", "attack-bogus-kind",
             "fidelity-below-t", "scalability-below-t", "scalability-classes-first-k",
             "scalability-classes-later-k", "scalability-n-test", "fidelity-budget-k",
             "fidelity-budget-classes", "fidelity-k", "attack-alpha", "attack-fraction-zero",
             "attack-fraction-negative", "attack-prune-ratio", "attack-quant-scheme",
-            "attack-unread-alpha", "attack-finetune-alpha", "attack-unread-options"])
-    def test_commands_check_their_inputs_before_calibrating(self, tmp_path, capsys, argv,
-                                                            message):
+            "attack-unread-alpha", "attack-finetune-alpha", "attack-unread-options",
+            "attack-empty-subset", "attack-empty-subset-of-the-run", "robustness-empty-subset"])
+    def test_commands_check_their_inputs_before_calibrating(self, tmp_path, capsys, toy_run,
+                                                            argv, message):
         # without --calibration each command calibrates first when it needs
         # to; these once trained the null models and wrote calibration.txt
-        # before they exited 2
-        missing = str(tmp_path / "missing")
-        argv = [a.format(missing=missing) for a in argv]
+        # before they exited 2 (a fraction too small for the run's n_samples
+        # only after the grid's earlier jobs had run, too)
+        names = dict(missing=str(tmp_path / "missing"), run=str(toy_run))
+        argv = [a.format(**names) for a in argv]
         code = cli.main([argv[0], *self.TINY, *argv[1:], "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"error: {message.format(missing=missing)}" in capsys.readouterr().err
+        assert f"error: {message.format(**names)}" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/calibration.txt"))
         assert not list(tmp_path.glob("**/*.csv"))
 
@@ -772,6 +790,44 @@ class TestRunDirectory:
             cfg, n_samples=3840, noise=0.5).config_hash()
         # the one job's row is the grid's row of the same ratio
         assert written[0] == written[1] and written[0][0].split(",")[2] == "prune_ratio=0.5"
+
+    def test_attack_commands_take_the_model_shape_from_the_run(self, toy_run, tmp_path):
+        # on a hidden=16 run each once failed to reshape the run's d = 698
+        # model to the command's (128, 32) layer unless the training --sets
+        # were repeated
+        common = ["--set", "n_clients=4", "--set", "threshold=2", "--set", "n_samples=400",
+                  "--set", "calib_models=2", "--set", "calib_rounds=1",
+                  "--set", "calib_keys=100", "--set", "attack_epochs=2",
+                  "--set", "attack_kinds=('quantize', 'finetune')",
+                  "--set", "attack_fractions=(0.05,)", "--run", str(toy_run)]
+        for name, sets in (("bare", []), ("matching", ["--set", "hidden=16"])):
+            out = ["--out", str(tmp_path / name)]
+            for command in (["attack", "--kind", "quantize"], ["attack", "--kind", "finetune"],
+                            ["robustness"]):
+                assert cli.main([*command, *common, *sets, *out]) == 0
+        files = sorted(p.name for p in (tmp_path / "bare").iterdir())
+        assert files == ["attack_finetune.csv", "attack_quantize.csv", "calibration.txt",
+                         "robustness.csv", "robustness_summary.txt"]
+        for name in files:
+            assert ((tmp_path / "bare" / name).read_bytes()
+                    == (tmp_path / "matching" / name).read_bytes()), name
+        assert CalibrationTable.load(tmp_path / "bare" / "calibration.txt").dim == 698
+
+    def test_a_missing_calibration_path_is_written_there(self, toy_run, tmp_path):
+        # the table once went to calibration.txt beside the path, overwriting it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "calibration.txt").write_bytes(b"an older table\n")
+        path = out / "tables" / "other.txt"
+        assert cli.main(["attack", "--set", "n_clients=4", "--set", "threshold=2",
+                         "--set", "n_samples=400", "--set", "calib_models=2",
+                         "--set", "calib_rounds=1", "--set", "calib_keys=100",
+                         "--run", str(toy_run), "--out", str(out),
+                         "--calibration", str(path), "--kind", "prune_magnitude"]) == 0
+        assert (out / "calibration.txt").read_bytes() == b"an older table\n"
+        assert CalibrationTable.load(path).dim == 698
+        assert sorted(p.name for p in out.iterdir()) == ["attack_prune_magnitude.csv",
+                                                          "calibration.txt", "tables"]
 
     @pytest.mark.parametrize("kind, options, params", [
         ("prune_magnitude", [], "prune_ratio=0.5"),

@@ -29,7 +29,6 @@ from twmark.sharing import ShamirConfig, ShamirShare
 from twmark.verify import (
     CalibrationTable,
     Coalition,
-    EncodedSuspect,
     VerificationReport,
     calibrate,
     coalition_statistic,
@@ -256,7 +255,7 @@ class TestPartialInnerKernel:
         first = sum(int(a) * int(b) for a, b in zip(enc.values, shares[0].values.values)) % q
         want = {s.point: enc.inner(s.values) for s in shares}
         assert want[1] == first
-        for suspect in (theta, EncodedSuspect.of(enc)):
+        for suspect in (theta, enc):
             got = partial_inner(Coalition.of(shares), suspect, codec)
             assert list(got.items()) == list(want.items())     # in coalition order
 
@@ -266,17 +265,18 @@ class TestPartialInnerKernel:
         top = 2.0 ** 60 / (d * TAU_INF_BOUND * 2.0 ** (2 * F_SHARE)) * (1 - 2.0 ** -40)
         assert verification_bound(d, top, F_SHARE) < codecs.params.modulus / 2.0
         theta = np.where(np.arange(d) % 2, top, -top)
-        assert EncodedSuspect.of(codecs.share.encode(theta)).rows >= d
+        assert verify._suspect_limbs(codecs.share.encode(theta))[2] >= d
 
     def test_widest_limbs_take_several_passes(self, rng):
         codec = FixedPointCodec(20, FieldParams())
         theta = rng.uniform(-15.9, 15.9, 20000)
-        x = EncodedSuspect.of(codec.encode(theta))
-        assert x.limbs.shape == (1, 20000) and x.bits == 24 and x.rows < 20000 // 2
+        enc = codec.encode(theta)
+        limbs, bits, rows = verify._suspect_limbs(enc)
+        assert limbs.shape == (1, 20000) and bits == 24 and rows < 20000 // 2
         share = ShamirShare(point=1, values=FieldVector(_elements(rng, M61, 20000),
                                                         codec.params))
-        want = codec.encode(theta).inner(share.values)
-        assert partial_inner(Coalition.of([share]), x, codec) == {1: want}
+        want = enc.inner(share.values)
+        assert partial_inner(Coalition.of([share]), enc, codec) == {1: want}
 
     @pytest.mark.parametrize("bits", [24, 48])
     def test_worst_case_sums_stay_exact(self, bits):
