@@ -3,7 +3,8 @@
 Subcommands: calibrate, train, attack, verify, scalability, fidelity,
 robustness, report. A config file holds key = value pairs (one per line,
 Python literals of the field's type); any key can be overridden with
---set key=value.
+--set key=value (on attack and robustness, which run as the run they read,
+only its RUN_COMMAND_FIELDS).
 
 verify exit codes: 0 accept, 1 reject, 2 error (including coalitions
 below the threshold).
@@ -15,13 +16,12 @@ import sys
 
 from .errors import ConfigurationError
 from .experiments import (
+    RUN_COMMAND_FIELDS,
     CalibrationTable,
     ExperimentConfig,
     _attack_config,
-    _attack_jobs,
     _check_sweep,
     _fidelity_points,
-    _for_run,
     cmd_attack,
     cmd_calibrate,
     cmd_fidelity,
@@ -30,6 +30,8 @@ from .experiments import (
     cmd_scalability,
     cmd_train,
     cmd_verify,
+    command_config,
+    config_values,
     read_run,
 )
 from .verify import Z_STAR_DEFAULT
@@ -39,24 +41,11 @@ from .verify import Z_STAR_DEFAULT
 _ATTACK_PARAMS = ("data_fraction", "alpha", "prune_ratio", "quant_scheme")
 
 
-def _load_config(args) -> ExperimentConfig:
-    overrides = args.set or []
-    if args.config:
-        return ExperimentConfig.from_file(args.config, overrides)
-    return ExperimentConfig.with_overrides({}, overrides)
-
-
 def _add_common(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     p.add_argument("--out", default=None, help="output directory")
-
-
-def _outdir(cfg, args):
-    out = args.out or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _calib(cfg, args, out):
@@ -137,8 +126,13 @@ def main(argv=None) -> int:
             print(f"decision: {decision}")
             return code
 
-        cfg = _load_config(args)
-        out = _outdir(cfg, args)
+        values = config_values(args.config, args.set or [])
+        # a command on a run checks its own fields here, and the rest against the run
+        on_run = args.command in ("attack", "robustness")
+        cfg = ExperimentConfig.with_overrides({k: v for k, v in values.items()
+                                               if not on_run or k in RUN_COMMAND_FIELDS},
+                                              path=args.config)
+        out = args.out or cfg.output_dir
 
         if args.command == "calibrate":
             table = cmd_calibrate(cfg, outdir=out)
@@ -159,10 +153,11 @@ def main(argv=None) -> int:
             params = {name: getattr(args, name) for name in _ATTACK_PARAMS
                       if getattr(args, name) is not None}
             _attack_config(cfg, args.kind, params)
-            run = read_run(args.run)
-            cfg = _for_run(cfg, args.run, run[0], [(args.kind, params)])
-            calib = _calib(cfg, args, out)
-            records = cmd_attack(cfg, run, calib, args.kind, outdir=out, **params)
+            run_cfg, *run = read_run(args.run)
+            cfg = command_config(run_cfg, args.run, values, (args.kind, params))
+            out = args.out or cfg.output_dir
+            records = cmd_attack(cfg, *run, _calib(cfg, args, out), args.kind, outdir=out,
+                                 run_id=run_cfg.config_hash(), **params)
             final = records[-1]
             print(f"{args.kind}: final accuracy {final['accuracy']:.4f}, "
                   f"z {final['z']:.4g}")
@@ -188,10 +183,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "robustness":
-            run_cfg, setup, dataset, trajectory = read_run(args.run)
-            cfg = _for_run(cfg, args.run, run_cfg, _attack_jobs(cfg))
-            calib = _calib(cfg, args, out)
-            cmd_robustness(cfg, setup, dataset, trajectory, calib, outdir=out,
+            run_cfg, *run = read_run(args.run)
+            cfg = command_config(run_cfg, args.run, values)
+            out = args.out or cfg.output_dir
+            cmd_robustness(cfg, *run, _calib(cfg, args, out), outdir=out,
                            run_id=run_cfg.config_hash())
             print(f"robustness grid written under {out}")
             return 0

@@ -2,8 +2,9 @@
 
 A watermarked run is a function of (ExperimentConfig, seed); sweep points
 run derived configs (dataclasses.replace) and a run directory keeps the
-config it ran (config.txt). CSV rows carry the command's config hash and all
-randomness is seeded, so a re-run yields byte-identical CSV bodies.
+config it ran (config.txt), as which a command on the run runs. CSV rows carry
+a config hash and all randomness is seeded, so a re-run yields byte-identical
+CSV bodies.
 """
 
 import glob
@@ -192,24 +193,31 @@ class ExperimentConfig:
             fh.write(self.canonical_text())
 
     @classmethod
-    def from_file(cls, path, overrides=()) -> "ExperimentConfig":
-        values = {**read_literals(file_lines(path), _CONFIG_TYPES), **_set_items(overrides)}
-        try:
-            return cls(**values)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
+    def from_file(cls, path) -> "ExperimentConfig":
+        return cls.with_overrides(config_values(path), path=path)
 
     @classmethod
-    def with_overrides(cls, values: dict, overrides=()) -> "ExperimentConfig":
-        return cls(**{**values, **_set_items(overrides)})
+    def with_overrides(cls, values: dict, overrides=(), path=None) -> "ExperimentConfig":
+        """``values``, then the --set items ``overrides``, over the defaults; an
+        error names ``path``, the config file of ``values``, if there is one."""
+        try:
+            return cls(**{**values, **config_values(None, overrides)})
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") if path else exc from None
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
 
+# the fields that attack and robustness set themselves; the run they read gives the rest
+RUN_COMMAND_FIELDS = ("attack_kinds", "attack_fractions", "attack_epochs", "attack_alphas",
+                      "prune_ratios", "quant_schemes", "attack_batch", "calib_models",
+                      "calib_keys", "calib_rounds", "z_star", "output_dir")
 
-def _set_items(overrides) -> dict:
-    """Config values from `--set key=value` items."""
-    return read_literals(((f"--set {item!r}", item) for item in overrides), _CONFIG_TYPES)
+
+def config_values(path, overrides=()) -> dict:
+    """The values of the config file at ``path``, if any, then of the --set items."""
+    return read_literals([*(file_lines(path) if path else []),
+                          *((f"--set {item!r}", item) for item in overrides)], _CONFIG_TYPES)
 
 
 # -- model / trajectory files --
@@ -235,10 +243,17 @@ def save_trajectory(trajectory, shape: MlpShape, dirpath):
                    os.path.join(dirpath, f"round_{gm.round_index:05d}.bin"))
 
 
-def load_trajectory(dirpath):
-    names = sorted(n for n in os.listdir(dirpath) if n.startswith("round_"))
-    models = (load_model(os.path.join(dirpath, n)) for n in names)
-    return [GlobalModel(theta=theta, round_index=r) for theta, _, r in models]
+def load_trajectory(dirpath, shape: MlpShape, rounds: int):
+    """The models of rounds 0..``rounds``, each of ``shape``, in ``dirpath``."""
+    trajectory = []
+    for r in range(rounds + 1):
+        path = os.path.join(dirpath, f"round_{r:05d}.bin")
+        theta, got, index = load_model(path)
+        if (got, index) != (shape, r):
+            raise ConfigurationError(f"{path}: holds round {index} of {got}, "
+                                     f"expected round {r} of {shape}")
+        trajectory.append(GlobalModel(theta=theta, round_index=r))
+    return trajectory
 
 
 # the keys of a run manifest (its config is config.txt), in file order, with types
@@ -671,8 +686,7 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
     config, which defaults to ``cfg``'s. Returns records plus per-budget
     Pareto fronts.
     """
-    if run_id is None:
-        run_id = cfg.config_hash()
+    run_id = run_id or cfg.config_hash()
     verifier = make_coalition_verifier(cfg, setup, calib)
     rows, records = [], []
     for kind, params in _attack_jobs(cfg):
@@ -702,8 +716,9 @@ def read_run(rundir):
     trained with, SetupResult, dataset, trajectory).
 
     The run's config.txt, checked against the share headers, rebuilds the
-    dataset and the codecs. The commitment and the DKG overhead record are
-    not persisted."""
+    dataset and the codecs, and gives the rounds and the model shape every
+    trajectory file must have. The commitment and the DKG overhead record
+    are not persisted."""
     paths = sorted(glob.glob(os.path.join(rundir, "shares", "*.share")))
     if not paths:
         raise ConfigurationError(f"{rundir}: no share files")
@@ -721,24 +736,30 @@ def read_run(rundir):
     if seed is None:
         raise ConfigurationError(f"{manifest}: no integer seed line")
     dataset = run_cfg.dataset(seed)
-    trajectory = load_trajectory(os.path.join(rundir, "trajectory"))
+    trajectory = load_trajectory(os.path.join(rundir, "trajectory"), run_cfg.shape(),
+                                 run_cfg.rounds)
     return run_cfg, setup, dataset, trajectory
 
 
-def _for_run(cfg: ExperimentConfig, rundir, run_cfg: ExperimentConfig,
-             jobs) -> ExperimentConfig:
-    """``cfg`` with the model shape of the run in ``rundir``, trained with
-    ``run_cfg``; refuses a (kind, params) job of ``jobs`` whose data
-    fraction takes none of the run's n_samples."""
-    for kind, params in jobs:
-        if "data_fraction" in _reads(kind):
-            try:
+def command_config(run_cfg: ExperimentConfig, rundir, values: dict,
+                   job=None) -> ExperimentConfig:
+    """``run_cfg``, the config of the run in ``rundir``, with the RUN_COMMAND_FIELDS
+    of ``values``; refuses, naming config.txt, another value that is not the run's
+    and a data fraction of ``job`` (or of the grid) that takes none of its samples."""
+    try:
+        cfg = replace(run_cfg, **{k: v for k, v in values.items() if k in RUN_COMMAND_FIELDS})
+        for key, value in values.items():
+            if value != getattr(cfg, key):
+                raise ConfigurationError(f"the run has {key} = {getattr(cfg, key)!r}, the command "
+                                         f"{value!r}; a command on a run sets only "
+                                         f"{', '.join(RUN_COMMAND_FIELDS)}")
+        for kind, params in [job] if job else _attack_jobs(cfg):
+            if "data_fraction" in _reads(kind):
                 attacks.subset_size(_attack_config(cfg, kind, params).data_fraction,
-                                    run_cfg.n_samples)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{os.path.join(rundir, 'config.txt')}: {exc}") from None
-    return replace(cfg, **{name: getattr(run_cfg, name)
-                           for name in ("input_dim", "hidden", "n_classes")})
+                                    cfg.n_samples)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{os.path.join(rundir, 'config.txt')}: {exc}") from None
+    return cfg
 
 
 def load_run(cfg: ExperimentConfig, rundir):
@@ -746,18 +767,16 @@ def load_run(cfg: ExperimentConfig, rundir):
     return read_run(rundir)[1:]
 
 
-def cmd_attack(cfg: ExperimentConfig, run, calib: CalibrationTable,
-               kind: str, outdir=None, **params):
-    """One attack job against a persisted run, ``run`` as read_run returns
-    it, verified via the coalition path; rows carry the hash of the run's
-    own config, and their params every field ``kind`` reads, given in
-    ``params`` or AttackConfig's default."""
+def cmd_attack(cfg: ExperimentConfig, setup, dataset, trajectory, calib: CalibrationTable,
+               kind: str, outdir=None, run_id=None, **params):
+    """One attack job against a persisted run, verified via the coalition
+    path; rows carry ``run_id``, the hash of the run's config, which
+    defaults to ``cfg``'s, and their params every field ``kind`` reads,
+    given in ``params`` or AttackConfig's default."""
     acfg = _attack_config(cfg, kind, params)
     params = {name: getattr(acfg, name) for name in _reads(kind)}
-    run_cfg, setup, dataset, trajectory = run
-    verifier = make_coalition_verifier(cfg, setup, calib)
-    records, rows = _attack_and_verify(cfg, verifier, kind, params, trajectory, dataset,
-                                       run_cfg.config_hash())
+    records, rows = _attack_and_verify(cfg, make_coalition_verifier(cfg, setup, calib), kind,
+                                       params, trajectory, dataset, run_id or cfg.config_hash())
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),

@@ -146,7 +146,7 @@ class TestModelFiles:
         shape = MlpShape(6, 8, 4)
         traj = [GlobalModel(init_model(shape, rng), i) for i in range(3)]
         save_trajectory(traj, shape, tmp_path / "traj")
-        back = load_trajectory(tmp_path / "traj")
+        back = load_trajectory(tmp_path / "traj", shape, 2)
         assert [g.round_index for g in back] == [0, 1, 2]
         for a, b in zip(traj, back):
             assert np.array_equal(a.theta, b.theta)
@@ -610,7 +610,8 @@ class TestCli:
          "{run}/config.txt: data fraction 0.001 yields an empty subset of n_samples = 400"),
         (["attack", "--run", "{run}", "--set", "n_samples=4000", "--kind", "distill",
           "--data-fraction", "0.001"],
-         "{run}/config.txt: data fraction 0.001 yields an empty subset of n_samples = 400"),
+         "{run}/config.txt: the run has n_samples = 400, the command 4000; "
+         "a command on a run sets only attack_kinds, "),
         (["robustness", "--run", "{run}", "--set", "attack_fractions=(0.05, 0.001)"],
          "{run}/config.txt: data fraction 0.001 yields an empty subset of n_samples = 400"),
     ], ids=["robustness-missing-run", "attack-missing-run", "attack-bogus-kind",
@@ -633,6 +634,7 @@ class TestCli:
         assert f"error: {message.format(**names)}" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/calibration.txt"))
         assert not list(tmp_path.glob("**/*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_verify_rejects_calibration_with_empty_fingerprint(self, cli_workspace,
                                                                tmp_path, capsys):
@@ -717,26 +719,40 @@ class TestRunDirectory:
         assert np.array_equal(dataset.X_test, trained.X_test)
         assert np.array_equal(dataset.y_test, trained.y_test)
 
-    @pytest.mark.parametrize("damage", ["missing", "malformed", "f_share", "threshold"])
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "f_share", "threshold",
+                                        "empty-trajectory", "first-round-shape",
+                                        "last-round-shape"])
     def test_bad_config_is_an_error_naming_it(self, cli_workspace, tmp_path, capsys,
                                               damage):
+        # a damaged trajectory once failed naming no file: an empty one with
+        # "list index out of range", a round of another hidden width with a
+        # broadcast or reshape error in the first attack
         cfg, cfg_path, out = cli_workspace
         rundir = tmp_path / "run_seed0"
         shutil.copytree(out / "run_seed0", rundir)
-        config = rundir / "config.txt"
+        config = named = rundir / "config.txt"
         if damage == "missing":
             config.unlink()
         elif damage == "malformed":
             config.write_text("rounds = os.sep\n")
+        elif damage == "empty-trajectory":
+            named = rundir / "trajectory"
+            shutil.rmtree(named)
+            named.mkdir()
+        elif damage.endswith("round-shape"):
+            r = 0 if damage == "first-round-shape" else cfg.rounds
+            named = rundir / "trajectory" / f"round_{r:05d}.bin"
+            shape = MlpShape(cfg.input_dim, 8, cfg.n_classes)
+            save_model(init_model(shape, rng_from_key(0, "init")), shape, r, named)
         else:
             value = {"f_share": 18, "threshold": 2}[damage]
             dataclasses.replace(cfg, **{damage: value}).save(config)
-        with pytest.raises(ConfigurationError, match="^" + re.escape(str(config))):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(str(named))):
             load_run(cfg, rundir)
         assert cli.main(["robustness", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out"), "--run", str(rundir),
                          "--calibration", str(out / "calibration.txt")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {config}")
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
     def test_no_share_files_is_an_error_naming_the_run(self, cli_workspace, tmp_path):
         # it once failed with "no share files given", naming no directory
@@ -752,7 +768,8 @@ class TestRunDirectory:
                                                      capsys):
         # under f_share 18 (the calibration made at 18 too) the attack path once
         # took the codec from the command's config and scored the run's model
-        # with a z four times too large
+        # with a z four times too large; later it calibrated at 18 and refused
+        # the run's shares
         _, cfg_path, out = cli_workspace
         common = ["--config", str(cfg_path), "--set", "f_share=18",
                   "--out", str(tmp_path), "--run", str(out / "run_seed0")]
@@ -761,18 +778,19 @@ class TestRunDirectory:
                      ["robustness"] + common):
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: shares have f_share 20, d 5514; "
-                                  "the calibration table 18, 5514"), err
-        assert CalibrationTable.load(tmp_path / "calibration.txt").f_share == 18
+            assert err.startswith(f"error: {out / 'run_seed0' / 'config.txt'}: "
+                                  "the run has f_share = 20, the command 18; "), err
+        assert not (tmp_path / "calibration.txt").exists()
         assert not list(tmp_path.glob("*.csv"))
 
     def test_attack_rows_carry_the_run_config_hash(self, cli_workspace, tmp_path):
         # a K=4 run attacked under a config of other n_samples and noise once
-        # wrote rows tagged with the attacking config's hash
+        # wrote rows tagged with the attacking config's hash; a command now
+        # differs from the run only in the fields it sets itself
         cfg, cfg_path, out = cli_workspace
         run_cfg = dataclasses.replace(cfg, n_clients=4, threshold=2, rounds=1)
         cmd_train(run_cfg, tmp_path, seed=0)
-        common = ["--config", str(cfg_path), "--set", "n_samples=3840", "--set", "noise=0.5",
+        common = ["--set", "attack_batch=32", "--set", "z_star=3.5",
                   "--run", str(tmp_path / "run_seed0"),
                   "--calibration", str(out / "calibration.txt")]
         attack = ["attack", *common, "--out", str(tmp_path / "attack"),
@@ -787,9 +805,42 @@ class TestRunDirectory:
             assert rows and {row.split(",")[0] for row in rows} == {run_cfg.config_hash()}
             written.append(rows)
         assert run_cfg.config_hash() != dataclasses.replace(
-            cfg, n_samples=3840, noise=0.5).config_hash()
+            run_cfg, attack_batch=32, z_star=3.5).config_hash()
         # the one job's row is the grid's row of the same ratio
         assert written[0] == written[1] and written[0][0].split(",")[2] == "prune_ratio=0.5"
+
+    # a calibration budget and an attack grid small enough to run in a test
+    QUICK = ["--set", "calib_models=2", "--set", "calib_rounds=1", "--set", "calib_keys=100",
+             "--set", "attack_epochs=1", "--set", "attack_kinds=('quantize',)"]
+
+    @pytest.mark.parametrize("given", ["set", "config"])
+    @pytest.mark.parametrize("command", ["attack", "robustness"])
+    def test_a_key_the_run_gives_must_be_the_runs(self, toy_run, tmp_path, capsys, command,
+                                                  given):
+        # such a key once replaced the run's value in the command's config,
+        # which calibrated and attacked at noise 0.5 a run trained at 1.0
+        config = tmp_path / "config.txt"
+        config.write_text("n_samples = 400\nnoise = 0.5\n")
+        args = ["--set", "noise=0.5"] if given == "set" else ["--config", str(config)]
+        argv = [command, *(["--kind", "quantize"] if command == "attack" else []), *args,
+                *self.QUICK, "--run", str(toy_run), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {toy_run / 'config.txt'}: the run has noise = 1.0, the command 0.5; "
+            "a command on a run sets only attack_kinds, attack_fractions, ")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_missing_table_is_fitted_on_the_run(self, toy_run, tmp_path):
+        # the table was once fitted at the command's n_samples and K (20,480
+        # and 32 by default), not at the run's 400 and 4
+        budget = dict(calib_models=2, calib_rounds=1, calib_keys=100)
+        assert cli.main(["attack", "--kind", "quantize", "--run", str(toy_run),
+                         *(f"--set={k}={v}" for k, v in budget.items()),
+                         "--out", str(tmp_path / "attack")]) == 0
+        run_cfg = ExperimentConfig.from_file(toy_run / "config.txt")
+        experiments.cmd_calibrate(dataclasses.replace(run_cfg, **budget), tmp_path / "own")
+        assert ((tmp_path / "attack" / "calibration.txt").read_bytes()
+                == (tmp_path / "own" / "calibration.txt").read_bytes())
 
     def test_attack_commands_take_the_model_shape_from_the_run(self, toy_run, tmp_path):
         # on a hidden=16 run each once failed to reshape the run's d = 698
