@@ -8,15 +8,7 @@ commitment that pins the key down at setup time.
 import numpy as np
 
 from twmark.field import FieldParams, FieldVector, FixedPointCodec
-from twmark.sharing import (
-    ShamirConfig,
-    commit,
-    derive_embedding_share,
-    lagrange_at_zero,
-    open_check,
-    shamir_reconstruct,
-    shamir_share,
-)
+from twmark.sharing import ShamirConfig, commit, lagrange_at_zero, open_check, shamir_share
 
 rng = np.random.default_rng(0)
 params = FieldParams()  # 2^61 - 1
@@ -34,21 +26,28 @@ print("roundtrip error:", np.abs(codec.decode_centered(enc) - x).max())
 cfg = ShamirConfig(n_clients=5, threshold=3, params=params)
 shares = shamir_share(enc, cfg, rng)
 print("evaluation points:", cfg.points)
-rec = shamir_reconstruct(shares[1:4], cfg)
-print("reconstructed from shares {2,3,4}:", rec == enc)
 
-# Lagrange weights at zero turn shares into summable embedding shares
-# w_k = lambda_k * s_k, each again a share at its client's point
+# Lagrange weights at zero turn shares into summable terms
+# w_k = lambda_k * s_k; over t or more points they sum to the secret. A
+# round embeds through these terms and a coalition verifies through them,
+# and no party forms the sum: only this demo does
 participants = (1, 3, 4, 5)
 lam = lagrange_at_zero(participants, params)
 print("lagrange weights:", {k: hex(v)[:8] + "..." for k, v in lam.items()})
-embedding = [derive_embedding_share(s, participants, cfg)
-             for s in shares if s.point in participants]
-print("embedding share points:", [w.point for w in embedding])
-acc = FieldVector.zeros(4, params)
-for w in embedding:
-    acc = acc.add(w.values)
-print("sum of embedding shares == encoded secret:", acc == enc)
+
+
+def combine(points):
+    """sum of lambda_k * s_k over the shares at ``points``"""
+    weights = lagrange_at_zero(points, params)
+    acc = FieldVector.zeros(4, params)
+    for k in points:
+        acc = acc.add(shares[k - 1].values.scalar_mul(weights[k]))
+    return acc
+
+
+print("terms over {1,3,4,5} sum to the encoded secret:", combine(participants) == enc)
+print("terms over {2,3,4} sum to the encoded secret:", combine((2, 3, 4)) == enc)
+print("terms over {1,2}, below t, do not:", combine((1, 2)) != enc)
 
 # commitment: binding digest of the encoded key plus its public norm sqrt(d)
 c = commit(enc, f_share=20)

@@ -9,7 +9,7 @@ equals the exact field sum of the raw inputs.
 import numpy as np
 
 from twmark.field import FieldParams, FieldVector
-from twmark.secagg import SecAggSession, mask_degree, secagg_sum
+from twmark.secagg import SecAggSession, mask_degree, reveal
 
 rng = np.random.default_rng(1)
 params = FieldParams()
@@ -21,7 +21,11 @@ session = SecAggSession(round_id=1, participants=participants, d=d,
                         params=params, session_seed=42)
 inputs = {c: FieldVector(params.uniform(rng, d), params) for c in participants}
 
-out = secagg_sum(inputs, session)
+# each client adds its net mask to its row, in the session's slot order;
+# the server sums the masked rows
+rows = np.empty((n, d), dtype=np.uint64)
+rows[session._slot] = np.stack([inputs[c].values for c in participants])
+out = reveal(session.mask(rows), session)
 
 plain = FieldVector.zeros(d, params)
 for v in inputs.values():
@@ -30,7 +34,7 @@ print("masked-sum output == plain field sum:", out == plain)
 
 for c, masked in session.observations:
     hidden = not np.array_equal(masked, inputs[c].values)
-    print(f"client {c}: {len(session.neighbours(c))} neighbours, server sees a "
+    print(f"client {c}: {k} neighbours, server sees a "
           f"masked vector (raw hidden: {hidden})")
 
 # the net masks, one row per slot, cancel structurally

@@ -6,12 +6,14 @@ key at its point 1..K. The DKG never materializes the key anywhere; its
 network cost follows the closed forms reported by the cost model.
 """
 
+import functools
+
 import numpy as np
 
-from twmark.field import FieldParams
+from twmark.field import FieldParams, FieldVector
 from twmark.keysetup import (BANDWIDTH_BPS, FIELD_MUL_NS, dkg_cost_model, setup_dkg,
                              setup_trusted_dealer)
-from twmark.sharing import ShamirConfig, open_check, shamir_reconstruct
+from twmark.sharing import ShamirConfig, lagrange_at_zero, open_check
 
 params = FieldParams()
 cfg = ShamirConfig(n_clients=8, threshold=4, params=params)
@@ -23,13 +25,21 @@ dealer = setup_trusted_dealer(cfg, d, np.random.default_rng(0), keep_key=True)
 dkg = setup_dkg(cfg, d, np.random.default_rng(1), keep_key=True)
 print("share points:", [s.point for s in dealer.shares], [s.point for s in dkg.shares])
 
-rec = shamir_reconstruct(dealer.shares[:4], cfg)
+
+def combine(shares):
+    """sum of lambda_k * s_k over ``shares``: the encoded key from t or
+    more. Only this check forms it; no party in the protocol does"""
+    lam = lagrange_at_zero([s.point for s in shares], params)
+    return functools.reduce(FieldVector.add, (s.values.scalar_mul(lam[s.point]) for s in shares))
+
+
+rec = combine(dealer.shares[:4])
 print("dealer: shares reconstruct enc(key):",
       rec == dealer.codecs.share.encode(dealer.debug_key))
 print("dealer: commitment opens:",
       open_check(dealer.commitment, rec, dealer.codecs.f_share))
 
-decoded = dkg.codecs.share.decode_centered(shamir_reconstruct(dkg.shares, cfg))
+decoded = dkg.codecs.share.decode_centered(combine(dkg.shares))
 err = np.abs(decoded - dkg.debug_key).max()
 print(f"dkg: reconstruction matches sum of contributions (max err {err:.2e})")
 ov = dkg.overhead

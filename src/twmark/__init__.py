@@ -30,10 +30,8 @@ from .sharing import (
     ShamirConfig,
     ShamirShare,
     commit,
-    derive_embedding_share,
     lagrange_at_zero,
     open_check,
-    shamir_reconstruct,
     shamir_share,
 )
 from .verify import (
@@ -67,7 +65,6 @@ __all__ = [
     "check_aggregate_bound",
     "coalition_statistic",
     "commit",
-    "derive_embedding_share",
     "dkg_cost_model",
     "lagrange_at_zero",
     "open_check",
@@ -76,7 +73,6 @@ __all__ = [
     "run_protocol",
     "setup_dkg",
     "setup_trusted_dealer",
-    "shamir_reconstruct",
     "shamir_share",
     "verify_direct",
 ]

@@ -124,7 +124,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"participation must lie in (0, 1], got {self.participation}")
         if not 0 <= self.ema_beta < 1:
             raise ConfigurationError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
-        for name, floor in (("rounds", 1), ("sweep_rounds", 1), ("calib_rounds", 1),
+        for name, floor in (("n_clients", 1), ("threshold", 1), ("n_samples", 1),
+                            ("n_test", 1), ("sweep_samples", 1),
+                            ("sweep_samples_per_client", 1),
+                            ("rounds", 1), ("sweep_rounds", 1), ("calib_rounds", 1),
                             ("batch_size", 1), ("sweep_batch", 1), ("attack_batch", 1),
                             ("local_epochs", 1), ("attack_epochs", 1),
                             ("calib_models", _MIN_MODELS), ("calib_keys", _MIN_KEYS)):

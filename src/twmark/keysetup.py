@@ -7,9 +7,9 @@ DKG path: each client samples an additive contribution w_k ~ N(0, I_d/K),
 shares its encoding through its own degree-(t-1) polynomials and sends
 evaluations to every other client; client i's share is the componentwise
 field sum of what it received. The implicit key tau = sum_k w_k is never
-materialized at any single party. dkg_exchange runs that exchange message
-by message and returns every client's outgoing evaluations, the view the
-secrecy tests reconstruct. Sharing is linear, so the K evaluations client
+materialized at any single party. The tests' reference module
+(tests/reference.py) runs that exchange message by message as
+dkg_exchange. Sharing is linear, so the K evaluations client
 i receives sum to the value at i of one polynomial whose coefficients are
 the clients' coefficients summed: setup_dkg draws what each client draws,
 adds enc(w_k) and the coefficients into one (t x d) sum as 32-bit halves
@@ -28,7 +28,6 @@ point-to-point messages (self-delivery is local), each carrying d
 multiplications at FIELD_MUL_NS each and communication at BANDWIDTH_BPS.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,33 +95,12 @@ def setup_trusted_dealer(cfg: ShamirConfig, d: int, rng: np.random.Generator,
     )
 
 
-def dkg_exchange(contributions_enc: list, cfg: ShamirConfig,
-                 rngs: list, coeffs_per_client: list = None):
-    """Core DKG exchange over already-encoded contributions.
-
-    Each client k Shamir-shares contributions_enc[k] with its own random
-    polynomials; client i sums the evaluations addressed to it. Returns
-    (shares, per_client_evaluations) where per_client_evaluations[k] is
-    the list of ShamirShare rows client k produced (its outgoing traffic),
-    used by secrecy tests to reconstruct a coalition's full view.
-    """
-    if len(contributions_enc) != cfg.n_clients:
-        raise ConfigurationError("need one contribution per client")
-    outgoing = [shamir_share(enc, cfg, rngs[k],
-                             coeffs=None if coeffs_per_client is None else coeffs_per_client[k])
-                for k, enc in enumerate(contributions_enc)]
-    shares = [ShamirShare(point=x, values=functools.reduce(
-                  FieldVector.add, (sent[i].values for sent in outgoing)))
-              for i, x in enumerate(cfg.points)]
-    return shares, outgoing
-
-
 def setup_dkg(cfg: ShamirConfig, d: int, rng: np.random.Generator,
               codecs: ProtocolCodecs = None, keep_key: bool = False) -> SetupResult:
     """Dealer-free setup; the key is implicitly sum_k w_k, w_k ~ N(0, I_d/K).
     Per-client RNG streams are spawned deterministically from rng, and the
-    shares equal dkg_exchange's over the same streams; the overhead is
-    dkg_cost_model(K, t, d)."""
+    shares equal the message-level exchange's over the same streams; the
+    overhead is dkg_cost_model(K, t, d)."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     if codecs is None:
@@ -157,7 +135,7 @@ def dkg_cost_model(K: int, t: int, d: int) -> OverheadRecord:
     """Closed-form cost of the real DKG protocol: per-client O(Kd)
     communication, O(Ktd) compute.
 
-    It charges what the message-level protocol (dkg_exchange) costs, not
+    It charges what the message-level protocol costs, not
     what setup_dkg computes: communication time charges (K-1) outgoing
     vector shares of d 8-byte words each against BANDWIDTH_BPS; compute
     charges K*t*d field multiplications (one evaluation of each of d

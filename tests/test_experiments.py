@@ -540,17 +540,31 @@ class TestCli:
          "data_fraction must lie in (0, 1], got 0.0"),
         (["robustness", "--run", "run_seed0", "--set", "attack_fractions=(0.05, 5.0)"],
          "data_fraction must lie in (0, 1], got 5.0"),
+        (["fidelity", "--set", "threshold=0"], "threshold must be >= 1, got 0"),
+        (["fidelity", "--set", "threshold=-1"], "threshold must be >= 1, got -1"),
+        (["train", "--set", "n_test=0"], "n_test must be >= 1, got 0"),
+        (["train", "--set", "n_samples=0"], "n_samples must be >= 1, got 0"),
+        (["scalability", "--set", "sweep_samples_per_client=0"],
+         "sweep_samples_per_client must be >= 1, got 0"),
+        (["fidelity", "--sweep-budget", "--set", "sweep_samples=0"],
+         "sweep_samples must be >= 1, got 0"),
+        (["train", "--set", "n_clients=0", "--set", "threshold=0"],
+         "n_clients must be >= 1, got 0"),
     ], ids=["ema-beta-one", "ema-beta-negative", "calib-keys", "calib-models", "calib-rounds",
             "rounds", "sweep-rounds", "batch-size", "sweep-batch", "attack-batch",
             "local-epochs", "attack-epochs", "attack-alphas", "prune-ratios", "quant-schemes",
-            "attack-fractions-zero", "attack-fractions-above-one"])
+            "attack-fractions-zero", "attack-fractions-above-one", "threshold-zero",
+            "threshold-negative", "n-test", "n-samples", "sweep-samples-per-client",
+            "sweep-samples", "n-clients"])
     def test_commands_refuse_bad_counts_before_any_work(self, tmp_path, capsys, argv,
                                                         message):
         # each once failed only after work had started (fidelity wrote
         # calibration.txt and calibrate trained every null model first;
-        # robustness ran the grid jobs before a bad attack value) or not at
-        # all: calibrate fitted untrained models at calib_rounds=0, and a
-        # negative attack_epochs scored every attack as the victim
+        # robustness ran the grid jobs before a bad attack value; train at
+        # n_test=0 wrote a run without metrics.csv) or not at all: calibrate
+        # fitted untrained models at calib_rounds=0, a negative attack_epochs
+        # scored every attack as the victim, and at zero samples no client
+        # took a step
         code = cli.main([argv[0], *self.TINY, *argv[1:], "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -1377,6 +1391,15 @@ class TestBinaryFiles:
                                    "calibration": (model, shares, gone)}[missing])
         assert code == 2 and "decision:" not in out
         assert err == f"error: {gone}: cannot read: No such file or directory\n"
+
+    def test_a_large_declared_k_costs_no_memory(self, verify_files, tmp_path, tamper_share):
+        # K comes from the share header's uint32; verification once built a
+        # tuple of all K points to find strange ones (391 MB at K = 2^22)
+        model, shares, calib = verify_files
+        wide = [tmp_path / p.name for p in shares]
+        for src, dst in zip(shares, wide):
+            tamper_share(src, dst, n_clients=2**32 - 1)
+        assert _verify(model, wide, calib) == _verify(model, shares, calib)
 
     def test_shares_of_another_length_are_an_error(self, cli_workspace, verify_files,
                                                    tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import reference_training
 from hypothesis import given, settings, strategies as st
+from reference import derive_embedding_share
 
 from twmark import cli, flsim, protocol
 from twmark.errors import (ConfigurationError, EncodingOverflowError, NumericalError,
@@ -32,7 +33,7 @@ from twmark.protocol import (
     run_protocol,
 )
 from twmark.rngutil import rng_from_key
-from twmark.sharing import ShamirConfig, derive_embedding_share
+from twmark.sharing import ShamirConfig
 
 SHAPE = MlpShape(input_dim=6, hidden=8, n_classes=4)  # d = 92
 

