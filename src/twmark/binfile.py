@@ -2,9 +2,11 @@
 fixed little-endian struct header, payload words whose count the header
 implies, and the SHA-256 of all bytes before it. The digest is unkeyed: it
 catches damage, not forgery, so readers still check what a header means.
+A writer makes the file's directory, as literals.write_text does.
 """
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +22,7 @@ class Format:
 
     def write(self, path, header: tuple, payload: bytes):
         body = self.magic.encode() + struct.pack(self.header, *header) + payload
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(body + hashlib.sha256(body).digest())
 

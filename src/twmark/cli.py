@@ -53,7 +53,6 @@ def _calib(cfg, args, out):
     if os.path.exists(path):
         return CalibrationTable.load(path)
     table = cmd_calibrate(cfg)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     table.save(path)
     return table
 
@@ -193,7 +192,8 @@ def main(argv=None) -> int:
 
         raise ConfigurationError(f"unhandled command {args.command}")
     except Exception as exc:  # CLI boundary: map failures to exit 2
-        print(f"error: {exc}", file=sys.stderr)
+        # an error without text, such as MemoryError(), is named by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

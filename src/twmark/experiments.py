@@ -28,7 +28,7 @@ from .keysetup import (
     setup_dkg,
     setup_trusted_dealer,
 )
-from .literals import file_lines, literal_text, read_literals
+from .literals import file_lines, literal_text, read_literals, write_text
 from .protocol import (
     ClientTrainer,
     GlobalModel,
@@ -113,6 +113,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in dc_fields(self):
             value = getattr(self, f.name)
+            # an empty sweep, grid or seed list would run nothing and write empty files
+            if value == ():
+                raise ConfigurationError(f"{f.name} must not be empty")
             if f.type in (float, tuple[float, ...]) and not np.isfinite(value).all():
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.threshold > self.n_clients:
@@ -192,8 +195,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.canonical_text())
+        write_text(path, self.canonical_text())
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -240,7 +242,6 @@ def load_model(path):
 
 
 def save_trajectory(trajectory, shape: MlpShape, dirpath):
-    os.makedirs(dirpath, exist_ok=True)
     for gm in trajectory:
         save_model(gm.theta, shape, gm.round_index,
                    os.path.join(dirpath, f"round_{gm.round_index:05d}.bin"))
@@ -268,16 +269,11 @@ def write_manifest(seed: int, setup, path):
     if setup.commitment is not None:
         pairs += [("commitment_nonce", setup.commitment.nonce.hex()),
                   ("commitment_digest", setup.commitment.digest.hex())]
-    with open(path, "w") as fh:
-        fh.write(literal_text(pairs))
+    write_text(path, literal_text(pairs))
 
 
 def write_csv(path, header: str, rows):
-    rows = sorted(rows)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    write_text(path, "".join(line + "\n" for line in [header, *sorted(rows)]))
 
 
 # -- core runs --
@@ -434,7 +430,6 @@ def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     table = calibrate(models, cfg.calib_keys, rng_from_key("calibration-keys"),
                       fingerprint=model_fingerprint(cfg.shape()), f_share=cfg.f_share)
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         table.save(os.path.join(outdir, "calibration.txt"))
     return table
 
@@ -445,7 +440,6 @@ def _write_run(cfg: ExperimentConfig, seed: int, outdir):
     shape = cfg.shape()
     setup, dataset, trajectory = run_watermarked(cfg, seed)
     rundir = os.path.join(outdir, f"run_seed{seed}")
-    os.makedirs(os.path.join(rundir, "shares"), exist_ok=True)
     save_trajectory(trajectory, shape, os.path.join(rundir, "trajectory"))
     save_model(trajectory[-1].theta, shape, trajectory[-1].round_index,
                os.path.join(rundir, "model_final.bin"))
@@ -548,12 +542,11 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     slope = (float(np.polyfit(np.log(ks), np.log(zb), 1)[0])
              if len(set(cfg.k_sweep)) > 1 else None)
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "scalability.csv"),
                   "config_hash,K,seed,method,z,test_accuracy", rows)
         summary = [("baseline_decay_exponent", slope)] if slope is not None else []
-        with open(os.path.join(outdir, "scalability_summary.txt"), "w") as fh:
-            fh.write(literal_text(summary + [("z_star", cfg.z_star)]))
+        write_text(os.path.join(outdir, "scalability_summary.txt"),
+                   literal_text(summary + [("z_star", cfg.z_star)]))
     return {"records": records, "baseline_decay_exponent": slope}
 
 
@@ -582,13 +575,11 @@ def cmd_fidelity(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
         summary[c] = {"z_mean": float(np.mean(zs)), "z_std": float(np.std(zs)),
                       "acc_mean": float(np.mean(accs)), "acc_std": float(np.std(accs))}
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "fidelity.csv"),
                   "config_hash,c,seed,z,test_accuracy", rows)
-        with open(os.path.join(outdir, "fidelity_summary.txt"), "w") as fh:
-            for c, s in summary.items():
-                fh.write(f"c={c}: z = {s['z_mean']:.4g} +- {s['z_std']:.4g}, "
-                         f"accuracy = {s['acc_mean']:.4f} +- {s['acc_std']:.4f}\n")
+        write_text(os.path.join(outdir, "fidelity_summary.txt"), "".join(
+            f"c={c}: z = {s['z_mean']:.4g} +- {s['z_std']:.4g}, "
+            f"accuracy = {s['acc_mean']:.4f} +- {s['acc_std']:.4f}\n" for c, s in summary.items()))
     return {"records": records, "summary": summary}
 
 
@@ -704,13 +695,12 @@ def cmd_robustness(cfg: ExperimentConfig, setup, dataset, trajectory,
         if pts:
             fronts[p] = attacks.pareto_frontier(pts)
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "robustness.csv"),
                   "run_id,attack,params,step,test_accuracy,z,decision", rows)
-        with open(os.path.join(outdir, "robustness_summary.txt"), "w") as fh:
-            fh.write(literal_text([("z_threshold_line", cfg.z_star)]))
-            for p, front in sorted(fronts.items()):
-                fh.write(f"pareto_frontier_p={p}: {front!r}\n")
+        write_text(os.path.join(outdir, "robustness_summary.txt"),
+                   literal_text([("z_threshold_line", cfg.z_star)])
+                   + "".join(f"pareto_frontier_p={p}: {front!r}\n"
+                             for p, front in sorted(fronts.items())))
     return {"records": records, "pareto": fronts}
 
 
@@ -781,7 +771,6 @@ def cmd_attack(cfg: ExperimentConfig, setup, dataset, trajectory, calib: Calibra
     records, rows = _attack_and_verify(cfg, make_coalition_verifier(cfg, setup, calib), kind,
                                        params, trajectory, dataset, run_id or cfg.config_hash())
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"attack_{kind}.csv"),
                   "run_id,attack,params,step,test_accuracy,z,decision", rows)
     return records
@@ -796,10 +785,9 @@ def cmd_report(outdir):
         if not name.endswith(".csv"):
             continue
         path = os.path.join(outdir, name)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, start=2)
-                    if line.strip()]
+        text = [line.strip() for _, line in file_lines(path)] or [""]
+        header = text[0].split(",")
+        rows = [(n, line.split(",")) for n, line in enumerate(text[1:], start=2) if line]
         lines.append(f"{name}: {len(rows)} rows, columns {header}")
         # export any (x, y) numeric pair ending in z vs accuracy coordinates
         if "z" in header and "test_accuracy" in header:
@@ -814,12 +802,9 @@ def cmd_report(outdir):
                 except ValueError as exc:
                     raise ConfigurationError(f"{path} line {n}: {exc}") from None
             export = os.path.join(outdir, name.replace(".csv", "_points.txt"))
-            with open(export, "w") as fh:
-                fh.write("accuracy z\n")
-                for a, z in sorted(coords):
-                    fh.write(f"{a:.6f} {z:.6g}\n")
+            write_text(export, "accuracy z\n" + "".join(f"{a:.6f} {z:.6g}\n"
+                                                         for a, z in sorted(coords)))
             exports.append(export)
     report_path = os.path.join(outdir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(report_path, "\n".join(lines) + "\n")
     return report_path, exports

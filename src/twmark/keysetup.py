@@ -12,8 +12,8 @@ materialized at any single party. The tests' reference module
 dkg_exchange. Sharing is linear, so the K evaluations client
 i receives sum to the value at i of one polynomial whose coefficients are
 the clients' coefficients summed: setup_dkg draws what each client draws,
-adds enc(w_k) and the coefficients into one (t x d) sum as 32-bit halves
-in uint64, reduces it mod q once and makes one Vandermonde product
+adds enc(w_k) and the coefficients into one (t x d) sum, reduced mod q
+after each client, and makes one Vandermonde product
 (sharing.shamir_share). Row 0 of that sum is enc(tau); it is a local of
 setup_dkg, a simulator that already holds every w_k, and no return value,
 file or log carries it.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .binfile import Format
 from .errors import ConfigurationError
-from .field import _MASK32, FieldParams, FieldVector, ProtocolCodecs, _fold
+from .field import FieldParams, FieldVector, ProtocolCodecs, reduce_once
 from .sharing import Commitment, ShamirConfig, ShamirShare, commit, shamir_share
 
 # the DKG cost model's link bandwidth and cost of one field multiplication
@@ -107,19 +107,17 @@ def setup_dkg(cfg: ShamirConfig, d: int, rng: np.random.Generator,
         codecs = ProtocolCodecs(params=cfg.params)
     K, t = cfg.n_clients, cfg.threshold
     seeds = rng.integers(0, 2**63, size=K)
-    # the 32-bit halves of K < 2^31 words sum without overflow in uint64
-    hi = np.zeros((t, d), dtype=np.uint64)
-    lo = np.zeros((t, d), dtype=np.uint64)
+    # a residue plus one below q < 2^63 stays below 2q, which one reduce_once folds
+    summed = np.zeros((t, d), dtype=np.uint64)
     key = 0
     for seed in seeds:
         rng_k = np.random.Generator(np.random.PCG64(int(seed)))
         w = rng_k.standard_normal(d) / np.sqrt(K)
         poly = np.vstack([codecs.share.encode(w).values, cfg.params.uniform(rng_k, (t - 1, d))])
-        hi += poly >> np.uint64(32)
-        lo += poly & _MASK32
+        summed += poly
+        reduce_once(summed, cfg.params.modulus)
         if keep_key:
             key = key + w
-    summed = _fold(hi, lo, cfg.params.modulus)
     shares = shamir_share(FieldVector(summed[0], cfg.params), cfg, None, coeffs=summed[1:])
     return SetupResult(
         cfg=cfg,

@@ -1,8 +1,11 @@
 """The `key = literal` lines of config files, `--set` items, calibration
-tables and run manifests; values are parsed, never evaluated."""
+tables and run manifests; values are parsed, never evaluated. Every text
+file the program reads goes through file_lines and every one it writes
+through write_text: both are UTF-8, whatever the locale."""
 
 import ast
 import math
+import os
 import warnings
 from typing import get_args, get_origin
 
@@ -12,6 +15,13 @@ from .errors import ConfigurationError
 def literal_text(pairs) -> str:
     """One `key = repr(value)` line per (key, value) pair."""
     return "".join(f"{key} = {value!r}\n" for key, value in pairs)
+
+
+def write_text(path, text: str):
+    """Writes ``text`` to ``path`` as UTF-8, first making its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def file_lines(path):

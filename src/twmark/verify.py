@@ -52,7 +52,7 @@ from .errors import (
 )
 from .field import (_BLOCK_WORDS, _centered, F_SHARE, FieldParams, FieldVector,
                     FixedPointCodec, ProtocolCodecs, verification_bound)
-from .literals import file_lines, literal_text, read_literals
+from .literals import file_lines, literal_text, read_literals, write_text
 from .secagg import SecAggSession, secagg_scalar
 from .sharing import ShamirConfig, lagrange_at_zero, public_norm
 
@@ -102,8 +102,7 @@ class CalibrationTable:
                 or abs(self.excess_kurtosis) > _NORMALITY_SE * math.sqrt(24 / n))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(literal_text((k, getattr(self, k)) for k in _CALIB_TYPES))
+        write_text(path, literal_text((k, getattr(self, k)) for k in _CALIB_TYPES))
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":

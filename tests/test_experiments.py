@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -550,12 +552,30 @@ class TestCli:
          "sweep_samples must be >= 1, got 0"),
         (["train", "--set", "n_clients=0", "--set", "threshold=0"],
          "n_clients must be >= 1, got 0"),
+        (["train", "--set", "seeds=()"], "seeds must not be empty"),
+        (["fidelity", "--sweep-budget", "--set", "seeds=()"], "seeds must not be empty"),
+        (["scalability", "--set", "seeds=()"], "seeds must not be empty"),
+        (["scalability", "--set", "k_sweep=()"], "k_sweep must not be empty"),
+        (["fidelity", "--set", "c_sweep=()"], "c_sweep must not be empty"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_kinds=()"],
+         "attack_kinds must not be empty"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_fractions=()"],
+         "attack_fractions must not be empty"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_alphas=()"],
+         "attack_alphas must not be empty"),
+        (["robustness", "--run", "run_seed0", "--set", "prune_ratios=()"],
+         "prune_ratios must not be empty"),
+        (["robustness", "--run", "run_seed0", "--set", "quant_schemes=()"],
+         "quant_schemes must not be empty"),
     ], ids=["ema-beta-one", "ema-beta-negative", "calib-keys", "calib-models", "calib-rounds",
             "rounds", "sweep-rounds", "batch-size", "sweep-batch", "attack-batch",
             "local-epochs", "attack-epochs", "attack-alphas", "prune-ratios", "quant-schemes",
             "attack-fractions-zero", "attack-fractions-above-one", "threshold-zero",
             "threshold-negative", "n-test", "n-samples", "sweep-samples-per-client",
-            "sweep-samples", "n-clients"])
+            "sweep-samples", "n-clients", "train-no-seeds", "fidelity-no-seeds",
+            "scalability-no-seeds", "empty-k-sweep", "empty-c-sweep", "empty-attack-kinds",
+            "empty-attack-fractions", "empty-attack-alphas", "empty-prune-ratios",
+            "empty-quant-schemes"])
     def test_commands_refuse_bad_counts_before_any_work(self, tmp_path, capsys, argv,
                                                         message):
         # each once failed only after work had started (fidelity wrote
@@ -711,6 +731,34 @@ class TestCli:
                         "abc,noise,sigma=0.1,0,0.5,4.2,accept\n\n" + row + "\n")
         assert cli.main(["report", "--out", str(tmp_path)]) == 2
         assert f"error: {path} line 4: {message}" in capsys.readouterr().err
+
+    def test_an_error_without_text_is_named_by_its_type(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError once reached the user as a bare "error: "
+        def fail(outdir):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_report", fail)
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_train_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        # config.txt was once written in the locale's encoding: under the C
+        # locale this run exited 2 and left a 0-byte config.txt, no manifest
+        config = tmp_path / "cfg.txt"
+        config.write_text("n_clients = 4\nthreshold = 2\nn_samples = 400\nhidden = 16\n"
+                          "rounds = 1\nseeds = (0,)\noutput_dir = 'résultats'\n",
+                          encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-m", "twmark", "train", "--config", str(config),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        rundir = out / "run_seed0"
+        assert "output_dir = 'résultats'" in (rundir / "config.txt").read_bytes().decode("utf-8")
+        assert experiments.read_run(rundir)[0].output_dir == "résultats"
 
     def test_bad_config_key_is_exit_2(self, cli_workspace, capsys):
         _, cfg_path, out = cli_workspace

@@ -115,7 +115,7 @@ class TestDkgPin:
 
     @pytest.mark.parametrize("K, t", [(1, 1), (3, 2), (6, 6)])
     def test_f7(self, f7, K, t):
-        # q = 7 takes the Python-int paths of _fold and _matmul_mod
+        # q = 7 takes the Python-int path of _matmul_mod
         self._check(_cfg(f7, K=K, t=t), 5, ProtocolCodecs(params=f7, f_share=0), seed=10 * K + t)
 
     def test_full_dimension(self, fM61):
