@@ -48,6 +48,17 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output directory")
 
 
+def _nameable(path):
+    """``path``, refused unless the filesystem encoding can name it: under
+    an ASCII locale a non-ASCII path would fail only at its first use."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigurationError(f"{path}: the filesystem encoding "
+                                 f"{sys.getfilesystemencoding()} cannot name this path") from None
+    return path
+
+
 def _calib(cfg, args, out):
     path = args.calibration or os.path.join(out, "calibration.txt")
     if os.path.exists(path):
@@ -108,6 +119,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # every path a command reads or writes, before any of its work
+        for path in [getattr(args, name, None) for name in
+                     ("out", "config", "run", "calibration", "model")] + getattr(args, "shares", []):
+            if path is not None:
+                _nameable(path)
+
         if args.command == "report":
             report_path, exports = cmd_report(args.out)
             print(f"wrote {report_path}")
@@ -131,7 +148,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.with_overrides({k: v for k, v in values.items()
                                                if not on_run or k in RUN_COMMAND_FIELDS},
                                               path=args.config)
-        out = args.out or cfg.output_dir
+        out = _nameable(args.out or cfg.output_dir)
 
         if args.command == "calibrate":
             table = cmd_calibrate(cfg, outdir=out)
@@ -154,7 +171,7 @@ def main(argv=None) -> int:
             _attack_config(cfg, args.kind, params)
             run_cfg, *run = read_run(args.run)
             cfg = command_config(run_cfg, args.run, values, (args.kind, params))
-            out = args.out or cfg.output_dir
+            out = _nameable(args.out or cfg.output_dir)
             records = cmd_attack(cfg, *run, _calib(cfg, args, out), args.kind, outdir=out,
                                  run_id=run_cfg.config_hash(), **params)
             final = records[-1]
@@ -184,7 +201,7 @@ def main(argv=None) -> int:
         if args.command == "robustness":
             run_cfg, *run = read_run(args.run)
             cfg = command_config(run_cfg, args.run, values)
-            out = args.out or cfg.output_dir
+            out = _nameable(args.out or cfg.output_dir)
             cmd_robustness(cfg, *run, _calib(cfg, args, out), outdir=out,
                            run_id=run_cfg.config_hash())
             print(f"robustness grid written under {out}")

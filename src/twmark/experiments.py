@@ -118,6 +118,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{f.name} must not be empty")
             if f.type in (float, tuple[float, ...]) and not np.isfinite(value).all():
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            # and a repeated entry would run the same thing twice
+            if isinstance(value, tuple) and len(set(value)) < len(value):
+                again = next(v for v in value if value.count(v) > 1)
+                raise ConfigurationError(f"{f.name} repeats {again!r}")
         if self.threshold > self.n_clients:
             raise ConfigurationError("threshold t must not exceed K")
         # participation is a fraction: at or below 0 each round trains one
@@ -426,6 +430,7 @@ def _null_model(cfg: ExperimentConfig, seed: int) -> np.ndarray:
 
 def cmd_calibrate(cfg: ExperimentConfig, outdir=None) -> CalibrationTable:
     """Train unwatermarked models, pool cosine null samples, persist table."""
+    _check_dataset(cfg, "n_samples", cfg.n_samples, cfg.n_clients)
     models = _run_units(_null_model, [(cfg, 10_000 + i) for i in range(cfg.calib_models)])
     table = calibrate(models, cfg.calib_keys, rng_from_key("calibration-keys"),
                       fingerprint=model_fingerprint(cfg.shape()), f_share=cfg.f_share)
@@ -461,6 +466,7 @@ def _write_run(cfg: ExperimentConfig, seed: int, outdir):
 def cmd_train(cfg: ExperimentConfig, outdir, seed: int = None):
     """Watermarked runs for each seed; persists trajectory, shares, config,
     manifest, metrics CSV. Returns {seed: run directory} (see read_run)."""
+    _check_dataset(cfg, "n_samples", cfg.n_samples, cfg.n_clients)
     _check_embeds(cfg.participation, cfg.n_clients, cfg.threshold)
     seeds = [seed] if seed is not None else list(cfg.seeds)
     return dict(zip(seeds, _run_units(_write_run, [(cfg, s) for s in seeds], outdir)))
@@ -540,7 +546,7 @@ def cmd_scalability(cfg: ExperimentConfig, calib: CalibrationTable, outdir=None,
     zb = np.array([max(r["z_baseline"], 1e-9) for r in records])
     # a line through a single K has no meaningful slope
     slope = (float(np.polyfit(np.log(ks), np.log(zb), 1)[0])
-             if len(set(cfg.k_sweep)) > 1 else None)
+             if len(cfg.k_sweep) > 1 else None)
     if outdir:
         write_csv(os.path.join(outdir, "scalability.csv"),
                   "config_hash,K,seed,method,z,test_accuracy", rows)

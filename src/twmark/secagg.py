@@ -43,19 +43,21 @@ Net masks are formed with numpy over rows in slot order, for any range
 of slots a0..a1-1 (``net_masks``; the whole session is 0..n-1). A range
 reads only the rows its slots send or receive: at offset j those that
 slots a0..a1-1 send and those that slots a0-j..a1-j-1 mod n send to them,
-reached with ``PCG64.advance`` and read in blocks of at most _BLOCK_WORDS
-words. Within a block each offset's rows are a run of senders and of
-receivers j slots on (wrapped past slot n - 1), added in two or three
-numpy calls whatever d is to a plain uint64 sum of the rows each slot
-sends and one of those it receives. A slot sends and receives at most
-one row per offset, so the sums are reduced only when one more offset
-could pass 2^64 (M61: before the ninth, n > 256; q near 2^63: before each
-from the third), and (sent - received) mod q is formed once, for M61 by
-the fold (x & q) + (x >> 61). A slot's mask is the same residue in any
-range, so ranges give the whole session's rows bit for bit. The
-processes that train a round's clients each ``mask`` the submissions of
-a range of the model session's slots (protocol.ClientTrainer), and the
-server step ``reveal`` only sums them. Every session takes this path.
+merged into spans of consecutive rows (``_spans``), reached with
+``PCG64.advance`` and read in blocks of at most _BLOCK_WORDS words. Row
+(j - 1) * n + a is sent by slot a to slot (a + j) mod n, so within a
+block each offset's rows are added in three clipped numpy calls whatever
+d is, by sender and by receiver (those past slot n - 1 wrapped back to
+slot 0), to a plain uint64 sum of the rows each slot sends and one of
+those it receives. A slot sends and receives at most one row per
+offset, so the sums are reduced only when one more offset could pass
+2^64 (M61: before the ninth, n > 256; q near 2^63: before each from the
+third), and (sent - received) mod q is formed once, for M61 by the fold
+(x & q) + (x >> 61). A slot's mask is the same residue in any range, so
+ranges give the whole session's rows bit for bit. The processes that
+train a round's clients each ``mask`` the submissions of a range of the
+model session's slots (protocol.ClientTrainer), and the server step
+``reveal`` only sums them. Every session takes this path.
 
 The participant set is frozen before submissions; dropout recovery is
 deliberately not modeled.
@@ -84,32 +86,25 @@ def _reach(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _runs(a0: int, a1: int, n: int) -> tuple:
+def _spans(a0: int, a1: int, n: int) -> tuple:
     """The stream rows that slots a0 .. a1 - 1 of a session of n send or
-    receive, as ascending runs (r0, r1, j, x): rows r0 .. r1 - 1 are the
-    edges at offset j sent by the slots at x, x + 1, ... counted from a0,
-    so their receivers are at x + j, .... At offset j these are the slots
-    a0 - j .. a1 - j - 1 and a0 .. a1 - 1 mod n, each once; x < 0 for
-    those below a0. Also the spans [r0, r1) of runs that follow each other
-    in the stream, merged."""
-    rows, runs = n * mask_degree(n) // 2, []
+    receive, as ascending spans [r0, r1), those that meet merged. At
+    offset j these are the rows sent by slots a0 .. a1 - 1 and by slots
+    a0 - j .. a1 - j - 1 mod n, each once."""
+    rows, spans = n * mask_degree(n) // 2, []
     for j in range(1, _reach(n) + 1):
         end = min(n, rows - (j - 1) * n)   # offset j's senders are slots below end
         # one range of senders unless the range is narrower than j
         senders = ((a0 - j, a1 - j), (a0, a1)) if a1 - j < a0 else ((max(a0 - j, a1 - n), a1),)
-        for v0, v1 in senders:
-            for w0, w1, wrap in ((v0, min(v1, 0), n), (max(v0, 0), v1, 0)):
-                s0, s1 = w0 + wrap, min(w1 + wrap, end)   # slots, below 0 wrapped
-                if s0 < s1:
-                    runs.append(((j - 1) * n + s0, (j - 1) * n + s1, j, w0 - a0))
-    runs.sort()
-    spans = []
-    for r0, r1, _, _ in runs:
-        if spans and spans[-1][1] == r0:
-            spans[-1][1] = r1
-        else:
-            spans.append([r0, r1])
-    return tuple(runs), tuple(map(tuple, spans))
+        # the slots from 0 on, then those below 0 wrapped past slot n - 1
+        for s0, s1 in [(max(v0, 0), v1) for v0, v1 in senders] + [
+                (v0 + n, min(v1, 0) + n) for v0, v1 in senders]:
+            r0, r1 = (j - 1) * n + s0, (j - 1) * n + min(s1, end)
+            if spans and spans[-1][1] == r0 < r1:
+                spans[-1][1] = r1
+            elif r0 < r1:
+                spans.append([r0, r1])
+    return tuple(map(tuple, spans))
 
 
 def _mod(x: np.ndarray, q: int, spare: np.ndarray):
@@ -179,30 +174,29 @@ class SecAggSession:
         by default; reads only the stream rows these slots send or receive."""
         n, d, q = len(self.participants), self.d, self.params.modulus
         a1 = n if a1 is None else a1
-        m, (runs, spans) = a1 - a0, _runs(a0, a1, n)
+        m = a1 - a0
         sent, (got, spare) = np.zeros((m, d), np.uint64), np.zeros((2, m, d), np.uint64)
         # a slot sends and receives at most one row below q per offset, and
         # `room` such rows sum below 2^64; a reduced sum counts as one row
         # (for M61 one row plus 8: 8q < 2^64 still)
         room, held, offset = (2**64 - 1) // (q - 1), 0, 0
-        stream, at, i = self._stream(), 0, 0
+        stream, at = self._stream(), 0
         step = max(1, _BLOCK_WORDS // d)
-        for s0, s1 in spans:
+        for s0, s1 in _spans(a0, a1, n):
             for b0 in range(s0, s1, step):
                 b1 = min(b0 + step, s1)
                 stream.advance((b0 - at) * d)
                 at = b1
                 block = self._rows(stream.random_raw((b1 - b0) * d).reshape(-1, d), b0)
-                while i < len(runs) and runs[i][0] < b1:
-                    r0, r1, j, x = runs[i]
+                for j in range(b0 // n + 1, (b1 - 1) // n + 2):   # the offsets of rows b0 .. b1 - 1
                     if j > offset:
                         if held == room:
                             _mod(sent, q, spare)
                             _mod(got, q, spare)
                             held = 1
                         held, offset = held + 1, j
-                    c0, c1 = max(r0, b0), min(r1, b1)
-                    x += c0 - r0                  # the sender of row c0
+                    c0, c1 = max(b0, (j - 1) * n), min(b1, j * n)
+                    x = c0 - (j - 1) * n - a0     # the sender of row c0, counted from a0
                     rows = block[c0 - b0:c1 - b0]
                     # senders from a0 on, and their receivers j slots on,
                     # those past slot n - 1 wrapped back to slot 0
@@ -210,9 +204,6 @@ class SecAggSession:
                         lo, hi = max(y, 0), min(y + c1 - c0, m)
                         if lo < hi:
                             acc[lo:hi] += rows[lo - y:hi - y]
-                    if r1 > b1:
-                        break                     # the run goes on in the next block
-                    i += 1
         _mod(sent, q, spare)        # below q, for M61 at most q + 7
         _mod(got, q, spare)
         sent += np.uint64(2 * q if q == M61 else q)

@@ -567,6 +567,26 @@ class TestCli:
          "prune_ratios must not be empty"),
         (["robustness", "--run", "run_seed0", "--set", "quant_schemes=()"],
          "quant_schemes must not be empty"),
+        (["train", "--set", "seeds=(0, 0)"], "seeds repeats 0"),
+        (["fidelity", "--sweep-budget", "--set", "seeds=(0, 1, 0)"], "seeds repeats 0"),
+        (["fidelity", "--sweep-budget", "--set", "c_sweep=(0.0, 0.0)"], "c_sweep repeats 0.0"),
+        (["scalability", "--set", "k_sweep=(4, 4)"], "k_sweep repeats 4"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_kinds=('quantize', 'quantize')"],
+         "attack_kinds repeats 'quantize'"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_fractions=(0.05, 0.05)"],
+         "attack_fractions repeats 0.05"),
+        (["robustness", "--run", "run_seed0", "--set", "attack_alphas=(0.1, 0.1)"],
+         "attack_alphas repeats 0.1"),
+        (["robustness", "--run", "run_seed0", "--set", "prune_ratios=(0.5, 0.5)"],
+         "prune_ratios repeats 0.5"),
+        (["robustness", "--run", "run_seed0", "--set", "quant_schemes=('static8', 'static8')"],
+         "quant_schemes repeats 'static8'"),
+        (["train", "--set", "n_samples=402"],
+         "n_samples gives 402 samples at K = 4, not divisible by K = 4"),
+        (["calibrate", "--set", "n_samples=402"],
+         "n_samples gives 402 samples at K = 4, not divisible by K = 4"),
+        (["scalability", "--set", "n_samples=402"],
+         "n_samples gives 402 samples at K = 4, not divisible by K = 4"),
     ], ids=["ema-beta-one", "ema-beta-negative", "calib-keys", "calib-models", "calib-rounds",
             "rounds", "sweep-rounds", "batch-size", "sweep-batch", "attack-batch",
             "local-epochs", "attack-epochs", "attack-alphas", "prune-ratios", "quant-schemes",
@@ -575,7 +595,10 @@ class TestCli:
             "sweep-samples", "n-clients", "train-no-seeds", "fidelity-no-seeds",
             "scalability-no-seeds", "empty-k-sweep", "empty-c-sweep", "empty-attack-kinds",
             "empty-attack-fractions", "empty-attack-alphas", "empty-prune-ratios",
-            "empty-quant-schemes"])
+            "empty-quant-schemes", "train-repeated-seed", "fidelity-repeated-seed",
+            "repeated-c", "repeated-k", "repeated-attack-kind", "repeated-attack-fraction",
+            "repeated-attack-alpha", "repeated-prune-ratio", "repeated-quant-scheme",
+            "train-n-samples", "calibrate-n-samples", "scalability-n-samples"])
     def test_commands_refuse_bad_counts_before_any_work(self, tmp_path, capsys, argv,
                                                         message):
         # each once failed only after work had started (fidelity wrote
@@ -584,7 +607,8 @@ class TestCli:
         # n_test=0 wrote a run without metrics.csv) or not at all: calibrate
         # fitted untrained models at calib_rounds=0, a negative attack_epochs
         # scored every attack as the victim, and at zero samples no client
-        # took a step
+        # took a step; train ran a repeated seed twice into one directory, and
+        # calibrate refused n_samples only in a forked unit, without naming it
         code = cli.main([argv[0], *self.TINY, *argv[1:], "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -759,6 +783,26 @@ class TestCli:
         rundir = out / "run_seed0"
         assert "output_dir = 'résultats'" in (rundir / "config.txt").read_bytes().decode("utf-8")
         assert experiments.read_run(rundir)[0].output_dir == "résultats"
+
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    def test_a_path_the_locale_cannot_name_is_refused_first(self, tmp_path, command):
+        # under the C locale this run once trained, then failed at its first
+        # write with an ascii codec error that named no path
+        config = tmp_path / "cfg.txt"
+        config.write_text("n_clients = 4\nthreshold = 2\nn_samples = 400\nhidden = 16\n"
+                          "rounds = 1\nseeds = (0,)\ncalib_rounds = 1\n"
+                          "output_dir = 'résultats'\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-m", "twmark", command, "--config", str(config)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == 2
+        # an ASCII stderr shows the path's é as \xe9
+        assert done.stderr == ("error: r\\xe9sultats: the filesystem encoding ascii "
+                               "cannot name this path\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
     def test_bad_config_key_is_exit_2(self, cli_workspace, capsys):
         _, cfg_path, out = cli_workspace
@@ -1010,10 +1054,10 @@ class TestSweeps:
         assert "baseline decay exponent: n/a" in capsys.readouterr().out
         summary = (tmp_path / "scalability_summary.txt").read_text()
         assert "baseline_decay_exponent" not in summary and "z_star" in summary
+        # one K repeated, which once also fitted no slope, is refused
+        with pytest.raises(ConfigurationError, match="k_sweep repeats 6"):
+            dataclasses.replace(cfg, k_sweep=(6, 6))
         calib = CalibrationTable.load(out / "calibration.txt")
-        one = experiments.cmd_scalability(
-            dataclasses.replace(cfg, k_sweep=(6, 6), sweep_rounds=1), calib)
-        assert one["baseline_decay_exponent"] is None
         two = experiments.cmd_scalability(
             dataclasses.replace(cfg, k_sweep=(4, 6), sweep_rounds=1), calib)
         assert isinstance(two["baseline_decay_exponent"], float)

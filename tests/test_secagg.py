@@ -591,15 +591,43 @@ class TestRanges:
         assert not np.any(plain.sum(axis=0, dtype=object) % params.modulus)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 11, 16, 40, 128])
-    def test_runs_hold_exactly_the_edges_of_the_range(self, n):
-        for a0, a1 in [(0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3), (1, n)]:
-            want = {_edge(a, b, n)[0] for a in range(a0, a1) for b in range(n)
-                    if _joined(a, b, n)}
-            runs, spans = secagg._runs(a0, a1, n)
-            assert all(r0 < r1 <= s0 for (r0, r1, _, _), (s0, _, _, _) in zip(runs, runs[1:]))
-            assert {r for r0, r1, _, _ in runs for r in range(r0, r1)} == want
-            assert {r for r0, r1 in spans for r in range(r0, r1)} == want
-            assert all(r1 < s0 for (_, r1), (s0, _) in zip(spans, spans[1:]))
+    def test_runs_hold_exactly_the_edges_of_the_range(self, fM61, monkeypatch, n):
+        # the stream rows net_masks draws for a range are its edges, each once,
+        # in whole blocks or in blocks of three rows
+        d, reads = 2, []
+        stream = SecAggSession._stream
+        monkeypatch.setattr(SecAggSession, "_stream",
+                            lambda self: reads.append(_Reads(stream(self), d)) or reads[-1])
+        session = _session(fM61, d=d, participants=tuple(range(1, n + 1)))
+        whole = session.net_masks()
+        for block_words in (secagg._BLOCK_WORDS, 3 * d):
+            monkeypatch.setattr(secagg, "_BLOCK_WORDS", block_words)
+            # (n // 2, n // 2 + 1) is narrower than the reach once n > 2, away from the wrap
+            for a0, a1 in [(0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3), (1, n),
+                           (n // 2, n // 2 + 1)]:
+                want = {_edge(a, b, n)[0] for a in range(a0, a1) for b in range(n)
+                        if _joined(a, b, n)}
+                reads.clear()
+                assert np.array_equal(session.net_masks(a0, a1), whole[a0:a1])
+                (read,) = reads
+                assert sorted(read.rows) == sorted(want)
+
+
+class _Reads:
+    """A session stream that records the rows of d words each draw reads."""
+
+    def __init__(self, stream, d):
+        self.stream, self.d, self.pos, self.rows = stream, d, 0, []
+
+    def advance(self, delta):
+        self.stream.advance(delta)
+        self.pos += delta
+
+    def random_raw(self, size):
+        assert self.pos % self.d == size % self.d == 0   # whole rows only
+        self.rows += range(self.pos // self.d, (self.pos + size) // self.d)
+        self.pos += size
+        return self.stream.random_raw(size)
 
 
 class _HighWords:
