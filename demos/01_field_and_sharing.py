@@ -8,7 +8,7 @@ commitment that pins the key down at setup time.
 import numpy as np
 
 from twmark.field import FieldParams, FieldVector, FixedPointCodec
-from twmark.sharing import ShamirConfig, commit, lagrange_at_zero, open_check, shamir_share
+from twmark.sharing import ShamirConfig, commit, lagrange_at_zero, shamir_share
 
 rng = np.random.default_rng(0)
 params = FieldParams()  # 2^61 - 1
@@ -49,8 +49,9 @@ print("terms over {1,3,4,5} sum to the encoded secret:", combine(participants) =
 print("terms over {2,3,4} sum to the encoded secret:", combine((2, 3, 4)) == enc)
 print("terms over {1,2}, below t, do not:", combine((1, 2)) != enc)
 
-# commitment: binding digest of the encoded key plus its public norm sqrt(d)
+# commitment: binding digest of the encoded key plus its public norm sqrt(d);
+# it opens when committing again under its nonce gives its digest
 c = commit(enc, f_share=20)
-print("commitment opens:", open_check(c, enc, 20))
+print("commitment opens:", commit(enc, 20, nonce=c.nonce).digest == c.digest)
 tampered = enc.add(FieldVector(np.ones(4, dtype=np.uint64), params))
-print("tampered key opens:", open_check(c, tampered, 20))
+print("tampered key opens:", commit(tampered, 20, nonce=c.nonce).digest == c.digest)

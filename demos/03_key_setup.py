@@ -13,7 +13,7 @@ import numpy as np
 from twmark.field import FieldParams, FieldVector
 from twmark.keysetup import (BANDWIDTH_BPS, FIELD_MUL_NS, dkg_cost_model, setup_dkg,
                              setup_trusted_dealer)
-from twmark.sharing import ShamirConfig, lagrange_at_zero, open_check
+from twmark.sharing import ShamirConfig, commit, lagrange_at_zero
 
 params = FieldParams()
 cfg = ShamirConfig(n_clients=8, threshold=4, params=params)
@@ -36,8 +36,9 @@ def combine(shares):
 rec = combine(dealer.shares[:4])
 print("dealer: shares reconstruct enc(key):",
       rec == dealer.codecs.share.encode(dealer.debug_key))
+c = dealer.commitment
 print("dealer: commitment opens:",
-      open_check(dealer.commitment, rec, dealer.codecs.f_share))
+      commit(rec, dealer.codecs.f_share, nonce=c.nonce).digest == c.digest)
 
 decoded = dkg.codecs.share.decode_centered(combine(dkg.shares))
 err = np.abs(decoded - dkg.debug_key).max()

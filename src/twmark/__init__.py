@@ -31,7 +31,6 @@ from .sharing import (
     ShamirShare,
     commit,
     lagrange_at_zero,
-    open_check,
     shamir_share,
 )
 from .verify import (
@@ -67,7 +66,6 @@ __all__ = [
     "commit",
     "dkg_cost_model",
     "lagrange_at_zero",
-    "open_check",
     "partial_inner",
     "run_baseline",
     "run_protocol",

@@ -74,21 +74,14 @@ def sample_attack_subset(dataset, fraction: float, seed: int):
 
 
 def estimate_key(trajectory) -> np.ndarray:
-    """Default estimator: the normalized net displacement theta_T - theta_0."""
-    return estimate_key_insider(trajectory, ())
-
-
-def estimate_key_insider(trajectory, own_updates) -> np.ndarray:
-    """Insider variant: subtract the attacker client's own cumulative local
-    updates from the net displacement before normalizing."""
+    """The attacker's key estimate: the normalized net displacement
+    (theta_T - theta_0) / ||theta_T - theta_0||."""
     if len(trajectory) < 2:
         raise ConfigurationError("need at least two checkpoints")
     delta = trajectory[-1].theta - trajectory[0].theta
-    for upd in own_updates:
-        delta = delta - upd
     norm = np.linalg.norm(delta)
     if norm == 0.0:
-        raise DegenerateModelError("zero residual displacement in trajectory")
+        raise DegenerateModelError("zero displacement in trajectory")
     return delta / norm
 
 

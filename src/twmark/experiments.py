@@ -787,7 +787,11 @@ def cmd_report(outdir):
     exports (plotting itself is left to external tooling)."""
     lines = ["# experiment report"]
     exports = []
-    for name in sorted(os.listdir(outdir)):
+    try:
+        names = sorted(os.listdir(outdir))
+    except OSError as exc:
+        raise ConfigurationError(f"{outdir}: cannot read: {exc.strerror}") from None
+    for name in names:
         if not name.endswith(".csv"):
             continue
         path = os.path.join(outdir, name)

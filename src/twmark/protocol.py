@@ -19,10 +19,9 @@ only their update norms and largest |theta_k|. From these this process
 forms the EMAs, scales, theta ceiling, scalar SecAgg and each
 c_k = S * lambda_k. In the second each process adds c_k * w_k (w_k: the
 client's share) and returns one masked row per slot, whose sum the server
-reveals. Training reads only theta, the
-client's shard and its stream keyed by (master_seed, client id, round),
-the masks cancel and the field arithmetic is exact, so no bit depends on
-the CPU count.
+reveals. Training reads only theta, the client's shard and its stream
+keyed by (master_seed, client id, round), the masks cancel and the field
+arithmetic is exact, so no bit depends on the CPU count.
 
 Each process trains its range in lockstep groups: runs of consecutive
 clients with equal shard lengths, cut into groups of at most
@@ -35,8 +34,9 @@ per-client reduction, so a client has the same bits in any group, and a
 group that fails trains again one client at a time, so that the first
 client that fails alone raises.
 
-The per-client baseline (run_baseline) shares this round pipeline, with
-c_k = S_k and w_k = enc_share(tau_k), each client's own key.
+The per-client baseline (run_baseline) trains through the same trainer
+but sums its submissions enc_model(theta_k) + S_k * enc_share(tau_k) here,
+with no SecAgg: the masks would cancel and nothing reads its server's view.
 """
 
 import itertools
@@ -130,15 +130,6 @@ def _client_scales(ema: dict, participants: tuple, norms: list,
     return scales
 
 
-def _secure_average(masked: np.ndarray, codecs: ProtocolCodecs,
-                    session: SecAggSession) -> GlobalModel:
-    """Steps (4)-(5): the server reveals the field sum of ``masked``, each
-    participant's enc_model(theta_k) plus its term and net mask, in slot
-    order; the decoded sum is divided by the participant count."""
-    theta_next = codecs.model.decode_centered(reveal(masked, session)) / len(masked)
-    return GlobalModel(theta=theta_next, round_index=session.round_id)
-
-
 def embed_round(global_model: GlobalModel, ema: dict, plan: RoundPlan,
                 setup: SetupResult, params: ProtocolParams,
                 train, session_seed: int) -> GlobalModel:
@@ -169,7 +160,8 @@ def embed_round(global_model: GlobalModel, ema: dict, plan: RoundPlan,
         return [S * lam[k] for k in plan.participants]
 
     masked = train(global_model.theta, plan.participants, r, session, coefficients)
-    return _secure_average(masked, codecs, session)
+    # (4)-(5) the server reveals the field sum; its decoded mean is the next model
+    return GlobalModel(codecs.model.decode_centered(reveal(masked, session)) / len(masked), r)
 
 
 def clients_drawn(participation: float, n_clients: int) -> int:
@@ -427,12 +419,15 @@ def run_protocol(setup: SetupResult, dataset, shape: MlpShape,
 def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
                  n_clients: int, rounds: int, master_seed: int,
                  codecs: ProtocolCodecs = None):
-    """Naive per-client watermark baseline through the same round pipeline.
+    """Naive per-client watermark baseline, summed without SecAgg.
 
-    Each client embeds its own independent key tau_k with its own scale;
-    the averaged watermark direction becomes (1/K) sum_k scale_k tau_k,
+    Each client embeds its own independent key tau_k with its own scale
+    S_k; the averaged watermark direction becomes (1/K) sum_k scale_k tau_k,
     whose expected norm shrinks as 1/sqrt(K). Every client adds a scaled
-    key, so the overflow bound is checked with K * scale_max.
+    key, so the overflow bound is checked with K * scale_max. The field sum
+    of the submissions enc_model(theta_k) + S_k * enc_share(tau_k) is formed
+    here: SecAgg's pairwise masks would cancel exactly, and nothing reads a
+    baseline server's view, so the sum has the same bits.
 
     Returns (trajectory, per-client keys).
     """
@@ -441,21 +436,26 @@ def run_baseline(dataset, shape: MlpShape, params: ProtocolParams,
     check_aggregate_bound(
         shape.dim, n_clients, params.theta_max, n_clients * params.scale_max, codecs
     ).raise_if_failed()
+    q = codecs.params.modulus
     participants = tuple(range(1, n_clients + 1))
     keys = [rng_from_key(master_seed, "baseline_key", k).standard_normal(shape.dim)
             for k in participants]
-    enc_keys = {k: codecs.share.encode(keys[k - 1]) for k in participants}
+    enc_keys = [codecs.share.encode(key) for key in keys]
     ema = dict.fromkeys(participants, 0.0)
     trajectory = [GlobalModel(init_model(shape, rng_from_key(master_seed, "init")), 0)]
-    with ClientTrainer(dataset, shape, params, master_seed, n_clients, codecs.model,
-                       enc_keys) as train:
+    with ClientTrainer(dataset, shape, params, master_seed, n_clients) as train:
         for r in range(1, rounds + 1):
-            def coefficients(norms, theta_abs_max):     # S_k of each client
-                scales = _client_scales(ema, participants, norms, theta_abs_max, params, r)
-                return [quantize_scale(s, codecs, params.scale_max) for s in scales]
-
-            session = SecAggSession(round_id=r, participants=participants, d=shape.dim,
-                                    params=codecs.params, session_seed=master_seed * 10_000 + r)
-            masked = train(trajectory[-1].theta, participants, r, session, coefficients)
-            trajectory.append(_secure_average(masked, codecs, session))
+            theta = trajectory[-1].theta
+            thetas = train(theta, participants, r)
+            total = np.zeros(shape.dim, np.uint64)
+            for row in thetas:  # every row is encoded before the theta ceiling is checked
+                total += codecs.model.encode(row).values    # both < q < 2^63
+                reduce_once(total, q)
+            scales = _client_scales(ema, participants,
+                                    [float(np.linalg.norm(row - theta)) for row in thetas],
+                                    float(np.abs(thetas).max(initial=0.0)), params, r)
+            for key, s in zip(enc_keys, scales):
+                total += key.scalar_mul(quantize_scale(s, codecs, params.scale_max)).values
+                reduce_once(total, q)
+            trajectory.append(GlobalModel(codecs.model.decode_values(total) / n_clients, r))
     return trajectory, keys

@@ -174,9 +174,3 @@ def commit(secret_enc: FieldVector, f_share: int, nonce: bytes = None) -> Commit
         nonce = secrets.token_bytes(32)
     payload = _commitment_payload(nonce, secret_enc, f_share)
     return Commitment(nonce=nonce, digest=hashlib.sha256(payload).digest())
-
-
-def open_check(c: Commitment, secret_enc: FieldVector, f_share: int) -> bool:
-    """True iff the recomputed digest matches; mismatch is not an error."""
-    payload = _commitment_payload(c.nonce, secret_enc, f_share)
-    return hashlib.sha256(payload).digest() == c.digest

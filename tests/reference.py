@@ -13,17 +13,23 @@ way, for tests to compare the shipped path with bit for bit:
   outgoing evaluations, the view the secrecy tests reconstruct;
 - ``secagg_sum``: mask, reduce and reveal one session in one process;
 - ``_edge`` and ``neighbours``: one edge's stream row, and one client's
-  neighbours in a session's mask graph.
+  neighbours in a session's mask graph;
+- ``open_check``: whether an encoded key opens a dealer commitment;
+- ``estimate_key_insider``: the attacker's key estimate less its own
+  cumulative local updates.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 
-from twmark.errors import ConfigurationError, ProtocolAbortError, SkipRoundError, ThresholdError
+from twmark.errors import (ConfigurationError, DegenerateModelError, ProtocolAbortError,
+                           SkipRoundError, ThresholdError)
 from twmark.field import FieldVector, _matmul_mod
 from twmark.secagg import SecAggSession, _check_participants, _reach, mask_degree, reveal
-from twmark.sharing import ShamirConfig, ShamirShare, lagrange_at_zero, shamir_share
+from twmark.sharing import (Commitment, ShamirConfig, ShamirShare, _commitment_payload,
+                            lagrange_at_zero, shamir_share)
 
 
 def shamir_reconstruct(shares, cfg: ShamirConfig) -> FieldVector:
@@ -126,3 +132,23 @@ def neighbours(session: SecAggSession, k: int) -> tuple:
     dist = np.minimum(dist, n - dist)
     joined = (dist > 0) & (dist <= _reach(n))
     return tuple(p for p, j in zip(session.participants, joined) if j)
+
+
+def open_check(c: Commitment, secret_enc: FieldVector, f_share: int) -> bool:
+    """True iff the recomputed digest matches; mismatch is not an error."""
+    payload = _commitment_payload(c.nonce, secret_enc, f_share)
+    return hashlib.sha256(payload).digest() == c.digest
+
+
+def estimate_key_insider(trajectory, own_updates) -> np.ndarray:
+    """Insider variant: subtract the attacker client's own cumulative local
+    updates from the net displacement before normalizing."""
+    if len(trajectory) < 2:
+        raise ConfigurationError("need at least two checkpoints")
+    delta = trajectory[-1].theta - trajectory[0].theta
+    for upd in own_updates:
+        delta = delta - upd
+    norm = np.linalg.norm(delta)
+    if norm == 0.0:
+        raise DegenerateModelError("zero residual displacement in trajectory")
+    return delta / norm

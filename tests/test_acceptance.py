@@ -23,10 +23,11 @@ from twmark import attacks
 from twmark.errors import ConfigurationError
 from twmark.experiments import (
     ExperimentConfig,
+    _null_model,
+    _run_units,
     cmd_fidelity,
     cmd_scalability,
     make_coalition_verifier,
-    run_plain_fedavg,
     run_watermarked,
 )
 from twmark.field import FieldParams, FieldVector, FixedPointCodec, ProtocolCodecs, check_aggregate_bound
@@ -54,9 +55,9 @@ CFG = ExperimentConfig()
 @pytest.fixture(scope="session")
 def calib_models_and_table():
     """Unwatermarked models plus the pooled null table, at the shipped
-    calibration budget (5 models x 2000 keys)."""
-    models = [run_plain_fedavg(CFG, seed=10_000 + i, rounds=CFG.calib_rounds)[1]
-              for i in range(CFG.calib_models)]
+    calibration budget (5 models x 2000 keys); the models run side by side
+    as cmd_calibrate's units."""
+    models = _run_units(_null_model, [(CFG, 10_000 + i) for i in range(CFG.calib_models)])
     table = calibrate(models, CFG.calib_keys, rng_from_key("calibration-keys"),
                       fingerprint=model_fingerprint(CFG.shape()))
     return models, table
@@ -64,15 +65,16 @@ def calib_models_and_table():
 
 @pytest.fixture(scope="session")
 def wm_runs():
-    """Full-budget watermarked runs (K=32, t=16, 100 rounds) for every seed."""
-    return {s: run_watermarked(CFG, s) for s in CFG.seeds}
+    """Full-budget watermarked runs (K=32, t=16, 100 rounds) for every seed,
+    side by side as cmd_train's units."""
+    return dict(zip(CFG.seeds, _run_units(run_watermarked, [(CFG, s) for s in CFG.seeds])))
 
 
 @pytest.fixture(scope="session")
 def c0_runs():
     """The same runs with the watermark strength set to zero."""
     cfg = dataclasses.replace(CFG, strength_c=0.0)
-    return {s: run_watermarked(cfg, s) for s in CFG.seeds}
+    return dict(zip(CFG.seeds, _run_units(run_watermarked, [(cfg, s) for s in CFG.seeds])))
 
 
 # -- 1: exact algebra --

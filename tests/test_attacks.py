@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from conftest import reference_training
+from reference import estimate_key_insider
 
 from twmark.attacks import (
     AttackConfig,
@@ -12,7 +13,6 @@ from twmark.attacks import (
     attack_prune,
     attack_quantize,
     estimate_key,
-    estimate_key_insider,
     pareto_frontier,
     sample_attack_subset,
     _kd_grad,
@@ -77,6 +77,10 @@ class TestKeyEstimation:
         want = traj[-1].theta - traj[0].theta - upd
         want /= np.linalg.norm(want)
         assert np.allclose(key, want)
+
+    def test_is_the_insider_estimate_without_own_updates(self, rng):
+        traj = _traj(rng)
+        assert np.array_equal(estimate_key(traj), estimate_key_insider(traj, ()))
 
     def test_degenerate_trajectory(self, rng):
         t0 = init_model(SHAPE, rng)

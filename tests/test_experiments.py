@@ -756,6 +756,15 @@ class TestCli:
         assert cli.main(["report", "--out", str(tmp_path)]) == 2
         assert f"error: {path} line 4: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing", "a_file.txt"])
+    def test_report_names_an_unreadable_out(self, tmp_path, capsys, name):
+        # a missing --out once printed "error: [Errno 2] No such file or directory"
+        (tmp_path / "a_file.txt").write_text("x\n")
+        out = tmp_path / name
+        assert cli.main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: cannot read: ")
+        assert sorted(os.listdir(tmp_path)) == ["a_file.txt"]
+
     def test_an_error_without_text_is_named_by_its_type(self, tmp_path, capsys, monkeypatch):
         # a MemoryError once reached the user as a bare "error: "
         def fail(outdir):

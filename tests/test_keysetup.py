@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from reference import dkg_exchange, shamir_reconstruct
+from reference import dkg_exchange, open_check, shamir_reconstruct
 
 from twmark import field, keysetup
 from twmark.errors import ConfigurationError
@@ -15,7 +15,7 @@ from twmark.keysetup import (
     setup_dkg,
     setup_trusted_dealer,
 )
-from twmark.sharing import ShamirConfig, open_check, public_norm, shamir_share
+from twmark.sharing import ShamirConfig, public_norm, shamir_share
 
 
 def _cfg(params, K=5, t=3):

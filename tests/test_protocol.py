@@ -312,6 +312,16 @@ class TestRunBaseline:
             theta = codecs.model.decode_centered(acc) / 4
             assert np.array_equal(traj[r].theta, theta)
 
+    def test_opens_no_secagg_session(self, monkeypatch):
+        # the masks would cancel, and nothing reads a baseline server's view
+        def refuse(*args, **kwargs):
+            raise AssertionError("the baseline opened a SecAgg session")
+
+        monkeypatch.setattr(protocol, "SecAggSession", refuse)
+        traj, _ = run_baseline(_dataset(), SHAPE, ProtocolParams(batch_size=16), 4, 2,
+                               master_seed=1)
+        assert len(traj) == 3
+
     def test_theta_ceiling_aborts(self):
         with pytest.raises(ProtocolAbortError):
             run_baseline(_dataset(), SHAPE, ProtocolParams(batch_size=16, theta_max=1e-3),
@@ -519,11 +529,9 @@ class TestClientTrainer:
             workers(n)
             seen, ranges = [], []
             run_watermarked(cfg, seed=5)
-            run_baseline(_dataset(K=6), SHAPE, ProtocolParams(batch_size=16), 6, 2,
-                         master_seed=1)
-            assert len(seen) == 5
+            assert len(seen) == 3
             # this process's calls: its own first range of each model session
-            assert ranges == [(k, 0, k // (n + 1)) for k in (3, 3, 3, 6, 6)]
+            assert ranges == [(3, 0, 3 // (n + 1))] * 3
             runs.append(seen)
         for other in runs[1:]:
             for (obs_a, out_a), (obs_b, out_b) in zip(runs[0], other):
@@ -967,8 +975,10 @@ class TestPinnedDigests:
                   "bc263fe47ccf667b38779f011d9a4e1927783c00101a8340e9ff5dbf34b7ee6d"),
         "skip": ("a02e55df6a7a4a9592c6efca97de8045dc6eeaf3cd48e555ea301f84d442e68e",
                  "2d7e18a147ed8dc50ccb0d4ccde4b34d2adea9f6a64c581e949a0360a8c8ba98"),
+        # the baseline sums its submissions unmasked: theta as pinned at
+        # e5c29c9, and no session, the digest of an empty log
         "baseline": ("ba889582392547f1e9d8dda5d74aa4950079fe1437e564b5321540b4272b3b38",
-                     "f24dc4f27e8697f46854e0a64636d17c22ed1783cf9fe6bb6a866e2b6aa43d98"),
+                     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         # K = 10: a sparse mask graph, whose slots are not in participant
         # order; computed at commit fdfb00f, before the processes took
         # ranges of slots

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import derive_embedding_share, dkg_exchange, shamir_reconstruct
+from reference import derive_embedding_share, dkg_exchange, open_check, shamir_reconstruct
 
 import twmark
 from twmark.errors import ConfigurationError, SkipRoundError, ThresholdError
@@ -20,7 +20,6 @@ from twmark.sharing import (
     ShamirConfig,
     commit,
     lagrange_at_zero,
-    open_check,
     shamir_share,
 )
 
@@ -296,7 +295,7 @@ def test_no_twmark_module_holds_a_reference_path():
     # the reference paths live in tests/reference.py: no function in the
     # package reconstructs the key, and each job has one shipped path
     names = ("shamir_reconstruct", "derive_embedding_share", "dkg_exchange", "secagg_sum",
-             "_edge", "neighbours")
+             "_edge", "neighbours", "open_check", "estimate_key_insider")
     modules = [importlib.import_module(f"twmark.{m.name}")
                for m in pkgutil.iter_modules(twmark.__path__) if m.name != "__main__"]
     assert {"twmark.keysetup", "twmark.secagg", "twmark.sharing"} <= {m.__name__ for m in modules}
